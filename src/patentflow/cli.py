@@ -67,6 +67,12 @@ def _parse_damping_list(text: str) -> list[float]:
         raise PatentFlowError(f"bad damping list {text!r}: {exc}") from exc
     if not values:
         raise PatentFlowError(f"damping list {text!r} is empty")
+    # each value names its own scores_d{d:g}.tsv, so a repeat would overwrite one
+    if len(set(values)) < len(values) or len({f"{d:g}" for d in values}) < len(values):
+        raise PatentFlowError(
+            f"damping list {text!r} repeats a value or has values with the same "
+            "scores_d<value>.tsv file name"
+        )
     return values
 
 
@@ -87,10 +93,6 @@ def _params_from(args, damping: float) -> PageRankParams:
         max_iterations=_env_or(args.max_iters, "MAX_ITERS", int, DEFAULT_MAX_ITERATIONS),
         dangling_mode=_env_or(args.dangling_mode, "DANGLING_MODE", str, DANGLING_UNIFORM_ALL),
     )
-
-
-def _threads(args) -> int:
-    return max(1, _env_or(args.threads, "THREADS", int, 1))
 
 
 def _load(args) -> PatentDataset:
@@ -121,7 +123,7 @@ def _cmd_rank(args) -> int:
     dataset = _load(args)
     damping = _env_or(args.damping, "DAMPING", float, DEFAULT_DAMPING)
     params = _params_from(args, damping)
-    result = pagerank(dataset.graph, params, threads=_threads(args))
+    result = pagerank(dataset.graph, params)
     out = _out_dir(args)
 
     write_scores_tsv(dataset.index_to_id, result.scores, out / f"scores_d{damping:g}.tsv")
@@ -154,7 +156,6 @@ def _cmd_sweep(args) -> int:
         epsilon=params0.epsilon,
         max_iterations=params0.max_iterations,
         dangling_mode=params0.dangling_mode,
-        threads=_threads(args),
     )
     out = _out_dir(args)
     for result in results:
@@ -179,59 +180,36 @@ def _flow_metrics(args) -> list[str]:
 
 
 def _cmd_flow(args) -> int:
+    """``flow``, and ``exclude-flow`` on the dataset without the assignee's neighborhood."""
     dataset = _load(args)
     damping = _env_or(args.damping, "DAMPING", float, DEFAULT_DAMPING)
     params = _params_from(args, damping)
-    result = pagerank(dataset.graph, params, threads=_threads(args))
     target = args.target_class
+    summary = {"command": args.command, "target_class": target}
+    exclusion = None
+    if args.command == "exclude-flow":
+        exclusion = assignee_exclusion_set(dataset, args.exclude_assignee)
+        dataset, _ = apply_exclusion(dataset, exclusion)
+        summary["excluded_assignee"] = args.exclude_assignee
+        summary["excluded_nodes"] = int(exclusion.excluded.size)
+    result = pagerank(dataset.graph, params)
     series_list = [class_inflow_series(dataset, result, target, m) for m in _flow_metrics(args)]
     out = _out_dir(args)
     write_flow_csv(series_list, out / f"flow_{_safe_name(target)}.csv")
-
-    target_patents = sum(1 for m in dataset.meta if m.primary_class == target)
-    if target_patents == 0:
-        print(f"warning: no patent has class {target!r}; series is empty", file=sys.stderr)
+    if exclusion is not None:
+        _write_summary(out / "exclusion_report.json", exclusion.report())
+    else:
+        target_patents = sum(1 for m in dataset.meta if m.primary_class == target)
+        if target_patents == 0:
+            print(f"warning: no patent has class {target!r}; series is empty", file=sys.stderr)
+        summary["target_class_patents"] = target_patents
     _write_summary(
         out / "summary.json",
         {
-            "command": "flow",
-            "target_class": target,
-            "target_class_patents": target_patents,
+            **summary,
             "metrics": [s.metric for s in series_list],
             "nodes": dataset.node_count,
             "edges": dataset.graph.edge_count,
-            **_result_summary(result),
-        },
-    )
-    return 0
-
-
-def _cmd_exclude_flow(args) -> int:
-    dataset = _load(args)
-    damping = _env_or(args.damping, "DAMPING", float, DEFAULT_DAMPING)
-    params = _params_from(args, damping)
-    exclusion = assignee_exclusion_set(dataset, args.exclude_assignee)
-    reduced, _ = apply_exclusion(dataset, exclusion)
-    if reduced.node_count == 0:
-        raise PatentFlowError(
-            f"excluding assignee {args.exclude_assignee!r} leaves an empty graph"
-        )
-    result = pagerank(reduced.graph, params, threads=_threads(args))
-    target = args.target_class
-    series_list = [class_inflow_series(reduced, result, target, m) for m in _flow_metrics(args)]
-    out = _out_dir(args)
-    write_flow_csv(series_list, out / f"flow_{_safe_name(target)}.csv")
-    _write_summary(out / "exclusion_report.json", exclusion.report())
-    _write_summary(
-        out / "summary.json",
-        {
-            "command": "exclude-flow",
-            "target_class": target,
-            "excluded_assignee": args.exclude_assignee,
-            "excluded_nodes": int(exclusion.excluded.size),
-            "metrics": [s.metric for s in series_list],
-            "nodes": reduced.node_count,
-            "edges": reduced.graph.edge_count,
             **_result_summary(result),
         },
     )
@@ -245,7 +223,7 @@ def _cmd_patent(args) -> int:
         raise PatentFlowError(f"patent id {args.patent_id!r} not in dataset")
     damping = _env_or(args.damping, "DAMPING", float, DEFAULT_DAMPING)
     params = _params_from(args, damping)
-    result = pagerank(dataset.graph, params, threads=_threads(args))
+    result = pagerank(dataset.graph, params)
     breakdown = patent_inflow_breakdown(dataset, result, idx)
     meta = dataset.meta[idx]
     payload = {
@@ -293,7 +271,7 @@ def _add_common(parser: argparse.ArgumentParser, dataset: bool = True) -> None:
     parser.add_argument("--dangling-mode", default=None,
                         choices=[DANGLING_UNIFORM_ALL, DANGLING_UNIFORM_OTHERS])
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for the rank update (default 1)")
+                        help="accepted for compatibility; has no effect on results or speed")
     parser.add_argument("--out", default=None, help="output directory (default .)")
 
 
@@ -334,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--damping", type=float, default=None)
     p.add_argument("--metric", default=None,
                    choices=[METRIC_PAGERANK_SUM, METRIC_CITATION_COUNT])
-    p.set_defaults(func=_cmd_exclude_flow)
+    p.set_defaults(func=_cmd_flow)
 
     p = sub.add_parser("patent", help="citation breakdown for one patent as JSON")
     _add_common(p)

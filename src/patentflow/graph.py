@@ -7,7 +7,6 @@ Self-loops and duplicate edges are dropped at build time and counted.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,10 +78,6 @@ class CitationGraph:
     def edge_count(self) -> int:
         return int(self.out_indices.size)
 
-    @property
-    def dangling_set(self) -> frozenset[int]:
-        return frozenset(int(u) for u in self.dangling_nodes)
-
     def out_degree(self, u: int) -> int:
         return int(self.out_degrees[u])
 
@@ -95,14 +90,13 @@ class CitationGraph:
     def in_neighbors(self, u: int) -> np.ndarray:
         return self.in_indices[self.in_indptr[u]:self.in_indptr[u + 1]]
 
+    def edge_sources(self) -> np.ndarray:
+        """Source index of every stored edge, aligned with ``out_indices``."""
+        return np.repeat(np.arange(self.node_count, dtype=np.int64), self.out_degrees)
+
     def edge_array(self) -> np.ndarray:
         """All stored edges as an (m, 2) array ordered by (source, target)."""
-        src = np.repeat(np.arange(self.node_count, dtype=np.int64), self.out_degrees)
-        return np.column_stack((src, self.out_indices))
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u, v in self.edge_array():
-            yield int(u), int(v)
+        return np.column_stack((self.edge_sources(), self.out_indices))
 
     def has_cycle(self) -> bool:
         """Diagnostic: True when the directed graph contains a cycle.
@@ -196,16 +190,19 @@ def induced_subgraph(graph: CitationGraph, keep) -> tuple[CitationGraph, np.ndar
     (length ``graph.node_count``, -1 for dropped nodes). New indices
     follow ascending old-index order.
     """
-    keep_arr = np.unique(np.asarray(list(keep) if isinstance(keep, (set, frozenset)) else keep,
-                                    dtype=np.int64))
-    if keep_arr.size and (keep_arr[0] < 0 or keep_arr[-1] >= graph.node_count):
+    keep_arr = np.asarray(list(keep) if isinstance(keep, (set, frozenset)) else keep,
+                          dtype=np.int64)
+    if keep_arr.size and (keep_arr.min() < 0 or keep_arr.max() >= graph.node_count):
         raise PatentFlowError("keep set contains indices outside the graph")
+    keep_mask = np.zeros(graph.node_count, dtype=bool)
+    keep_mask[keep_arr] = True
+    kept = np.flatnonzero(keep_mask)
     remap = np.full(graph.node_count, -1, dtype=np.int64)
-    remap[keep_arr] = np.arange(keep_arr.size, dtype=np.int64)
+    remap[kept] = np.arange(kept.size, dtype=np.int64)
 
-    src = np.repeat(np.arange(graph.node_count, dtype=np.int64), graph.out_degrees)
+    src = graph.edge_sources()
     dst = graph.out_indices
-    mask = (remap[src] >= 0) & (remap[dst] >= 0)
+    mask = keep_mask[src] & keep_mask[dst]
     new_edges = np.column_stack((remap[src[mask]], remap[dst[mask]]))
-    sub = build_graph(new_edges, keep_arr.size)
+    sub = build_graph(new_edges, kept.size)
     return sub, remap

@@ -6,7 +6,8 @@ Input formats (UTF-8, one record per line, ``#`` starts a comment line):
 * patents.tsv:    ``patent_id<TAB>class<TAB>year<TAB>assignee``
 
 Parsing never aborts on a bad line; anomalies are skipped or repaired and
-counted in per-stream reports. Unknown years are stored as ``None`` and an
+counted in per-stream reports. A line with bytes that are not valid UTF-8
+counts as malformed. Unknown years are stored as ``None`` and an
 unknown class is the empty string; both keep the patent in the graph but
 drop it from class-level aggregations.
 """
@@ -105,12 +106,25 @@ def _iter_lines(stream: Iterable[str] | IO[str]) -> Iterable[str]:
         yield raw.rstrip("\r\n")
 
 
+def _undecodable(line: str) -> bool:
+    """True when the line holds lone surrogates, which is how bytes that are
+    not valid UTF-8 come out of a file opened with ``surrogateescape``."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def parse_citations(stream: Iterable[str] | IO[str]) -> tuple[list[tuple[str, str]], CitationParseReport]:
     """Read citing/cited id pairs, skipping and counting bad lines."""
     edges: list[tuple[str, str]] = []
     lines = blank = comments = malformed = 0
     for line in _iter_lines(stream):
         lines += 1
+        if not line.isascii() and _undecodable(line):
+            malformed += 1
+            continue
         if not line.strip():
             blank += 1
             continue
@@ -157,6 +171,9 @@ def parse_metadata(stream: Iterable[str] | IO[str]) -> tuple[list[PatentMeta], M
     lines = blank = comments = malformed = duplicates = unknown_years = 0
     for line in _iter_lines(stream):
         lines += 1
+        if not line.isascii() and _undecodable(line):
+            malformed += 1
+            continue
         if not line.strip():
             blank += 1
             continue
@@ -255,9 +272,11 @@ def assemble_dataset(
 
 def load_dataset(citations_path: str | os.PathLike, patents_path: str | os.PathLike) -> PatentDataset:
     """Parse both files and assemble a dataset with a combined build report."""
-    with open(citations_path, encoding="utf-8") as f:
+    # surrogateescape: undecodable bytes reach the parsers, which count
+    # their lines as malformed, instead of aborting the read
+    with open(citations_path, encoding="utf-8", errors="surrogateescape") as f:
         edges, cit_report = parse_citations(f)
-    with open(patents_path, encoding="utf-8") as f:
+    with open(patents_path, encoding="utf-8", errors="surrogateescape") as f:
         metas, meta_report = parse_metadata(f)
     return assemble_dataset(edges, metas, cit_report, meta_report)
 

@@ -7,12 +7,11 @@ when the L1 change between consecutive vectors drops below epsilon.
 
 Scores are accumulated per node over its in-neighbors in stored ascending
 order, and the dangling-mass scalar is reduced in fixed index order, so a
-run is bitwise reproducible no matter how many worker threads are used.
+run is bitwise reproducible.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,48 +70,13 @@ def convergence_delta(prev: np.ndarray, nxt: np.ndarray) -> float:
     return float(np.abs(nxt - prev).sum())
 
 
-class _SegmentPlan:
-    """Per-worker slice of the CSR in-edge accumulation.
-
-    Segment sums are computed with np.add.reduceat over the node range
-    [lo, hi); each segment reduction touches only its own slice of the
-    contribution array, so results are independent of how node ranges are
-    partitioned across workers.
-    """
-
-    __slots__ = ("lo", "hi", "nonempty", "starts", "stop")
-
-    def __init__(self, indptr: np.ndarray, lo: int, hi: int) -> None:
-        self.lo = lo
-        self.hi = hi
-        seg_start = indptr[lo:hi]
-        seg_end = indptr[lo + 1:hi + 1]
-        self.nonempty = seg_start < seg_end
-        self.starts = seg_start[self.nonempty]
-        self.stop = int(indptr[hi])
-
-    def accumulate(self, values: np.ndarray, out: np.ndarray) -> None:
-        block = out[self.lo:self.hi]
-        block.fill(0.0)
-        if self.starts.size:
-            block[self.nonempty] = np.add.reduceat(values[:self.stop], self.starts)
-
-
-def _make_plans(indptr: np.ndarray, node_count: int, threads: int) -> list[_SegmentPlan]:
-    threads = max(1, min(int(threads), node_count))
-    bounds = np.linspace(0, node_count, threads + 1).astype(np.int64)
-    return [
-        _SegmentPlan(indptr, int(bounds[i]), int(bounds[i + 1]))
-        for i in range(threads)
-        if bounds[i] < bounds[i + 1]
-    ]
-
-
 def pagerank(graph: CitationGraph, params: PageRankParams, threads: int = 1) -> PageRankResult:
     """Run the iterative scheme until the L1 delta drops below epsilon.
 
     Hitting max_iterations is reported via ``converged=False``, not raised,
-    so sweeps over slow damping values always complete.
+    so sweeps over slow damping values always complete. ``threads`` is
+    accepted for compatibility and has no effect: the update runs on the
+    calling thread and the scores are the same for any value.
     """
     n = graph.node_count
     if n == 0:
@@ -128,37 +92,32 @@ def pagerank(graph: CitationGraph, params: PageRankParams, threads: int = 1) -> 
     # there is no "other" node to receive the mass.
     exclude_self = params.dangling_mode == DANGLING_UNIFORM_OTHERS and n > 1
 
-    plans = _make_plans(graph.in_indptr, n, threads)
-    pool = ThreadPoolExecutor(max_workers=len(plans)) if len(plans) > 1 else None
+    # one segment sum per node with in-links, over its stored in-neighbors
+    nonempty = graph.in_indptr[:-1] < graph.in_indptr[1:]
+    starts = graph.in_indptr[:-1][nonempty]
 
     cur = np.full(n, 1.0 / n)
     values = np.empty(graph.in_indices.size)
-    inflow = np.empty(n)
+    inflow = np.zeros(n)
     iterations = 0
     delta = float("inf")
     converged = False
-    try:
-        for iterations in range(1, params.max_iterations + 1):
-            dangling_mass = float(cur[dangling].sum()) if dangling.size else 0.0
-            np.take(cur * inv_out, graph.in_indices, out=values)
-            if pool is None:
-                plans[0].accumulate(values, inflow)
-            else:
-                list(pool.map(lambda p: p.accumulate(values, inflow), plans))
-            if exclude_self:
-                nxt = base + d * (inflow + dangling_mass / (n - 1.0))
-                if dangling.size:
-                    nxt[dangling] -= d * (cur[dangling] / (n - 1.0))
-            else:
-                nxt = base + d * (inflow + dangling_mass / n)
-            delta = convergence_delta(cur, nxt)
-            cur = nxt
-            if delta < params.epsilon:
-                converged = True
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for iterations in range(1, params.max_iterations + 1):
+        dangling_mass = float(cur[dangling].sum()) if dangling.size else 0.0
+        np.take(cur * inv_out, graph.in_indices, out=values)
+        if starts.size:
+            inflow[nonempty] = np.add.reduceat(values, starts)
+        if exclude_self:
+            nxt = base + d * (inflow + dangling_mass / (n - 1.0))
+            if dangling.size:
+                nxt[dangling] -= d * (cur[dangling] / (n - 1.0))
+        else:
+            nxt = base + d * (inflow + dangling_mass / n)
+        delta = convergence_delta(cur, nxt)
+        cur = nxt
+        if delta < params.epsilon:
+            converged = True
+            break
 
     cur.flags.writeable = False
     return PageRankResult(
@@ -176,7 +135,6 @@ def pagerank_sweep(
     epsilon: float = DEFAULT_EPSILON,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     dangling_mode: str = DANGLING_UNIFORM_ALL,
-    threads: int = 1,
 ) -> list[PageRankResult]:
     """Independent runs, one per damping value, each from the uniform start."""
     params_list = [
@@ -188,7 +146,7 @@ def pagerank_sweep(
         )
         for d in damping_values
     ]
-    return [pagerank(graph, p, threads=threads) for p in params_list]
+    return [pagerank(graph, p) for p in params_list]
 
 
 def write_scores_tsv(

@@ -18,7 +18,6 @@ class RankRow:
     rank: int
     patent_id: str
     primary_class: str
-    title: str | None
     ncit: int
     scores: dict[float, float]
 
@@ -35,7 +34,6 @@ class RankTable:
     rows: tuple[RankRow, ...]
     damping_values: tuple[float, ...]
     principal_damping: float
-    scale: bool = True
 
     def scaled(self, row: RankRow, damping: float) -> int:
         return round(float(row.scores[damping]) * SCORE_SCALE)
@@ -46,7 +44,6 @@ def top_table(
     results: Sequence[PageRankResult],
     n: int,
     principal_d: float,
-    scale: bool = True,
 ) -> RankTable:
     """Pick the top ``n`` patents by score at ``principal_d``."""
     damping_values = tuple(r.params.damping for r in results)
@@ -73,7 +70,6 @@ def top_table(
                 rank=rank,
                 patent_id=ids[i],
                 primary_class=dataset.meta[i].primary_class,
-                title=None,
                 ncit=int(in_degrees[i]),
                 scores={r.params.damping: float(r.scores[i]) for r in results},
             )
@@ -82,25 +78,17 @@ def top_table(
         rows=tuple(rows),
         damping_values=damping_values,
         principal_damping=principal_d,
-        scale=scale,
     )
 
 
 def render_rank_table(table: RankTable) -> str:
-    """Aligned text table; scores scaled to integers unless scale is off."""
-    if table.scale:
-        score_headers = [f"PR*1E8[d={d:g}]" for d in table.damping_values]
-    else:
-        score_headers = [f"PR[d={d:g}]" for d in table.damping_values]
+    """Aligned text table with scores scaled to integers."""
+    score_headers = [f"PR*1E8[d={d:g}]" for d in table.damping_values]
     headers = ["RANK", "PATENT", "CLASS", "NCIT", *score_headers]
     body = []
     for row in table.rows:
         cells = [str(row.rank), row.patent_id, row.primary_class or "?", str(row.ncit)]
-        for d in table.damping_values:
-            if table.scale:
-                cells.append(str(table.scaled(row, d)))
-            else:
-                cells.append(f"{row.scores[d]:.17g}")
+        cells.extend(str(table.scaled(row, d)) for d in table.damping_values)
         body.append(cells)
     widths = [
         max(len(headers[c]), *(len(r[c]) for r in body)) if body else len(headers[c])

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import PatentFlowError
 from .graph import CitationGraph, build_graph
-from .ingest import DatasetBuildReport, PatentDataset, PatentMeta
+from .ingest import PatentDataset, PatentMeta, assemble_dataset
 from .pagerank import DANGLING_UNIFORM_OTHERS, PageRankParams
 
 DENSE_NODE_LIMIT = 2000
@@ -201,9 +201,11 @@ class SyntheticSpec:
 
 def load_spec(path: str | os.PathLike) -> SyntheticSpec:
     """Read a SyntheticSpec from its JSON file form."""
-    with open(path, encoding="utf-8") as f:
-        obj = json.load(f)
     try:
+        with open(path, encoding="utf-8") as f:
+            obj = json.load(f)
+        if not isinstance(obj, dict):
+            raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
         em = EdgeModel(**obj.get("edge_model", {}))
         pc = obj.get("planted_crossover")
         spec = SyntheticSpec(
@@ -236,15 +238,6 @@ def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> PatentDataset:
     """Deterministic synthetic PatentDataset for a given spec and seed."""
     spec.validate()
     n = spec.node_count
-    if n == 0:
-        return PatentDataset(
-            graph=build_graph([], 0),
-            meta=(),
-            index_to_id=(),
-            id_to_index={},
-            build_report=DatasetBuildReport(),
-        )
-
     rng = np.random.default_rng(seed)
     start, end = spec.year_range
     n_years = end - start + 1
@@ -361,10 +354,9 @@ def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> PatentDataset:
         edges.extend((i, v) for v in targets_i)
         pref_pool.extend(targets_i)
 
-    graph = build_graph(edges, n)
     width = len(str(n - 1)) if n > 1 else 1
-    ids = tuple(f"{7000000 + i:0{width}d}" for i in range(n))
-    meta = tuple(
+    ids = [f"{7000000 + i:0{width}d}" for i in range(n)]
+    metas = [
         PatentMeta(
             patent_id=ids[i],
             primary_class=classes[i],
@@ -372,18 +364,5 @@ def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> PatentDataset:
             assignee=assignees[i],
         )
         for i in range(n)
-    )
-    report = DatasetBuildReport(
-        nodes=n,
-        edges_stored=graph.build_report.edges_stored,
-        self_loops_dropped=graph.build_report.self_loops_dropped,
-        duplicate_edges_dropped=graph.build_report.duplicate_edges_dropped,
-        placeholder_nodes=0,
-    )
-    return PatentDataset(
-        graph=graph,
-        meta=meta,
-        index_to_id=ids,
-        id_to_index={pid: i for i, pid in enumerate(ids)},
-        build_report=report,
-    )
+    ]
+    return assemble_dataset([(ids[u], ids[v]) for u, v in edges], metas)

@@ -213,29 +213,36 @@ def assignee_exclusion_set(dataset: PatentDataset, assignee: str) -> ExclusionSe
         dtype=bool,
         count=n,
     )
-    graph = dataset.graph
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.out_degrees)
-    dst = graph.out_indices
-    cites = np.unique(src[owned_mask[dst] & ~owned_mask[src]])
-    cited = np.unique(dst[owned_mask[src] & ~owned_mask[dst]])
-    cited = np.setdiff1d(cited, cites, assume_unique=True)
+    src = dataset.graph.edge_sources()
+    dst = dataset.graph.out_indices
+    owned_src = owned_mask[src]
+    owned_dst = owned_mask[dst]
+    cites = np.zeros(n, dtype=bool)
+    cites[src[owned_dst & ~owned_src]] = True
+    cited = np.zeros(n, dtype=bool)
+    cited[dst[owned_src & ~owned_dst]] = True
     return ExclusionSet(
         assignee=assignee,
         owned=np.flatnonzero(owned_mask),
-        cites_owned=cites,
-        cited_by_owned=cited,
+        cites_owned=np.flatnonzero(cites),
+        cited_by_owned=np.flatnonzero(cited & ~cites),
     )
 
 
 def apply_exclusion(
     dataset: PatentDataset, exclusion: ExclusionSet
 ) -> tuple[PatentDataset, np.ndarray]:
-    """Dataset restricted to non-excluded nodes, plus the old-to-new remap."""
-    n = dataset.node_count
-    keep_mask = np.ones(n, dtype=bool)
-    excluded = exclusion.excluded
-    keep_mask[excluded] = False
+    """Dataset restricted to non-excluded nodes, plus the old-to-new remap.
+
+    Raises PatentFlowError when the exclusion removes every node.
+    """
+    keep_mask = np.ones(dataset.node_count, dtype=bool)
+    keep_mask[exclusion.excluded] = False
     keep = np.flatnonzero(keep_mask)
+    if keep.size == 0:
+        raise PatentFlowError(
+            f"excluding assignee {exclusion.assignee!r} leaves an empty graph"
+        )
     sub, remap = induced_subgraph(dataset.graph, keep)
     meta = tuple(dataset.meta[int(i)] for i in keep)
     ids = tuple(m.patent_id for m in meta)
@@ -262,7 +269,6 @@ def excluded_flow_pipeline(
     target_class: str,
     params: PageRankParams,
     metric: str = METRIC_PAGERANK_SUM,
-    threads: int = 1,
 ) -> ClassFlowSeries:
     """Inflow series recomputed on the assignee-excluded subset.
 
@@ -272,11 +278,7 @@ def excluded_flow_pipeline(
     """
     exclusion = assignee_exclusion_set(dataset, assignee)
     reduced, _ = apply_exclusion(dataset, exclusion)
-    if reduced.node_count == 0:
-        raise PatentFlowError(
-            f"excluding assignee {assignee!r} leaves an empty graph"
-        )
-    result = pagerank(reduced.graph, params, threads=threads)
+    result = pagerank(reduced.graph, params)
     return class_inflow_series(reduced, result, target_class, metric)
 
 

@@ -198,3 +198,44 @@ def test_module_invocation_subprocess(data_dir, tmp_path):
     assert (out / "summary.json").exists()
     report = json.loads(proc.stderr.strip().splitlines()[0])
     assert report["nodes"] == 600
+
+
+def test_non_utf8_input_counted_not_fatal(tmp_path, capsys):
+    citations = tmp_path / "c.tsv"
+    citations.write_bytes(b"1\t2\n3\t\xff4\n")
+    patents = tmp_path / "p.tsv"
+    patents.write_bytes(b"1\t100\t2000\tac\xfeme\n2\t100\t2001\tacme\n")
+    code = main(["rank", "--citations", str(citations), "--patents", str(patents),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    report = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert (report["citations"]["edges"], report["citations"]["malformed"]) == (1, 1)
+    assert (report["metadata"]["records"], report["metadata"]["malformed"]) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"node_count": 5', b'{"node_count": "\xff"}', b"[1, 2]"],
+    ids=["truncated-json", "non-utf8", "top-level-list"],
+)
+def test_gen_bad_spec_is_domain_error(tmp_path, capsys, content):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(content)
+    code = main(["gen", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "error: invalid synthetic spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", ["0.5,0.5,0.1500001,0.15", "0.15,0.1500001", "0,-0"])
+def test_sweep_colliding_damping_values_rejected(data_dir, tmp_path, monkeypatch, capsys,
+                                                 values):
+    out_flag = tmp_path / "flag"
+    code = main(["sweep", *_dataset_args(data_dir), "--damping-list", values,
+                 "--out", str(out_flag)])
+    assert code == 1
+    assert not out_flag.exists()
+    monkeypatch.setenv("PATENTFLOW_DAMPING_LIST", values)
+    out_env = tmp_path / "env"
+    assert main(["sweep", *_dataset_args(data_dir), "--out", str(out_env)]) == 1
+    assert not out_env.exists()
+    assert capsys.readouterr().err.count("error: damping list") == 2

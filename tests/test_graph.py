@@ -19,7 +19,7 @@ def test_three_cycle():
     g = build_graph([(0, 1), (1, 2), (2, 0)], 3)
     assert g.node_count == 3
     assert g.edge_count == 3
-    assert g.dangling_set == frozenset()
+    assert g.dangling_nodes.tolist() == []
     assert list(g.out_degrees) == [1, 1, 1]
     assert list(g.in_degrees) == [1, 1, 1]
 
@@ -28,7 +28,7 @@ def test_single_edge_dangling():
     g = build_graph([(0, 1)], 2)
     assert list(g.out_degrees) == [1, 0]
     assert list(g.in_degrees) == [0, 1]
-    assert g.dangling_set == frozenset({1})
+    assert g.dangling_nodes.tolist() == [1]
 
 
 def test_self_loop_and_duplicate_dropped():
@@ -90,7 +90,7 @@ def test_degree_sums_and_transpose_consistency(case):
     assert fwd == rev
     assert len(set(fwd)) == len(fwd)
     assert all(u != v for u, v in fwd)
-    assert g.dangling_set == {u for u in range(n) if g.out_degree(u) == 0}
+    assert g.dangling_nodes.tolist() == [u for u in range(n) if g.out_degree(u) == 0]
 
 
 def test_induced_subgraph_edge_filter():

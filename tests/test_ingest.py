@@ -204,3 +204,38 @@ def test_node_count_is_union_of_ids():
         [PatentMeta("c", "100", 2000, ""), PatentMeta("d", "200", 2001, "")],
     )
     assert ds.node_count == 4
+
+
+def test_undecodable_lines_are_malformed(tmp_path):
+    citations = tmp_path / "c.tsv"
+    citations.write_bytes(b"a\tb\nc\t\xffd\n#\xfe comment\n")
+    patents = tmp_path / "p.tsv"
+    patents.write_bytes("a\t100\t2000\tcafé\n".encode() + b"b\t100\t2001\t\xe9\n")
+    ds = load_dataset(citations, patents)
+    cit, meta = ds.build_report.citations, ds.build_report.metadata
+    assert (cit.lines, cit.edges, cit.malformed) == (3, 1, 2)
+    assert (meta.lines, meta.records, meta.malformed) == (2, 1, 1)
+    assert ds.meta[ds.index_of("a")].assignee == "café"
+
+
+_chunks = st.one_of(
+    st.sampled_from(
+        [b"\t", b"\n", b"\r", b"\r\n", b"#", b" ", b"1999", b"\xff", b"\xc3\xa9", b"\xed\xa0\x80"]
+    ),
+    st.binary(max_size=6),
+)
+tsv_bytes = st.lists(_chunks, max_size=40).map(b"".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tsv_bytes, tsv_bytes)
+def test_arbitrary_bytes_never_raise_and_every_line_is_counted(
+    tmp_path_factory, citation_bytes, metadata_bytes
+):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "c.tsv").write_bytes(citation_bytes)
+    (tmp / "p.tsv").write_bytes(metadata_bytes)
+    report = load_dataset(tmp / "c.tsv", tmp / "p.tsv").build_report
+    c, m = report.citations, report.metadata
+    assert c.lines == c.blank + c.comments + c.malformed + c.edges
+    assert m.lines == m.blank + m.comments + m.malformed + m.records + m.duplicate_ids

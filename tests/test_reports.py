@@ -76,10 +76,10 @@ def test_damping_zero_scaled_scores_equal():
 
 
 def test_scaled_rounds_half_to_even():
-    row = RankRow(1, "p", "100", None, 0, {0.5: 2.5e-08})
+    row = RankRow(1, "p", "100", 0, {0.5: 2.5e-08})
     table = RankTable((row,), (0.5,), 0.5)
     assert table.scaled(row, 0.5) == 2
-    row2 = RankRow(1, "p", "100", None, 0, {0.5: 1.55e-07})
+    row2 = RankRow(1, "p", "100", 0, {0.5: 1.55e-07})
     assert table.scaled(row2, 0.5) == 16
 
 

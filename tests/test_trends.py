@@ -308,7 +308,7 @@ def _brute_force_exclusion(ds, assignee):
         i for i, m in enumerate(ds.meta) if m.assignee.strip().casefold() == key
     }
     cites, cited = set(), set()
-    for u, v in ds.graph.edges():
+    for u, v in ds.graph.edge_array().tolist():
         if v in owned and u not in owned:
             cites.add(u)
         if u in owned and v not in owned:
