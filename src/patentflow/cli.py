@@ -18,6 +18,7 @@ import sys
 import time
 from pathlib import Path
 
+from .atomic import atomic_write
 from .errors import PatentFlowError
 from .ingest import PatentDataset, load_dataset, write_citations, write_metadata
 from .pagerank import (
@@ -102,7 +103,7 @@ def _load(args) -> PatentDataset:
 
 
 def _write_summary(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -128,7 +129,8 @@ def _cmd_rank(args) -> int:
 
     write_scores_tsv(dataset.index_to_id, result.scores, out / f"scores_d{damping:g}.tsv")
     table = top_table(dataset, [result], _env_or(args.top, "TOP", int, DEFAULT_TOP), damping)
-    (out / "rank_table.txt").write_text(render_rank_table(table), encoding="utf-8")
+    with atomic_write(out / "rank_table.txt") as f:
+        f.write(render_rank_table(table))
     write_rank_csv(table, out / "rank_table.csv")
     _write_summary(
         out / "summary.json",

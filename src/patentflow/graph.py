@@ -4,14 +4,20 @@ Nodes are dense integers in ``[0, node_count)``. The graph stores both
 directions (out-links and in-links) as CSR-style index arrays so degree
 queries are O(1) and neighbor iteration is a contiguous slice either way.
 Self-loops and duplicate edges are dropped at build time and counted.
+Node counts are limited to MAX_NODE_COUNT (3,037,000,499).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MalformedEdgeError, PatentFlowError
+
+# Largest node count whose edge keys ``row * n + col`` (at most n*n - 1)
+# fit in int64.
+MAX_NODE_COUNT = math.isqrt(2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -122,13 +128,11 @@ class CitationGraph:
         )
 
 
-def _csr_from_pairs(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((dst, src))
-    indices = dst[order]
-    counts = np.bincount(src, minlength=n)
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers for entries whose rows are ``rows`` (in row order)."""
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, indices
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
 
 
 def build_graph(edges, node_count: int) -> CitationGraph:
@@ -136,11 +140,19 @@ def build_graph(edges, node_count: int) -> CitationGraph:
 
     Self-loops and duplicate pairs are dropped and counted in the build
     report. Raises MalformedEdgeError if any index falls outside
-    ``[0, node_count)``.
+    ``[0, node_count)``, and PatentFlowError if ``node_count`` exceeds
+    MAX_NODE_COUNT.
+
+    Each direction is one sort of the int64 key ``row * n + col``, whose
+    order is (row, col) order, so neighbor lists come out ascending.
     """
     n = int(node_count)
     if n < 0:
         raise PatentFlowError(f"node_count must be non-negative, got {node_count}")
+    if n > MAX_NODE_COUNT:
+        raise PatentFlowError(
+            f"node_count {n} exceeds {MAX_NODE_COUNT}, the largest whose edge keys fit in int64"
+        )
     arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:
         arr = arr.reshape(0, 2)
@@ -159,28 +171,51 @@ def build_graph(edges, node_count: int) -> CitationGraph:
 
     loops = src == dst
     self_loops = int(loops.sum())
+    keys = src * n
+    keys += dst
     if self_loops:
-        src, dst = src[~loops], dst[~loops]
-
-    duplicates = 0
-    if src.size:
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        dup = np.zeros(src.size, dtype=bool)
-        dup[1:] = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-        duplicates = int(dup.sum())
-        if duplicates:
-            src, dst = src[~dup], dst[~dup]
+        keys = keys[~loops]
+    keys.sort()
+    if keys.size > 1:
+        distinct = np.empty(keys.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        if not distinct.all():
+            keys = keys[distinct]
 
     report = GraphBuildReport(
         edges_input=edges_input,
-        edges_stored=int(src.size),
+        edges_stored=int(keys.size),
         self_loops_dropped=self_loops,
-        duplicate_edges_dropped=duplicates,
+        duplicate_edges_dropped=edges_input - self_loops - int(keys.size),
     )
-    out_indptr, out_indices = _csr_from_pairs(src, dst, n)
-    in_indptr, in_indices = _csr_from_pairs(dst, src, n)
+    # the remainder overwrites the sorted keys with the out-neighbors; the
+    # (target, source) keys of the in-CSR are split the same way in place
+    sources = np.empty_like(keys)
+    out_indices = keys
+    np.divmod(keys, n, out=(sources, out_indices))
+    out_indptr = _indptr(sources, n)
+    in_indices = out_indices * n
+    in_indices += sources
+    del sources
+    in_indices.sort()
+    np.remainder(in_indices, n, out=in_indices)
+    in_indptr = _indptr(out_indices, n)
     return CitationGraph(n, out_indptr, out_indices, in_indptr, in_indices, report)
+
+
+def _restrict(indptr: np.ndarray, indices: np.ndarray, keep_mask: np.ndarray,
+              remap: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One CSR direction cut to kept rows and kept columns, then re-indexed.
+
+    ``ends`` is ``[0, *(kept + 1)]``: the old ``indptr`` positions whose
+    count of surviving entries before them is the new ``indptr``.
+    """
+    mask = np.repeat(keep_mask, np.diff(indptr))
+    mask &= keep_mask[indices]
+    surviving = np.zeros(mask.size + 1, dtype=np.int64)
+    np.cumsum(mask, out=surviving[1:])
+    return surviving[indptr[ends]], remap[indices[mask]]
 
 
 def induced_subgraph(graph: CitationGraph, keep) -> tuple[CitationGraph, np.ndarray]:
@@ -189,6 +224,9 @@ def induced_subgraph(graph: CitationGraph, keep) -> tuple[CitationGraph, np.ndar
     Returns the re-indexed subgraph plus the old-to-new remap array
     (length ``graph.node_count``, -1 for dropped nodes). New indices
     follow ascending old-index order.
+
+    Nothing is sorted: neighbor lists are already ascending and distinct,
+    and the remap is monotone, so masking each list keeps both properties.
     """
     keep_arr = np.asarray(list(keep) if isinstance(keep, (set, frozenset)) else keep,
                           dtype=np.int64)
@@ -200,9 +238,12 @@ def induced_subgraph(graph: CitationGraph, keep) -> tuple[CitationGraph, np.ndar
     remap = np.full(graph.node_count, -1, dtype=np.int64)
     remap[kept] = np.arange(kept.size, dtype=np.int64)
 
-    src = graph.edge_sources()
-    dst = graph.out_indices
-    mask = keep_mask[src] & keep_mask[dst]
-    new_edges = np.column_stack((remap[src[mask]], remap[dst[mask]]))
-    sub = build_graph(new_edges, kept.size)
+    ends = np.concatenate(([0], kept + 1))
+    out_indptr, out_indices = _restrict(graph.out_indptr, graph.out_indices, keep_mask, remap, ends)
+    in_indptr, in_indices = _restrict(graph.in_indptr, graph.in_indices, keep_mask, remap, ends)
+    m = int(out_indices.size)
+    report = GraphBuildReport(
+        edges_input=m, edges_stored=m, self_loops_dropped=0, duplicate_edges_dropped=0
+    )
+    sub = CitationGraph(kept.size, out_indptr, out_indices, in_indptr, in_indices, report)
     return sub, remap

@@ -18,6 +18,9 @@ import os
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
+import numpy as np
+
+from .atomic import atomic_write
 from .graph import CitationGraph, build_graph
 
 YEAR_MIN = 1790
@@ -237,10 +240,11 @@ def assemble_dataset(
         id_to_index[meta.patent_id] = len(meta_list)
         meta_list.append(meta)
 
-    edge_index: list[tuple[int, int]] = []
+    # one flat list of indices rather than a tuple per edge: no object per
+    # edge, and the int64 conversion is one pass over a flat list
+    flat_index: list[int] = []
     placeholders = 0
     for citing, cited in edges:
-        pair = []
         for pid in (citing, cited):
             idx = id_to_index.get(pid)
             if idx is None:
@@ -248,8 +252,9 @@ def assemble_dataset(
                 id_to_index[pid] = idx
                 meta_list.append(PatentMeta(patent_id=pid))
                 placeholders += 1
-            pair.append(idx)
-        edge_index.append((pair[0], pair[1]))
+            flat_index.append(idx)
+    edge_index = np.array(flat_index, dtype=np.int64).reshape(-1, 2)
+    del flat_index
 
     graph = build_graph(edge_index, len(meta_list))
     report = DatasetBuildReport(
@@ -285,7 +290,7 @@ def write_citations(dataset: PatentDataset, path: str | os.PathLike) -> None:
     """Serialize stored edges back to the citations.tsv format."""
     g = dataset.graph
     ids = dataset.index_to_id
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         for u in range(g.node_count):
             citing = ids[u]
             for v in g.out_neighbors(u):
@@ -294,7 +299,7 @@ def write_citations(dataset: PatentDataset, path: str | os.PathLike) -> None:
 
 def write_metadata(dataset: PatentDataset, path: str | os.PathLike) -> None:
     """Serialize metadata back to the patents.tsv format, in index order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         for m in dataset.meta:
             year = "" if m.grant_year is None else str(m.grant_year)
             f.write(f"{m.patent_id}\t{m.primary_class}\t{year}\t{m.assignee}\n")

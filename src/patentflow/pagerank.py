@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import PatentFlowError
 from .graph import CitationGraph
 
@@ -155,6 +156,6 @@ def write_scores_tsv(
     """Export ``node_index<TAB>external_id<TAB>score`` rows, 17 significant digits."""
     if len(index_to_id) != len(scores):
         raise PatentFlowError("id list and score vector differ in length")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         for i, (pid, score) in enumerate(zip(index_to_id, scores)):
             f.write(f"{i}\t{pid}\t{score:.17g}\n")

@@ -6,6 +6,9 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
+from .atomic import atomic_write
 from .errors import PatentFlowError
 from .ingest import PatentDataset
 from .pagerank import PageRankResult
@@ -59,12 +62,17 @@ def top_table(
     scores = principal.scores
     in_degrees = dataset.graph.in_degrees
     ids = dataset.index_to_id
-    order = sorted(
-        range(dataset.node_count),
-        key=lambda i: (-scores[i], -int(in_degrees[i]), ids[i]),
-    )
+    k = min(max(int(n), 0), dataset.node_count)
+    candidates = []
+    if k:
+        # every top-k row scores at least the k-th largest score, so only
+        # the nodes at or above it (boundary ties included) need the full key
+        kth = dataset.node_count - k
+        threshold = np.partition(scores, kth)[kth]
+        candidates = np.flatnonzero(scores >= threshold).tolist()
+    order = sorted(candidates, key=lambda i: (-scores[i], -int(in_degrees[i]), ids[i]))
     rows = []
-    for rank, i in enumerate(order[: max(int(n), 0)], start=1):
+    for rank, i in enumerate(order[:k], start=1):
         rows.append(
             RankRow(
                 rank=rank,
@@ -102,7 +110,7 @@ def render_rank_table(table: RankTable) -> str:
 
 def write_rank_csv(table: RankTable, path: str | os.PathLike) -> None:
     """Full-precision CSV form of the table."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(path) as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(
             ["rank", "patent_id", "class", "ncit"]

@@ -16,6 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import PatentFlowError
 from .graph import induced_subgraph
 from .ingest import DatasetBuildReport, PatentDataset
@@ -288,7 +289,7 @@ def write_flow_csv(series_list, path: str | os.PathLike) -> None:
     Rows within a series are sorted by (source_class, year); count values
     are written as integers and pagerank sums with 17 significant digits.
     """
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(path) as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["target_class", "source_class", "year", "metric", "value"])
         for series in series_list:

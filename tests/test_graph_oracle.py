@@ -1,0 +1,115 @@
+"""The one-sort graph build and the mask restriction against the code they replaced.
+
+``lexsort_oracle`` keeps the three-``lexsort`` ``build_graph`` and the
+rebuild-based ``induced_subgraph`` unchanged. Every CSR, degree and dangling
+array must match in values and dtype, and the build reports and remap must
+be equal, including on self-loops, duplicates, empty graphs and empty or
+full keep sets.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lexsort_oracle import lexsort_build_graph, rebuild_induced_subgraph
+from patentflow import PatentFlowError, build_graph, induced_subgraph
+from patentflow.graph import MAX_NODE_COUNT
+
+ARRAYS = (
+    "out_indptr",
+    "out_indices",
+    "in_indptr",
+    "in_indices",
+    "out_degrees",
+    "in_degrees",
+    "dangling_nodes",
+)
+
+
+def _assert_same_graph(got, want):
+    assert got.node_count == want.node_count
+    assert got.build_report == want.build_report
+    for name in ARRAYS:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+
+
+@st.composite
+def messy_edges(draw, max_nodes=25):
+    """Node count (0 included) and edges with planted self-loops and repeats."""
+    n = draw(st.integers(0, max_nodes))
+    if n == 0:
+        return 0, []
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=80))
+    loops = draw(st.lists(node, max_size=5))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=20)) if edges else []
+    edges = edges + [(u, u) for u in loops] + repeats
+    return n, draw(st.permutations(edges))
+
+
+@st.composite
+def graphs_and_keeps(draw):
+    n, edges = draw(messy_edges())
+    graph = build_graph(edges, n)
+    kind = draw(st.sampled_from(["empty", "full", "some"]))
+    if kind == "empty":
+        keep = []
+    elif kind == "full":
+        keep = list(range(n))
+    else:
+        keep = draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) if n else []
+    form = draw(st.sampled_from([list, set, np.array]))
+    return graph, form(keep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(messy_edges())
+def test_build_graph_matches_lexsort_oracle(case):
+    n, edges = case
+    _assert_same_graph(build_graph(edges, n), lexsort_build_graph(edges, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_keeps())
+def test_induced_subgraph_matches_rebuild_oracle(case):
+    graph, keep = case
+    sub, remap = induced_subgraph(graph, keep)
+    want_sub, want_remap = rebuild_induced_subgraph(graph, keep)
+    assert remap.dtype == want_remap.dtype
+    assert np.array_equal(remap, want_remap)
+    _assert_same_graph(sub, want_sub)
+
+
+def test_large_random_graph_matches_lexsort_oracle():
+    rng = np.random.default_rng(7)
+    n = 5_000
+    edges = rng.integers(0, n, size=(60_000, 2))
+    edges[:500, 1] = edges[:500, 0]
+    edges[500:2_000] = edges[2_000:3_500]
+    graph = build_graph(edges, n)
+    _assert_same_graph(graph, lexsort_build_graph(edges, n))
+    keep = np.flatnonzero(rng.random(n) < 0.7)
+    sub, remap = induced_subgraph(graph, keep)
+    want_sub, want_remap = rebuild_induced_subgraph(graph, keep)
+    assert np.array_equal(remap, want_remap)
+    _assert_same_graph(sub, want_sub)
+
+
+def test_max_node_count_is_largest_with_int64_keys():
+    assert MAX_NODE_COUNT == 3_037_000_499
+    assert MAX_NODE_COUNT * MAX_NODE_COUNT < 2**63 <= (MAX_NODE_COUNT + 1) ** 2
+
+
+def test_node_count_beyond_key_range_rejected_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(PatentFlowError, match="fit in int64"):
+            build_graph([], MAX_NODE_COUNT + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -2,13 +2,16 @@
 
 The oracles are the earlier ``np.unique``/``setdiff1d`` implementations of
 ``induced_subgraph`` and ``assignee_exclusion_set``, kept here unchanged.
-The current code must return the same values with the same dtypes.
+The current code must return the same values with the same dtypes. The
+oracle subgraph is built with the three-``lexsort`` build from
+``lexsort_oracle``, so it does not depend on the current ``build_graph``.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dataset
+from lexsort_oracle import lexsort_build_graph
 from patentflow import PatentFlowError, assignee_exclusion_set, build_graph, induced_subgraph
 
 
@@ -24,7 +27,7 @@ def _unique_induced_subgraph(graph, keep):
     dst = graph.out_indices
     mask = (remap[src] >= 0) & (remap[dst] >= 0)
     new_edges = np.column_stack((remap[src[mask]], remap[dst[mask]]))
-    sub = build_graph(new_edges, keep_arr.size)
+    sub = lexsort_build_graph(new_edges, keep_arr.size)
     return sub, remap
 
 

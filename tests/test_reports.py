@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patentflow import (
     PageRankParams,
@@ -133,3 +135,72 @@ def test_ncit_equals_in_degree():
     for row in table.rows:
         idx = ds.id_to_index[row.patent_id]
         assert row.ncit == ds.graph.in_degree(idx)
+
+
+def _full_sort_top_table(dataset, results, n, principal_d):
+    """The sort-every-node ``top_table``, kept as the oracle for the partition version."""
+    damping_values = tuple(r.params.damping for r in results)
+    principal = None
+    for r in results:
+        if r.params.damping == principal_d:
+            principal = r
+            break
+    if principal is None:
+        raise PatentFlowError(
+            f"principal damping {principal_d} not among computed values {damping_values}"
+        )
+    scores = principal.scores
+    in_degrees = dataset.graph.in_degrees
+    ids = dataset.index_to_id
+    order = sorted(
+        range(dataset.node_count),
+        key=lambda i: (-scores[i], -int(in_degrees[i]), ids[i]),
+    )
+    rows = []
+    for rank, i in enumerate(order[: max(int(n), 0)], start=1):
+        rows.append(
+            RankRow(
+                rank=rank,
+                patent_id=ids[i],
+                primary_class=dataset.meta[i].primary_class,
+                ncit=int(in_degrees[i]),
+                scores={r.params.damping: float(r.scores[i]) for r in results},
+            )
+        )
+    return RankTable(
+        rows=tuple(rows),
+        damping_values=damping_values,
+        principal_damping=principal_d,
+    )
+
+
+def _result(scores, damping):
+    return PageRankResult(
+        scores=np.asarray(scores, dtype=np.float64),
+        iterations=1,
+        final_delta=0.0,
+        converged=True,
+        params=PageRankParams(damping=damping),
+    )
+
+
+@st.composite
+def tied_rankings(draw):
+    """A dataset whose scores take few distinct values, so ties cross the top-n boundary."""
+    n_nodes = draw(st.integers(0, 25))
+    ids = [f"p{k:02d}" for k in draw(st.permutations(range(n_nodes)))]
+    node = st.sampled_from(ids) if ids else st.nothing()
+    edges = draw(st.lists(st.tuples(node, node), max_size=60)) if ids else []
+    ds = make_dataset(edges, [(pid, "100", 2000, "") for pid in ids])
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    principal = draw(st.lists(st.sampled_from(levels), min_size=n_nodes, max_size=n_nodes))
+    other = draw(st.lists(st.floats(0.0, 1.0), min_size=n_nodes, max_size=n_nodes))
+    top = draw(st.sampled_from([0, 1, n_nodes, n_nodes + 3]) | st.integers(-2, n_nodes + 2))
+    return ds, [_result(principal, 0.5), _result(other, 0.85)], top
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_rankings())
+def test_top_table_matches_full_sort_oracle(case):
+    ds, results, top = case
+    assert top_table(ds, results, top, 0.5) == _full_sort_top_table(ds, results, top, 0.5)
