@@ -198,12 +198,12 @@ def _cmd_flow(args) -> int:
     series_list = [class_inflow_series(dataset, result, target, m) for m in _flow_metrics(args)]
     out = _out_dir(args)
     write_flow_csv(series_list, out / f"flow_{_safe_name(target)}.csv")
+    target_patents = int(dataset.class_mask(target).sum())
+    if target_patents == 0:
+        print(f"warning: no patent has class {target!r}; series is empty", file=sys.stderr)
     if exclusion is not None:
         _write_summary(out / "exclusion_report.json", exclusion.report())
     else:
-        target_patents = sum(1 for m in dataset.meta if m.primary_class == target)
-        if target_patents == 0:
-            print(f"warning: no patent has class {target!r}; series is empty", file=sys.stderr)
         summary["target_class_patents"] = target_patents
     _write_summary(
         out / "summary.json",
@@ -227,7 +227,7 @@ def _cmd_patent(args) -> int:
     params = _params_from(args, damping)
     result = pagerank(dataset.graph, params)
     breakdown = patent_inflow_breakdown(dataset, result, idx)
-    meta = dataset.meta[idx]
+    meta = dataset.meta_of(idx)
     payload = {
         "patent_id": meta.patent_id,
         "class": meta.primary_class,

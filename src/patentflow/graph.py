@@ -96,6 +96,18 @@ class CitationGraph:
     def in_neighbors(self, u: int) -> np.ndarray:
         return self.in_indices[self.in_indptr[u]:self.in_indptr[u + 1]]
 
+    def in_neighbors_of(self, nodes: np.ndarray) -> np.ndarray:
+        """In-neighbors of each of ``nodes``, concatenated in that order.
+
+        Costs time in the number of entries gathered, not in the edge count.
+        """
+        degrees = self.in_degrees[nodes]
+        # entry j of node k's run sits at in_indptr[k] + j; shifting each
+        # run's output positions by (start - output offset) gives that
+        shift = np.repeat(self.in_indptr[nodes] - (np.cumsum(degrees) - degrees), degrees)
+        shift += np.arange(shift.size)
+        return self.in_indices[shift]
+
     def edge_sources(self) -> np.ndarray:
         """Source index of every stored edge, aligned with ``out_indices``."""
         return np.repeat(np.arange(self.node_count, dtype=np.int64), self.out_degrees)

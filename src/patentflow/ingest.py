@@ -7,9 +7,10 @@ Input formats (UTF-8, one record per line, ``#`` starts a comment line):
 
 Parsing never aborts on a bad line; anomalies are skipped or repaired and
 counted in per-stream reports. A line with bytes that are not valid UTF-8
-counts as malformed. Unknown years are stored as ``None`` and an
-unknown class is the empty string; both keep the patent in the graph but
-drop it from class-level aggregations.
+counts as malformed. A record stores an unknown year as ``None`` and an
+unknown class as the empty string; a dataset's columns store them as 0
+and -1. Both keep the patent in the graph but drop it from class-level
+aggregations.
 """
 from __future__ import annotations
 
@@ -21,10 +22,13 @@ from typing import IO, Iterable
 import numpy as np
 
 from .atomic import atomic_write
+from .errors import PatentFlowError
 from .graph import CitationGraph, build_graph
 
 YEAR_MIN = 1790
 YEAR_MAX = 2100
+# the int16 year column holds 0 for unknown, so a known year must be positive
+_YEAR_COLUMN_MAX = int(np.iinfo(np.int16).max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,15 +90,33 @@ class DatasetBuildReport:
         return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatentDataset:
-    """A citation graph joined to per-node metadata and an id mapping."""
+    """A citation graph joined to columnar per-node metadata and an id mapping.
+
+    Node ``i`` has class ``classes[class_code[i]]`` (``class_code`` -1 means
+    unknown), grant year ``year[i]`` (0 means unknown) and assignee
+    ``assignees[assignee_code[i]]``, the spelling as given. ``assignee_keys``
+    holds each table entry's ``strip().casefold()`` form. Nodes from
+    ``record_count`` on have no metadata record: they are the placeholders
+    for ids seen only in citations.
+    """
 
     graph: CitationGraph
-    meta: tuple[PatentMeta, ...]
     index_to_id: tuple[str, ...]
     id_to_index: dict[str, int] = field(repr=False)
+    class_code: np.ndarray = field(repr=False)
+    year: np.ndarray = field(repr=False)
+    assignee_code: np.ndarray = field(repr=False)
+    classes: tuple[str, ...] = field(repr=False)
+    assignees: tuple[str, ...] = field(repr=False)
+    assignee_keys: tuple[str, ...] = field(repr=False)
+    record_count: int
     build_report: DatasetBuildReport = field(default_factory=DatasetBuildReport)
+
+    def __post_init__(self) -> None:
+        for col in (self.class_code, self.year, self.assignee_code):
+            col.flags.writeable = False
 
     @property
     def node_count(self) -> int:
@@ -102,6 +124,28 @@ class PatentDataset:
 
     def index_of(self, patent_id: str) -> int | None:
         return self.id_to_index.get(patent_id)
+
+    def meta_of(self, i: int) -> PatentMeta:
+        """Node ``i``'s metadata as a record."""
+        code = int(self.class_code[i])
+        return PatentMeta(
+            patent_id=self.index_to_id[i],
+            primary_class=self.classes[code] if code >= 0 else "",
+            grant_year=int(self.year[i]) or None,
+            assignee=self.assignees[self.assignee_code[i]],
+        )
+
+    def class_mask(self, name: str) -> np.ndarray:
+        """True for the nodes whose class is ``name``; all False for "" or
+        a class no node has."""
+        if name not in self.classes:
+            return np.zeros(self.node_count, dtype=bool)
+        return self.class_code == self.classes.index(name)
+
+
+def assignee_key(name: str) -> str:
+    """The form under which assignee names match: stripped and casefolded."""
+    return name.strip().casefold()
 
 
 def _iter_lines(stream: Iterable[str] | IO[str]) -> Iterable[str]:
@@ -218,6 +262,19 @@ def parse_metadata(stream: Iterable[str] | IO[str]) -> tuple[list[PatentMeta], M
     return records, report
 
 
+def _year_column(years: list[int | None]) -> np.ndarray:
+    """Grant years as int16 with 0 for unknown; a known year must be in
+    [1, 32767]."""
+    col = np.array([-1 if y is None else y for y in years], dtype=np.int64)
+    bad = (col == 0) | (col < -1) | (col > _YEAR_COLUMN_MAX)
+    if bad.any():
+        raise PatentFlowError(
+            f"grant year {int(col[bad][0])} is outside [1, {_YEAR_COLUMN_MAX}]"
+        )
+    col[col == -1] = 0
+    return col.astype(np.int16)
+
+
 def assemble_dataset(
     edges: Iterable[tuple[str, str]],
     metas: Iterable[PatentMeta],
@@ -228,37 +285,53 @@ def assemble_dataset(
 
     Node indices follow first appearance: metadata records in order, then
     ids seen only in edges (these get placeholder metadata and are counted).
+    Raises PatentFlowError for a known grant year outside [1, 32767].
     """
-    metas = list(metas)
     id_to_index: dict[str, int] = {}
-    meta_list: list[PatentMeta] = []
+    records: list[PatentMeta] = []
     for meta in metas:
         if meta.patent_id in id_to_index:
             # defensive: parse_metadata already deduplicates
-            meta_list[id_to_index[meta.patent_id]] = meta
+            records[id_to_index[meta.patent_id]] = meta
             continue
-        id_to_index[meta.patent_id] = len(meta_list)
-        meta_list.append(meta)
+        id_to_index[meta.patent_id] = len(records)
+        records.append(meta)
+    ids = [m.patent_id for m in records]
 
     # one flat list of indices rather than a tuple per edge: no object per
     # edge, and the int64 conversion is one pass over a flat list
     flat_index: list[int] = []
-    placeholders = 0
     for citing, cited in edges:
         for pid in (citing, cited):
             idx = id_to_index.get(pid)
             if idx is None:
-                idx = len(meta_list)
+                idx = len(ids)
                 id_to_index[pid] = idx
-                meta_list.append(PatentMeta(patent_id=pid))
-                placeholders += 1
+                ids.append(pid)
             flat_index.append(idx)
     edge_index = np.array(flat_index, dtype=np.int64).reshape(-1, 2)
     del flat_index
+    n = len(ids)
+    placeholders = n - len(records)
 
-    graph = build_graph(edge_index, len(meta_list))
+    # "" is the unknown class, code -1; every other spelling gets the next code
+    class_index: dict[str, int] = {"": -1}
+    class_code = np.full(n, -1, dtype=np.int32)
+    class_code[: len(records)] = [
+        class_index.setdefault(m.primary_class, len(class_index) - 1) for m in records
+    ]
+    assignee_index: dict[str, int] = {}
+    assignee_code = np.empty(n, dtype=np.int32)
+    assignee_code[: len(records)] = [
+        assignee_index.setdefault(m.assignee, len(assignee_index)) for m in records
+    ]
+    assignee_code[len(records):] = assignee_index.setdefault("", len(assignee_index))
+    year = np.zeros(n, dtype=np.int16)
+    year[: len(records)] = _year_column([m.grant_year for m in records])
+
+    graph = build_graph(edge_index, n)
     report = DatasetBuildReport(
-        nodes=len(meta_list),
+        nodes=n,
         edges_stored=graph.build_report.edges_stored,
         self_loops_dropped=graph.build_report.self_loops_dropped,
         duplicate_edges_dropped=graph.build_report.duplicate_edges_dropped,
@@ -266,11 +339,18 @@ def assemble_dataset(
         citations=citations_report,
         metadata=metadata_report,
     )
+    assignees = tuple(assignee_index)
     return PatentDataset(
         graph=graph,
-        meta=tuple(meta_list),
-        index_to_id=tuple(m.patent_id for m in meta_list),
+        index_to_id=tuple(ids),
         id_to_index=id_to_index,
+        class_code=class_code,
+        year=year,
+        assignee_code=assignee_code,
+        classes=tuple(class_index)[1:],
+        assignees=assignees,
+        assignee_keys=tuple(map(assignee_key, assignees)),
+        record_count=len(records),
         build_report=report,
     )
 
@@ -300,6 +380,7 @@ def write_citations(dataset: PatentDataset, path: str | os.PathLike) -> None:
 def write_metadata(dataset: PatentDataset, path: str | os.PathLike) -> None:
     """Serialize metadata back to the patents.tsv format, in index order."""
     with atomic_write(path) as f:
-        for m in dataset.meta:
+        for i in range(dataset.node_count):
+            m = dataset.meta_of(i)
             year = "" if m.grant_year is None else str(m.grant_year)
             f.write(f"{m.patent_id}\t{m.primary_class}\t{year}\t{m.assignee}\n")

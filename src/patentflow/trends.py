@@ -10,6 +10,7 @@ carry rank mass) but never enter these aggregations.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import os
 from dataclasses import dataclass
 from typing import Mapping
@@ -19,7 +20,7 @@ import numpy as np
 from .atomic import atomic_write
 from .errors import PatentFlowError
 from .graph import induced_subgraph
-from .ingest import DatasetBuildReport, PatentDataset
+from .ingest import DatasetBuildReport, PatentDataset, assignee_key
 from .pagerank import PageRankParams, PageRankResult, pagerank
 
 METRIC_PAGERANK_SUM = "pagerank-sum"
@@ -61,6 +62,31 @@ def _require_scores(dataset: PatentDataset, result: PageRankResult) -> np.ndarra
     return result.scores
 
 
+def _bucket_flows(
+    dataset: PatentDataset, citers: np.ndarray, scores: np.ndarray
+) -> tuple[list[tuple[str, int]], list[int], list[float]]:
+    """Count and score sum of ``citers`` per (class, year) bucket.
+
+    ``citers`` are ascending node indices whose class and year are known.
+    ``bincount`` adds in input order, so each sum folds its citers' scores
+    in ascending index order, starting from 0.0. The bucket arrays hold
+    (largest citer class code + 1) x (citer year span) entries. Only
+    buckets with at least one citer are returned, as plain Python values.
+    """
+    if citers.size == 0:
+        return [], [], []
+    years = dataset.year[citers].astype(np.int64)
+    first = int(years.min())
+    span = int(years.max()) - first + 1
+    key = dataset.class_code[citers].astype(np.int64) * span + (years - first)
+    counts = np.bincount(key)
+    present = np.flatnonzero(counts)
+    sums = np.bincount(key, weights=scores[citers])[present]
+    classes = dataset.classes
+    keys = [(classes[b // span], first + b % span) for b in present.tolist()]
+    return keys, counts[present].tolist(), sums.tolist()
+
+
 def class_inflow_series(
     dataset: PatentDataset,
     result: PageRankResult,
@@ -71,28 +97,26 @@ def class_inflow_series(
 
     A citing patent counts once no matter how many target-class patents it
     cites. Citers of the target class itself, and citers with unknown
-    class or year, are skipped.
+    class or year, are skipped. Raises PatentFlowError for an empty (or
+    all-whitespace) class name.
     """
     if metric not in _METRICS:
         raise PatentFlowError(f"metric must be one of {_METRICS}, got {metric!r}")
+    if not target_class.strip():
+        raise PatentFlowError(f"target class must not be empty, got {target_class!r}")
     scores = _require_scores(dataset, result)
     graph = dataset.graph
-    citers: set[int] = set()
-    for t in range(dataset.node_count):
-        if dataset.meta[t].primary_class == target_class:
-            citers.update(int(u) for u in graph.in_neighbors(t))
-
-    entries: dict[tuple[str, int], float] = {}
-    for u in sorted(citers):
-        m = dataset.meta[u]
-        if not m.class_known or not m.year_known or m.primary_class == target_class:
-            continue
-        key = (m.primary_class, m.grant_year)
-        if metric == METRIC_PAGERANK_SUM:
-            entries[key] = entries.get(key, 0.0) + float(scores[u])
-        else:
-            entries[key] = entries.get(key, 0) + 1
-    return ClassFlowSeries(target_class=target_class, metric=metric, entries=entries)
+    target = dataset.class_mask(target_class)
+    citing = np.zeros(dataset.node_count, dtype=bool)
+    citing[graph.in_neighbors_of(np.flatnonzero(target))] = True
+    citing &= ~target
+    citing &= dataset.class_code >= 0
+    citing &= dataset.year > 0
+    keys, counts, sums = _bucket_flows(dataset, np.flatnonzero(citing), scores)
+    values = sums if metric == METRIC_PAGERANK_SUM else counts
+    return ClassFlowSeries(
+        target_class=target_class, metric=metric, entries=dict(zip(keys, values))
+    )
 
 
 def patent_inflow_breakdown(
@@ -107,15 +131,10 @@ def patent_inflow_breakdown(
     if not 0 <= patent < dataset.node_count:
         raise PatentFlowError(f"patent index {patent} out of range")
     scores = _require_scores(dataset, result)
-    out: dict[tuple[str, int], tuple[int, float]] = {}
-    for u in dataset.graph.in_neighbors(patent):
-        m = dataset.meta[int(u)]
-        if not m.class_known or not m.year_known:
-            continue
-        key = (m.primary_class, m.grant_year)
-        count, total = out.get(key, (0, 0.0))
-        out[key] = (count + 1, total + float(scores[u]))
-    return out
+    citers = dataset.graph.in_neighbors(patent)
+    citers = citers[(dataset.class_code[citers] >= 0) & (dataset.year[citers] > 0)]
+    keys, counts, sums = _bucket_flows(dataset, citers, scores)
+    return dict(zip(keys, zip(counts, sums)))
 
 
 def class_ratio(
@@ -200,20 +219,20 @@ class ExclusionSet:
         }
 
 
-def _normalize_assignee(name: str) -> str:
-    return name.strip().casefold()
-
-
 def assignee_exclusion_set(dataset: PatentDataset, assignee: str) -> ExclusionSet:
     """Compute the assignee's neighborhood: owned patents plus every
-    non-owned patent that cites or is cited by one of them."""
-    key = _normalize_assignee(assignee)
+    non-owned patent that cites or is cited by one of them.
+
+    Names match after ``strip().casefold()``. Raises PatentFlowError for an
+    empty (or all-whitespace) name.
+    """
+    key = assignee_key(assignee)
+    if not key:
+        raise PatentFlowError(f"assignee must not be empty, got {assignee!r}")
+    keys = dataset.assignee_keys
+    match = np.fromiter((k == key for k in keys), dtype=bool, count=len(keys))
+    owned_mask = match[dataset.assignee_code]
     n = dataset.node_count
-    owned_mask = np.fromiter(
-        (_normalize_assignee(m.assignee) == key for m in dataset.meta),
-        dtype=bool,
-        count=n,
-    )
     src = dataset.graph.edge_sources()
     dst = dataset.graph.out_indices
     owned_src = owned_mask[src]
@@ -245,20 +264,24 @@ def apply_exclusion(
             f"excluding assignee {exclusion.assignee!r} leaves an empty graph"
         )
     sub, remap = induced_subgraph(dataset.graph, keep)
-    meta = tuple(dataset.meta[int(i)] for i in keep)
-    ids = tuple(m.patent_id for m in meta)
+    ids = tuple(map(dataset.index_to_id.__getitem__, keep.tolist()))
+    # placeholders are the index suffix from record_count on, and the
+    # remap keeps index order, so they stay a suffix
+    record_count = int(np.searchsorted(keep, dataset.record_count))
     report = DatasetBuildReport(
         nodes=sub.node_count,
         edges_stored=sub.build_report.edges_stored,
-        placeholder_nodes=sum(
-            1 for m in meta if not m.class_known and not m.year_known and not m.assignee
-        ),
+        placeholder_nodes=sub.node_count - record_count,
     )
-    reduced = PatentDataset(
+    reduced = dataclasses.replace(
+        dataset,
         graph=sub,
-        meta=meta,
         index_to_id=ids,
-        id_to_index={pid: i for i, pid in enumerate(ids)},
+        id_to_index=dict(zip(ids, range(len(ids)))),
+        class_code=dataset.class_code[keep],
+        year=dataset.year[keep],
+        assignee_code=dataset.assignee_code[keep],
+        record_count=record_count,
         build_report=report,
     )
     return reduced, remap

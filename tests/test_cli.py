@@ -108,6 +108,42 @@ def test_flow_unknown_class_warns(data_dir, tmp_path, capsys):
     assert len((out / "flow_000.csv").read_text().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["flow", "--target-class", ""],
+    ["flow", "--target-class", "  "],
+    ["exclude-flow", "--target-class", "", "--exclude-assignee", "canoncorp"],
+    ["exclude-flow", "--target-class", "347", "--exclude-assignee", " "],
+])
+def test_empty_names_rejected(data_dir, tmp_path, capsys, argv):
+    out = tmp_path / "empty"
+    code = main([argv[0], *_dataset_args(data_dir), *argv[1:], "--out", str(out)])
+    assert code == 1
+    assert "must not be empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exclude_flow_empty_target_warns(tmp_path, capsys):
+    # y is cited by the excluded assignee's c, so no class-347 patent is left
+    (tmp_path / "c.tsv").write_text("c\ty\nw\tz\n", encoding="utf-8")
+    (tmp_path / "p.tsv").write_text(
+        "c\t100\t1995\tcanon\ny\t347\t1990\tglobex\n"
+        "w\t200\t2001\tinitech\nz\t200\t1990\tinitech\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code = main(["exclude-flow", "--citations", str(tmp_path / "c.tsv"),
+                 "--patents", str(tmp_path / "p.tsv"), "--target-class", "347",
+                 "--exclude-assignee", "canon", "--out", str(out)])
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert json.loads(err[0])["nodes"] == 4
+    assert err[1] == "warning: no patent has class '347'; series is empty"
+    assert len((out / "flow_347.csv").read_text().splitlines()) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert "target_class_patents" not in summary
+    assert summary["nodes"] == 2
+
+
 def test_exclude_flow_command(data_dir, tmp_path):
     out = tmp_path / "exflow"
     code = main(["exclude-flow", *_dataset_args(data_dir), "--target-class", "347",

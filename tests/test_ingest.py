@@ -89,9 +89,9 @@ def test_assemble_placeholders_for_unknown_ids():
     ds = assemble_dataset([("a", "b")], [])
     assert ds.node_count == 2
     assert ds.build_report.placeholder_nodes == 2
-    assert ds.meta[0].patent_id == "a"
-    assert not ds.meta[0].class_known
-    assert not ds.meta[0].year_known
+    assert ds.meta_of(0).patent_id == "a"
+    assert not ds.meta_of(0).class_known
+    assert not ds.meta_of(0).year_known
 
 
 def test_assemble_id_map_bijection():
@@ -102,7 +102,7 @@ def test_assemble_id_map_bijection():
     assert len(ds.id_to_index) == ds.node_count == len(ds.index_to_id)
     for pid, idx in ds.id_to_index.items():
         assert ds.index_to_id[idx] == pid
-        assert ds.meta[idx].patent_id == pid
+        assert ds.meta_of(idx).patent_id == pid
 
 
 def _recount_oracle(citation_lines, metadata_lines):
@@ -191,7 +191,9 @@ def test_round_trip(tmp_path_factory, edges, metas):
     ds2 = load_dataset(tmp / "c.tsv", tmp / "p.tsv")
     assert ds2.index_to_id == ds.index_to_id
     assert ds2.id_to_index == ds.id_to_index
-    assert ds2.meta == ds.meta
+    assert [ds2.meta_of(i) for i in range(ds2.node_count)] == [
+        ds.meta_of(i) for i in range(ds.node_count)
+    ]
     import numpy as np
 
     assert np.array_equal(ds2.graph.out_indptr, ds.graph.out_indptr)
@@ -215,7 +217,7 @@ def test_undecodable_lines_are_malformed(tmp_path):
     cit, meta = ds.build_report.citations, ds.build_report.metadata
     assert (cit.lines, cit.edges, cit.malformed) == (3, 1, 2)
     assert (meta.lines, meta.records, meta.malformed) == (2, 1, 1)
-    assert ds.meta[ds.index_of("a")].assignee == "café"
+    assert ds.meta_of(ds.index_of("a")).assignee == "café"
 
 
 _chunks = st.one_of(

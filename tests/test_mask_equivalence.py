@@ -7,6 +7,7 @@ oracle subgraph is built with the three-``lexsort`` build from
 ``lexsort_oracle``, so it does not depend on the current ``build_graph``.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +36,9 @@ def _unique_exclusion_arrays(dataset, assignee):
     key = assignee.strip().casefold()
     n = dataset.node_count
     owned_mask = np.fromiter(
-        (m.assignee.strip().casefold() == key for m in dataset.meta), dtype=bool, count=n
+        (dataset.meta_of(i).assignee.strip().casefold() == key for i in range(n)),
+        dtype=bool,
+        count=n,
     )
     graph = dataset.graph
     src = np.repeat(np.arange(n, dtype=np.int64), graph.out_degrees)
@@ -83,6 +86,11 @@ def test_induced_subgraph_matches_unique_oracle(case):
 )
 def test_exclusion_matches_unique_oracle(seed, n, edge_factor, assignee):
     ds = random_dataset(seed, n=n, edge_factor=edge_factor)
+    if not assignee:
+        # an empty name is rejected rather than matched
+        with pytest.raises(PatentFlowError):
+            assignee_exclusion_set(ds, assignee)
+        return
     exclusion = assignee_exclusion_set(ds, assignee)
     got = (exclusion.owned, exclusion.cites_owned, exclusion.cited_by_owned)
     for g, w in zip(got, _unique_exclusion_arrays(ds, assignee)):

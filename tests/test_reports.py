@@ -162,7 +162,7 @@ def _full_sort_top_table(dataset, results, n, principal_d):
             RankRow(
                 rank=rank,
                 patent_id=ids[i],
-                primary_class=dataset.meta[i].primary_class,
+                primary_class=dataset.meta_of(i).primary_class,
                 ncit=int(in_degrees[i]),
                 scores={r.params.damping: float(r.scores[i]) for r in results},
             )

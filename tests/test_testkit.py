@@ -43,6 +43,10 @@ def test_dense_node_limit():
         dense_pagerank(g, PageRankParams(damping=0.5))
 
 
+def _metas(ds):
+    return [ds.meta_of(i) for i in range(ds.node_count)]
+
+
 def _crossover_spec(n=1500, dominant=None):
     return SyntheticSpec(
         node_count=n,
@@ -71,19 +75,19 @@ def test_generator_deterministic_per_seed():
     spec = _crossover_spec()
     a = generate_synthetic_dataset(spec, seed=5)
     b = generate_synthetic_dataset(spec, seed=5)
-    assert a.meta == b.meta
+    assert _metas(a) == _metas(b)
     assert np.array_equal(a.graph.out_indptr, b.graph.out_indptr)
     assert np.array_equal(a.graph.out_indices, b.graph.out_indices)
     c = generate_synthetic_dataset(spec, seed=6)
     assert not (
-        a.meta == c.meta and np.array_equal(a.graph.out_indices, c.graph.out_indices)
+        _metas(a) == _metas(c) and np.array_equal(a.graph.out_indices, c.graph.out_indices)
     )
 
 
 def test_generator_graph_is_acyclic_and_backward_in_time():
     ds = generate_synthetic_dataset(_crossover_spec(dominant="canoncorp"), seed=5)
     assert not ds.graph.has_cycle()
-    years = np.array([m.grant_year for m in ds.meta])
+    years = np.array([m.grant_year for m in _metas(ds)])
     edges = ds.graph.edge_array()
     assert (years[edges[:, 0]] >= years[edges[:, 1]]).all()
 
@@ -97,15 +101,15 @@ def test_generator_marginals_within_3_sigma():
     )
     ds = generate_synthetic_dataset(spec, seed=1)
     n = ds.node_count
-    class_counts = Counter(m.primary_class for m in ds.meta)
+    class_counts = Counter(m.primary_class for m in _metas(ds))
     for code, p in spec.classes:
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(class_counts[code] - n * p) <= 3 * sigma
-    asg_counts = Counter(m.assignee for m in ds.meta)
+    asg_counts = Counter(m.assignee for m in _metas(ds))
     for name, p in spec.assignees:
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(asg_counts[name] - n * p) <= 3 * sigma
-    year_counts = Counter(m.grant_year for m in ds.meta)
+    year_counts = Counter(m.grant_year for m in _metas(ds))
     assert set(year_counts) == set(range(2000, 2010))
     for y in year_counts:
         assert abs(year_counts[y] - n / 10) <= 3 * math.sqrt(n * 0.1 * 0.9) + 1
@@ -117,14 +121,14 @@ def test_planted_crossover_regimes():
     pc = spec.planted_crossover
     # brute-force per-year external citer counts into the target class
     target_nodes = {
-        i for i, m in enumerate(ds.meta) if m.primary_class == pc.target_class
+        i for i, m in enumerate(_metas(ds)) if m.primary_class == pc.target_class
     }
     citers = set()
     for t in target_nodes:
         citers.update(int(u) for u in ds.graph.in_neighbors(t))
     per_year = {}
     for u in citers:
-        m = ds.meta[u]
+        m = ds.meta_of(u)
         if m.primary_class in (pc.source_class_a, pc.source_class_b):
             d = per_year.setdefault(m.grant_year, Counter())
             d[m.primary_class] += 1

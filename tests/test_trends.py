@@ -104,6 +104,18 @@ def test_series_unknown_target_class_empty():
     assert s.entries == {}
 
 
+@pytest.mark.parametrize("target", ["", "  ", "\t"])
+def test_series_rejects_empty_target_class(target):
+    # a patent with an unknown class is stored with class "", and those
+    # patents stay out of class aggregations
+    ds = make_dataset(
+        [("u", "t")], [("t", "", 1990, "canon"), ("u", "400", 2000, "acme")]
+    )
+    r = pagerank(ds.graph, PARAMS)
+    with pytest.raises(PatentFlowError, match="target class"):
+        class_inflow_series(ds, r, target)
+
+
 def test_series_rejects_bad_metric():
     ds = _three_citer_dataset()
     r = pagerank(ds.graph, PARAMS)
@@ -138,7 +150,7 @@ def _series_via_breakdowns(ds, result, target, metric):
     """Oracle: sum per-patent breakdowns over the target class, then undo
     the double counting of citers that cite several target patents."""
     g = ds.graph
-    targets = [i for i in range(ds.node_count) if ds.meta[i].primary_class == target]
+    targets = [i for i in range(ds.node_count) if ds.meta_of(i).primary_class == target]
     agg = defaultdict(lambda: [0, 0.0])
     for t in targets:
         for key, (cnt, pr) in patent_inflow_breakdown(ds, result, t).items():
@@ -149,7 +161,7 @@ def _series_via_breakdowns(ds, result, target, metric):
         for u in g.in_neighbors(t):
             citations_per_citer[int(u)] += 1
     for u, k in citations_per_citer.items():
-        m = ds.meta[u]
+        m = ds.meta_of(u)
         if k > 1 and m.class_known and m.year_known:
             agg[(m.primary_class, m.grant_year)][0] -= k - 1
             agg[(m.primary_class, m.grant_year)][1] -= (k - 1) * float(result.scores[u])
@@ -302,10 +314,18 @@ def test_exclusion_matching_is_trimmed_and_casefolded():
     assert ds.id_to_index["a"] in set(exc.owned.tolist())
 
 
+@pytest.mark.parametrize("assignee", ["", " ", "\t "])
+def test_exclusion_rejects_empty_assignee(assignee):
+    # an empty name would match every patent without an assignee
+    ds = make_dataset([("a", "b")], [("a", "100", 2000, ""), ("b", "100", 1999, "acme")])
+    with pytest.raises(PatentFlowError, match="assignee"):
+        assignee_exclusion_set(ds, assignee)
+
+
 def _brute_force_exclusion(ds, assignee):
     key = assignee.strip().casefold()
     owned = {
-        i for i, m in enumerate(ds.meta) if m.assignee.strip().casefold() == key
+        i for i in range(ds.node_count) if ds.meta_of(i).assignee.strip().casefold() == key
     }
     cites, cited = set(), set()
     for u, v in ds.graph.edge_array().tolist():
@@ -379,6 +399,24 @@ def test_apply_exclusion_remap():
     exc = assignee_exclusion_set(ds, "canon")
     reduced, remap = apply_exclusion(ds, exc)
     assert reduced.node_count == 1
-    assert reduced.meta[0].patent_id == "z"
+    assert reduced.meta_of(0).patent_id == "z"
     assert remap[ds.id_to_index["z"]] == 0
     assert remap[ds.id_to_index["c"]] == -1
+
+
+def test_reduced_placeholders_are_citation_only_ids():
+    # b is a metadata record with every field empty: not a placeholder
+    ds = make_dataset(
+        [("a", "b"), ("c", "d"), ("q", "z")],
+        [
+            ("a", "100", 2000, ""),
+            ("b", "", None, ""),
+            ("c", "100", 2000, "Y"),
+            ("d", "100", 2000, "Y"),
+        ],
+    )
+    assert ds.build_report.placeholder_nodes == 2
+    reduced, _ = apply_exclusion(ds, assignee_exclusion_set(ds, "Y"))
+    assert reduced.index_to_id == ("a", "b", "q", "z")
+    assert reduced.build_report.placeholder_nodes == 2
+    assert reduced.record_count == 2
