@@ -40,6 +40,7 @@ from .trends import (
     assignee_exclusion_set,
     class_inflow_series,
     patent_inflow_breakdown,
+    require_name,
     write_flow_csv,
 )
 
@@ -183,6 +184,9 @@ def _flow_metrics(args) -> list[str]:
 
 def _cmd_flow(args) -> int:
     """``flow``, and ``exclude-flow`` on the dataset without the assignee's neighborhood."""
+    require_name("target class", args.target_class)
+    if args.command == "exclude-flow":
+        require_name("assignee", args.exclude_assignee)
     dataset = _load(args)
     damping = _env_or(args.damping, "DAMPING", float, DEFAULT_DAMPING)
     params = _params_from(args, damping)

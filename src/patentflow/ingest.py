@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -92,25 +92,22 @@ class DatasetBuildReport:
 
 @dataclass(frozen=True, eq=False)
 class PatentDataset:
-    """A citation graph joined to columnar per-node metadata and an id mapping.
+    """A citation graph joined to columnar per-node metadata and the ids.
 
-    Node ``i`` has class ``classes[class_code[i]]`` (``class_code`` -1 means
-    unknown), grant year ``year[i]`` (0 means unknown) and assignee
-    ``assignees[assignee_code[i]]``, the spelling as given. ``assignee_keys``
-    holds each table entry's ``strip().casefold()`` form. Nodes from
-    ``record_count`` on have no metadata record: they are the placeholders
-    for ids seen only in citations.
+    Node ``i`` has id ``index_to_id[i]``, class ``classes[class_code[i]]``
+    (``class_code`` -1 means unknown), grant year ``year[i]`` (0 means
+    unknown) and assignee ``assignees[assignee_code[i]]``, the spelling as
+    given. Nodes from ``record_count`` on have no metadata record: they are
+    the placeholders for ids seen only in citations.
     """
 
     graph: CitationGraph
     index_to_id: tuple[str, ...]
-    id_to_index: dict[str, int] = field(repr=False)
     class_code: np.ndarray = field(repr=False)
     year: np.ndarray = field(repr=False)
     assignee_code: np.ndarray = field(repr=False)
     classes: tuple[str, ...] = field(repr=False)
     assignees: tuple[str, ...] = field(repr=False)
-    assignee_keys: tuple[str, ...] = field(repr=False)
     record_count: int
     build_report: DatasetBuildReport = field(default_factory=DatasetBuildReport)
 
@@ -123,7 +120,11 @@ class PatentDataset:
         return self.graph.node_count
 
     def index_of(self, patent_id: str) -> int | None:
-        return self.id_to_index.get(patent_id)
+        """Node index of ``patent_id``, None if absent; a linear scan."""
+        try:
+            return self.index_to_id.index(patent_id)
+        except ValueError:
+            return None
 
     def meta_of(self, i: int) -> PatentMeta:
         """Node ``i``'s metadata as a record."""
@@ -143,16 +144,6 @@ class PatentDataset:
         return self.class_code == self.classes.index(name)
 
 
-def assignee_key(name: str) -> str:
-    """The form under which assignee names match: stripped and casefolded."""
-    return name.strip().casefold()
-
-
-def _iter_lines(stream: Iterable[str] | IO[str]) -> Iterable[str]:
-    for raw in stream:
-        yield raw.rstrip("\r\n")
-
-
 def _undecodable(line: str) -> bool:
     """True when the line holds lone surrogates, which is how bytes that are
     not valid UTF-8 come out of a file opened with ``surrogateescape``."""
@@ -163,12 +154,23 @@ def _undecodable(line: str) -> bool:
     return False
 
 
-def parse_citations(stream: Iterable[str] | IO[str]) -> tuple[list[tuple[str, str]], CitationParseReport]:
-    """Read citing/cited id pairs, skipping and counting bad lines."""
-    edges: list[tuple[str, str]] = []
+def _accepted_fields(
+    stream: Iterable[str] | IO[str], width: int, id_fields: int, counts: dict[str, int]
+) -> Iterator[list[str]]:
+    """Yield the tab-separated fields of each accepted line of ``stream``,
+    with the ids stripped.
+
+    The first ``id_fields`` fields (one or two) hold ids. A line is blank,
+    a comment or malformed, or else accepted. It is malformed when it holds
+    undecodable bytes, does not split into ``width`` fields, or has an
+    empty id. Once the stream is exhausted, ``counts`` gets the ``lines``,
+    ``blank``, ``comments`` and ``malformed`` tallies.
+    """
+    last_id = id_fields - 1
     lines = blank = comments = malformed = 0
-    for line in _iter_lines(stream):
+    for raw in stream:
         lines += 1
+        line = raw.rstrip("\r\n")
         if not line.isascii() and _undecodable(line):
             malformed += 1
             continue
@@ -178,19 +180,24 @@ def parse_citations(stream: Iterable[str] | IO[str]) -> tuple[list[tuple[str, st
         if line.startswith("#"):
             comments += 1
             continue
-        parts = line.split("\t")
-        if len(parts) != 2:
+        fields = line.split("\t")
+        if len(fields) != width:
             malformed += 1
             continue
-        citing, cited = parts[0].strip(), parts[1].strip()
-        if not citing or not cited:
+        fields[0] = fields[0].strip()
+        fields[last_id] = fields[last_id].strip()
+        if not fields[0] or not fields[last_id]:
             malformed += 1
             continue
-        edges.append((citing, cited))
-    report = CitationParseReport(
-        lines=lines, edges=len(edges), blank=blank, comments=comments, malformed=malformed
-    )
-    return edges, report
+        yield fields
+    counts.update(lines=lines, blank=blank, comments=comments, malformed=malformed)
+
+
+def parse_citations(stream: Iterable[str] | IO[str]) -> tuple[list[tuple[str, str]], CitationParseReport]:
+    """Read citing/cited id pairs, skipping and counting bad lines."""
+    counts: dict[str, int] = {}
+    edges = [(citing, cited) for citing, cited in _accepted_fields(stream, 2, 2, counts)]
+    return edges, CitationParseReport(edges=len(edges), **counts)
 
 
 def _parse_year(text: str) -> int | None:
@@ -215,26 +222,10 @@ def parse_metadata(stream: Iterable[str] | IO[str]) -> tuple[list[PatentMeta], M
     """
     records: list[PatentMeta] = []
     position: dict[str, int] = {}
-    lines = blank = comments = malformed = duplicates = unknown_years = 0
-    for line in _iter_lines(stream):
-        lines += 1
-        if not line.isascii() and _undecodable(line):
-            malformed += 1
-            continue
-        if not line.strip():
-            blank += 1
-            continue
-        if line.startswith("#"):
-            comments += 1
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            malformed += 1
-            continue
-        patent_id = parts[0].strip()
-        if not patent_id:
-            malformed += 1
-            continue
+    counts: dict[str, int] = {}
+    duplicates = unknown_years = 0
+    for parts in _accepted_fields(stream, 4, 1, counts):
+        patent_id = parts[0]
         year = _parse_year(parts[2])
         if year is None:
             unknown_years += 1
@@ -251,13 +242,7 @@ def parse_metadata(stream: Iterable[str] | IO[str]) -> tuple[list[PatentMeta], M
             position[patent_id] = len(records)
             records.append(meta)
     report = MetadataParseReport(
-        lines=lines,
-        records=len(records),
-        blank=blank,
-        comments=comments,
-        malformed=malformed,
-        duplicate_ids=duplicates,
-        unknown_years=unknown_years,
+        records=len(records), duplicate_ids=duplicates, unknown_years=unknown_years, **counts
     )
     return records, report
 
@@ -339,17 +324,14 @@ def assemble_dataset(
         citations=citations_report,
         metadata=metadata_report,
     )
-    assignees = tuple(assignee_index)
     return PatentDataset(
         graph=graph,
         index_to_id=tuple(ids),
-        id_to_index=id_to_index,
         class_code=class_code,
         year=year,
         assignee_code=assignee_code,
         classes=tuple(class_index)[1:],
-        assignees=assignees,
-        assignee_keys=tuple(map(assignee_key, assignees)),
+        assignees=tuple(assignee_index),
         record_count=len(records),
         build_report=report,
     )

@@ -20,16 +20,23 @@ import numpy as np
 from .atomic import atomic_write
 from .errors import PatentFlowError
 from .graph import induced_subgraph
-from .ingest import DatasetBuildReport, PatentDataset, assignee_key
+from .ingest import DatasetBuildReport, PatentDataset
 from .pagerank import PageRankParams, PageRankResult, pagerank
 
 METRIC_PAGERANK_SUM = "pagerank-sum"
 METRIC_CITATION_COUNT = "citation-count"
 _METRICS = (METRIC_PAGERANK_SUM, METRIC_CITATION_COUNT)
 
-REASON_OWNED = "owned"
-REASON_CITES_OWNED = "cites-owned"
-REASON_CITED_BY_OWNED = "cited-by-owned"
+
+def require_name(what: str, name: str) -> None:
+    """Raise PatentFlowError when ``name`` is empty after ``strip()``."""
+    if not name.strip():
+        raise PatentFlowError(f"{what} must not be empty, got {name!r}")
+
+
+def assignee_key(name: str) -> str:
+    """The form under which assignee names match: stripped and casefolded."""
+    return name.strip().casefold()
 
 
 @dataclass(frozen=True)
@@ -102,8 +109,7 @@ def class_inflow_series(
     """
     if metric not in _METRICS:
         raise PatentFlowError(f"metric must be one of {_METRICS}, got {metric!r}")
-    if not target_class.strip():
-        raise PatentFlowError(f"target class must not be empty, got {target_class!r}")
+    require_name("target class", target_class)
     scores = _require_scores(dataset, result)
     graph = dataset.graph
     target = dataset.class_mask(target_class)
@@ -196,17 +202,6 @@ class ExclusionSet:
     def excluded(self) -> np.ndarray:
         return np.sort(np.concatenate((self.owned, self.cites_owned, self.cited_by_owned)))
 
-    def reasons(self) -> dict[int, str]:
-        tags: dict[int, str] = {}
-        for arr, tag in (
-            (self.owned, REASON_OWNED),
-            (self.cites_owned, REASON_CITES_OWNED),
-            (self.cited_by_owned, REASON_CITED_BY_OWNED),
-        ):
-            for u in arr:
-                tags[int(u)] = tag
-        return tags
-
     def report(self) -> dict:
         return {
             "assignee": self.assignee,
@@ -226,11 +221,10 @@ def assignee_exclusion_set(dataset: PatentDataset, assignee: str) -> ExclusionSe
     Names match after ``strip().casefold()``. Raises PatentFlowError for an
     empty (or all-whitespace) name.
     """
+    require_name("assignee", assignee)
     key = assignee_key(assignee)
-    if not key:
-        raise PatentFlowError(f"assignee must not be empty, got {assignee!r}")
-    keys = dataset.assignee_keys
-    match = np.fromiter((k == key for k in keys), dtype=bool, count=len(keys))
+    names = dataset.assignees
+    match = np.fromiter((assignee_key(a) == key for a in names), dtype=bool, count=len(names))
     owned_mask = match[dataset.assignee_code]
     n = dataset.node_count
     src = dataset.graph.edge_sources()
@@ -264,7 +258,6 @@ def apply_exclusion(
             f"excluding assignee {exclusion.assignee!r} leaves an empty graph"
         )
     sub, remap = induced_subgraph(dataset.graph, keep)
-    ids = tuple(map(dataset.index_to_id.__getitem__, keep.tolist()))
     # placeholders are the index suffix from record_count on, and the
     # remap keeps index order, so they stay a suffix
     record_count = int(np.searchsorted(keep, dataset.record_count))
@@ -276,8 +269,7 @@ def apply_exclusion(
     reduced = dataclasses.replace(
         dataset,
         graph=sub,
-        index_to_id=ids,
-        id_to_index=dict(zip(ids, range(len(ids)))),
+        index_to_id=tuple(map(dataset.index_to_id.__getitem__, keep.tolist())),
         class_code=dataset.class_code[keep],
         year=dataset.year[keep],
         assignee_code=dataset.assignee_code[keep],

@@ -118,7 +118,10 @@ def test_empty_names_rejected(data_dir, tmp_path, capsys, argv):
     out = tmp_path / "empty"
     code = main([argv[0], *_dataset_args(data_dir), *argv[1:], "--out", str(out)])
     assert code == 1
-    assert "must not be empty" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must not be empty" in err
+    # rejected before loading: no build-report JSON line
+    assert not any(line.startswith("{") for line in err.splitlines())
     assert not out.exists()
 
 

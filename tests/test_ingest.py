@@ -4,9 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from patentflow import (
+    ExclusionSet,
     PatentMeta,
+    apply_exclusion,
     assemble_dataset,
+    assignee_exclusion_set,
     load_dataset,
     parse_citations,
     parse_metadata,
@@ -99,10 +104,17 @@ def test_assemble_id_map_bijection():
         [("a", "b"), ("c", "a")],
         [PatentMeta("b", "100", 2000, "acme")],
     )
-    assert len(ds.id_to_index) == ds.node_count == len(ds.index_to_id)
-    for pid, idx in ds.id_to_index.items():
-        assert ds.index_to_id[idx] == pid
+    assert ds.node_count == len(ds.index_to_id) == len(set(ds.index_to_id))
+    for idx, pid in enumerate(ds.index_to_id):
+        assert ds.index_of(pid) == idx
         assert ds.meta_of(idx).patent_id == pid
+    assert ds.index_of("q") is None
+    # acme owns b and a cites b: only c is left
+    reduced, _ = apply_exclusion(ds, assignee_exclusion_set(ds, "acme"))
+    assert reduced.index_to_id == ("c",)
+    assert reduced.index_of("c") == 0
+    assert reduced.index_of("a") is None
+    assert reduced.index_of("b") is None
 
 
 def _recount_oracle(citation_lines, metadata_lines):
@@ -190,12 +202,19 @@ def test_round_trip(tmp_path_factory, edges, metas):
     write_metadata(ds, tmp / "p.tsv")
     ds2 = load_dataset(tmp / "c.tsv", tmp / "p.tsv")
     assert ds2.index_to_id == ds.index_to_id
-    assert ds2.id_to_index == ds.id_to_index
+    for idx, pid in enumerate(ds.index_to_id):
+        assert ds2.index_of(pid) == idx
+    assert ds2.index_of("") is None
+    if ds.node_count >= 2:
+        empty = np.array([], dtype=np.int64)
+        drop_first = ExclusionSet("x", np.array([0]), empty, empty)
+        reduced, _ = apply_exclusion(ds2, drop_first)
+        assert reduced.index_of(ds.index_to_id[0]) is None
+        for idx, pid in enumerate(ds.index_to_id[1:]):
+            assert reduced.index_of(pid) == idx
     assert [ds2.meta_of(i) for i in range(ds2.node_count)] == [
         ds.meta_of(i) for i in range(ds.node_count)
     ]
-    import numpy as np
-
     assert np.array_equal(ds2.graph.out_indptr, ds.graph.out_indptr)
     assert np.array_equal(ds2.graph.out_indices, ds.graph.out_indices)
 

@@ -127,7 +127,8 @@ def _same_array(got, want):
 
 def _same_dataset(new, old):
     assert new.index_to_id == old.index_to_id
-    assert new.id_to_index == old.id_to_index
+    for pid, i in old.id_to_index.items():
+        assert new.index_of(pid) == i
     assert [new.meta_of(i) for i in range(new.node_count)] == list(old.meta)
     for name in CSR:
         _same_array(getattr(new.graph, name), getattr(old.graph, name))

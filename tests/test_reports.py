@@ -133,7 +133,7 @@ def test_ncit_equals_in_degree():
     results = [pagerank(ds.graph, PageRankParams(damping=0.5))]
     table = top_table(ds, results, 4, 0.5)
     for row in table.rows:
-        idx = ds.id_to_index[row.patent_id]
+        idx = ds.index_of(row.patent_id)
         assert row.ncit == ds.graph.in_degree(idx)
 
 

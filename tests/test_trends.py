@@ -39,7 +39,7 @@ def test_series_pagerank_sum_three_nodes():
     ds = _three_citer_dataset()
     r = pagerank(ds.graph, PARAMS)
     s = class_inflow_series(ds, r, "347", "pagerank-sum")
-    u1, u2 = ds.id_to_index["u1"], ds.id_to_index["u2"]
+    u1, u2 = ds.index_of("u1"), ds.index_of("u2")
     assert s.entries == {
         ("400", 2000): float(r.scores[u1]),
         ("358", 2000): float(r.scores[u2]),
@@ -93,7 +93,7 @@ def test_series_counts_each_citer_once():
     assert s.entries == {("400", 2000): 1}
     s2 = class_inflow_series(ds, r, "347", "pagerank-sum")
     assert s2.entries[("400", 2000)] == pytest.approx(
-        float(r.scores[ds.id_to_index["u"]]), abs=0
+        float(r.scores[ds.index_of("u")]), abs=0
     )
 
 
@@ -126,7 +126,7 @@ def test_series_rejects_bad_metric():
 def test_breakdown_no_inlinks():
     ds = _three_citer_dataset()
     r = pagerank(ds.graph, PARAMS)
-    assert patent_inflow_breakdown(ds, r, ds.id_to_index["u1"]) == {}
+    assert patent_inflow_breakdown(ds, r, ds.index_of("u1")) == {}
 
 
 def test_breakdown_two_citers_same_bucket():
@@ -139,8 +139,8 @@ def test_breakdown_two_citers_same_bucket():
         ],
     )
     r = pagerank(ds.graph, PARAMS)
-    bd = patent_inflow_breakdown(ds, r, ds.id_to_index["t"])
-    a, b = ds.id_to_index["a"], ds.id_to_index["b"]
+    bd = patent_inflow_breakdown(ds, r, ds.index_of("t"))
+    a, b = ds.index_of("a"), ds.index_of("b")
     count, total = bd[("358", 2000)]
     assert count == 2
     assert total == pytest.approx(float(r.scores[a]) + float(r.scores[b]), abs=1e-15)
@@ -296,13 +296,10 @@ def test_exclusion_chain():
         ],
     )
     exc = assignee_exclusion_set(ds, "canon")
-    reasons = exc.reasons()
-    assert reasons == {
-        ds.id_to_index["c"]: "owned",
-        ds.id_to_index["x"]: "cites-owned",
-        ds.id_to_index["y"]: "cited-by-owned",
-    }
-    assert ds.id_to_index["z"] not in reasons
+    assert exc.owned.tolist() == [ds.index_of("c")]
+    assert exc.cites_owned.tolist() == [ds.index_of("x")]
+    assert exc.cited_by_owned.tolist() == [ds.index_of("y")]
+    assert ds.index_of("z") not in exc.excluded.tolist()
 
 
 def test_exclusion_matching_is_trimmed_and_casefolded():
@@ -311,7 +308,7 @@ def test_exclusion_matching_is_trimmed_and_casefolded():
         [("a", "100", 2000, "  CANON Inc "), ("b", "100", 1999, "other")],
     )
     exc = assignee_exclusion_set(ds, "canon inc")
-    assert ds.id_to_index["a"] in set(exc.owned.tolist())
+    assert ds.index_of("a") in set(exc.owned.tolist())
 
 
 @pytest.mark.parametrize("assignee", ["", " ", "\t "])
@@ -400,8 +397,8 @@ def test_apply_exclusion_remap():
     reduced, remap = apply_exclusion(ds, exc)
     assert reduced.node_count == 1
     assert reduced.meta_of(0).patent_id == "z"
-    assert remap[ds.id_to_index["z"]] == 0
-    assert remap[ds.id_to_index["c"]] == -1
+    assert remap[ds.index_of("z")] == 0
+    assert remap[ds.index_of("c")] == -1
 
 
 def test_reduced_placeholders_are_citation_only_ids():
