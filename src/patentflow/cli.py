@@ -28,7 +28,6 @@ from .pagerank import (
     DEFAULT_MAX_ITERATIONS,
     PageRankParams,
     pagerank,
-    pagerank_sweep,
     write_scores_tsv,
 )
 from .reports import render_rank_table, top_table, write_rank_csv
@@ -122,14 +121,15 @@ def _result_summary(result) -> dict:
 
 
 def _cmd_rank(args) -> int:
-    dataset = _load(args)
     damping = _env_or(args.damping, "DAMPING", float, DEFAULT_DAMPING)
     params = _params_from(args, damping)
+    top = _env_or(args.top, "TOP", int, DEFAULT_TOP)
+    dataset = _load(args)
     result = pagerank(dataset.graph, params)
     out = _out_dir(args)
 
     write_scores_tsv(dataset.index_to_id, result.scores, out / f"scores_d{damping:g}.tsv")
-    table = top_table(dataset, [result], _env_or(args.top, "TOP", int, DEFAULT_TOP), damping)
+    table = top_table(dataset, [result], top, damping)
     with atomic_write(out / "rank_table.txt") as f:
         f.write(render_rank_table(table))
     write_rank_csv(table, out / "rank_table.csv")
@@ -146,20 +146,11 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    raw = _env_or(args.damping_list, "DAMPING_LIST", str, None)
+    dampings = DEFAULT_SWEEP_DAMPINGS if raw is None else _parse_damping_list(raw)
+    params_list = [_params_from(args, d) for d in dampings]
     dataset = _load(args)
-    if args.damping_list is not None:
-        dampings = _parse_damping_list(args.damping_list)
-    else:
-        raw = os.environ.get(ENV_PREFIX + "DAMPING_LIST")
-        dampings = _parse_damping_list(raw) if raw else list(DEFAULT_SWEEP_DAMPINGS)
-    params0 = _params_from(args, 0.0)
-    results = pagerank_sweep(
-        dataset.graph,
-        dampings,
-        epsilon=params0.epsilon,
-        max_iterations=params0.max_iterations,
-        dangling_mode=params0.dangling_mode,
-    )
+    results = [pagerank(dataset.graph, params) for params in params_list]
     out = _out_dir(args)
     for result in results:
         d = result.params.damping
@@ -187,9 +178,8 @@ def _cmd_flow(args) -> int:
     require_name("target class", args.target_class)
     if args.command == "exclude-flow":
         require_name("assignee", args.exclude_assignee)
+    params = _params_from(args, _env_or(args.damping, "DAMPING", float, DEFAULT_DAMPING))
     dataset = _load(args)
-    damping = _env_or(args.damping, "DAMPING", float, DEFAULT_DAMPING)
-    params = _params_from(args, damping)
     target = args.target_class
     summary = {"command": args.command, "target_class": target}
     exclusion = None
@@ -223,12 +213,12 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_patent(args) -> int:
+    damping = _env_or(args.damping, "DAMPING", float, DEFAULT_DAMPING)
+    params = _params_from(args, damping)
     dataset = _load(args)
     idx = dataset.index_of(args.patent_id)
     if idx is None:
         raise PatentFlowError(f"patent id {args.patent_id!r} not in dataset")
-    damping = _env_or(args.damping, "DAMPING", float, DEFAULT_DAMPING)
-    params = _params_from(args, damping)
     result = pagerank(dataset.graph, params)
     breakdown = patent_inflow_breakdown(dataset, result, idx)
     meta = dataset.meta_of(idx)

@@ -147,6 +147,24 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     return indptr
 
 
+def edge_index_array(edges, node_count: int) -> np.ndarray:
+    """``edges`` as an (m, 2) int64 array of indices in ``[0, node_count)``.
+
+    Raises PatentFlowError when ``edges`` is not shaped (m, 2), and
+    MalformedEdgeError when an index falls outside the range.
+    """
+    arr = np.asarray(edges, dtype=np.int64)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise PatentFlowError("edges must be a sequence of (citing, cited) pairs")
+    bad = (arr < 0) | (arr >= node_count)
+    if bad.any():
+        src, dst = arr[int(np.argmax(bad)) // 2].tolist()
+        raise MalformedEdgeError(f"edge ({src}, {dst}) out of range for node_count={node_count}")
+    return arr
+
+
 def build_graph(edges, node_count: int) -> CitationGraph:
     """Build a CitationGraph from (citing, cited) index pairs.
 
@@ -165,22 +183,10 @@ def build_graph(edges, node_count: int) -> CitationGraph:
         raise PatentFlowError(
             f"node_count {n} exceeds {MAX_NODE_COUNT}, the largest whose edge keys fit in int64"
         )
-    arr = np.asarray(edges, dtype=np.int64)
-    if arr.size == 0:
-        arr = arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise PatentFlowError("edges must be a sequence of (citing, cited) pairs")
+    arr = edge_index_array(edges, n)
     edges_input = arr.shape[0]
     src = arr[:, 0]
     dst = arr[:, 1]
-
-    bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise MalformedEdgeError(
-            f"edge ({int(src[i])}, {int(dst[i])}) out of range for node_count={n}"
-        )
-
     loops = src == dst
     self_loops = int(loops.sum())
     keys = src * n

@@ -17,13 +17,13 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .atomic import atomic_write
 from .errors import PatentFlowError
-from .graph import CitationGraph, build_graph
+from .graph import CitationGraph, build_graph, edge_index_array
 
 YEAR_MIN = 1790
 YEAR_MAX = 2100
@@ -193,11 +193,24 @@ def _accepted_fields(
     counts.update(lines=lines, blank=blank, comments=comments, malformed=malformed)
 
 
-def parse_citations(stream: Iterable[str] | IO[str]) -> tuple[list[tuple[str, str]], CitationParseReport]:
-    """Read citing/cited id pairs, skipping and counting bad lines."""
+def intern_pairs(pairs: Iterable[Sequence[str]]) -> tuple[list[str], np.ndarray]:
+    """The distinct ids of ``pairs`` in first-appearance order, and the pairs
+    as an (m, 2) int64 array of indices into that list."""
+    index: dict[str, int] = {}
+    flat = np.fromiter(
+        (index.setdefault(pid, len(index)) for pair in pairs for pid in pair), dtype=np.int64
+    )
+    return list(index), flat.reshape(-1, 2)
+
+
+def parse_citations(
+    stream: Iterable[str] | IO[str],
+) -> tuple[tuple[list[str], np.ndarray], CitationParseReport]:
+    """Read citing/cited id pairs, skipping and counting bad lines. The
+    payload is ``intern_pairs`` of the accepted pairs."""
     counts: dict[str, int] = {}
-    edges = [(citing, cited) for citing, cited in _accepted_fields(stream, 2, 2, counts)]
-    return edges, CitationParseReport(edges=len(edges), **counts)
+    ids, edges = intern_pairs(_accepted_fields(stream, 2, 2, counts))
+    return (ids, edges), CitationParseReport(edges=len(edges), **counts)
 
 
 def _parse_year(text: str) -> int | None:
@@ -220,31 +233,26 @@ def parse_metadata(stream: Iterable[str] | IO[str]) -> tuple[list[PatentMeta], M
     A year that is missing, non-numeric, or outside [1790, 2100] is stored
     as unknown and counted.
     """
-    records: list[PatentMeta] = []
-    position: dict[str, int] = {}
+    records: dict[str, PatentMeta] = {}
     counts: dict[str, int] = {}
-    duplicates = unknown_years = 0
+    accepted = unknown_years = 0
     for parts in _accepted_fields(stream, 4, 1, counts):
-        patent_id = parts[0]
+        accepted += 1
         year = _parse_year(parts[2])
         if year is None:
             unknown_years += 1
-        meta = PatentMeta(
-            patent_id=patent_id,
+        # assigning to a present key keeps its position: the last record wins there
+        records[parts[0]] = PatentMeta(
+            patent_id=parts[0],
             primary_class=parts[1].strip(),
             grant_year=year,
             assignee=parts[3].strip(),
         )
-        if patent_id in position:
-            duplicates += 1
-            records[position[patent_id]] = meta
-        else:
-            position[patent_id] = len(records)
-            records.append(meta)
     report = MetadataParseReport(
-        records=len(records), duplicate_ids=duplicates, unknown_years=unknown_years, **counts
+        records=len(records), duplicate_ids=accepted - len(records), unknown_years=unknown_years,
+        **counts,
     )
-    return records, report
+    return list(records.values()), report
 
 
 def _year_column(years: list[int | None]) -> np.ndarray:
@@ -261,43 +269,28 @@ def _year_column(years: list[int | None]) -> np.ndarray:
 
 
 def assemble_dataset(
-    edges: Iterable[tuple[str, str]],
+    citations: tuple[Sequence[str], np.ndarray],
     metas: Iterable[PatentMeta],
     citations_report: CitationParseReport | None = None,
     metadata_report: MetadataParseReport | None = None,
 ) -> PatentDataset:
-    """Join parsed edges and metadata into a dataset.
+    """Join parsed citations and metadata into a dataset.
 
-    Node indices follow first appearance: metadata records in order, then
-    ids seen only in edges (these get placeholder metadata and are counted).
-    Raises PatentFlowError for a known grant year outside [1, 32767].
+    ``citations`` is ``(ids, edges)`` as ``intern_pairs`` returns it. Node
+    indices follow first appearance: metadata records in order (a repeated
+    id keeps its last record), then ids seen only in citations (these get
+    placeholder metadata and are counted). Raises MalformedEdgeError for an
+    edge index outside ``ids``, and PatentFlowError for edges not shaped
+    (m, 2) or a known grant year outside [1, 32767].
     """
-    id_to_index: dict[str, int] = {}
-    records: list[PatentMeta] = []
-    for meta in metas:
-        if meta.patent_id in id_to_index:
-            # defensive: parse_metadata already deduplicates
-            records[id_to_index[meta.patent_id]] = meta
-            continue
-        id_to_index[meta.patent_id] = len(records)
-        records.append(meta)
-    ids = [m.patent_id for m in records]
-
-    # one flat list of indices rather than a tuple per edge: no object per
-    # edge, and the int64 conversion is one pass over a flat list
-    flat_index: list[int] = []
-    for citing, cited in edges:
-        for pid in (citing, cited):
-            idx = id_to_index.get(pid)
-            if idx is None:
-                idx = len(ids)
-                id_to_index[pid] = idx
-                ids.append(pid)
-            flat_index.append(idx)
-    edge_index = np.array(flat_index, dtype=np.int64).reshape(-1, 2)
-    del flat_index
-    n = len(ids)
-    placeholders = n - len(records)
+    cited_ids, edges = citations
+    edges = edge_index_array(edges, len(cited_ids))
+    records = list({m.patent_id: m for m in metas}.values())
+    index = {m.patent_id: i for i, m in enumerate(records)}
+    # each distinct citation id is looked up once; an unknown one becomes
+    # the next placeholder node
+    remap = np.fromiter((index.setdefault(pid, len(index)) for pid in cited_ids), np.int64)
+    n = len(index)
 
     # "" is the unknown class, code -1; every other spelling gets the next code
     class_index: dict[str, int] = {"": -1}
@@ -314,19 +307,19 @@ def assemble_dataset(
     year = np.zeros(n, dtype=np.int16)
     year[: len(records)] = _year_column([m.grant_year for m in records])
 
-    graph = build_graph(edge_index, n)
+    graph = build_graph(remap[edges], n)
     report = DatasetBuildReport(
         nodes=n,
         edges_stored=graph.build_report.edges_stored,
         self_loops_dropped=graph.build_report.self_loops_dropped,
         duplicate_edges_dropped=graph.build_report.duplicate_edges_dropped,
-        placeholder_nodes=placeholders,
+        placeholder_nodes=n - len(records),
         citations=citations_report,
         metadata=metadata_report,
     )
     return PatentDataset(
         graph=graph,
-        index_to_id=tuple(ids),
+        index_to_id=tuple(index),
         class_code=class_code,
         year=year,
         assignee_code=assignee_code,
@@ -342,10 +335,10 @@ def load_dataset(citations_path: str | os.PathLike, patents_path: str | os.PathL
     # surrogateescape: undecodable bytes reach the parsers, which count
     # their lines as malformed, instead of aborting the read
     with open(citations_path, encoding="utf-8", errors="surrogateescape") as f:
-        edges, cit_report = parse_citations(f)
+        citations, cit_report = parse_citations(f)
     with open(patents_path, encoding="utf-8", errors="surrogateescape") as f:
         metas, meta_report = parse_metadata(f)
-    return assemble_dataset(edges, metas, cit_report, meta_report)
+    return assemble_dataset(citations, metas, cit_report, meta_report)
 
 
 def write_citations(dataset: PatentDataset, path: str | os.PathLike) -> None:

@@ -157,5 +157,6 @@ def write_scores_tsv(
     if len(index_to_id) != len(scores):
         raise PatentFlowError("id list and score vector differ in length")
     with atomic_write(path) as f:
-        for i, (pid, score) in enumerate(zip(index_to_id, scores)):
-            f.write(f"{i}\t{pid}\t{score:.17g}\n")
+        f.write("".join(
+            f"{i}\t{pid}\t{score:.17g}\n" for i, (pid, score) in enumerate(zip(index_to_id, scores))
+        ))

@@ -365,4 +365,4 @@ def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> PatentDataset:
         )
         for i in range(n)
     ]
-    return assemble_dataset([(ids[u], ids[v]) for u, v in edges], metas)
+    return assemble_dataset((ids, edges), metas)

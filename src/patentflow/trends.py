@@ -57,9 +57,6 @@ class ClassFlowSeries:
     def years(self) -> list[int]:
         return sorted({year for _, year in self.entries})
 
-    def source_classes(self) -> list[str]:
-        return sorted({cls for cls, _ in self.entries})
-
 
 def _require_scores(dataset: PatentDataset, result: PageRankResult) -> np.ndarray:
     if len(result.scores) != dataset.node_count:

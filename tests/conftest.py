@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from patentflow import PatentMeta, assemble_dataset
+from patentflow import PatentMeta, assemble_dataset, intern_pairs
 
 
 def make_dataset(edges, metas):
@@ -15,7 +15,7 @@ def make_dataset(edges, metas):
         PatentMeta(patent_id=pid, primary_class=cls, grant_year=year, assignee=asg)
         for pid, cls, year, asg in metas
     ]
-    return assemble_dataset(edges, records)
+    return assemble_dataset(intern_pairs(edges), records)
 
 
 def random_dataset(

@@ -1,0 +1,144 @@
+"""String-pair ingest code, kept as the oracle for interned citation ids.
+
+``parse_citations``, ``parse_metadata`` and ``assemble_dataset`` are the
+ingest functions as they were when the citation payload was a list of
+``(citing, cited)`` id strings that ``assemble_dataset`` interned in a
+second dict. Their bodies are unchanged. The interning code must give the
+same pairs, records and reports, and the same datasets.
+"""
+from __future__ import annotations
+
+from typing import IO, Iterable
+
+import numpy as np
+
+from patentflow.graph import build_graph
+from patentflow.ingest import (
+    CitationParseReport,
+    DatasetBuildReport,
+    MetadataParseReport,
+    PatentDataset,
+    PatentMeta,
+    _accepted_fields,
+    _parse_year,
+    _year_column,
+)
+
+
+def parse_citations(stream: Iterable[str] | IO[str]) -> tuple[list[tuple[str, str]], CitationParseReport]:
+    """Read citing/cited id pairs, skipping and counting bad lines."""
+    counts: dict[str, int] = {}
+    edges = [(citing, cited) for citing, cited in _accepted_fields(stream, 2, 2, counts)]
+    return edges, CitationParseReport(edges=len(edges), **counts)
+
+
+def parse_metadata(stream: Iterable[str] | IO[str]) -> tuple[list[PatentMeta], MetadataParseReport]:
+    """Read patent metadata records.
+
+    Duplicate ids keep the last record (at the first record's position).
+    A year that is missing, non-numeric, or outside [1790, 2100] is stored
+    as unknown and counted.
+    """
+    records: list[PatentMeta] = []
+    position: dict[str, int] = {}
+    counts: dict[str, int] = {}
+    duplicates = unknown_years = 0
+    for parts in _accepted_fields(stream, 4, 1, counts):
+        patent_id = parts[0]
+        year = _parse_year(parts[2])
+        if year is None:
+            unknown_years += 1
+        meta = PatentMeta(
+            patent_id=patent_id,
+            primary_class=parts[1].strip(),
+            grant_year=year,
+            assignee=parts[3].strip(),
+        )
+        if patent_id in position:
+            duplicates += 1
+            records[position[patent_id]] = meta
+        else:
+            position[patent_id] = len(records)
+            records.append(meta)
+    report = MetadataParseReport(
+        records=len(records), duplicate_ids=duplicates, unknown_years=unknown_years, **counts
+    )
+    return records, report
+
+
+def assemble_dataset(
+    edges: Iterable[tuple[str, str]],
+    metas: Iterable[PatentMeta],
+    citations_report: CitationParseReport | None = None,
+    metadata_report: MetadataParseReport | None = None,
+) -> PatentDataset:
+    """Join parsed edges and metadata into a dataset.
+
+    Node indices follow first appearance: metadata records in order, then
+    ids seen only in edges (these get placeholder metadata and are counted).
+    Raises PatentFlowError for a known grant year outside [1, 32767].
+    """
+    id_to_index: dict[str, int] = {}
+    records: list[PatentMeta] = []
+    for meta in metas:
+        if meta.patent_id in id_to_index:
+            # defensive: parse_metadata already deduplicates
+            records[id_to_index[meta.patent_id]] = meta
+            continue
+        id_to_index[meta.patent_id] = len(records)
+        records.append(meta)
+    ids = [m.patent_id for m in records]
+
+    # one flat list of indices rather than a tuple per edge: no object per
+    # edge, and the int64 conversion is one pass over a flat list
+    flat_index: list[int] = []
+    for citing, cited in edges:
+        for pid in (citing, cited):
+            idx = id_to_index.get(pid)
+            if idx is None:
+                idx = len(ids)
+                id_to_index[pid] = idx
+                ids.append(pid)
+            flat_index.append(idx)
+    edge_index = np.array(flat_index, dtype=np.int64).reshape(-1, 2)
+    del flat_index
+    n = len(ids)
+    placeholders = n - len(records)
+
+    # "" is the unknown class, code -1; every other spelling gets the next code
+    class_index: dict[str, int] = {"": -1}
+    class_code = np.full(n, -1, dtype=np.int32)
+    class_code[: len(records)] = [
+        class_index.setdefault(m.primary_class, len(class_index) - 1) for m in records
+    ]
+    assignee_index: dict[str, int] = {}
+    assignee_code = np.empty(n, dtype=np.int32)
+    assignee_code[: len(records)] = [
+        assignee_index.setdefault(m.assignee, len(assignee_index)) for m in records
+    ]
+    assignee_code[len(records):] = assignee_index.setdefault("", len(assignee_index))
+    year = np.zeros(n, dtype=np.int16)
+    year[: len(records)] = _year_column([m.grant_year for m in records])
+
+    graph = build_graph(edge_index, n)
+    report = DatasetBuildReport(
+        nodes=n,
+        edges_stored=graph.build_report.edges_stored,
+        self_loops_dropped=graph.build_report.self_loops_dropped,
+        duplicate_edges_dropped=graph.build_report.duplicate_edges_dropped,
+        placeholder_nodes=placeholders,
+        citations=citations_report,
+        metadata=metadata_report,
+    )
+    return PatentDataset(
+        graph=graph,
+        index_to_id=tuple(ids),
+        class_code=class_code,
+        year=year,
+        assignee_code=assignee_code,
+        classes=tuple(class_index)[1:],
+        assignees=tuple(assignee_index),
+        record_count=len(records),
+        build_report=report,
+    )
+

@@ -31,7 +31,7 @@ def test_failing_writer_leaves_previous_scores_intact(tmp_path):
     path = tmp_path / "scores.tsv"
     write_scores_tsv(["a", "b"], np.array([0.25, 0.75]), path)
     before = path.read_bytes()
-    # the second score cannot be formatted, after the first row was written
+    # the second score cannot be formatted, inside the atomic write
     with pytest.raises(ValueError):
         write_scores_tsv(["a", "b"], [0.5, "not a score"], path)
     assert path.read_bytes() == before

@@ -187,10 +187,39 @@ def test_missing_file_is_error(tmp_path, capsys):
     assert code == 1
 
 
+def _no_build_report(err: str) -> bool:
+    """True when stderr holds no build-report JSON line: nothing was loaded."""
+    return not any(line.startswith("{") for line in err.splitlines())
+
+
 def test_bad_damping_domain_error(data_dir, tmp_path, capsys):
     code = main(["rank", *_dataset_args(data_dir), "--damping", "1.5",
                  "--out", str(tmp_path / "x")])
     assert code == 1
+    assert _no_build_report(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["rank", "--epsilon", "0"], {}),
+    (["rank"], {"PATENTFLOW_DANGLING_MODE": "bogus"}),
+    (["rank"], {"PATENTFLOW_TOP": "many"}),
+    (["sweep", "--damping-list", "0.5,1.5"], {}),
+    (["sweep", "--max-iters", "0"], {}),
+    (["flow", "--target-class", "347", "--damping", "-0.1"], {}),
+    (["exclude-flow", "--target-class", "347", "--exclude-assignee", "canoncorp",
+      "--epsilon", "-1"], {}),
+    (["patent", "7000001", "--max-iters", "0"], {}),
+])
+def test_bad_settings_rejected_before_loading(data_dir, tmp_path, monkeypatch, capsys,
+                                             argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "out"
+    assert main([argv[0], *_dataset_args(data_dir), *argv[1:], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err
+    assert _no_build_report(err)
+    assert not out.exists()
 
 
 def test_usage_errors_exit_2():
@@ -277,4 +306,6 @@ def test_sweep_colliding_damping_values_rejected(data_dir, tmp_path, monkeypatch
     out_env = tmp_path / "env"
     assert main(["sweep", *_dataset_args(data_dir), "--out", str(out_env)]) == 1
     assert not out_env.exists()
-    assert capsys.readouterr().err.count("error: damping list") == 2
+    err = capsys.readouterr().err
+    assert err.count("error: damping list") == 2
+    assert _no_build_report(err)

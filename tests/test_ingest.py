@@ -8,10 +8,13 @@ import numpy as np
 
 from patentflow import (
     ExclusionSet,
+    MalformedEdgeError,
+    PatentFlowError,
     PatentMeta,
     apply_exclusion,
     assemble_dataset,
     assignee_exclusion_set,
+    intern_pairs,
     load_dataset,
     parse_citations,
     parse_metadata,
@@ -20,30 +23,36 @@ from patentflow import (
 )
 
 
+def _pairs(payload):
+    """The (citing, cited) id pairs of a parse_citations payload."""
+    ids, edges = payload
+    return [(ids[a], ids[b]) for a, b in edges.tolist()]
+
+
 def test_parse_citations_basic():
-    edges, report = parse_citations(io.StringIO("4683202\t4683195\n"))
-    assert edges == [("4683202", "4683195")]
+    payload, report = parse_citations(io.StringIO("4683202\t4683195\n"))
+    assert _pairs(payload) == [("4683202", "4683195")]
     assert report.edges == 1
     assert report.malformed == 0
 
 
 def test_parse_citations_comment_and_blank():
-    edges, report = parse_citations(io.StringIO("# header\n\n"))
-    assert edges == []
+    payload, report = parse_citations(io.StringIO("# header\n\n"))
+    assert _pairs(payload) == []
     assert report.comments == 1
     assert report.blank == 1
 
 
 def test_parse_citations_malformed_line_skipped():
-    edges, report = parse_citations(io.StringIO("a\tb\nc\n"))
-    assert edges == [("a", "b")]
+    payload, report = parse_citations(io.StringIO("a\tb\nc\n"))
+    assert _pairs(payload) == [("a", "b")]
     assert report.malformed == 1
 
 
 @pytest.mark.parametrize("line", ["a\t\n", "\tb\n", "a\tb\tc\n"])
 def test_parse_citations_rejects_bad_fields(line):
-    edges, report = parse_citations(io.StringIO(line))
-    assert edges == []
+    payload, report = parse_citations(io.StringIO(line))
+    assert _pairs(payload) == []
     assert report.malformed == 1
 
 
@@ -82,7 +91,7 @@ def test_parse_metadata_bad_year_kept_unknown(year):
 
 def test_assemble_both_endpoints_known():
     ds = assemble_dataset(
-        [("a", "b")],
+        intern_pairs([("a", "b")]),
         [PatentMeta("a", "100", 2000, ""), PatentMeta("b", "200", 1999, "")],
     )
     assert ds.node_count == 2
@@ -91,7 +100,7 @@ def test_assemble_both_endpoints_known():
 
 
 def test_assemble_placeholders_for_unknown_ids():
-    ds = assemble_dataset([("a", "b")], [])
+    ds = assemble_dataset(intern_pairs([("a", "b")]), [])
     assert ds.node_count == 2
     assert ds.build_report.placeholder_nodes == 2
     assert ds.meta_of(0).patent_id == "a"
@@ -101,7 +110,7 @@ def test_assemble_placeholders_for_unknown_ids():
 
 def test_assemble_id_map_bijection():
     ds = assemble_dataset(
-        [("a", "b"), ("c", "a")],
+        intern_pairs([("a", "b"), ("c", "a")]),
         [PatentMeta("b", "100", 2000, "acme")],
     )
     assert ds.node_count == len(ds.index_to_id) == len(set(ds.index_to_id))
@@ -115,6 +124,21 @@ def test_assemble_id_map_bijection():
     assert reduced.index_of("c") == 0
     assert reduced.index_of("a") is None
     assert reduced.index_of("b") is None
+
+
+@pytest.mark.parametrize("edges", [[[0, -1]], [[-2, 1]], [[0, 1], [2, 0]]])
+def test_assemble_rejects_citation_index_outside_ids(edges):
+    # -1 would otherwise wrap around to the last id
+    with pytest.raises(MalformedEdgeError, match="out of range"):
+        assemble_dataset((["a", "b"], np.array(edges, dtype=np.int64)), [])
+
+
+@pytest.mark.parametrize(
+    "edges", [np.zeros((2, 3), dtype=np.int64), np.zeros(4, dtype=np.int64), [[[0, 1]]]]
+)
+def test_assemble_rejects_citations_not_shaped_m_by_2(edges):
+    with pytest.raises(PatentFlowError, match=r"edges must be a sequence of \(citing, cited\) pairs"):
+        assemble_dataset((["a", "b"], edges), [])
 
 
 def _recount_oracle(citation_lines, metadata_lines):
@@ -196,7 +220,7 @@ ids_st = st.text(alphabet="abcdefgh0123456789", min_size=1, max_size=6)
 )
 def test_round_trip(tmp_path_factory, edges, metas):
     records = [PatentMeta(*m) for m in metas]
-    ds = assemble_dataset(edges, records)
+    ds = assemble_dataset(intern_pairs(edges), records)
     tmp = tmp_path_factory.mktemp("roundtrip")
     write_citations(ds, tmp / "c.tsv")
     write_metadata(ds, tmp / "p.tsv")
@@ -221,7 +245,7 @@ def test_round_trip(tmp_path_factory, edges, metas):
 
 def test_node_count_is_union_of_ids():
     ds = assemble_dataset(
-        [("a", "b"), ("b", "c")],
+        intern_pairs([("a", "b"), ("b", "c")]),
         [PatentMeta("c", "100", 2000, ""), PatentMeta("d", "200", 2001, "")],
     )
     assert ds.node_count == 4
