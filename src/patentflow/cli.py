@@ -260,12 +260,12 @@ def _add_common(parser: argparse.ArgumentParser, dataset: bool = True) -> None:
     if dataset:
         parser.add_argument("--citations", required=True, help="citations.tsv path")
         parser.add_argument("--patents", required=True, help="patents.tsv path")
-    parser.add_argument("--epsilon", type=float, default=None,
-                        help=f"convergence threshold (default {DEFAULT_EPSILON:g})")
-    parser.add_argument("--max-iters", type=int, default=None,
-                        help=f"iteration cap (default {DEFAULT_MAX_ITERATIONS})")
-    parser.add_argument("--dangling-mode", default=None,
-                        choices=[DANGLING_UNIFORM_ALL, DANGLING_UNIFORM_OTHERS])
+        parser.add_argument("--epsilon", type=float, default=None,
+                            help=f"convergence threshold (default {DEFAULT_EPSILON:g})")
+        parser.add_argument("--max-iters", type=int, default=None,
+                            help=f"iteration cap (default {DEFAULT_MAX_ITERATIONS})")
+        parser.add_argument("--dangling-mode", default=None,
+                            choices=[DANGLING_UNIFORM_ALL, DANGLING_UNIFORM_OTHERS])
     parser.add_argument("--threads", type=int, default=None,
                         help="accepted for compatibility; has no effect on results or speed")
     parser.add_argument("--out", default=None, help="output directory (default .)")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +33,8 @@ _YEAR_COLUMN_MAX = int(np.iinfo(np.int16).max)
 
 @dataclass(frozen=True, slots=True)
 class PatentMeta:
-    """Per-patent metadata. Empty class/assignee and None year mean unknown."""
+    """A node's metadata as ``PatentDataset.meta_of`` returns it. Empty
+    class/assignee and None year mean unknown."""
 
     patent_id: str
     primary_class: str = ""
@@ -226,14 +227,17 @@ def _parse_year(text: str) -> int | None:
     return year
 
 
-def parse_metadata(stream: Iterable[str] | IO[str]) -> tuple[list[PatentMeta], MetadataParseReport]:
+def parse_metadata(
+    stream: Iterable[str] | IO[str],
+) -> tuple[dict[str, tuple[str, int | None, str]], MetadataParseReport]:
     """Read patent metadata records.
 
-    Duplicate ids keep the last record (at the first record's position).
-    A year that is missing, non-numeric, or outside [1790, 2100] is stored
-    as unknown and counted.
+    The payload maps each id to its ``(class, year, assignee)`` in record
+    order; a repeated id keeps its last record at its first position. A
+    year that is missing, non-numeric, or outside [1790, 2100] is stored as
+    None and counted as unknown.
     """
-    records: dict[str, PatentMeta] = {}
+    records: dict[str, tuple[str, int | None, str]] = {}
     counts: dict[str, int] = {}
     accepted = unknown_years = 0
     for parts in _accepted_fields(stream, 4, 1, counts):
@@ -241,18 +245,12 @@ def parse_metadata(stream: Iterable[str] | IO[str]) -> tuple[list[PatentMeta], M
         year = _parse_year(parts[2])
         if year is None:
             unknown_years += 1
-        # assigning to a present key keeps its position: the last record wins there
-        records[parts[0]] = PatentMeta(
-            patent_id=parts[0],
-            primary_class=parts[1].strip(),
-            grant_year=year,
-            assignee=parts[3].strip(),
-        )
+        records[parts[0]] = (parts[1].strip(), year, parts[3].strip())
     report = MetadataParseReport(
         records=len(records), duplicate_ids=accepted - len(records), unknown_years=unknown_years,
         **counts,
     )
-    return list(records.values()), report
+    return records, report
 
 
 def _year_column(years: list[int | None]) -> np.ndarray:
@@ -270,23 +268,23 @@ def _year_column(years: list[int | None]) -> np.ndarray:
 
 def assemble_dataset(
     citations: tuple[Sequence[str], np.ndarray],
-    metas: Iterable[PatentMeta],
+    records: Mapping[str, tuple[str, int | None, str]],
     citations_report: CitationParseReport | None = None,
     metadata_report: MetadataParseReport | None = None,
 ) -> PatentDataset:
     """Join parsed citations and metadata into a dataset.
 
-    ``citations`` is ``(ids, edges)`` as ``intern_pairs`` returns it. Node
-    indices follow first appearance: metadata records in order (a repeated
-    id keeps its last record), then ids seen only in citations (these get
-    placeholder metadata and are counted). Raises MalformedEdgeError for an
-    edge index outside ``ids``, and PatentFlowError for edges not shaped
-    (m, 2) or a known grant year outside [1, 32767].
+    ``citations`` is ``(ids, edges)`` as ``intern_pairs`` returns it, and
+    ``records`` maps ids to ``(class, year, assignee)`` as ``parse_metadata``
+    returns it. Node indices follow first appearance: the records in order,
+    then ids seen only in citations (these get placeholder metadata and are
+    counted). Raises MalformedEdgeError for an edge index outside ``ids``,
+    and PatentFlowError for edges not shaped (m, 2) or a known grant year
+    outside [1, 32767].
     """
     cited_ids, edges = citations
     edges = edge_index_array(edges, len(cited_ids))
-    records = list({m.patent_id: m for m in metas}.values())
-    index = {m.patent_id: i for i, m in enumerate(records)}
+    index = {pid: i for i, pid in enumerate(records)}
     # each distinct citation id is looked up once; an unknown one becomes
     # the next placeholder node
     remap = np.fromiter((index.setdefault(pid, len(index)) for pid in cited_ids), np.int64)
@@ -296,16 +294,16 @@ def assemble_dataset(
     class_index: dict[str, int] = {"": -1}
     class_code = np.full(n, -1, dtype=np.int32)
     class_code[: len(records)] = [
-        class_index.setdefault(m.primary_class, len(class_index) - 1) for m in records
+        class_index.setdefault(cls, len(class_index) - 1) for cls, _, _ in records.values()
     ]
     assignee_index: dict[str, int] = {}
     assignee_code = np.empty(n, dtype=np.int32)
     assignee_code[: len(records)] = [
-        assignee_index.setdefault(m.assignee, len(assignee_index)) for m in records
+        assignee_index.setdefault(asg, len(assignee_index)) for _, _, asg in records.values()
     ]
     assignee_code[len(records):] = assignee_index.setdefault("", len(assignee_index))
     year = np.zeros(n, dtype=np.int16)
-    year[: len(records)] = _year_column([m.grant_year for m in records])
+    year[: len(records)] = _year_column([y for _, y, _ in records.values()])
 
     graph = build_graph(remap[edges], n)
     report = DatasetBuildReport(
@@ -337,25 +335,25 @@ def load_dataset(citations_path: str | os.PathLike, patents_path: str | os.PathL
     with open(citations_path, encoding="utf-8", errors="surrogateescape") as f:
         citations, cit_report = parse_citations(f)
     with open(patents_path, encoding="utf-8", errors="surrogateescape") as f:
-        metas, meta_report = parse_metadata(f)
-    return assemble_dataset(citations, metas, cit_report, meta_report)
+        records, meta_report = parse_metadata(f)
+    return assemble_dataset(citations, records, cit_report, meta_report)
 
 
 def write_citations(dataset: PatentDataset, path: str | os.PathLike) -> None:
     """Serialize stored edges back to the citations.tsv format."""
     g = dataset.graph
     ids = dataset.index_to_id
+    edges = zip(g.edge_sources().tolist(), g.out_indices.tolist())
     with atomic_write(path) as f:
-        for u in range(g.node_count):
-            citing = ids[u]
-            for v in g.out_neighbors(u):
-                f.write(f"{citing}\t{ids[v]}\n")
+        f.write("".join(f"{ids[u]}\t{ids[v]}\n" for u, v in edges))
 
 
 def write_metadata(dataset: PatentDataset, path: str | os.PathLike) -> None:
     """Serialize metadata back to the patents.tsv format, in index order."""
+    classes = (*dataset.classes, "")  # class code -1, unknown, reads the last entry
+    rows = zip(dataset.index_to_id, dataset.class_code.tolist(), dataset.year.tolist(),
+               dataset.assignee_code.tolist())
     with atomic_write(path) as f:
-        for i in range(dataset.node_count):
-            m = dataset.meta_of(i)
-            year = "" if m.grant_year is None else str(m.grant_year)
-            f.write(f"{m.patent_id}\t{m.primary_class}\t{year}\t{m.assignee}\n")
+        f.write("".join(
+            f"{pid}\t{classes[c]}\t{y or ''}\t{dataset.assignees[a]}\n" for pid, c, y, a in rows
+        ))

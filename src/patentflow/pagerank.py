@@ -158,5 +158,6 @@ def write_scores_tsv(
         raise PatentFlowError("id list and score vector differ in length")
     with atomic_write(path) as f:
         f.write("".join(
-            f"{i}\t{pid}\t{score:.17g}\n" for i, (pid, score) in enumerate(zip(index_to_id, scores))
+            f"{i}\t{pid}\t{score:.17g}\n"
+            for i, (pid, score) in enumerate(zip(index_to_id, np.asarray(scores).tolist()))
         ))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import PatentFlowError
 from .graph import CitationGraph, build_graph
-from .ingest import PatentDataset, PatentMeta, assemble_dataset
+from .ingest import PatentDataset, _undecodable, assemble_dataset
 from .pagerank import DANGLING_UNIFORM_OTHERS, PageRankParams
 
 DENSE_NODE_LIMIT = 2000
@@ -197,6 +197,16 @@ class SyntheticSpec:
                 )
             if len(names) < 2:
                 raise PatentFlowError("a dominant assignee needs at least one other assignee")
+        labels = [label for pairs in (self.classes, self.assignees) for label, _ in pairs]
+        if pc is not None:
+            labels += [pc.target_class, pc.source_class_a, pc.source_class_b]
+        for label in labels:
+            # each label must read back from patents.tsv as written
+            if label != label.strip() or any(c in label for c in "\t\n\r") or _undecodable(label):
+                raise PatentFlowError(
+                    f"label {label!r} has a tab, a line break, surrounding whitespace "
+                    "or bytes that are not UTF-8, which patents.tsv cannot carry"
+                )
 
 
 def load_spec(path: str | os.PathLike) -> SyntheticSpec:
@@ -242,9 +252,7 @@ def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> PatentDataset:
     start, end = spec.year_range
     n_years = end - start + 1
     bounds = np.linspace(0, n, n_years + 1).astype(np.int64)
-    years = np.empty(n, dtype=np.int64)
-    for k in range(n_years):
-        years[bounds[k]:bounds[k + 1]] = start + k
+    years = np.repeat(np.arange(start, end + 1), np.diff(bounds)).tolist()
 
     class_labels = [c for c, _ in spec.classes]
     class_probs = [p for _, p in spec.classes]
@@ -356,13 +364,4 @@ def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> PatentDataset:
 
     width = len(str(n - 1)) if n > 1 else 1
     ids = [f"{7000000 + i:0{width}d}" for i in range(n)]
-    metas = [
-        PatentMeta(
-            patent_id=ids[i],
-            primary_class=classes[i],
-            grant_year=int(years[i]),
-            assignee=assignees[i],
-        )
-        for i in range(n)
-    ]
-    return assemble_dataset((ids, edges), metas)
+    return assemble_dataset((ids, edges), dict(zip(ids, zip(classes, years, assignees))))

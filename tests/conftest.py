@@ -3,19 +3,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from patentflow import PatentMeta, assemble_dataset, intern_pairs
+from patentflow import assemble_dataset, intern_pairs
 
 
 def make_dataset(edges, metas):
     """Dataset from (citing_id, cited_id) string pairs and meta tuples.
 
     Each meta tuple is (patent_id, class, year, assignee); year may be None.
+    A repeated id keeps its last tuple at its first position.
     """
-    records = [
-        PatentMeta(patent_id=pid, primary_class=cls, grant_year=year, assignee=asg)
-        for pid, cls, year, asg in metas
-    ]
+    records = {pid: (cls, year, asg) for pid, cls, year, asg in metas}
     return assemble_dataset(intern_pairs(edges), records)
+
+
+def records_of(metas):
+    """The ``assemble_dataset`` mapping of a ``PatentMeta`` list, the input
+    shape of the oracles in ``ingest_oracle`` and ``meta_oracle``."""
+    return {m.patent_id: (m.primary_class, m.grant_year, m.assignee) for m in metas}
 
 
 def random_dataset(

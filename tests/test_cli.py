@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from patentflow import PatentFlowError, load_spec
 from patentflow.cli import main
 
 SPEC = {
@@ -233,6 +234,12 @@ def test_usage_errors_exit_2():
         main(["flow", "--citations", "a", "--patents", "b",
               "--target-class", "1", "--metric", "bogus"])
     assert exc.value.code == 2
+    # gen runs no PageRank, so it takes no PageRank settings
+    for flag, value in (("--epsilon", "1e-3"), ("--max-iters", "5"),
+                        ("--dangling-mode", "uniform-others")):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--spec", "spec.json", flag, value])
+        assert exc.value.code == 2
 
 
 def test_env_defaults_and_flag_precedence(data_dir, tmp_path, monkeypatch):
@@ -292,6 +299,38 @@ def test_gen_bad_spec_is_domain_error(tmp_path, capsys, content):
     code = main(["gen", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error: invalid synthetic spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, label",
+    [
+        (("classes", 3), "a\tb"),
+        (("assignees", 1), "x\ny"),
+        (("assignees", 2), "beta\r"),
+        (("classes", 0), " 347 "),
+        (("classes", 1), "\ud800"),
+        (("planted_crossover", "source_class_a"), "4\r00"),
+        (("planted_crossover", "target_class"), "347\x1c"),
+    ],
+    ids=["class-tab", "assignee-newline", "assignee-cr", "class-padded", "class-surrogate",
+         "planted-cr", "planted-padded"],
+)
+def test_gen_rejects_labels_patents_tsv_cannot_carry(tmp_path, capsys, field, label):
+    spec = json.loads(json.dumps(SPEC))
+    table, key = field
+    if table == "planted_crossover":
+        spec[table][key] = label
+    else:
+        spec[table][key][0] = label
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    with pytest.raises(PatentFlowError, match="label"):
+        load_spec(spec_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["gen", "--spec", str(spec_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("values", ["0.5,0.5,0.1500001,0.15", "0.15,0.1500001", "0,-0"])

@@ -10,7 +10,6 @@ from patentflow import (
     ExclusionSet,
     MalformedEdgeError,
     PatentFlowError,
-    PatentMeta,
     apply_exclusion,
     assemble_dataset,
     assignee_exclusion_set,
@@ -57,42 +56,36 @@ def test_parse_citations_rejects_bad_fields(line):
 
 
 def test_parse_metadata_basic():
-    metas, report = parse_metadata(io.StringIO("4723129\t347\t1988\tCanon\n"))
-    assert metas == [
-        PatentMeta(patent_id="4723129", primary_class="347", grant_year=1988, assignee="Canon")
-    ]
+    records, report = parse_metadata(io.StringIO("4723129\t347\t1988\tCanon\n"))
+    assert records == {"4723129": ("347", 1988, "Canon")}
     assert report.records == 1
 
 
 def test_parse_metadata_missing_fields():
-    metas, report = parse_metadata(io.StringIO("x\t435\t\t\n"))
-    (m,) = metas
-    assert m.primary_class == "435"
-    assert m.grant_year is None
-    assert m.assignee == ""
+    records, report = parse_metadata(io.StringIO("x\t435\t\t\n"))
+    assert records == {"x": ("435", None, "")}
     assert report.unknown_years == 1
 
 
 def test_parse_metadata_duplicate_last_wins():
-    text = "x\t100\t1999\tfirst\nx\t200\t2001\tsecond\n"
-    metas, report = parse_metadata(io.StringIO(text))
-    (m,) = metas
-    assert m.primary_class == "200"
-    assert m.assignee == "second"
+    text = "x\t100\t1999\tfirst\ny\t300\t\t\nx\t200\t2001\tsecond\n"
+    records, report = parse_metadata(io.StringIO(text))
+    # the last record, at the first record's position
+    assert list(records.items()) == [("x", ("200", 2001, "second")), ("y", ("300", None, ""))]
     assert report.duplicate_ids == 1
 
 
 @pytest.mark.parametrize("year", ["notayear", "1492", "2525"])
 def test_parse_metadata_bad_year_kept_unknown(year):
-    metas, report = parse_metadata(io.StringIO(f"x\t435\t{year}\tacme\n"))
-    assert metas[0].grant_year is None
+    records, report = parse_metadata(io.StringIO(f"x\t435\t{year}\tacme\n"))
+    assert records["x"][1] is None
     assert report.unknown_years == 1
 
 
 def test_assemble_both_endpoints_known():
     ds = assemble_dataset(
         intern_pairs([("a", "b")]),
-        [PatentMeta("a", "100", 2000, ""), PatentMeta("b", "200", 1999, "")],
+        {"a": ("100", 2000, ""), "b": ("200", 1999, "")},
     )
     assert ds.node_count == 2
     assert ds.build_report.placeholder_nodes == 0
@@ -100,7 +93,7 @@ def test_assemble_both_endpoints_known():
 
 
 def test_assemble_placeholders_for_unknown_ids():
-    ds = assemble_dataset(intern_pairs([("a", "b")]), [])
+    ds = assemble_dataset(intern_pairs([("a", "b")]), {})
     assert ds.node_count == 2
     assert ds.build_report.placeholder_nodes == 2
     assert ds.meta_of(0).patent_id == "a"
@@ -111,7 +104,7 @@ def test_assemble_placeholders_for_unknown_ids():
 def test_assemble_id_map_bijection():
     ds = assemble_dataset(
         intern_pairs([("a", "b"), ("c", "a")]),
-        [PatentMeta("b", "100", 2000, "acme")],
+        {"b": ("100", 2000, "acme")},
     )
     assert ds.node_count == len(ds.index_to_id) == len(set(ds.index_to_id))
     for idx, pid in enumerate(ds.index_to_id):
@@ -130,7 +123,7 @@ def test_assemble_id_map_bijection():
 def test_assemble_rejects_citation_index_outside_ids(edges):
     # -1 would otherwise wrap around to the last id
     with pytest.raises(MalformedEdgeError, match="out of range"):
-        assemble_dataset((["a", "b"], np.array(edges, dtype=np.int64)), [])
+        assemble_dataset((["a", "b"], np.array(edges, dtype=np.int64)), {})
 
 
 @pytest.mark.parametrize(
@@ -138,7 +131,7 @@ def test_assemble_rejects_citation_index_outside_ids(edges):
 )
 def test_assemble_rejects_citations_not_shaped_m_by_2(edges):
     with pytest.raises(PatentFlowError, match=r"edges must be a sequence of \(citing, cited\) pairs"):
-        assemble_dataset((["a", "b"], edges), [])
+        assemble_dataset((["a", "b"], edges), {})
 
 
 def _recount_oracle(citation_lines, metadata_lines):
@@ -219,11 +212,21 @@ ids_st = st.text(alphabet="abcdefgh0123456789", min_size=1, max_size=6)
     ),
 )
 def test_round_trip(tmp_path_factory, edges, metas):
-    records = [PatentMeta(*m) for m in metas]
+    records = {pid: (cls, year, asg) for pid, cls, year, asg in metas}
     ds = assemble_dataset(intern_pairs(edges), records)
     tmp = tmp_path_factory.mktemp("roundtrip")
     write_citations(ds, tmp / "c.tsv")
     write_metadata(ds, tmp / "p.tsv")
+    # the bytes of the writers that went node by node through meta_of
+    ids = ds.index_to_id
+    assert (tmp / "c.tsv").read_text(encoding="utf-8") == "".join(
+        f"{ids[u]}\t{ids[v]}\n" for u in range(ds.node_count) for v in ds.graph.out_neighbors(u)
+    )
+    rows = [ds.meta_of(i) for i in range(ds.node_count)]
+    assert (tmp / "p.tsv").read_text(encoding="utf-8") == "".join(
+        f"{m.patent_id}\t{m.primary_class}\t{'' if m.grant_year is None else m.grant_year}"
+        f"\t{m.assignee}\n" for m in rows
+    )
     ds2 = load_dataset(tmp / "c.tsv", tmp / "p.tsv")
     assert ds2.index_to_id == ds.index_to_id
     for idx, pid in enumerate(ds.index_to_id):
@@ -246,7 +249,7 @@ def test_round_trip(tmp_path_factory, edges, metas):
 def test_node_count_is_union_of_ids():
     ds = assemble_dataset(
         intern_pairs([("a", "b"), ("b", "c")]),
-        [PatentMeta("c", "100", 2000, ""), PatentMeta("d", "200", 2001, "")],
+        {"c": ("100", 2000, ""), "d": ("200", 2001, "")},
     )
     assert ds.node_count == 4
 

@@ -1,13 +1,15 @@
-"""Interned citation ids against the string-pair ingest they replaced.
+"""Interned citation ids and id-keyed metadata against the ingest they replaced.
 
-``ingest_oracle`` keeps the string-pair ``parse_citations``,
-``parse_metadata`` and ``assemble_dataset`` unchanged. The interning
-parser's payload, mapped back to id strings, must equal the oracle's pairs,
-and ``assemble_dataset(intern_pairs(pairs), metas)`` must build the dataset
-the oracle builds from ``pairs``: ids, columns and tables with dtypes,
-record count, every CSR array and the build report. Inputs include
-duplicate metadata ids, ids seen only in citations, self-loops, repeated
-pairs and empty inputs.
+``ingest_oracle`` keeps the string-pair ``parse_citations``, the
+``PatentMeta``-list ``parse_metadata`` and their ``assemble_dataset``
+unchanged. The interning parser's payload, mapped back to id strings, must
+equal the oracle's pairs; the metadata mapping must hold the oracle's
+records as ``id -> (class, year, assignee)`` in the same order; and
+``assemble_dataset(intern_pairs(pairs), records_of(metas))`` must build the
+dataset the oracle builds from ``pairs`` and ``metas``: ids, columns and
+tables with dtypes, record count, every CSR array and the build report.
+Inputs include duplicate metadata ids, ids seen only in citations,
+self-loops, repeated pairs and empty inputs.
 """
 import io
 
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingest_oracle as oracle
+from conftest import records_of
 from patentflow import (
     PatentMeta,
     assemble_dataset,
@@ -79,15 +82,15 @@ def pairs_and_metas(draw):
 @given(pairs_and_metas())
 def test_assemble_matches_string_pair_oracle(case):
     pairs, metas = case
-    got = assemble_dataset(intern_pairs(pairs), metas)
+    got = assemble_dataset(intern_pairs(pairs), records_of(metas))
     _assert_same_dataset(got, oracle.assemble_dataset(pairs, metas))
 
 
 def test_assemble_empty_inputs_match_oracle():
-    _assert_same_dataset(assemble_dataset(intern_pairs([]), []), oracle.assemble_dataset([], []))
+    _assert_same_dataset(assemble_dataset(intern_pairs([]), {}), oracle.assemble_dataset([], []))
     metas = [PatentMeta("a", "100", 2000, "acme"), PatentMeta("a", "200", 2001, "")]
     _assert_same_dataset(
-        assemble_dataset(intern_pairs([]), metas), oracle.assemble_dataset([], metas)
+        assemble_dataset(intern_pairs([]), records_of(metas)), oracle.assemble_dataset([], metas)
     )
 
 
@@ -98,9 +101,9 @@ _citation_line = st.one_of(
 _metadata_line = st.one_of(
     st.tuples(
         st.sampled_from(ID_POOL),
-        st.sampled_from(["", "100", " 200"]),
-        st.sampled_from(["", "1999", "2000 ", "1492", "x"]),
-        st.sampled_from(["", "acme", " Acme"]),
+        st.sampled_from(["", "100", " 200", "200\x1c"]),
+        st.sampled_from(["", "1999", "2000 ", "+1999", "1_999", "1492", "2101", "x"]),
+        st.sampled_from(["", "acme", " Acme", "Acme\x1f "]),
     ).map("\t".join),
     st.sampled_from(["", "#", "p1\t100", "\t100\t1999\tacme"]),
 )
@@ -119,11 +122,14 @@ def test_parsed_text_matches_string_pair_oracle(citation_lines, metadata_lines, 
     want_pairs, want_cit_report = oracle.parse_citations(io.StringIO(citations))
     assert _pairs(payload) == want_pairs
     assert cit_report == want_cit_report
-    metas, meta_report = parse_metadata(io.StringIO(patents))
+    records, meta_report = parse_metadata(io.StringIO(patents))
     want_metas, want_meta_report = oracle.parse_metadata(io.StringIO(patents))
-    assert metas == want_metas
+    assert type(records) is dict
+    assert list(records.items()) == [
+        (m.patent_id, (m.primary_class, m.grant_year, m.assignee)) for m in want_metas
+    ]
     assert meta_report == want_meta_report
     _assert_same_dataset(
-        assemble_dataset(payload, metas, cit_report, meta_report),
+        assemble_dataset(payload, records, cit_report, meta_report),
         oracle.assemble_dataset(want_pairs, want_metas, want_cit_report, want_meta_report),
     )

@@ -216,10 +216,13 @@ def test_low_damping_approaches_uniform_monotonically():
 
 
 def test_scores_tsv_format(tmp_path):
-    g = build_graph([(0, 1)], 2)
-    r = pagerank(g, PageRankParams(damping=0.5, **TIGHT))
+    two_node = pagerank(build_graph([(0, 1)], 2), PageRankParams(damping=0.5, **TIGHT)).scores
+    special = np.array([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan])
     path = tmp_path / "scores.tsv"
-    write_scores_tsv(["4683195", "4683202"], r.scores, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0].split("\t") == ["0", "4683195", f"{r.scores[0]:.17g}"]
-    assert float(lines[1].split("\t")[2]) == r.scores[1]
+    for scores in (two_node, special):
+        ids = [str(4683195 + i) for i in range(scores.size)]
+        write_scores_tsv(ids, scores, path)
+        rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+        # each float64 scalar formatted by numpy, as rows were written one scalar at a time
+        assert rows == [[str(i), pid, f"{s:.17g}"] for i, (pid, s) in enumerate(zip(ids, scores))]
+        assert np.array_equal([float(r[2]) for r in rows], scores, equal_nan=True)
