@@ -5,21 +5,34 @@ Input formats (UTF-8, one record per line, ``#`` starts a comment line):
 * citations.tsv:  ``citing_id<TAB>cited_id``
 * patents.tsv:    ``patent_id<TAB>class<TAB>year<TAB>assignee``
 
+``\n``, ``\r\n`` or a lone ``\r`` ends a line, as in a text-mode read.
 Parsing never aborts on a bad line; anomalies are skipped or repaired and
 counted in per-stream reports. A line with bytes that are not valid UTF-8
 counts as malformed. A record stores an unknown year as ``None`` and an
 unknown class as the empty string; a dataset's columns store them as 0
 and -1. Both keep the patent in the graph but drop it from class-level
 aggregations.
+
+The parsers take a file's bytes and classify its lines with numpy, about
+half a MB of whole lines at a time. A "simple" line is printable ASCII
+with the right number of tabs, no space at a field's edge, no leading
+``#``, non-empty ids of at most 32 bytes and, in patents.tsv, a year of
+at most four digits: its fields are read straight from the buffer, and
+citation ids are interned by sorting their bytes packed into integers.
+Every other line is decoded with ``surrogateescape`` and goes through the
+per-line classifier ``_accepted_fields``, whose rules define the format;
+its records are merged back at their line numbers, so the result is the
+same as reading each line as text.
 """
 from __future__ import annotations
 
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .atomic import atomic_write
 from .errors import PatentFlowError
@@ -29,6 +42,17 @@ YEAR_MIN = 1790
 YEAR_MAX = 2100
 # the int16 year column holds 0 for unknown, so a known year must be positive
 _YEAR_COLUMN_MAX = int(np.iinfo(np.int16).max)
+# a parse report keeps the line numbers of this many malformed lines
+FIRST_MALFORMED_KEPT = 5
+# lines are classified in blocks of about this many bytes of whole lines, so
+# that the per-byte and per-line temporaries, and the heap they leave behind
+# when freed, stay small
+_BLOCK_BYTES = 1 << 19
+# a longer id sends its line to the fallback, so that one long id cannot
+# widen every packed citation key
+_ID_BYTES_MAX = 32
+# _LOW_BYTES[k] keeps the k low-order bytes of a uint64
+_LOW_BYTES = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,6 +81,8 @@ class CitationParseReport:
     blank: int = 0
     comments: int = 0
     malformed: int = 0
+    # 1-based numbers of the first FIRST_MALFORMED_KEPT malformed lines
+    first_malformed: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -68,6 +94,8 @@ class MetadataParseReport:
     malformed: int = 0
     duplicate_ids: int = 0
     unknown_years: int = 0
+    # 1-based numbers of the first FIRST_MALFORMED_KEPT malformed lines
+    first_malformed: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -83,11 +111,13 @@ class DatasetBuildReport:
     metadata: MetadataParseReport | None = None
 
     def to_json_dict(self) -> dict:
+        """The counts, without the malformed line numbers."""
         d = dataclasses.asdict(self)
-        if d["citations"] is None:
-            d.pop("citations")
-        if d["metadata"] is None:
-            d.pop("metadata")
+        for name in ("citations", "metadata"):
+            if d[name] is None:
+                d.pop(name)
+            else:
+                d[name].pop("first_malformed")
         return d
 
 
@@ -147,7 +177,7 @@ class PatentDataset:
 
 def _undecodable(line: str) -> bool:
     """True when the line holds lone surrogates, which is how bytes that are
-    not valid UTF-8 come out of a file opened with ``surrogateescape``."""
+    not valid UTF-8 come out of a decode with ``surrogateescape``."""
     try:
         line.encode("utf-8")
     except UnicodeEncodeError:
@@ -156,42 +186,254 @@ def _undecodable(line: str) -> bool:
 
 
 def _accepted_fields(
-    stream: Iterable[str] | IO[str], width: int, id_fields: int, counts: dict[str, int]
-) -> Iterator[list[str]]:
-    """Yield the tab-separated fields of each accepted line of ``stream``,
-    with the ids stripped.
+    lines: Iterable[tuple[int, str]], width: int, id_fields: int, counts: dict
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(number, fields)`` for each accepted line of ``lines``, given
+    as ``(number, text)`` without the newline: its tab-separated fields with
+    the ids stripped.
 
     The first ``id_fields`` fields (one or two) hold ids. A line is blank,
     a comment or malformed, or else accepted. It is malformed when it holds
     undecodable bytes, does not split into ``width`` fields, or has an
-    empty id. Once the stream is exhausted, ``counts`` gets the ``lines``,
-    ``blank``, ``comments`` and ``malformed`` tallies.
+    empty id. Once ``lines`` is exhausted, ``counts`` gets the ``blank``,
+    ``comments`` and ``malformed`` tallies and ``first_malformed``, the
+    1-based numbers of the first malformed lines.
     """
     last_id = id_fields - 1
-    lines = blank = comments = malformed = 0
-    for raw in stream:
-        lines += 1
-        line = raw.rstrip("\r\n")
+    tally = {"blank": 0, "comments": 0, "malformed": 0}
+    first_malformed: list[int] = []
+    for number, line in lines:
         if not line.isascii() and _undecodable(line):
-            malformed += 1
-            continue
-        if not line.strip():
-            blank += 1
-            continue
-        if line.startswith("#"):
-            comments += 1
-            continue
-        fields = line.split("\t")
-        if len(fields) != width:
-            malformed += 1
-            continue
-        fields[0] = fields[0].strip()
-        fields[last_id] = fields[last_id].strip()
-        if not fields[0] or not fields[last_id]:
-            malformed += 1
-            continue
-        yield fields
-    counts.update(lines=lines, blank=blank, comments=comments, malformed=malformed)
+            kind = "malformed"
+        elif not line.strip():
+            kind = "blank"
+        elif line.startswith("#"):
+            kind = "comments"
+        else:
+            fields = line.split("\t")
+            if len(fields) == width:
+                fields[0] = fields[0].strip()
+                fields[last_id] = fields[last_id].strip()
+                if fields[0] and fields[last_id]:
+                    yield number, fields
+                    continue
+            kind = "malformed"
+        tally[kind] += 1
+        if kind == "malformed" and len(first_malformed) < FIRST_MALFORMED_KEPT:
+            first_malformed.append(number + 1)
+    counts.update(tally, first_malformed=tuple(first_malformed))
+
+
+def _universal_newlines(data: bytes) -> bytes:
+    """``data`` with ``\\r\\n`` and lone ``\\r`` turned into ``\\n``, the line
+    ends of a text-mode read."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
+def _block_bounds(data: bytes) -> Iterator[tuple[int, int]]:
+    """``(lo, hi)`` ranges of whole lines that cover ``data``, each about
+    ``_BLOCK_BYTES`` long, or one line when that line is longer."""
+    lo = 0
+    while lo < len(data):
+        hi = data.rfind(b"\n", lo, lo + _BLOCK_BYTES) + 1
+        if hi <= lo:
+            hi = data.find(b"\n", lo + _BLOCK_BYTES) + 1 or len(data)
+        yield lo, hi
+        lo = hi
+
+
+class _Block(NamedTuple):
+    """The simple lines of one block of whole lines."""
+
+    data: np.ndarray  # the block's bytes
+    offset: int  # position of data[0] in the whole input
+    field_lo: np.ndarray  # (width, lines) first byte of each field, in data
+    field_hi: np.ndarray  # (width, lines) the byte after each field
+    years: np.ndarray | None  # the year field's value, 0 when unknown
+
+
+def _simple_blocks(
+    data: bytes, width: int, id_fields: int, year_field: int | None,
+    fallback: list[tuple[int, str]],
+) -> Iterator[_Block]:
+    """Classify the lines of ``data``, which has ``\\n`` line ends, block by
+    block: yield each block's simple lines, and append every other line to
+    ``fallback`` as ``(number, text)``, decoded with ``surrogateescape``.
+
+    A simple line is accepted by ``_accepted_fields`` with its fields
+    unchanged by ``str.strip()``, and its bytes are its characters: it has
+    ``width`` fields, only printable ASCII besides the tabs, no space at
+    either edge of a field, no leading ``#``, and ids of 1 to
+    ``_ID_BYTES_MAX`` bytes in the first ``id_fields`` fields. With
+    ``year_field`` set, that field must also be empty or 1 to 4 digits,
+    which ``_parse_year`` reads as their value.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    first_line = 0
+    for lo, hi in _block_bounds(data):
+        block = buf[lo:hi]
+        ends = np.flatnonzero(block == 10)
+        if data[hi - 1] != 10:  # the last line of the data has no newline
+            ends = np.append(ends, hi - lo)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        tabs = np.flatnonzero(block == 9)
+        tabs_before_end = np.searchsorted(tabs, ends)
+        first_tab = np.concatenate(([0], tabs_before_end[:-1]))
+        simple = tabs_before_end - first_tab == width - 1
+        # control bytes other than tab and newline, and every byte of a
+        # multi-byte or invalid UTF-8 sequence, make a line not simple (uint8
+        # subtraction wraps: b - 32 >= 96 means b < 32 or b >= 128); such a
+        # byte never sits on a line end, so its line is the first end after it
+        unprintable = (block - np.uint8(32) >= 96) & (block - np.uint8(9) >= 2)
+        simple[np.searchsorted(ends, np.flatnonzero(unprintable))] = False
+        lines = np.flatnonzero(simple)
+        line_tabs = tabs[first_tab[lines] + np.arange(width - 1)[:, None]]
+        field_lo = np.vstack((starts[lines], line_tabs + 1))
+        field_hi = np.vstack((line_tabs, ends[lines]))
+        length = field_hi - field_lo
+        # an empty last field may start at the end of the data
+        edge = np.minimum(field_lo, len(block) - 1)
+        ok = (block[field_lo[0]] != ord("#")) & (
+            (block[edge] != ord(" ")) & (block[field_hi - 1] != ord(" "))
+        ).all(axis=0)
+        ok &= ((length[:id_fields] > 0) & (length[:id_fields] <= _ID_BYTES_MAX)).all(axis=0)
+        years = None
+        if year_field is not None:
+            first, size = edge[year_field], length[year_field]
+            value = np.zeros(len(lines), dtype=np.int64)
+            ok &= size <= 4
+            for k in range(4):
+                # uint8: a byte below "0" wraps past 9
+                digit = block[np.minimum(first + k, len(block) - 1)] - ord("0")
+                inside = k < size
+                ok &= ~inside | (digit < 10)
+                value = np.where(inside, value * 10 + digit, value)
+            years = np.where((value >= YEAR_MIN) & (value <= YEAR_MAX), value, 0)[ok]
+        simple[lines[~ok]] = False
+        rest = np.flatnonzero(~simple)
+        fallback.extend(
+            (first_line + n, data[lo + a:lo + b].decode("utf-8", "surrogateescape"))
+            for n, a, b in zip(rest.tolist(), starts[rest].tolist(), ends[rest].tolist())
+        )
+        yield _Block(block, lo, field_lo[:, ok], field_hi[:, ok], years)
+        first_line += len(ends)
+
+
+def _pack(block: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The tokens ``block[lo:lo + length]`` as rows of little-endian uint64
+    words, zero padded. Simple tokens hold no NUL byte, so equal rows are
+    equal tokens, and a row viewed as bytes is its token."""
+    words = -(-int(length.max(initial=1)) // 8)
+    padded = np.zeros(len(block) + 8 * words, dtype=np.uint8)
+    padded[:len(block)] = block
+    keys = sliding_window_view(padded, 8 * words)[lo].view("<u8")
+    for j in range(words):
+        keys[:, j] &= _LOW_BYTES[np.clip(length - 8 * j, 0, 8)]
+    return keys
+
+
+def _sort_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the rows of ``keys`` in place; return the order that sorted
+    them, and the start of each run of equal rows."""
+    if keys.shape[1] == 1:
+        order = np.argsort(keys[:, 0])
+        keys.sort(axis=0)
+    else:
+        order = np.lexsort(keys.T[::-1])
+        keys[...] = keys[order]
+    head = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:, 0], keys[:-1, 0], out=head[1:])
+    for j in range(1, keys.shape[1]):
+        head[1:] |= keys[1:, j] != keys[:-1, j]
+    return order, np.flatnonzero(head)
+
+
+def _simple_tokens(data: bytes, fallback: list[tuple[int, str]]) -> np.ndarray:
+    """The ids of the simple lines of citations ``data``, citing then cited
+    for each line, packed as by ``_pack``; the other lines go to
+    ``fallback`` as in ``_simple_blocks``."""
+    # allocated once at its largest size and sliced: blocks that each left
+    # an array behind would fragment the heap
+    packed = np.zeros((2 * (data.count(b"\n") + 1), 1), dtype="<u8")
+    rows = 0
+    for block in _simple_blocks(data, 2, 2, None, fallback):
+        lo, length = block.field_lo.T.ravel(), (block.field_hi - block.field_lo).T.ravel()
+        keys = _pack(block.data, lo, length)
+        if keys.shape[1] > packed.shape[1]:
+            packed = np.pad(packed, ((0, 0), (0, keys.shape[1] - packed.shape[1])))
+        packed[rows:rows + len(keys), :keys.shape[1]] = keys
+        rows += len(keys)
+    return packed[:rows]
+
+
+def _simple_line_numbers(fallback_numbers: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The line numbers of the simple lines of the given ``ranks`` among
+    the simple lines, which are the lines not in ``fallback_numbers``."""
+    return ranks + np.searchsorted(
+        fallback_numbers - np.arange(len(fallback_numbers)), ranks, side="right"
+    )
+
+
+def _simple_lines_before(fallback_numbers: np.ndarray, numbers: np.ndarray) -> np.ndarray:
+    """How many simple lines, the lines not in ``fallback_numbers``, come
+    before each of the fallback lines ``numbers``."""
+    return numbers - np.searchsorted(fallback_numbers, numbers)
+
+
+def parse_citations(data: bytes) -> tuple[tuple[list[str], np.ndarray], CitationParseReport]:
+    """Read citing/cited id pairs from the bytes of a citations file,
+    skipping and counting bad lines.
+
+    The payload is ``(ids, edges)``, as ``intern_pairs`` builds it from the
+    accepted pairs: the distinct ids in first-appearance order, and one row
+    of indices into ``ids`` per accepted line.
+    """
+    data = _universal_newlines(data)
+    fallback: list[tuple[int, str]] = []
+    packed = _simple_tokens(data, fallback)
+    simple = len(packed) // 2
+    counts: dict = {}
+    accepted = list(_accepted_fields(fallback, 2, 2, counts))
+    fallback_numbers = np.array([n for n, _ in fallback], dtype=np.int64)
+    accepted_numbers = np.array([n for n, _ in accepted], dtype=np.int64)
+    # made before the sort's temporaries of the same size: made after them,
+    # they would sit in the heap above the temporaries' freed memory and
+    # keep the allocator from giving it back
+    edges = np.empty((simple + len(accepted), 2), dtype=np.int64)
+    simple_edges = np.empty(2 * simple, dtype=np.int64)
+
+    order, runs = _sort_rows(packed)
+    simple_ids = packed[runs].view(f"S{8 * packed.shape[1]}").ravel().astype(str).tolist()
+    # the sort need not be stable: a run's first token has its smallest index
+    first = np.minimum.reduceat(order, runs)
+    index = dict(zip(simple_ids, range(len(simple_ids))))
+    fallback_codes = [index.setdefault(pid, len(index)) for _, pair in accepted for pid in pair]
+    # the token in field f of line n sits at 2n + f of the token stream, and
+    # the ids are numbered in the order of their first position in it
+    first_position = np.full(len(index), np.iinfo(np.int64).max)
+    line_of_first = _simple_line_numbers(fallback_numbers, first // 2)
+    first_position[:len(simple_ids)] = 2 * line_of_first + first % 2
+    np.minimum.at(first_position, fallback_codes, (2 * accepted_numbers[:, None] + [0, 1]).ravel())
+    by_first = np.argsort(first_position)
+    code = np.empty(len(index), dtype=np.int64)
+    code[by_first] = np.arange(len(index))
+    ids = list(map(list(index).__getitem__, by_first.tolist()))
+
+    # each run's code, at the positions of its tokens
+    simple_edges[order] = np.repeat(code[:len(simple_ids)], np.diff(runs, append=len(order)))
+    del order, packed
+    # the rows interleave runs of simple lines with the accepted fallback
+    # lines, in line order
+    simple_before = _simple_lines_before(fallback_numbers, accepted_numbers)
+    bounds = [0, *simple_before.tolist(), simple]
+    rows = simple_edges.reshape(-1, 2)
+    for k in range(len(bounds) - 1):
+        edges[bounds[k] + k:bounds[k + 1] + k] = rows[bounds[k]:bounds[k + 1]]
+    edges[simple_before + np.arange(len(accepted))] = code[fallback_codes].reshape(-1, 2)
+    report = CitationParseReport(lines=simple + len(fallback), edges=len(edges), **counts)
+    return (ids, edges), report
 
 
 def intern_pairs(pairs: Iterable[Sequence[str]]) -> tuple[list[str], np.ndarray]:
@@ -202,16 +444,6 @@ def intern_pairs(pairs: Iterable[Sequence[str]]) -> tuple[list[str], np.ndarray]
         (index.setdefault(pid, len(index)) for pair in pairs for pid in pair), dtype=np.int64
     )
     return list(index), flat.reshape(-1, 2)
-
-
-def parse_citations(
-    stream: Iterable[str] | IO[str],
-) -> tuple[tuple[list[str], np.ndarray], CitationParseReport]:
-    """Read citing/cited id pairs, skipping and counting bad lines. The
-    payload is ``intern_pairs`` of the accepted pairs."""
-    counts: dict[str, int] = {}
-    ids, edges = intern_pairs(_accepted_fields(stream, 2, 2, counts))
-    return (ids, edges), CitationParseReport(edges=len(edges), **counts)
 
 
 def _parse_year(text: str) -> int | None:
@@ -227,28 +459,53 @@ def _parse_year(text: str) -> int | None:
     return year
 
 
-def parse_metadata(
-    stream: Iterable[str] | IO[str],
-) -> tuple[dict[str, tuple[str, int | None, str]], MetadataParseReport]:
-    """Read patent metadata records.
+def parse_metadata(data: bytes) -> tuple[dict[str, tuple[str, int | None, str]], MetadataParseReport]:
+    """Read patent metadata records from the bytes of a patents file.
 
     The payload maps each id to its ``(class, year, assignee)`` in record
     order; a repeated id keeps its last record at its first position. A
     year that is missing, non-numeric, or outside [1790, 2100] is stored as
     None and counted as unknown.
     """
-    records: dict[str, tuple[str, int | None, str]] = {}
-    counts: dict[str, int] = {}
-    accepted = unknown_years = 0
-    for parts in _accepted_fields(stream, 4, 1, counts):
-        accepted += 1
+    data = _universal_newlines(data)
+    # simple lines are ASCII, so their byte positions index this text
+    text = data.decode("latin-1")
+    fallback: list[tuple[int, str]] = []
+    ids, values = [], []
+    # the records share one str per class or assignee spelling, and one int
+    # per year; year 0 is unknown
+    shared: dict[str, str] = {}
+    year_of: dict[int, int | None] = {0: None}
+    unknown_years = 0
+    for block in _simple_blocks(data, 4, 1, 2, fallback):
+        unknown_years += int(np.count_nonzero(block.years == 0))
+        starts = (block.field_lo[0] + block.offset).tolist()
+        ends = (block.field_hi[-1] + block.offset).tolist()
+        years = block.years.tolist()
+        for a, b, year in zip(starts, ends, map(year_of.setdefault, years, years)):
+            pid, cls, _, assignee = text[a:b].split("\t")
+            ids.append(pid)
+            values.append((shared.setdefault(cls, cls), year, shared.setdefault(assignee, assignee)))
+    del text
+    simple = len(ids)
+    counts: dict = {}
+    accepted_numbers = []
+    for number, parts in _accepted_fields(fallback, 4, 1, counts):
         year = _parse_year(parts[2])
-        if year is None:
-            unknown_years += 1
-        records[parts[0]] = (parts[1].strip(), year, parts[3].strip())
+        unknown_years += year is None
+        accepted_numbers.append(number)
+        ids.append(parts[0])
+        values.append((parts[1].strip(), year, parts[3].strip()))
+    # a dict built from the records in line order keeps each id at its
+    # first position with its last record
+    simple_before = _simple_lines_before(
+        np.array([n for n, _ in fallback], dtype=np.int64), np.array(accepted_numbers, dtype=np.int64)
+    )
+    order = np.insert(np.arange(simple), simple_before, np.arange(simple, len(ids))).tolist()
+    records = dict(zip(map(ids.__getitem__, order), map(values.__getitem__, order)))
     report = MetadataParseReport(
-        records=len(records), duplicate_ids=accepted - len(records), unknown_years=unknown_years,
-        **counts,
+        lines=simple + len(fallback), records=len(records), duplicate_ids=len(ids) - len(records),
+        unknown_years=unknown_years, **counts,
     )
     return records, report
 
@@ -330,22 +587,24 @@ def assemble_dataset(
 
 def load_dataset(citations_path: str | os.PathLike, patents_path: str | os.PathLike) -> PatentDataset:
     """Parse both files and assemble a dataset with a combined build report."""
-    # surrogateescape: undecodable bytes reach the parsers, which count
-    # their lines as malformed, instead of aborting the read
-    with open(citations_path, encoding="utf-8", errors="surrogateescape") as f:
-        citations, cit_report = parse_citations(f)
-    with open(patents_path, encoding="utf-8", errors="surrogateescape") as f:
-        records, meta_report = parse_metadata(f)
+    # each file's bytes live only for their parser's call
+    with open(citations_path, "rb") as f:
+        citations, cit_report = parse_citations(f.read())
+    with open(patents_path, "rb") as f:
+        records, meta_report = parse_metadata(f.read())
     return assemble_dataset(citations, records, cit_report, meta_report)
 
 
 def write_citations(dataset: PatentDataset, path: str | os.PathLike) -> None:
     """Serialize stored edges back to the citations.tsv format."""
     g = dataset.graph
-    ids = dataset.index_to_id
-    edges = zip(g.edge_sources().tolist(), g.out_indices.tolist())
+    citing = [pid + "\t" for pid in dataset.index_to_id]
+    cited = [pid + "\n" for pid in dataset.index_to_id]
+    parts = [""] * (2 * g.edge_count)
+    parts[0::2] = [citing[u] for u in g.edge_sources().tolist()]
+    parts[1::2] = [cited[v] for v in g.out_indices.tolist()]
     with atomic_write(path) as f:
-        f.write("".join(f"{ids[u]}\t{ids[v]}\n" for u, v in edges))
+        f.write("".join(parts))
 
 
 def write_metadata(dataset: PatentDataset, path: str | os.PathLike) -> None:

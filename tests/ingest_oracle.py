@@ -1,28 +1,146 @@
-"""String-pair ingest code, kept as the oracle for interned citation ids.
+"""Text-mode and string-pair ingest code, kept as oracles.
+
+``parse_citations_text`` and ``parse_metadata_text`` are the parsers as
+they were before the byte-level parser: they read lines of text, such as
+a file opened in text mode with ``surrogateescape``, and classify each
+line with ``_accepted_fields``. The byte parser must give the same
+payloads and reports for the same file contents.
 
 ``parse_citations``, ``parse_metadata`` and ``assemble_dataset`` are the
 ingest functions as they were when the citation payload was a list of
 ``(citing, cited)`` id strings that ``assemble_dataset`` interned in a
 second dict. Their bodies are unchanged. The interning code must give the
 same pairs, records and reports, and the same datasets.
+
+``_accepted_fields`` also records the 1-based numbers of the first
+malformed lines, which the reports carry.
 """
 from __future__ import annotations
 
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 from patentflow.graph import build_graph
 from patentflow.ingest import (
+    FIRST_MALFORMED_KEPT,
+    YEAR_MAX,
+    YEAR_MIN,
     CitationParseReport,
     DatasetBuildReport,
     MetadataParseReport,
     PatentDataset,
     PatentMeta,
-    _accepted_fields,
-    _parse_year,
     _year_column,
+    intern_pairs,
 )
+
+
+def _undecodable(line: str) -> bool:
+    """True when the line holds lone surrogates, which is how bytes that are
+    not valid UTF-8 come out of a file opened with ``surrogateescape``."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
+def _accepted_fields(
+    stream: Iterable[str] | IO[str], width: int, id_fields: int, counts: dict
+) -> Iterator[list[str]]:
+    """Yield the tab-separated fields of each accepted line of ``stream``,
+    with the ids stripped.
+
+    The first ``id_fields`` fields (one or two) hold ids. A line is blank,
+    a comment or malformed, or else accepted. It is malformed when it holds
+    undecodable bytes, does not split into ``width`` fields, or has an
+    empty id. Once the stream is exhausted, ``counts`` gets the ``lines``,
+    ``blank``, ``comments`` and ``malformed`` tallies, and
+    ``first_malformed``.
+    """
+    last_id = id_fields - 1
+    lines = blank = comments = malformed = 0
+    first_malformed: list[int] = []
+    for raw in stream:
+        lines += 1
+        line = raw.rstrip("\r\n")
+        if not line.isascii() and _undecodable(line):
+            malformed += 1
+            if len(first_malformed) < FIRST_MALFORMED_KEPT:
+                first_malformed.append(lines)
+            continue
+        if not line.strip():
+            blank += 1
+            continue
+        if line.startswith("#"):
+            comments += 1
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            malformed += 1
+            if len(first_malformed) < FIRST_MALFORMED_KEPT:
+                first_malformed.append(lines)
+            continue
+        fields[0] = fields[0].strip()
+        fields[last_id] = fields[last_id].strip()
+        if not fields[0] or not fields[last_id]:
+            malformed += 1
+            if len(first_malformed) < FIRST_MALFORMED_KEPT:
+                first_malformed.append(lines)
+            continue
+        yield fields
+    counts.update(lines=lines, blank=blank, comments=comments, malformed=malformed,
+                  first_malformed=tuple(first_malformed))
+
+
+def _parse_year(text: str) -> int | None:
+    text = text.strip()
+    if not text:
+        return None
+    try:
+        year = int(text)
+    except ValueError:
+        return None
+    if not YEAR_MIN <= year <= YEAR_MAX:
+        return None
+    return year
+
+
+def parse_citations_text(
+    stream: Iterable[str] | IO[str],
+) -> tuple[tuple[list[str], np.ndarray], CitationParseReport]:
+    """Read citing/cited id pairs, skipping and counting bad lines. The
+    payload is ``intern_pairs`` of the accepted pairs."""
+    counts: dict = {}
+    ids, edges = intern_pairs(_accepted_fields(stream, 2, 2, counts))
+    return (ids, edges), CitationParseReport(edges=len(edges), **counts)
+
+
+def parse_metadata_text(
+    stream: Iterable[str] | IO[str],
+) -> tuple[dict[str, tuple[str, int | None, str]], MetadataParseReport]:
+    """Read patent metadata records.
+
+    The payload maps each id to its ``(class, year, assignee)`` in record
+    order; a repeated id keeps its last record at its first position. A
+    year that is missing, non-numeric, or outside [1790, 2100] is stored as
+    None and counted as unknown.
+    """
+    records: dict[str, tuple[str, int | None, str]] = {}
+    counts: dict = {}
+    accepted = unknown_years = 0
+    for parts in _accepted_fields(stream, 4, 1, counts):
+        accepted += 1
+        year = _parse_year(parts[2])
+        if year is None:
+            unknown_years += 1
+        records[parts[0]] = (parts[1].strip(), year, parts[3].strip())
+    report = MetadataParseReport(
+        records=len(records), duplicate_ids=accepted - len(records), unknown_years=unknown_years,
+        **counts,
+    )
+    return records, report
 
 
 def parse_citations(stream: Iterable[str] | IO[str]) -> tuple[list[tuple[str, str]], CitationParseReport]:

@@ -1,5 +1,3 @@
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,47 +27,47 @@ def _pairs(payload):
 
 
 def test_parse_citations_basic():
-    payload, report = parse_citations(io.StringIO("4683202\t4683195\n"))
+    payload, report = parse_citations("4683202\t4683195\n".encode())
     assert _pairs(payload) == [("4683202", "4683195")]
     assert report.edges == 1
     assert report.malformed == 0
 
 
 def test_parse_citations_comment_and_blank():
-    payload, report = parse_citations(io.StringIO("# header\n\n"))
+    payload, report = parse_citations("# header\n\n".encode())
     assert _pairs(payload) == []
     assert report.comments == 1
     assert report.blank == 1
 
 
 def test_parse_citations_malformed_line_skipped():
-    payload, report = parse_citations(io.StringIO("a\tb\nc\n"))
+    payload, report = parse_citations("a\tb\nc\n".encode())
     assert _pairs(payload) == [("a", "b")]
     assert report.malformed == 1
 
 
 @pytest.mark.parametrize("line", ["a\t\n", "\tb\n", "a\tb\tc\n"])
 def test_parse_citations_rejects_bad_fields(line):
-    payload, report = parse_citations(io.StringIO(line))
+    payload, report = parse_citations(line.encode())
     assert _pairs(payload) == []
     assert report.malformed == 1
 
 
 def test_parse_metadata_basic():
-    records, report = parse_metadata(io.StringIO("4723129\t347\t1988\tCanon\n"))
+    records, report = parse_metadata("4723129\t347\t1988\tCanon\n".encode())
     assert records == {"4723129": ("347", 1988, "Canon")}
     assert report.records == 1
 
 
 def test_parse_metadata_missing_fields():
-    records, report = parse_metadata(io.StringIO("x\t435\t\t\n"))
+    records, report = parse_metadata("x\t435\t\t\n".encode())
     assert records == {"x": ("435", None, "")}
     assert report.unknown_years == 1
 
 
 def test_parse_metadata_duplicate_last_wins():
     text = "x\t100\t1999\tfirst\ny\t300\t\t\nx\t200\t2001\tsecond\n"
-    records, report = parse_metadata(io.StringIO(text))
+    records, report = parse_metadata(text.encode())
     # the last record, at the first record's position
     assert list(records.items()) == [("x", ("200", 2001, "second")), ("y", ("300", None, ""))]
     assert report.duplicate_ids == 1
@@ -77,7 +75,7 @@ def test_parse_metadata_duplicate_last_wins():
 
 @pytest.mark.parametrize("year", ["notayear", "1492", "2525"])
 def test_parse_metadata_bad_year_kept_unknown(year):
-    records, report = parse_metadata(io.StringIO(f"x\t435\t{year}\tacme\n"))
+    records, report = parse_metadata(f"x\t435\t{year}\tacme\n".encode())
     assert records["x"][1] is None
     assert report.unknown_years == 1
 

@@ -1,10 +1,17 @@
-"""Interned citation ids and id-keyed metadata against the ingest they replaced.
+"""Byte-level ingest against the text-mode and string-pair ingest it replaced.
 
-``ingest_oracle`` keeps the string-pair ``parse_citations``, the
-``PatentMeta``-list ``parse_metadata`` and their ``assemble_dataset``
-unchanged. The interning parser's payload, mapped back to id strings, must
-equal the oracle's pairs; the metadata mapping must hold the oracle's
-records as ``id -> (class, year, assignee)`` in the same order; and
+``ingest_oracle`` keeps the text-mode parsers, which read a file opened in
+text mode with universal newlines and ``surrogateescape`` line by line, and
+the string-pair ``parse_citations``, the ``PatentMeta``-list
+``parse_metadata`` and their ``assemble_dataset``, as they were but for the
+malformed line numbers their reports now carry.
+
+The byte parsers must give the text-mode parsers' payloads and reports for
+the same bytes, in blocks of any size, on inputs rich in the bytes whose
+handling the fast path must get exactly right. The interning parser's
+payload, mapped back to id strings, must equal the string-pair oracle's
+pairs; the metadata mapping must hold the oracle's records as
+``id -> (class, year, assignee)`` in the same order; and
 ``assemble_dataset(intern_pairs(pairs), records_of(metas))`` must build the
 dataset the oracle builds from ``pairs`` and ``metas``: ids, columns and
 tables with dtypes, record count, every CSR array and the build report.
@@ -12,8 +19,10 @@ Inputs include duplicate metadata ids, ids seen only in citations,
 self-loops, repeated pairs and empty inputs.
 """
 import io
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +31,9 @@ from conftest import records_of
 from patentflow import (
     PatentMeta,
     assemble_dataset,
+    ingest,
     intern_pairs,
+    load_dataset,
     parse_citations,
     parse_metadata,
 )
@@ -118,11 +129,11 @@ _metadata_line = st.one_of(
 def test_parsed_text_matches_string_pair_oracle(citation_lines, metadata_lines, newline):
     citations = newline.join(citation_lines)
     patents = newline.join(metadata_lines)
-    payload, cit_report = parse_citations(io.StringIO(citations))
+    payload, cit_report = parse_citations(citations.encode("utf-8", "surrogateescape"))
     want_pairs, want_cit_report = oracle.parse_citations(io.StringIO(citations))
     assert _pairs(payload) == want_pairs
     assert cit_report == want_cit_report
-    records, meta_report = parse_metadata(io.StringIO(patents))
+    records, meta_report = parse_metadata(patents.encode("utf-8", "surrogateescape"))
     want_metas, want_meta_report = oracle.parse_metadata(io.StringIO(patents))
     assert type(records) is dict
     assert list(records.items()) == [
@@ -133,3 +144,110 @@ def test_parsed_text_matches_string_pair_oracle(citation_lines, metadata_lines, 
         assemble_dataset(payload, records, cit_report, meta_report),
         oracle.assemble_dataset(want_pairs, want_metas, want_cit_report, want_meta_report),
     )
+
+
+# ids of 1 to 33 bytes, which pack into one to five words (the last is too
+# long for the fast path), and spellings that strip to one of them, or hold
+# a NUL, a non-ASCII character or bytes that are not UTF-8
+_IDS = [
+    b"p1", b"p", b"p2", b"4683202", b"12345678", b"US4683202", b"EP1234567A1", b"x" * 16,
+    b"y" * 17, b"WO2005123456A2-0000001", b"z" * 24, b"w" * 32, b"v" * 33,
+]
+_ID_SPELLINGS = [
+    b" p1", b"p1 ", b"p1\x1c", b"\x1fp1", "\u3000p1".encode(), "p1\x85".encode(), b"p\x001",
+    b"\x00", b"p\xff1", "\xe9".encode(), b"\xed\xa0\x80", b"#p1", b" #p1", b"p 1", b" US4683202 ",
+]
+_YEARS = [
+    b"", b"1999", b"2000", b"0199", b"1789", b"1790", b"2100", b"2101", b"+1990", b"-1990",
+    b"1_990", b"01990", b"1" * 30, b" 1999", b"1999\x1c", b"n/a", "\u0661\u0669\u0669\u0660".encode(),
+    b"19\xff",
+]
+_CLASSES = [b"", b"100", b"200", b" 200", b"200\x1c", "\xe9".encode(), b"a b", b"\xff"]
+_ASSIGNEES = [
+    b"", b"Acme", b"Org1155 GmbH", b" Acme", b"Acme\x1f ", "Soci\xe9t\xe9".encode(),
+    "\u3000Acme".encode(), b"\xc3",
+]
+_JUNK = [b"", b"   ", b"\t", b"\t\t\t", b"#", b"# comment", b"\x1c", "\x85".encode(), b"p1", b"p1\tp2\tp3"]
+
+
+def _join(lines: list[tuple[bytes, bytes]], final_newline: bool) -> bytes:
+    data = b"".join(line + end for line, end in lines)
+    if lines and not final_newline:
+        data = data[: -len(lines[-1][1])]
+    return data
+
+
+def _tsv(*fields):
+    """Bytes of a TSV file: records of ``fields`` mixed with junk lines,
+    each ended by a newline, a CR LF pair or a lone CR, except perhaps the
+    last."""
+    line = st.one_of(
+        st.tuples(*fields).map(b"\t".join),
+        st.sampled_from(_JUNK),
+        st.binary(max_size=6),
+    )
+    ends = st.sampled_from([b"\n", b"\r\n", b"\r"])
+    return st.tuples(st.lists(st.tuples(line, ends), max_size=30), st.booleans()).map(
+        lambda t: _join(*t)
+    )
+
+
+_id = st.sampled_from(_IDS + _ID_SPELLINGS)
+citations_bytes = _tsv(_id, _id)
+patents_bytes = _tsv(_id, st.sampled_from(_CLASSES), st.sampled_from(_YEARS), st.sampled_from(_ASSIGNEES))
+
+
+def _text(data: bytes) -> io.TextIOWrapper:
+    """``data`` as a file opened in text mode, as the text-mode parsers read it."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
+@settings(max_examples=400, deadline=None)
+@given(citations_bytes, patents_bytes, st.sampled_from([1, 2, 3, 7, 40, 1 << 20]))
+def test_byte_parsers_match_text_mode_parsers(citation_data, patent_data, block_bytes):
+    with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
+        (ids, edges), cit_report = parse_citations(citation_data)
+        records, meta_report = parse_metadata(patent_data)
+    (want_ids, want_edges), want_cit_report = oracle.parse_citations_text(_text(citation_data))
+    want_records, want_meta_report = oracle.parse_metadata_text(_text(patent_data))
+    assert ids == want_ids
+    assert edges.dtype == want_edges.dtype and edges.shape == want_edges.shape
+    assert np.array_equal(edges, want_edges)
+    assert cit_report == want_cit_report
+    assert type(records) is dict
+    assert list(records.items()) == list(want_records.items())
+    assert meta_report == want_meta_report
+    pairs = [(want_ids[a], want_ids[b]) for a, b in want_edges.tolist()]
+    metas = [PatentMeta(pid, *record) for pid, record in want_records.items()]
+    _assert_same_dataset(
+        assemble_dataset((ids, edges), records, cit_report, meta_report),
+        oracle.assemble_dataset(pairs, metas, want_cit_report, want_meta_report),
+    )
+
+
+@pytest.mark.parametrize("year", _YEARS)
+def test_byte_parser_reads_each_year_as_text_mode_does(year):
+    data = b"p1\t100\t" + year + b"\tAcme\nUS4683202\t\t" + year + b"\t\n"
+    records, report = parse_metadata(data)
+    want_records, want_report = oracle.parse_metadata_text(_text(data))
+    assert list(records.items()) == list(want_records.items())
+    assert report == want_report
+
+
+def test_reports_keep_the_first_malformed_line_numbers(tmp_path):
+    citations = [
+        b"a\tb", b"x", b"# comment", b"\tx", b"x\t ", b"", b"c\td", b"a\tb",
+        b"x\ty\tz", b"a\t\xff", b"e", b"f\tg",
+    ]
+    patents = [b"a\t100\t1999\tAcme", b"a\t100", b"\t100\t1999\tAcme", b"b\t\t\t"] * 3
+    # a lone \r ends a line too
+    (tmp_path / "c.tsv").write_bytes(b"\r".join(citations))
+    (tmp_path / "p.tsv").write_bytes(b"\r\n".join(patents) + b"\n")
+    report = load_dataset(tmp_path / "c.tsv", tmp_path / "p.tsv").build_report
+    assert report.citations.malformed == 6
+    assert report.citations.first_malformed == (2, 4, 5, 9, 10)
+    assert report.metadata.malformed == 6
+    assert report.metadata.first_malformed == (2, 3, 6, 7, 10)
+    # the build-report line carries counts only
+    d = report.to_json_dict()
+    assert "first_malformed" not in d["citations"] and "first_malformed" not in d["metadata"]
