@@ -13,23 +13,23 @@ unknown class as the empty string; a dataset's columns store them as 0
 and -1. Both keep the patent in the graph but drop it from class-level
 aggregations.
 
-The parsers take a file's bytes and classify its lines with numpy, about
-half a MB of whole lines at a time. A "simple" line is printable ASCII
-with the right number of tabs, no space at a field's edge, no leading
-``#``, non-empty ids of at most 32 bytes and, in patents.tsv, a year of
-at most four digits: its fields are read straight from the buffer, and
-citation ids are interned by sorting their bytes packed into integers.
-Every other line is decoded with ``surrogateescape`` and goes through the
-per-line classifier ``_accepted_fields``, whose rules define the format;
-its records are merged back at their line numbers, so the result is the
-same as reading each line as text.
+The parsers take a file's bytes. Every line of patents.tsv, and every
+citation line that is not "simple", is decoded with ``surrogateescape``
+and goes through the per-line classifier ``_accepted_fields``, whose rules
+define the format. citations.tsv is classified with numpy, about half a MB
+of whole lines at a time: a simple line is printable ASCII with one tab,
+no space at a field's edge, no leading ``#`` and ids of 1 to 32 bytes. Its
+ids are read straight from the buffer and interned by sorting their bytes
+packed into integers; the other lines' pairs are merged back at their line
+numbers, so the result is the same as reading each line as text.
 """
 from __future__ import annotations
 
 import dataclasses
 import os
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,8 +42,6 @@ YEAR_MIN = 1790
 YEAR_MAX = 2100
 # the int16 year column holds 0 for unknown, so a known year must be positive
 _YEAR_COLUMN_MAX = int(np.iinfo(np.int16).max)
-# a parse report keeps the line numbers of this many malformed lines
-FIRST_MALFORMED_KEPT = 5
 # lines are classified in blocks of about this many bytes of whole lines, so
 # that the per-byte and per-line temporaries, and the heap they leave behind
 # when freed, stay small
@@ -81,8 +79,6 @@ class CitationParseReport:
     blank: int = 0
     comments: int = 0
     malformed: int = 0
-    # 1-based numbers of the first FIRST_MALFORMED_KEPT malformed lines
-    first_malformed: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -94,8 +90,6 @@ class MetadataParseReport:
     malformed: int = 0
     duplicate_ids: int = 0
     unknown_years: int = 0
-    # 1-based numbers of the first FIRST_MALFORMED_KEPT malformed lines
-    first_malformed: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -111,13 +105,11 @@ class DatasetBuildReport:
     metadata: MetadataParseReport | None = None
 
     def to_json_dict(self) -> dict:
-        """The counts, without the malformed line numbers."""
         d = dataclasses.asdict(self)
-        for name in ("citations", "metadata"):
-            if d[name] is None:
-                d.pop(name)
-            else:
-                d[name].pop("first_malformed")
+        if d["citations"] is None:
+            d.pop("citations")
+        if d["metadata"] is None:
+            d.pop("metadata")
         return d
 
 
@@ -186,7 +178,7 @@ def _undecodable(line: str) -> bool:
 
 
 def _accepted_fields(
-    lines: Iterable[tuple[int, str]], width: int, id_fields: int, counts: dict
+    lines: Iterable[tuple[int, str]], width: int, id_fields: int, counts: dict[str, int]
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(number, fields)`` for each accepted line of ``lines``, given
     as ``(number, text)`` without the newline: its tab-separated fields with
@@ -195,13 +187,10 @@ def _accepted_fields(
     The first ``id_fields`` fields (one or two) hold ids. A line is blank,
     a comment or malformed, or else accepted. It is malformed when it holds
     undecodable bytes, does not split into ``width`` fields, or has an
-    empty id. Once ``lines`` is exhausted, ``counts`` gets the ``blank``,
-    ``comments`` and ``malformed`` tallies and ``first_malformed``, the
-    1-based numbers of the first malformed lines.
+    empty id. Each line that is not accepted adds one to ``counts`` under
+    ``blank``, ``comments`` or ``malformed``.
     """
     last_id = id_fields - 1
-    tally = {"blank": 0, "comments": 0, "malformed": 0}
-    first_malformed: list[int] = []
     for number, line in lines:
         if not line.isascii() and _undecodable(line):
             kind = "malformed"
@@ -218,10 +207,7 @@ def _accepted_fields(
                     yield number, fields
                     continue
             kind = "malformed"
-        tally[kind] += 1
-        if kind == "malformed" and len(first_malformed) < FIRST_MALFORMED_KEPT:
-            first_malformed.append(number + 1)
-    counts.update(tally, first_malformed=tuple(first_malformed))
+        counts[kind] = counts.get(kind, 0) + 1
 
 
 def _universal_newlines(data: bytes) -> bytes:
@@ -244,31 +230,40 @@ def _block_bounds(data: bytes) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-class _Block(NamedTuple):
-    """The simple lines of one block of whole lines."""
+def _block_lines(data: bytes, lo: int, hi: int) -> list[str]:
+    """The lines of ``data[lo:hi]``, whole lines with ``\\n`` ends, decoded
+    with ``surrogateescape``. A newline byte never sits inside a UTF-8
+    sequence, so the lines decode as they would one by one."""
+    lines = data[lo:hi].decode("utf-8", "surrogateescape").split("\n")
+    if data[hi - 1] == 10:
+        lines.pop()
+    return lines
 
-    data: np.ndarray  # the block's bytes
-    offset: int  # position of data[0] in the whole input
-    field_lo: np.ndarray  # (width, lines) first byte of each field, in data
-    field_hi: np.ndarray  # (width, lines) the byte after each field
-    years: np.ndarray | None  # the year field's value, 0 when unknown
+
+def _numbered_lines(data: bytes) -> Iterator[tuple[int, str]]:
+    """``(number, text)`` for each line of ``data``, which has ``\\n`` line
+    ends, decoded a block at a time, so that the lines of the whole file
+    never live at once."""
+    number = 0
+    for lo, hi in _block_bounds(data):
+        lines = _block_lines(data, lo, hi)
+        yield from enumerate(lines, number)
+        number += len(lines)
 
 
-def _simple_blocks(
-    data: bytes, width: int, id_fields: int, year_field: int | None,
-    fallback: list[tuple[int, str]],
-) -> Iterator[_Block]:
-    """Classify the lines of ``data``, which has ``\\n`` line ends, block by
-    block: yield each block's simple lines, and append every other line to
-    ``fallback`` as ``(number, text)``, decoded with ``surrogateescape``.
+def _citation_blocks(
+    data: bytes,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]]:
+    """Classify the lines of citations ``data``, which has ``\\n`` line
+    ends, block by block. For each block yield its bytes, the first byte and
+    the length of each id of its simple lines (citing then cited, line by
+    line), and the numbers and the texts of its other lines, decoded with
+    ``surrogateescape``.
 
     A simple line is accepted by ``_accepted_fields`` with its fields
     unchanged by ``str.strip()``, and its bytes are its characters: it has
-    ``width`` fields, only printable ASCII besides the tabs, no space at
-    either edge of a field, no leading ``#``, and ids of 1 to
-    ``_ID_BYTES_MAX`` bytes in the first ``id_fields`` fields. With
-    ``year_field`` set, that field must also be empty or 1 to 4 digits,
-    which ``_parse_year`` reads as their value.
+    one tab, only printable ASCII besides, no space at either edge of a
+    field, no leading ``#``, and ids of 1 to ``_ID_BYTES_MAX`` bytes.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     first_line = 0
@@ -281,7 +276,7 @@ def _simple_blocks(
         tabs = np.flatnonzero(block == 9)
         tabs_before_end = np.searchsorted(tabs, ends)
         first_tab = np.concatenate(([0], tabs_before_end[:-1]))
-        simple = tabs_before_end - first_tab == width - 1
+        simple = tabs_before_end - first_tab == 1
         # control bytes other than tab and newline, and every byte of a
         # multi-byte or invalid UTF-8 sequence, make a line not simple (uint8
         # subtraction wraps: b - 32 >= 96 means b < 32 or b >= 128); such a
@@ -289,35 +284,27 @@ def _simple_blocks(
         unprintable = (block - np.uint8(32) >= 96) & (block - np.uint8(9) >= 2)
         simple[np.searchsorted(ends, np.flatnonzero(unprintable))] = False
         lines = np.flatnonzero(simple)
-        line_tabs = tabs[first_tab[lines] + np.arange(width - 1)[:, None]]
-        field_lo = np.vstack((starts[lines], line_tabs + 1))
-        field_hi = np.vstack((line_tabs, ends[lines]))
-        length = field_hi - field_lo
+        tab = tabs[first_tab[lines]]
+        field_lo = np.vstack((starts[lines], tab + 1))
+        length = np.vstack((tab, ends[lines])) - field_lo
         # an empty last field may start at the end of the data
         edge = np.minimum(field_lo, len(block) - 1)
         ok = (block[field_lo[0]] != ord("#")) & (
-            (block[edge] != ord(" ")) & (block[field_hi - 1] != ord(" "))
+            (block[edge] != ord(" ")) & (block[field_lo + length - 1] != ord(" "))
+            & (length > 0) & (length <= _ID_BYTES_MAX)
         ).all(axis=0)
-        ok &= ((length[:id_fields] > 0) & (length[:id_fields] <= _ID_BYTES_MAX)).all(axis=0)
-        years = None
-        if year_field is not None:
-            first, size = edge[year_field], length[year_field]
-            value = np.zeros(len(lines), dtype=np.int64)
-            ok &= size <= 4
-            for k in range(4):
-                # uint8: a byte below "0" wraps past 9
-                digit = block[np.minimum(first + k, len(block) - 1)] - ord("0")
-                inside = k < size
-                ok &= ~inside | (digit < 10)
-                value = np.where(inside, value * 10 + digit, value)
-            years = np.where((value >= YEAR_MIN) & (value <= YEAR_MAX), value, 0)[ok]
         simple[lines[~ok]] = False
         rest = np.flatnonzero(~simple)
-        fallback.extend(
-            (first_line + n, data[lo + a:lo + b].decode("utf-8", "surrogateescape"))
-            for n, a, b in zip(rest.tolist(), starts[rest].tolist(), ends[rest].tolist())
-        )
-        yield _Block(block, lo, field_lo[:, ok], field_hi[:, ok], years)
+        if 8 * len(rest) > len(ends):
+            # one decode of the whole block is cheaper
+            decoded = _block_lines(data, lo, hi)
+            texts = [decoded[n] for n in rest.tolist()]
+        else:
+            texts = [
+                data[lo + a:lo + b].decode("utf-8", "surrogateescape")
+                for a, b in zip(starts[rest].tolist(), ends[rest].tolist())
+            ]
+        yield block, field_lo[:, ok].T.ravel(), length[:, ok].T.ravel(), first_line + rest, texts
         first_line += len(ends)
 
 
@@ -350,22 +337,10 @@ def _sort_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(head)
 
 
-def _simple_tokens(data: bytes, fallback: list[tuple[int, str]]) -> np.ndarray:
-    """The ids of the simple lines of citations ``data``, citing then cited
-    for each line, packed as by ``_pack``; the other lines go to
-    ``fallback`` as in ``_simple_blocks``."""
-    # allocated once at its largest size and sliced: blocks that each left
-    # an array behind would fragment the heap
-    packed = np.zeros((2 * (data.count(b"\n") + 1), 1), dtype="<u8")
-    rows = 0
-    for block in _simple_blocks(data, 2, 2, None, fallback):
-        lo, length = block.field_lo.T.ravel(), (block.field_hi - block.field_lo).T.ravel()
-        keys = _pack(block.data, lo, length)
-        if keys.shape[1] > packed.shape[1]:
-            packed = np.pad(packed, ((0, 0), (0, keys.shape[1] - packed.shape[1])))
-        packed[rows:rows + len(keys), :keys.shape[1]] = keys
-        rows += len(keys)
-    return packed[:rows]
+def _line_count(data: bytes) -> int:
+    """The number of lines of ``data``, which has ``\\n`` line ends; a last
+    line without a newline counts."""
+    return data.count(b"\n") + (len(data) > 0 and not data.endswith(b"\n"))
 
 
 def _simple_line_numbers(fallback_numbers: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -391,31 +366,58 @@ def parse_citations(data: bytes) -> tuple[tuple[list[str], np.ndarray], Citation
     of indices into ``ids`` per accepted line.
     """
     data = _universal_newlines(data)
-    fallback: list[tuple[int, str]] = []
-    packed = _simple_tokens(data, fallback)
-    simple = len(packed) // 2
-    counts: dict = {}
-    accepted = list(_accepted_fields(fallback, 2, 2, counts))
-    fallback_numbers = np.array([n for n, _ in fallback], dtype=np.int64)
-    accepted_numbers = np.array([n for n, _ in accepted], dtype=np.int64)
+    lines = _line_count(data)
+    # the simple ids, packed as by _pack; allocated once at its largest size
+    # and sliced, since blocks that each left an array behind would fragment
+    # the heap
+    packed = np.zeros((2 * lines, 1), dtype="<u8")
+    rows = 0
+    # the fallback lines are streamed: their numbers, the numbers of the
+    # accepted ones, and the codes of their ids in fallback_index, which
+    # numbers them by first appearance among the fallback ids
+    fallback_numbers, accepted_numbers, fallback_codes = array("q"), array("q"), array("q")
+    fallback_index: dict[str, int] = {}
+    counts: dict[str, int] = {}
+    for block, lo, length, numbers, texts in _citation_blocks(data):
+        keys = _pack(block, lo, length)
+        if keys.shape[1] > packed.shape[1]:
+            packed = np.pad(packed, ((0, 0), (0, keys.shape[1] - packed.shape[1])))
+        packed[rows:rows + len(keys), :keys.shape[1]] = keys
+        rows += len(keys)
+        fallback_numbers.frombytes(numbers.astype(np.int64).tobytes())
+        for number, (citing, cited) in _accepted_fields(zip(numbers.tolist(), texts), 2, 2, counts):
+            accepted_numbers.append(number)
+            fallback_codes.append(fallback_index.setdefault(citing, len(fallback_index)))
+            fallback_codes.append(fallback_index.setdefault(cited, len(fallback_index)))
+    packed = packed[:rows]
+    simple = rows // 2
+    fallback_numbers = np.frombuffer(fallback_numbers, dtype=np.int64)
+    accepted_numbers = np.frombuffer(accepted_numbers, dtype=np.int64)
+    fallback_codes = np.frombuffer(fallback_codes, dtype=np.int64)
     # made before the sort's temporaries of the same size: made after them,
     # they would sit in the heap above the temporaries' freed memory and
     # keep the allocator from giving it back
-    edges = np.empty((simple + len(accepted), 2), dtype=np.int64)
+    edges = np.empty((simple + len(accepted_numbers), 2), dtype=np.int64)
     simple_edges = np.empty(2 * simple, dtype=np.int64)
 
     order, runs = _sort_rows(packed)
     simple_ids = packed[runs].view(f"S{8 * packed.shape[1]}").ravel().astype(str).tolist()
-    # the sort need not be stable: a run's first token has its smallest index
-    first = np.minimum.reduceat(order, runs)
     index = dict(zip(simple_ids, range(len(simple_ids))))
-    fallback_codes = [index.setdefault(pid, len(index)) for _, pair in accepted for pid in pair]
+    fallback_to_index = np.fromiter(
+        (index.setdefault(pid, len(index)) for pid in fallback_index), np.int64, len(fallback_index)
+    )
     # the token in field f of line n sits at 2n + f of the token stream, and
-    # the ids are numbered in the order of their first position in it
+    # the ids are numbered in the order of their first position in it; the
+    # sort need not be stable, since a run's first token has its smallest
+    # index, and fallback codes count up, so each code first appears where
+    # their running maximum reaches it
+    first = np.minimum.reduceat(order, runs)
     first_position = np.full(len(index), np.iinfo(np.int64).max)
-    line_of_first = _simple_line_numbers(fallback_numbers, first // 2)
-    first_position[:len(simple_ids)] = 2 * line_of_first + first % 2
-    np.minimum.at(first_position, fallback_codes, (2 * accepted_numbers[:, None] + [0, 1]).ravel())
+    first_position[:len(simple_ids)] = 2 * _simple_line_numbers(fallback_numbers, first // 2) + first % 2
+    first = np.searchsorted(np.maximum.accumulate(fallback_codes), np.arange(len(fallback_index)))
+    first_position[fallback_to_index] = np.minimum(
+        first_position[fallback_to_index], 2 * accepted_numbers[first // 2] + first % 2
+    )
     by_first = np.argsort(first_position)
     code = np.empty(len(index), dtype=np.int64)
     code[by_first] = np.arange(len(index))
@@ -424,16 +426,16 @@ def parse_citations(data: bytes) -> tuple[tuple[list[str], np.ndarray], Citation
     # each run's code, at the positions of its tokens
     simple_edges[order] = np.repeat(code[:len(simple_ids)], np.diff(runs, append=len(order)))
     del order, packed
-    # the rows interleave runs of simple lines with the accepted fallback
-    # lines, in line order
-    simple_before = _simple_lines_before(fallback_numbers, accepted_numbers)
-    bounds = [0, *simple_before.tolist(), simple]
-    rows = simple_edges.reshape(-1, 2)
-    for k in range(len(bounds) - 1):
-        edges[bounds[k] + k:bounds[k + 1] + k] = rows[bounds[k]:bounds[k + 1]]
-    edges[simple_before + np.arange(len(accepted))] = code[fallback_codes].reshape(-1, 2)
-    report = CitationParseReport(lines=simple + len(fallback), edges=len(edges), **counts)
-    return (ids, edges), report
+    # the rows hold the simple lines and the accepted fallback lines in
+    # line order
+    fallback_rows = _simple_lines_before(fallback_numbers, accepted_numbers) + np.arange(
+        len(accepted_numbers)
+    )
+    is_simple = np.ones(len(edges), dtype=bool)
+    is_simple[fallback_rows] = False
+    edges[is_simple] = simple_edges.reshape(-1, 2)
+    edges[fallback_rows] = code[fallback_to_index][fallback_codes].reshape(-1, 2)
+    return (ids, edges), CitationParseReport(lines=lines, edges=len(edges), **counts)
 
 
 def intern_pairs(pairs: Iterable[Sequence[str]]) -> tuple[list[str], np.ndarray]:
@@ -468,43 +470,20 @@ def parse_metadata(data: bytes) -> tuple[dict[str, tuple[str, int | None, str]],
     None and counted as unknown.
     """
     data = _universal_newlines(data)
-    # simple lines are ASCII, so their byte positions index this text
-    text = data.decode("latin-1")
-    fallback: list[tuple[int, str]] = []
-    ids, values = [], []
-    # the records share one str per class or assignee spelling, and one int
-    # per year; year 0 is unknown
+    records: dict[str, tuple[str, int | None, str]] = {}
+    # the records share one str per class or assignee spelling
     shared: dict[str, str] = {}
-    year_of: dict[int, int | None] = {0: None}
-    unknown_years = 0
-    for block in _simple_blocks(data, 4, 1, 2, fallback):
-        unknown_years += int(np.count_nonzero(block.years == 0))
-        starts = (block.field_lo[0] + block.offset).tolist()
-        ends = (block.field_hi[-1] + block.offset).tolist()
-        years = block.years.tolist()
-        for a, b, year in zip(starts, ends, map(year_of.setdefault, years, years)):
-            pid, cls, _, assignee = text[a:b].split("\t")
-            ids.append(pid)
-            values.append((shared.setdefault(cls, cls), year, shared.setdefault(assignee, assignee)))
-    del text
-    simple = len(ids)
-    counts: dict = {}
-    accepted_numbers = []
-    for number, parts in _accepted_fields(fallback, 4, 1, counts):
+    counts: dict[str, int] = {}
+    accepted = unknown_years = 0
+    for _, parts in _accepted_fields(_numbered_lines(data), 4, 1, counts):
+        accepted += 1
         year = _parse_year(parts[2])
-        unknown_years += year is None
-        accepted_numbers.append(number)
-        ids.append(parts[0])
-        values.append((parts[1].strip(), year, parts[3].strip()))
-    # a dict built from the records in line order keeps each id at its
-    # first position with its last record
-    simple_before = _simple_lines_before(
-        np.array([n for n, _ in fallback], dtype=np.int64), np.array(accepted_numbers, dtype=np.int64)
-    )
-    order = np.insert(np.arange(simple), simple_before, np.arange(simple, len(ids))).tolist()
-    records = dict(zip(map(ids.__getitem__, order), map(values.__getitem__, order)))
+        if year is None:
+            unknown_years += 1
+        cls, assignee = parts[1].strip(), parts[3].strip()
+        records[parts[0]] = (shared.setdefault(cls, cls), year, shared.setdefault(assignee, assignee))
     report = MetadataParseReport(
-        lines=simple + len(fallback), records=len(records), duplicate_ids=len(ids) - len(records),
+        lines=_line_count(data), records=len(records), duplicate_ids=accepted - len(records),
         unknown_years=unknown_years, **counts,
     )
     return records, report

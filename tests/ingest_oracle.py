@@ -11,9 +11,6 @@ ingest functions as they were when the citation payload was a list of
 ``(citing, cited)`` id strings that ``assemble_dataset`` interned in a
 second dict. Their bodies are unchanged. The interning code must give the
 same pairs, records and reports, and the same datasets.
-
-``_accepted_fields`` also records the 1-based numbers of the first
-malformed lines, which the reports carry.
 """
 from __future__ import annotations
 
@@ -23,27 +20,16 @@ import numpy as np
 
 from patentflow.graph import build_graph
 from patentflow.ingest import (
-    FIRST_MALFORMED_KEPT,
-    YEAR_MAX,
-    YEAR_MIN,
     CitationParseReport,
     DatasetBuildReport,
     MetadataParseReport,
     PatentDataset,
     PatentMeta,
+    _parse_year,
+    _undecodable,
     _year_column,
     intern_pairs,
 )
-
-
-def _undecodable(line: str) -> bool:
-    """True when the line holds lone surrogates, which is how bytes that are
-    not valid UTF-8 come out of a file opened with ``surrogateescape``."""
-    try:
-        line.encode("utf-8")
-    except UnicodeEncodeError:
-        return True
-    return False
 
 
 def _accepted_fields(
@@ -56,19 +42,15 @@ def _accepted_fields(
     a comment or malformed, or else accepted. It is malformed when it holds
     undecodable bytes, does not split into ``width`` fields, or has an
     empty id. Once the stream is exhausted, ``counts`` gets the ``lines``,
-    ``blank``, ``comments`` and ``malformed`` tallies, and
-    ``first_malformed``.
+    ``blank``, ``comments`` and ``malformed`` tallies.
     """
     last_id = id_fields - 1
     lines = blank = comments = malformed = 0
-    first_malformed: list[int] = []
     for raw in stream:
         lines += 1
         line = raw.rstrip("\r\n")
         if not line.isascii() and _undecodable(line):
             malformed += 1
-            if len(first_malformed) < FIRST_MALFORMED_KEPT:
-                first_malformed.append(lines)
             continue
         if not line.strip():
             blank += 1
@@ -79,32 +61,14 @@ def _accepted_fields(
         fields = line.split("\t")
         if len(fields) != width:
             malformed += 1
-            if len(first_malformed) < FIRST_MALFORMED_KEPT:
-                first_malformed.append(lines)
             continue
         fields[0] = fields[0].strip()
         fields[last_id] = fields[last_id].strip()
         if not fields[0] or not fields[last_id]:
             malformed += 1
-            if len(first_malformed) < FIRST_MALFORMED_KEPT:
-                first_malformed.append(lines)
             continue
         yield fields
-    counts.update(lines=lines, blank=blank, comments=comments, malformed=malformed,
-                  first_malformed=tuple(first_malformed))
-
-
-def _parse_year(text: str) -> int | None:
-    text = text.strip()
-    if not text:
-        return None
-    try:
-        year = int(text)
-    except ValueError:
-        return None
-    if not YEAR_MIN <= year <= YEAR_MAX:
-        return None
-    return year
+    counts.update(lines=lines, blank=blank, comments=comments, malformed=malformed)
 
 
 def parse_citations_text(

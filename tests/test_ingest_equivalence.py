@@ -3,8 +3,7 @@
 ``ingest_oracle`` keeps the text-mode parsers, which read a file opened in
 text mode with universal newlines and ``surrogateescape`` line by line, and
 the string-pair ``parse_citations``, the ``PatentMeta``-list
-``parse_metadata`` and their ``assemble_dataset``, as they were but for the
-malformed line numbers their reports now carry.
+``parse_metadata`` and their ``assemble_dataset``, as they were.
 
 The byte parsers must give the text-mode parsers' payloads and reports for
 the same bytes, in blocks of any size, on inputs rich in the bytes whose
@@ -234,7 +233,7 @@ def test_byte_parser_reads_each_year_as_text_mode_does(year):
     assert report == want_report
 
 
-def test_reports_keep_the_first_malformed_line_numbers(tmp_path):
+def test_load_dataset_counts_planted_malformed_lines(tmp_path):
     citations = [
         b"a\tb", b"x", b"# comment", b"\tx", b"x\t ", b"", b"c\td", b"a\tb",
         b"x\ty\tz", b"a\t\xff", b"e", b"f\tg",
@@ -244,10 +243,6 @@ def test_reports_keep_the_first_malformed_line_numbers(tmp_path):
     (tmp_path / "c.tsv").write_bytes(b"\r".join(citations))
     (tmp_path / "p.tsv").write_bytes(b"\r\n".join(patents) + b"\n")
     report = load_dataset(tmp_path / "c.tsv", tmp_path / "p.tsv").build_report
-    assert report.citations.malformed == 6
-    assert report.citations.first_malformed == (2, 4, 5, 9, 10)
-    assert report.metadata.malformed == 6
-    assert report.metadata.first_malformed == (2, 3, 6, 7, 10)
-    # the build-report line carries counts only
-    d = report.to_json_dict()
-    assert "first_malformed" not in d["citations"] and "first_malformed" not in d["metadata"]
+    assert (report.citations.lines, report.citations.malformed) == (12, 6)
+    assert (report.citations.comments, report.citations.blank) == (1, 1)
+    assert (report.metadata.lines, report.metadata.malformed) == (12, 6)
