@@ -5,9 +5,10 @@ vector) with the rank of dangling nodes redistributed evenly each step so
 total mass stays at 1. Iteration starts from the uniform vector and stops
 when the L1 change between consecutive vectors drops below epsilon.
 
-Scores are accumulated per node over its in-neighbors in stored ascending
-order, and the dangling-mass scalar is reduced in fixed index order, so a
-run is bitwise reproducible.
+Each step pushes every node's share along its out-links with one
+``bincount`` over the out-CSR, so a node's inflow is summed left to right
+over its in-neighbors in ascending index order. The dangling-mass scalar
+is reduced in fixed index order too, so a run is bitwise reproducible.
 """
 from __future__ import annotations
 
@@ -93,25 +94,18 @@ def pagerank(graph: CitationGraph, params: PageRankParams, threads: int = 1) -> 
     # there is no "other" node to receive the mass.
     exclude_self = params.dangling_mode == DANGLING_UNIFORM_OTHERS and n > 1
 
-    # one segment sum per node with in-links, over its stored in-neighbors
-    nonempty = graph.in_indptr[:-1] < graph.in_indptr[1:]
-    starts = graph.in_indptr[:-1][nonempty]
-
     cur = np.full(n, 1.0 / n)
-    values = np.empty(graph.in_indices.size)
-    inflow = np.zeros(n)
     iterations = 0
     delta = float("inf")
     converged = False
     for iterations in range(1, params.max_iterations + 1):
-        dangling_mass = float(cur[dangling].sum()) if dangling.size else 0.0
-        np.take(cur * inv_out, graph.in_indices, out=values)
-        if starts.size:
-            inflow[nonempty] = np.add.reduceat(values, starts)
+        dangling_mass = float(cur[dangling].sum())
+        inflow = np.bincount(
+            graph.out_indices, weights=np.repeat(cur * inv_out, graph.out_degrees), minlength=n
+        )
         if exclude_self:
             nxt = base + d * (inflow + dangling_mass / (n - 1.0))
-            if dangling.size:
-                nxt[dangling] -= d * (cur[dangling] / (n - 1.0))
+            nxt[dangling] -= d * (cur[dangling] / (n - 1.0))
         else:
             nxt = base + d * (inflow + dangling_mass / n)
         delta = convergence_delta(cur, nxt)

@@ -19,6 +19,7 @@ assignee-exclusion pass when a dominant assignee is planted alongside.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -164,8 +165,8 @@ class SyntheticSpec:
             total = sum(p for _, p in pairs)
             if abs(total - 1.0) > 1e-9:
                 raise PatentFlowError(f"{name} proportions sum to {total}, expected 1")
-            if any(p < 0 for _, p in pairs):
-                raise PatentFlowError(f"{name} proportions must be non-negative")
+            if not all(math.isfinite(p) and p >= 0 for _, p in pairs):
+                raise PatentFlowError(f"{name} proportions must be finite and non-negative")
             labels = [label for label, _ in pairs]
             if len(set(labels)) != len(labels):
                 raise PatentFlowError(f"{name} labels must be unique")
@@ -218,10 +219,11 @@ def load_spec(path: str | os.PathLike) -> SyntheticSpec:
             raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
         em = EdgeModel(**obj.get("edge_model", {}))
         pc = obj.get("planted_crossover")
+        start, end = obj["year_range"]
         spec = SyntheticSpec(
             node_count=int(obj["node_count"]),
             classes=tuple((str(c), float(p)) for c, p in obj["classes"]),
-            year_range=(int(obj["year_range"][0]), int(obj["year_range"][1])),
+            year_range=(int(start), int(end)),
             assignees=tuple((str(a), float(p)) for a, p in obj["assignees"]),
             edge_model=em,
             planted_crossover=PlantedCrossover(
@@ -247,6 +249,8 @@ def _weighted_pick(rng: np.random.Generator, labels: list[str], probs: list[floa
 def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> PatentDataset:
     """Deterministic synthetic PatentDataset for a given spec and seed."""
     spec.validate()
+    if seed < 0:
+        raise PatentFlowError(f"seed must be non-negative, got {seed}")
     n = spec.node_count
     rng = np.random.default_rng(seed)
     start, end = spec.year_range

@@ -288,10 +288,15 @@ def test_non_utf8_input_counted_not_fatal(tmp_path, capsys):
     assert (report["metadata"]["records"], report["metadata"]["malformed"]) == (1, 1)
 
 
+def _spec_with(**changes) -> bytes:
+    return json.dumps({**SPEC, **changes}).encode()
+
+
 @pytest.mark.parametrize(
     "content",
-    [b'{"node_count": 5', b'{"node_count": "\xff"}', b"[1, 2]"],
-    ids=["truncated-json", "non-utf8", "top-level-list"],
+    [b'{"node_count": 5', b'{"node_count": "\xff"}', b"[1, 2]",
+     _spec_with(year_range=[2000]), _spec_with(year_range=[])],
+    ids=["truncated-json", "non-utf8", "top-level-list", "year-range-one", "year-range-empty"],
 )
 def test_gen_bad_spec_is_domain_error(tmp_path, capsys, content):
     spec_path = tmp_path / "spec.json"
@@ -299,6 +304,25 @@ def test_gen_bad_spec_is_domain_error(tmp_path, capsys, content):
     code = main(["gen", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error: invalid synthetic spec" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "content, argv, message",
+    [
+        (_spec_with(classes=[["347", 0.2], ["400", 0.2], ["358", 0.2], ["435", float("nan")]]),
+         [], "error: classes proportions must be finite"),
+        (_spec_with(), ["--seed", "-1"], "error: seed must be non-negative"),
+    ],
+    ids=["nan-proportion", "negative-seed"],
+)
+def test_gen_bad_value_is_domain_error(tmp_path, capsys, content, argv, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(content)
+    code = main(["gen", "--spec", str(spec_path), *argv, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

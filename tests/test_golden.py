@@ -5,12 +5,23 @@ Every output file of ``rank``, ``sweep``, ``flow``, ``exclude-flow``,
 hashed and compared with digests recorded before the single-path PageRank
 kernel and the mask-based exclusion/subgraph code replaced their
 predecessors. The stderr build-report line is compared the same way.
+The digests of the files that carry PageRank results (the ``rank`` and
+``sweep`` score files, ``rank_table.csv``, and the ``final_delta`` of the
+``rank``, ``sweep`` and ``flow`` summaries) were re-recorded when the push
+kernel, one ``bincount`` over the out-CSR per step, replaced the gather
+and ``reduceat`` pull step; its sums differ in the last digits.
 Refactors that must not change any output keep these digests; a change
-that alters an output on purpose records new ones from ``_digests``.
+that alters an output on purpose records new ones, printed in this layout
+by ``PYTHONPATH=src:tests python tests/test_golden.py``.
 """
 import hashlib
+import io
 import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,7 +42,7 @@ GOLDEN = {
     "flow/flow_347.csv":
         "9618f8be044cf792708124226ae54c52105076cf54430d85b844166fb299808a",
     "flow/summary.json":
-        "097cafa0fbec875082c3b094c7ae832f350f714c74f20e7709a0222a035fb0b6",
+        "9bf0d0b86c2d0a858e8a961988d62c20ab1e137229b6598267ba16868734f3fc",
     "gen/<stderr build report>":
         "76031fe3c0bd2c26568f431ab262e643b23047082ca264ba55042c78baecd324",
     "gen/citations.tsv":
@@ -45,27 +56,27 @@ GOLDEN = {
     "rank/<stderr build report>":
         "ca581c462d199e8b9e6397460c2e9e5b9029ce9b519a80cb1a5ea92f8de97c90",
     "rank/rank_table.csv":
-        "133e9d97ee18d86353727d9c560717182efde5402a0bbcacdef45b9686acf66f",
+        "fb6b9d29c5e0fcf76f1b72b90e68dee91a35edfbd235465a11cce5fbbef5f524",
     "rank/rank_table.txt":
         "d2236225e3b1849c1ca43ce3fc91e6ce42e39c0e6ac070ffab4c5d0408a3a4a1",
     "rank/scores_d0.5.tsv":
-        "eee2ab6c610cebffd0b63f3fe00662145fbd353bbe03d474a121bc7732c83aa0",
+        "212badbed2813face2f2b426b6f40e485f4e618c1a0664de96e3a3fab375147d",
     "rank/summary.json":
-        "183b1a4d5299e001f69b7494543b8313ef6afc3529b2ac8ee95dc64323c8b809",
+        "0eea6fde96df06adea6d8495ed972b7f5632ddc27b852258879164df9ee8f47b",
     "sweep/<stderr build report>":
         "ca581c462d199e8b9e6397460c2e9e5b9029ce9b519a80cb1a5ea92f8de97c90",
     "sweep/scores_d0.01.tsv":
-        "63e86c0fd3b17aebb3d310ef9decc43d07a3edee2d566017f19e3b0b8893f83e",
+        "0aacecd9985050d771dd9212f654143c09e7017c13d90ab2d8c22b91ef213872",
     "sweep/scores_d0.15.tsv":
-        "1489da7bf3151814e3aaa016cac255bfcfb5aa38f1f8e734990e3525251d4068",
+        "0d0666d9f71a269876fb71825209d5abd13176b53696b69158b72b55a7e30893",
     "sweep/scores_d0.5.tsv":
-        "eee2ab6c610cebffd0b63f3fe00662145fbd353bbe03d474a121bc7732c83aa0",
+        "212badbed2813face2f2b426b6f40e485f4e618c1a0664de96e3a3fab375147d",
     "sweep/scores_d0.85.tsv":
-        "b0f731190365d225894375ad46217618d4c0dcbdbd9790e625f52fdd0fa17baf",
+        "8afc5da6a744be23f19127733d111b91900d3612bc501b8cf3722953cf37a2a8",
     "sweep/scores_d0.99.tsv":
-        "3cb893855bf72a244c00e5ad625a420daf65a8b74fec5f24bb06c678f7f8d36a",
+        "93e49de0f4e581409253a07642ecc7fac5f73650b390a8e4182a05a9ec2297eb",
     "sweep/sweep_summary.json":
-        "695a23e7468bde9f1a3ed3b1ebf5d2d684811b4897eb8d98d49dcdb931d8da93",
+        "c826757d8d995070769db717284c38f07944cc33c6dad647a48466c02593ae38",
 }
 
 
@@ -110,3 +121,28 @@ def _digests(root: Path, threads: int, capsys) -> dict[str, str]:
 @pytest.mark.parametrize("threads", [1, 7])
 def test_cli_outputs_match_recorded_digests(tmp_path, capsys, threads):
     assert _digests(tmp_path, threads, capsys) == GOLDEN
+
+
+class _StderrCapture:
+    """Stands in for pytest's ``capsys`` when the module runs as a script."""
+
+    def __init__(self) -> None:
+        self.stream = io.StringIO()
+
+    def readouterr(self) -> SimpleNamespace:
+        err = self.stream.getvalue()
+        self.stream.seek(0)
+        self.stream.truncate()
+        return SimpleNamespace(err=err)
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src:tests python tests/test_golden.py
+    # prints the current digests in GOLDEN's layout, ready to diff or paste
+    capture = _StderrCapture()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
+            redirect_stderr(capture.stream):
+        current = _digests(Path(tmp), 1, capture)
+    sys.stdout.write("GOLDEN = {\n" + "".join(
+        f'    "{name}":\n        "{digest}",\n' for name, digest in sorted(current.items())
+    ) + "}\n")

@@ -145,16 +145,19 @@ def test_parsed_text_matches_string_pair_oracle(citation_lines, metadata_lines, 
     )
 
 
-# ids of 1 to 33 bytes, which pack into one to five words (the last is too
-# long for the fast path), and spellings that strip to one of them, or hold
-# a NUL, a non-ASCII character or bytes that are not UTF-8
+# ids of 1 to 33 bytes, which pack into one to five words (33 bytes is too
+# long for the fast path), one holding DEL, which the fast path reads as
+# simple though ``str.isprintable()`` does not, and spellings that strip to
+# one of them, or hold a NUL, another control byte, a non-ASCII character or
+# bytes that are not UTF-8
 _IDS = [
     b"p1", b"p", b"p2", b"4683202", b"12345678", b"US4683202", b"EP1234567A1", b"x" * 16,
-    b"y" * 17, b"WO2005123456A2-0000001", b"z" * 24, b"w" * 32, b"v" * 33,
+    b"y" * 17, b"WO2005123456A2-0000001", b"z" * 24, b"w" * 32, b"v" * 33, b"p\x7f1",
 ]
 _ID_SPELLINGS = [
     b" p1", b"p1 ", b"p1\x1c", b"\x1fp1", "\u3000p1".encode(), "p1\x85".encode(), b"p\x001",
     b"\x00", b"p\xff1", "\xe9".encode(), b"\xed\xa0\x80", b"#p1", b" #p1", b"p 1", b" US4683202 ",
+    b" p\x7f1", b"\x01p1",
 ]
 _YEARS = [
     b"", b"1999", b"2000", b"0199", b"1789", b"1790", b"2100", b"2101", b"+1990", b"-1990",

@@ -176,6 +176,55 @@ def test_repeated_runs_bitwise_identical():
     assert np.array_equal(a.scores, b.scores)
 
 
+def _left_to_right_pagerank(g, params):
+    """The update as documented, in plain Python: each node's inflow is
+    summed left to right over its in-neighbors in ascending index order.
+
+    The dangling mass and the L1 delta are numpy reductions in index order,
+    as in the engine.
+    """
+    n, d = g.node_count, params.damping
+    base = (1.0 - d) / n
+    inv_out = [1.0 / k if k else 0.0 for k in g.out_degrees.tolist()]
+    in_lists = [[] for _ in range(n)]
+    for u, v in g.edge_array().tolist():  # (source, target) order
+        in_lists[v].append(u)
+    dangling = g.dangling_nodes
+    exclude_self = params.dangling_mode == "uniform-others" and n > 1
+    cur = np.full(n, 1.0 / n)
+    for iterations in range(1, params.max_iterations + 1):
+        dangling_mass = float(cur[dangling].sum())
+        spread = dangling_mass / (n - 1.0) if exclude_self else dangling_mass / n
+        nxt = []
+        for v in range(n):
+            inflow = 0.0
+            for u in in_lists[v]:
+                inflow += float(cur[u]) * inv_out[u]
+            nxt.append(base + d * (inflow + spread))
+        if exclude_self:
+            for v in dangling.tolist():
+                nxt[v] -= d * (float(cur[v]) / (n - 1.0))
+        nxt = np.array(nxt)
+        delta = float(np.abs(nxt - cur).sum())
+        cur = nxt
+        if delta < params.epsilon:
+            break
+    return cur, iterations, delta
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+@pytest.mark.parametrize("mode", ["uniform-all", "uniform-others"])
+def test_matches_left_to_right_oracle_bitwise(seed, mode):
+    g = random_graph(50, 600, seed=seed)
+    assert g.in_degrees.max() >= 8 and g.dangling_nodes.size
+    for d in (0.5, 0.85):
+        params = PageRankParams(damping=d, epsilon=1e-13, dangling_mode=mode)
+        r = pagerank(g, params)
+        scores, iterations, delta = _left_to_right_pagerank(g, params)
+        assert (r.iterations, r.final_delta) == (iterations, delta)
+        assert np.array_equal(r.scores, scores)
+
+
 def _graph_with_dangling(n, m, k, seed):
     rng = np.random.default_rng(seed)
     src = rng.integers(0, n - k, size=m)
