@@ -124,6 +124,8 @@ def _cmd_rank(args) -> int:
     damping = _env_or(args.damping, "DAMPING", float, DEFAULT_DAMPING)
     params = _params_from(args, damping)
     top = _env_or(args.top, "TOP", int, DEFAULT_TOP)
+    if top < 0:
+        raise PatentFlowError(f"top must be non-negative, got {top}")
     dataset = _load(args)
     result = pagerank(dataset.graph, params)
     out = _out_dir(args)

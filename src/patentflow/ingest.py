@@ -63,14 +63,6 @@ class PatentMeta:
     grant_year: int | None = None
     assignee: str = ""
 
-    @property
-    def class_known(self) -> bool:
-        return self.primary_class != ""
-
-    @property
-    def year_known(self) -> bool:
-        return self.grant_year is not None
-
 
 @dataclass(frozen=True)
 class CitationParseReport:
@@ -104,6 +96,27 @@ class DatasetBuildReport:
     citations: CitationParseReport | None = None
     metadata: MetadataParseReport | None = None
 
+    @classmethod
+    def of(
+        cls,
+        graph: CitationGraph,
+        record_count: int,
+        citations: CitationParseReport | None = None,
+        metadata: MetadataParseReport | None = None,
+    ) -> DatasetBuildReport:
+        """The report of a dataset over ``graph`` whose first ``record_count``
+        nodes have metadata records; the rest are placeholders."""
+        r = graph.build_report
+        return cls(
+            nodes=graph.node_count,
+            edges_stored=r.edges_stored,
+            self_loops_dropped=r.self_loops_dropped,
+            duplicate_edges_dropped=r.duplicate_edges_dropped,
+            placeholder_nodes=graph.node_count - record_count,
+            citations=citations,
+            metadata=metadata,
+        )
+
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
         if d["citations"] is None:
@@ -132,7 +145,7 @@ class PatentDataset:
     classes: tuple[str, ...] = field(repr=False)
     assignees: tuple[str, ...] = field(repr=False)
     record_count: int
-    build_report: DatasetBuildReport = field(default_factory=DatasetBuildReport)
+    build_report: DatasetBuildReport
 
     def __post_init__(self) -> None:
         for col in (self.class_code, self.year, self.assignee_code):
@@ -542,15 +555,6 @@ def assemble_dataset(
     year[: len(records)] = _year_column([y for _, y, _ in records.values()])
 
     graph = build_graph(remap[edges], n)
-    report = DatasetBuildReport(
-        nodes=n,
-        edges_stored=graph.build_report.edges_stored,
-        self_loops_dropped=graph.build_report.self_loops_dropped,
-        duplicate_edges_dropped=graph.build_report.duplicate_edges_dropped,
-        placeholder_nodes=n - len(records),
-        citations=citations_report,
-        metadata=metadata_report,
-    )
     return PatentDataset(
         graph=graph,
         index_to_id=tuple(index),
@@ -560,7 +564,7 @@ def assemble_dataset(
         classes=tuple(class_index)[1:],
         assignees=tuple(assignee_index),
         record_count=len(records),
-        build_report=report,
+        build_report=DatasetBuildReport.of(graph, len(records), citations_report, metadata_report),
     )
 
 

@@ -36,7 +36,6 @@ class RankTable:
 
     rows: tuple[RankRow, ...]
     damping_values: tuple[float, ...]
-    principal_damping: float
 
     def scaled(self, row: RankRow, damping: float) -> int:
         return round(float(row.scores[damping]) * SCORE_SCALE)
@@ -82,11 +81,7 @@ def top_table(
                 scores={r.params.damping: float(r.scores[i]) for r in results},
             )
         )
-    return RankTable(
-        rows=tuple(rows),
-        damping_values=damping_values,
-        principal_damping=principal_d,
-    )
+    return RankTable(rows=tuple(rows), damping_values=damping_values)
 
 
 def render_rank_table(table: RankTable) -> str:

@@ -27,10 +27,12 @@ import numpy as np
 
 from .errors import PatentFlowError
 from .graph import CitationGraph, build_graph
-from .ingest import PatentDataset, _undecodable, assemble_dataset
+from .ingest import YEAR_MAX, YEAR_MIN, PatentDataset, _undecodable, assemble_dataset
 from .pagerank import DANGLING_UNIFORM_OTHERS, PageRankParams
 
 DENSE_NODE_LIMIT = 2000
+# the largest mean numpy's Poisson sampler accepts
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 # planted layout per year block: targets first, then citing patents
 _TARGETS_PER_YEAR = 4
@@ -76,16 +78,14 @@ def dense_pagerank(graph: CitationGraph, params: PageRankParams) -> np.ndarray:
     raise PatentFlowError("dense reference iteration did not reach tolerance")
 
 
-def random_graph(
-    node_count: int, edge_count: int, seed: int, ensure_dangling: bool = True
-) -> CitationGraph:
+def random_graph(node_count: int, edge_count: int, seed: int) -> CitationGraph:
     """Seeded random directed graph for oracle comparisons.
 
-    With ``ensure_dangling`` about a tenth of the nodes are barred from
-    citing anything, so the dangling redistribution path is always hit.
+    From two nodes on, about a tenth of the nodes are barred from citing
+    anything, so the dangling redistribution path is always hit.
     """
     rng = np.random.default_rng(seed)
-    if ensure_dangling and node_count >= 2:
+    if node_count >= 2:
         k = max(1, node_count // 10)
         silent = rng.choice(node_count, size=k, replace=False)
         mask = np.ones(node_count, dtype=bool)
@@ -128,8 +128,9 @@ class EdgeModel:
     recency_window: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.out_degree_mean < 0:
-            raise PatentFlowError("out_degree_mean must be non-negative")
+        mean = self.out_degree_mean
+        if not 0.0 <= mean <= _POISSON_LAM_MAX:
+            raise PatentFlowError(f"out_degree_mean must be in [0, {_POISSON_LAM_MAX:.6g}], got {mean}")
         for name in ("preferential", "recency_bias", "recency_window"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -156,7 +157,7 @@ class SyntheticSpec:
     planted_crossover: PlantedCrossover | None = None
     dominant_assignee: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.node_count < 0:
             raise PatentFlowError("node_count must be non-negative")
         for name, pairs in (("classes", self.classes), ("assignees", self.assignees)):
@@ -171,8 +172,12 @@ class SyntheticSpec:
             if len(set(labels)) != len(labels):
                 raise PatentFlowError(f"{name} labels must be unique")
         start, end = self.year_range
-        if start > end:
-            raise PatentFlowError(f"year_range {self.year_range} is empty")
+        # patents.tsv reads a year outside [YEAR_MIN, YEAR_MAX] back as unknown
+        if not YEAR_MIN <= start <= end <= YEAR_MAX:
+            raise PatentFlowError(
+                f"year_range {self.year_range} must be non-empty and within "
+                f"[{YEAR_MIN}, {YEAR_MAX}]"
+            )
         pc = self.planted_crossover
         if pc is not None:
             if len({pc.target_class, pc.source_class_a, pc.source_class_b}) != 3:
@@ -220,7 +225,7 @@ def load_spec(path: str | os.PathLike) -> SyntheticSpec:
         em = EdgeModel(**obj.get("edge_model", {}))
         pc = obj.get("planted_crossover")
         start, end = obj["year_range"]
-        spec = SyntheticSpec(
+        return SyntheticSpec(
             node_count=int(obj["node_count"]),
             classes=tuple((str(c), float(p)) for c, p in obj["classes"]),
             year_range=(int(start), int(end)),
@@ -238,8 +243,6 @@ def load_spec(path: str | os.PathLike) -> SyntheticSpec:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise PatentFlowError(f"invalid synthetic spec: {exc}") from exc
-    spec.validate()
-    return spec
 
 
 def _weighted_pick(rng: np.random.Generator, labels: list[str], probs: list[float]) -> str:
@@ -248,7 +251,6 @@ def _weighted_pick(rng: np.random.Generator, labels: list[str], probs: list[floa
 
 def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> PatentDataset:
     """Deterministic synthetic PatentDataset for a given spec and seed."""
-    spec.validate()
     if seed < 0:
         raise PatentFlowError(f"seed must be non-negative, got {seed}")
     n = spec.node_count
@@ -357,7 +359,8 @@ def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> PatentDataset:
             if r < em.preferential and pref_pool:
                 v = pref_pool[int(rng.integers(len(pref_pool)))]
             elif r < em.preferential + em.recency_bias:
-                lo = int(navail * (1.0 - em.recency_window))
+                # a window too narrow to hold one patent picks the latest
+                lo = min(int(navail * (1.0 - em.recency_window)), navail - 1)
                 v = int(allowed_idx[int(rng.integers(lo, navail))])
             else:
                 v = int(allowed_idx[int(rng.integers(navail))])

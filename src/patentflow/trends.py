@@ -258,11 +258,6 @@ def apply_exclusion(
     # placeholders are the index suffix from record_count on, and the
     # remap keeps index order, so they stay a suffix
     record_count = int(np.searchsorted(keep, dataset.record_count))
-    report = DatasetBuildReport(
-        nodes=sub.node_count,
-        edges_stored=sub.build_report.edges_stored,
-        placeholder_nodes=sub.node_count - record_count,
-    )
     reduced = dataclasses.replace(
         dataset,
         graph=sub,
@@ -271,7 +266,7 @@ def apply_exclusion(
         year=dataset.year[keep],
         assignee_code=dataset.assignee_code[keep],
         record_count=record_count,
-        build_report=report,
+        build_report=DatasetBuildReport.of(sub, record_count),
     )
     return reduced, remap
 

@@ -135,7 +135,7 @@ def class_inflow_series(
     entries: dict[tuple[str, int], float] = {}
     for u in sorted(citers):
         m = dataset.meta[u]
-        if not m.class_known or not m.year_known or m.primary_class == target_class:
+        if m.primary_class == "" or m.grant_year is None or m.primary_class == target_class:
             continue
         key = (m.primary_class, m.grant_year)
         if metric == METRIC_PAGERANK_SUM:
@@ -160,7 +160,7 @@ def patent_inflow_breakdown(
     out: dict[tuple[str, int], tuple[int, float]] = {}
     for u in dataset.graph.in_neighbors(patent):
         m = dataset.meta[int(u)]
-        if not m.class_known or not m.year_known:
+        if m.primary_class == "" or m.grant_year is None:
             continue
         key = (m.primary_class, m.grant_year)
         count, total = out.get(key, (0, 0.0))
@@ -220,7 +220,7 @@ def apply_exclusion(
         nodes=sub.node_count,
         edges_stored=sub.build_report.edges_stored,
         placeholder_nodes=sum(
-            1 for m in meta if not m.class_known and not m.year_known and not m.assignee
+            1 for m in meta if m.primary_class == "" and m.grant_year is None and not m.assignee
         ),
     )
     reduced = MetaTupleDataset(

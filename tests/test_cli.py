@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +212,8 @@ def test_bad_damping_domain_error(data_dir, tmp_path, capsys):
     (["exclude-flow", "--target-class", "347", "--exclude-assignee", "canoncorp",
       "--epsilon", "-1"], {}),
     (["patent", "7000001", "--max-iters", "0"], {}),
+    (["rank", "--top", "-3"], {}),
+    (["rank"], {"PATENTFLOW_TOP": "-1"}),
 ])
 def test_bad_settings_rejected_before_loading(data_dir, tmp_path, monkeypatch, capsys,
                                              argv, env):
@@ -275,6 +279,17 @@ def test_module_invocation_subprocess(data_dir, tmp_path):
     assert report["nodes"] == 600
 
 
+def test_plain_pytest_imports_the_package_from_src():
+    """A fresh checkout's ``pytest`` finds the package without PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         "tests/test_graph.py"],
+        cwd=Path(__file__).resolve().parents[1], env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_non_utf8_input_counted_not_fatal(tmp_path, capsys):
     citations = tmp_path / "c.tsv"
     citations.write_bytes(b"1\t2\n3\t\xff4\n")
@@ -313,8 +328,19 @@ def test_gen_bad_spec_is_domain_error(tmp_path, capsys, content):
         (_spec_with(classes=[["347", 0.2], ["400", 0.2], ["358", 0.2], ["435", float("nan")]]),
          [], "error: classes proportions must be finite"),
         (_spec_with(), ["--seed", "-1"], "error: seed must be non-negative"),
+        (_spec_with(edge_model={"out_degree_mean": float("nan")}), [],
+         "error: out_degree_mean must be in"),
+        (_spec_with(edge_model={"out_degree_mean": float("inf")}), [],
+         "error: out_degree_mean must be in"),
+        (_spec_with(edge_model={"out_degree_mean": 1e300}), [],
+         "error: out_degree_mean must be in"),
+        (_spec_with(edge_model={"out_degree_mean": -1.0}), [],
+         "error: out_degree_mean must be in"),
+        (_spec_with(year_range=[1700, 1705]), [], "error: year_range"),
+        (_spec_with(year_range=[2095, 2104]), [], "error: year_range"),
     ],
-    ids=["nan-proportion", "negative-seed"],
+    ids=["nan-proportion", "negative-seed", "nan-out-degree", "infinite-out-degree",
+         "huge-out-degree", "negative-out-degree", "years-before-1790", "years-after-2100"],
 )
 def test_gen_bad_value_is_domain_error(tmp_path, capsys, content, argv, message):
     spec_path = tmp_path / "spec.json"

@@ -95,8 +95,8 @@ def test_assemble_placeholders_for_unknown_ids():
     assert ds.node_count == 2
     assert ds.build_report.placeholder_nodes == 2
     assert ds.meta_of(0).patent_id == "a"
-    assert not ds.meta_of(0).class_known
-    assert not ds.meta_of(0).year_known
+    assert ds.meta_of(0).primary_class == ""
+    assert ds.meta_of(0).grant_year is None
 
 
 def test_assemble_id_map_bijection():

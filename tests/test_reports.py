@@ -79,7 +79,7 @@ def test_damping_zero_scaled_scores_equal():
 
 def test_scaled_rounds_half_to_even():
     row = RankRow(1, "p", "100", 0, {0.5: 2.5e-08})
-    table = RankTable((row,), (0.5,), 0.5)
+    table = RankTable((row,), (0.5,))
     assert table.scaled(row, 0.5) == 2
     row2 = RankRow(1, "p", "100", 0, {0.5: 1.55e-07})
     assert table.scaled(row2, 0.5) == 16
@@ -167,11 +167,7 @@ def _full_sort_top_table(dataset, results, n, principal_d):
                 scores={r.params.damping: float(r.scores[i]) for r in results},
             )
         )
-    return RankTable(
-        rows=tuple(rows),
-        damping_values=damping_values,
-        principal_damping=principal_d,
-    )
+    return RankTable(rows=tuple(rows), damping_values=damping_values)
 
 
 def _result(scores, damping):

@@ -92,6 +92,25 @@ def test_generator_graph_is_acyclic_and_backward_in_time():
     assert (years[edges[:, 0]] >= years[edges[:, 1]]).all()
 
 
+@pytest.mark.parametrize("window", [0.0, 1e-17])
+def test_generator_narrowest_recency_window_picks_the_latest_patent(window):
+    def edges(recency_bias):
+        spec = SyntheticSpec(
+            node_count=200,
+            classes=(("a", 1.0),),
+            year_range=(2000, 2004),
+            assignees=(("x", 1.0),),
+            edge_model=EdgeModel(preferential=0.0, recency_bias=recency_bias,
+                                 recency_window=window),
+        )
+        return generate_synthetic_dataset(spec, seed=3).graph.edge_array()
+
+    only_recent = edges(1.0)
+    assert only_recent.size and (only_recent[:, 1] == only_recent[:, 0] - 1).all()
+    mixed = edges(0.5)
+    assert (mixed[:, 1] < mixed[:, 0]).all()
+
+
 def test_generator_marginals_within_3_sigma():
     spec = SyntheticSpec(
         node_count=4000,
@@ -154,14 +173,14 @@ def test_spec_validation_errors():
             classes=(("a", 0.5), ("b", 0.6)),
             year_range=(2000, 2001),
             assignees=(("x", 1.0),),
-        ).validate()
+        )
     with pytest.raises(PatentFlowError):
         SyntheticSpec(
             node_count=10,
             classes=(("a", 1.0),),
             year_range=(2005, 2001),
             assignees=(("x", 1.0),),
-        ).validate()
+        )
     with pytest.raises(PatentFlowError):
         SyntheticSpec(
             node_count=good.node_count,
@@ -169,7 +188,7 @@ def test_spec_validation_errors():
             year_range=(1995, 2010),
             assignees=good.assignees,
             planted_crossover=PlantedCrossover("347", "400", "358", 1995),
-        ).validate()
+        )
     with pytest.raises(PatentFlowError):
         SyntheticSpec(
             node_count=good.node_count,
@@ -177,7 +196,7 @@ def test_spec_validation_errors():
             year_range=good.year_range,
             assignees=good.assignees,
             dominant_assignee="nobody",
-        ).validate()
+        )
     with pytest.raises(PatentFlowError):
         EdgeModel(preferential=0.8, recency_bias=0.5)
 

@@ -162,7 +162,7 @@ def _series_via_breakdowns(ds, result, target, metric):
             citations_per_citer[int(u)] += 1
     for u, k in citations_per_citer.items():
         m = ds.meta_of(u)
-        if k > 1 and m.class_known and m.year_known:
+        if k > 1 and m.primary_class != "" and m.grant_year is not None:
             agg[(m.primary_class, m.grant_year)][0] -= k - 1
             agg[(m.primary_class, m.grant_year)][1] -= (k - 1) * float(result.scores[u])
     if metric == "citation-count":
