@@ -6,9 +6,10 @@ total mass stays at 1. Iteration starts from the uniform vector and stops
 when the L1 change between consecutive vectors drops below epsilon.
 
 Each step pushes every node's share along its out-links with one
-``bincount`` over the out-CSR, so a node's inflow is summed left to right
-over its in-neighbors in ascending index order. The dangling-mass scalar
-is reduced in fixed index order too, so a run is bitwise reproducible.
+unbuffered ``np.add.at`` per block of source nodes, the blocks in ascending
+order, so a node's inflow is summed left to right over its in-neighbors in
+ascending index order. The dangling-mass scalar is reduced in fixed index
+order too, so a run is bitwise reproducible.
 """
 from __future__ import annotations
 
@@ -29,6 +30,10 @@ _DANGLING_MODES = (DANGLING_UNIFORM_ALL, DANGLING_UNIFORM_OTHERS)
 DEFAULT_EPSILON = 1e-6
 DEFAULT_MAX_ITERATIONS = 1000
 
+# Source nodes per np.add.at call in the push step; the fastest of 4,096 to
+# 262,144 in a per-step sweep at 1M nodes / 10M edges.
+_PUSH_BLOCK_NODES = 4096
+
 
 @dataclass(frozen=True)
 class PageRankParams:
@@ -42,8 +47,11 @@ class PageRankParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.damping < 1.0:
             raise PatentFlowError(f"damping must be in [0, 1), got {self.damping}")
-        if not self.epsilon > 0.0:
-            raise PatentFlowError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < float("inf"):
+            raise PatentFlowError(f"epsilon must be positive and finite, got {self.epsilon}")
+        max_iterations = self.max_iterations
+        if isinstance(max_iterations, bool) or not isinstance(max_iterations, (int, np.integer)):
+            raise PatentFlowError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise PatentFlowError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.dangling_mode not in _DANGLING_MODES:
@@ -93,6 +101,9 @@ def pagerank(graph: CitationGraph, params: PageRankParams, threads: int = 1) -> 
     # uniform-others degenerates to uniform-all on a single-node graph:
     # there is no "other" node to receive the mass.
     exclude_self = params.dangling_mode == DANGLING_UNIFORM_OTHERS and n > 1
+    step, indptr = _PUSH_BLOCK_NODES, graph.out_indptr
+    blocks = [(slice(lo, lo + step), graph.out_indices[indptr[lo]:indptr[min(lo + step, n)]])
+              for lo in range(0, n, step)]
 
     cur = np.full(n, 1.0 / n)
     iterations = 0
@@ -100,9 +111,10 @@ def pagerank(graph: CitationGraph, params: PageRankParams, threads: int = 1) -> 
     converged = False
     for iterations in range(1, params.max_iterations + 1):
         dangling_mass = float(cur[dangling].sum())
-        inflow = np.bincount(
-            graph.out_indices, weights=np.repeat(cur * inv_out, graph.out_degrees), minlength=n
-        )
+        share = cur * inv_out
+        inflow = np.zeros(n)
+        for nodes, targets in blocks:
+            np.add.at(inflow, targets, np.repeat(share[nodes], graph.out_degrees[nodes]))
         if exclude_self:
             nxt = base + d * (inflow + dangling_mass / (n - 1.0))
             nxt[dangling] -= d * (cur[dangling] / (n - 1.0))

@@ -214,6 +214,9 @@ def test_bad_damping_domain_error(data_dir, tmp_path, capsys):
     (["patent", "7000001", "--max-iters", "0"], {}),
     (["rank", "--top", "-3"], {}),
     (["rank"], {"PATENTFLOW_TOP": "-1"}),
+    (["rank", "--epsilon", "inf"], {}),
+    (["sweep", "--epsilon", "inf"], {}),
+    (["sweep"], {"PATENTFLOW_EPSILON": "Infinity"}),
 ])
 def test_bad_settings_rejected_before_loading(data_dir, tmp_path, monkeypatch, capsys,
                                              argv, env):

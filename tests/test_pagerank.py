@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,10 @@ from patentflow import (
     random_graph,
     write_scores_tsv,
 )
+from bincount_oracle import bincount_pagerank
+
+# the package's ``pagerank`` attribute is the function, not the module
+pagerank_module = importlib.import_module("patentflow.pagerank")
 
 SWEEP = (0.01, 0.15, 0.50, 0.85, 0.99)
 TIGHT = dict(epsilon=1e-12, max_iterations=20000)
@@ -132,11 +138,21 @@ def test_single_node_graph_both_modes():
         dict(damping=0.5, epsilon=0.0),
         dict(damping=0.5, max_iterations=0),
         dict(damping=0.5, dangling_mode="nope"),
+        dict(damping=0.5, epsilon=float("inf")),
+        dict(damping=0.5, epsilon=float("nan")),
+        dict(damping=0.5, max_iterations=2.5),
+        dict(damping=0.5, max_iterations=True),
+        dict(damping=0.5, max_iterations="10"),
     ],
 )
 def test_params_validation(kwargs):
     with pytest.raises(PatentFlowError):
         PageRankParams(**kwargs)
+
+
+def test_params_accept_numpy_integer_iterations():
+    params = PageRankParams(damping=0.5, max_iterations=np.int64(3))
+    assert pagerank(random_graph(20, 60, seed=1), params).iterations <= 3
 
 
 def test_convergence_delta_examples():
@@ -221,6 +237,41 @@ def test_matches_left_to_right_oracle_bitwise(seed, mode):
         params = PageRankParams(damping=d, epsilon=1e-13, dangling_mode=mode)
         r = pagerank(g, params)
         scores, iterations, delta = _left_to_right_pagerank(g, params)
+        assert (r.iterations, r.final_delta) == (iterations, delta)
+        assert np.array_equal(r.scores, scores)
+
+
+@pytest.mark.parametrize("block", [2, 3, 5])
+@pytest.mark.parametrize("mode", ["uniform-all", "uniform-others"])
+def test_block_seams_match_left_to_right_oracle_bitwise(monkeypatch, block, mode):
+    monkeypatch.setattr(pagerank_module, "_PUSH_BLOCK_NODES", block)
+    n = 6 * block + 1  # the last block holds one node
+    rng = np.random.default_rng(block)
+    sources = np.setdiff1d(np.arange(n), np.arange(block, 2 * block))  # block 1 only dangling
+    planted = [(1, 0), (2 * block, 0), (4 * block, 0), (6 * block, 0)]
+    edges = np.vstack((planted, np.column_stack((rng.choice(sources, 8 * n), rng.integers(0, n, 8 * n)))))
+    g = build_graph(edges, n)
+    assert n % block and not g.out_degrees[block:2 * block].any()
+    assert np.unique(g.in_neighbors(0) // block).size >= 3
+    for graph in (g, build_graph([], 2 * block + 1)):
+        for d in (0.5, 0.85):
+            params = PageRankParams(damping=d, epsilon=1e-13, dangling_mode=mode)
+            r = pagerank(graph, params)
+            scores, iterations, delta = _left_to_right_pagerank(graph, params)
+            assert (r.iterations, r.final_delta) == (iterations, delta)
+            assert np.array_equal(r.scores, scores)
+
+
+@pytest.mark.parametrize("mode", ["uniform-all", "uniform-others"])
+def test_matches_bincount_oracle_bitwise_at_real_block_size(mode):
+    block = pagerank_module._PUSH_BLOCK_NODES
+    n = 7 * block // 2
+    g = random_graph(n, 8 * n, seed=41)
+    assert n % block and g.dangling_nodes.size
+    for d in (0.15, 0.5, 0.85):
+        params = PageRankParams(damping=d, epsilon=1e-12, dangling_mode=mode)
+        r = pagerank(g, params)
+        scores, iterations, delta = bincount_pagerank(g, params)
         assert (r.iterations, r.final_delta) == (iterations, delta)
         assert np.array_equal(r.scores, scores)
 
