@@ -19,7 +19,6 @@ from .pagerank import (
     PageRankResult,
     convergence_delta,
     pagerank,
-    pagerank_sweep,
     write_scores_tsv,
 )
 from .reports import RankRow, RankTable, render_rank_table, top_table, write_rank_csv
@@ -27,11 +26,8 @@ from .testkit import (
     EdgeModel,
     PlantedCrossover,
     SyntheticSpec,
-    dense_pagerank,
     generate_synthetic_dataset,
     load_spec,
-    random_citation_edges,
-    random_graph,
 )
 from .trends import (
     ClassFlowSeries,
@@ -41,7 +37,6 @@ from .trends import (
     class_inflow_series,
     class_ratio,
     crossover_year,
-    excluded_flow_pipeline,
     patent_inflow_breakdown,
     write_flow_csv,
 )
@@ -73,20 +68,15 @@ __all__ = [
     "class_ratio",
     "convergence_delta",
     "crossover_year",
-    "dense_pagerank",
-    "excluded_flow_pipeline",
     "generate_synthetic_dataset",
     "induced_subgraph",
     "intern_pairs",
     "load_dataset",
     "load_spec",
     "pagerank",
-    "pagerank_sweep",
     "parse_citations",
     "parse_metadata",
     "patent_inflow_breakdown",
-    "random_citation_edges",
-    "random_graph",
     "render_rank_table",
     "top_table",
     "write_citations",

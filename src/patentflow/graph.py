@@ -116,23 +116,6 @@ class CitationGraph:
         """All stored edges as an (m, 2) array ordered by (source, target)."""
         return np.column_stack((self.edge_sources(), self.out_indices))
 
-    def has_cycle(self) -> bool:
-        """Diagnostic: True when the directed graph contains a cycle.
-
-        Kahn peeling; intended for test-scale graphs, not the hot path.
-        """
-        indeg = self.in_degrees.copy()
-        stack = [int(u) for u in np.flatnonzero(indeg == 0)]
-        seen = 0
-        while stack:
-            u = stack.pop()
-            seen += 1
-            for v in self.out_neighbors(u):
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    stack.append(int(v))
-        return seen != self.node_count
-
     def __repr__(self) -> str:
         return (
             f"CitationGraph(nodes={self.node_count}, edges={self.edge_count}, "
@@ -147,13 +130,22 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     return indptr
 
 
+def _integer_indices(values, what: str) -> np.ndarray:
+    """``values`` as int64 (int64 input is not copied). Raises PatentFlowError
+    for non-empty float, bool or object input, which a cast would reinterpret."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise PatentFlowError(f"{what} must be integer indices, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def edge_index_array(edges, node_count: int) -> np.ndarray:
     """``edges`` as an (m, 2) int64 array of indices in ``[0, node_count)``.
 
-    Raises PatentFlowError when ``edges`` is not shaped (m, 2), and
-    MalformedEdgeError when an index falls outside the range.
+    Raises PatentFlowError when ``edges`` is not integer or not shaped
+    (m, 2), and MalformedEdgeError when an index falls outside the range.
     """
-    arr = np.asarray(edges, dtype=np.int64)
+    arr = _integer_indices(edges, "edges")
     if arr.size == 0:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -243,11 +235,13 @@ def induced_subgraph(graph: CitationGraph, keep) -> tuple[CitationGraph, np.ndar
     (length ``graph.node_count``, -1 for dropped nodes). New indices
     follow ascending old-index order.
 
+    Raises PatentFlowError when ``keep`` is not of an integer dtype (a
+    boolean mask is refused) or holds an index outside the graph.
+
     Nothing is sorted: neighbor lists are already ascending and distinct,
     and the remap is monotone, so masking each list keeps both properties.
     """
-    keep_arr = np.asarray(list(keep) if isinstance(keep, (set, frozenset)) else keep,
-                          dtype=np.int64)
+    keep_arr = _integer_indices(list(keep) if isinstance(keep, (set, frozenset)) else keep, "keep")
     if keep_arr.size and (keep_arr.min() < 0 or keep_arr.max() >= graph.node_count):
         raise PatentFlowError("keep set contains indices outside the graph")
     keep_mask = np.zeros(graph.node_count, dtype=bool)

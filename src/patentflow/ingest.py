@@ -528,8 +528,8 @@ def assemble_dataset(
     returns it. Node indices follow first appearance: the records in order,
     then ids seen only in citations (these get placeholder metadata and are
     counted). Raises MalformedEdgeError for an edge index outside ``ids``,
-    and PatentFlowError for edges not shaped (m, 2) or a known grant year
-    outside [1, 32767].
+    and PatentFlowError for edges not integer or not shaped (m, 2) or a
+    known grant year outside [1, 32767].
     """
     cited_ids, edges = citations
     edges = edge_index_array(edges, len(cited_ids))

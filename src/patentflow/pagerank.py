@@ -45,10 +45,10 @@ class PageRankParams:
     dangling_mode: str = DANGLING_UNIFORM_ALL
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.damping < 1.0:
-            raise PatentFlowError(f"damping must be in [0, 1), got {self.damping}")
-        if not 0.0 < self.epsilon < float("inf"):
-            raise PatentFlowError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if isinstance(self.damping, (bool, np.bool_)) or not 0.0 <= self.damping < 1.0:
+            raise PatentFlowError(f"damping must be a number in [0, 1), got {self.damping}")
+        if isinstance(self.epsilon, (bool, np.bool_)) or not 0.0 < self.epsilon < float("inf"):
+            raise PatentFlowError(f"epsilon must be a positive finite number, got {self.epsilon}")
         max_iterations = self.max_iterations
         if isinstance(max_iterations, bool) or not isinstance(max_iterations, (int, np.integer)):
             raise PatentFlowError(f"max_iterations must be an integer, got {self.max_iterations!r}")
@@ -80,13 +80,11 @@ def convergence_delta(prev: np.ndarray, nxt: np.ndarray) -> float:
     return float(np.abs(nxt - prev).sum())
 
 
-def pagerank(graph: CitationGraph, params: PageRankParams, threads: int = 1) -> PageRankResult:
+def pagerank(graph: CitationGraph, params: PageRankParams) -> PageRankResult:
     """Run the iterative scheme until the L1 delta drops below epsilon.
 
     Hitting max_iterations is reported via ``converged=False``, not raised,
-    so sweeps over slow damping values always complete. ``threads`` is
-    accepted for compatibility and has no effect: the update runs on the
-    calling thread and the scores are the same for any value.
+    so sweeps over slow damping values always complete.
     """
     n = graph.node_count
     if n == 0:
@@ -134,26 +132,6 @@ def pagerank(graph: CitationGraph, params: PageRankParams, threads: int = 1) -> 
         converged=converged,
         params=params,
     )
-
-
-def pagerank_sweep(
-    graph: CitationGraph,
-    damping_values: Sequence[float],
-    epsilon: float = DEFAULT_EPSILON,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    dangling_mode: str = DANGLING_UNIFORM_ALL,
-) -> list[PageRankResult]:
-    """Independent runs, one per damping value, each from the uniform start."""
-    params_list = [
-        PageRankParams(
-            damping=float(d),
-            epsilon=epsilon,
-            max_iterations=max_iterations,
-            dangling_mode=dangling_mode,
-        )
-        for d in damping_values
-    ]
-    return [pagerank(graph, p) for p in params_list]
 
 
 def write_scores_tsv(

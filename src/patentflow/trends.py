@@ -21,7 +21,7 @@ from .atomic import atomic_write
 from .errors import PatentFlowError
 from .graph import induced_subgraph
 from .ingest import DatasetBuildReport, PatentDataset
-from .pagerank import PageRankParams, PageRankResult, pagerank
+from .pagerank import PageRankResult
 
 METRIC_PAGERANK_SUM = "pagerank-sum"
 METRIC_CITATION_COUNT = "citation-count"
@@ -269,25 +269,6 @@ def apply_exclusion(
         build_report=DatasetBuildReport.of(sub, record_count),
     )
     return reduced, remap
-
-
-def excluded_flow_pipeline(
-    dataset: PatentDataset,
-    assignee: str,
-    target_class: str,
-    params: PageRankParams,
-    metric: str = METRIC_PAGERANK_SUM,
-) -> ClassFlowSeries:
-    """Inflow series recomputed on the assignee-excluded subset.
-
-    The graph is reduced first and PageRank is recomputed on it, so the
-    scores reflect the reduced citation structure rather than the full
-    network's.
-    """
-    exclusion = assignee_exclusion_set(dataset, assignee)
-    reduced, _ = apply_exclusion(dataset, exclusion)
-    result = pagerank(reduced.graph, params)
-    return class_inflow_series(reduced, result, target_class, metric)
 
 
 def write_flow_csv(series_list, path: str | os.PathLike) -> None:

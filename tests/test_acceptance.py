@@ -18,15 +18,12 @@ from patentflow import (
     build_graph,
     class_inflow_series,
     crossover_year,
-    dense_pagerank,
     pagerank,
-    pagerank_sweep,
-    random_citation_edges,
-    random_graph,
     top_table,
 )
 from patentflow.cli import main
 from conftest import random_dataset
+from dense_oracle import dense_pagerank, random_citation_edges, random_graph
 from test_trends import _series_via_breakdowns
 
 SWEEP = (0.01, 0.15, 0.50, 0.85, 0.99)
@@ -145,7 +142,7 @@ def test_criterion_4_convergence_rule():
         rng = np.random.default_rng(seed + 7000)
         n = int(rng.integers(30, 200))
         g = random_graph(n, int(rng.integers(n, 6 * n)), seed=seed)
-        iters = [res.iterations for res in pagerank_sweep(g, SWEEP)]
+        iters = [pagerank(g, PageRankParams(damping=d)).iterations for d in SWEEP]
         assert iters == sorted(iters), f"seed {seed}: {iters}"
     _ok(4, "default halting at L1 delta < 1e-6; iteration count non-decreasing "
            "in d over the five sweep values on 20 seeded graphs")
@@ -258,14 +255,13 @@ def test_criterion_9_million_node_performance_budget():
     g = build_graph(edges, 1_000_000)
     assert g.edge_count > 9_000_000
     assert g.dangling_nodes.size > 0
-    threads = min(8, os.cpu_count() or 1)
-    r = pagerank(g, PageRankParams(damping=0.5, epsilon=1e-6), threads=threads)
+    r = pagerank(g, PageRankParams(damping=0.5, epsilon=1e-6))
     elapsed = time.perf_counter() - started
     assert r.converged
     assert abs(r.scores.sum() - 1.0) <= 1e-9
     assert elapsed < 300.0, f"took {elapsed:.1f}s"
     _ok(9, f"1M nodes / {g.edge_count:,} edges built and ranked (d=0.5, eps=1e-6, "
-           f"{r.iterations} iterations, {threads} threads) in {elapsed:.1f}s < 300s")
+           f"{r.iterations} iterations) in {elapsed:.1f}s < 300s")
 
 
 USPTO_DIR = os.environ.get("PATENTFLOW_USPTO_DIR")
@@ -280,7 +276,7 @@ def test_criterion_10_uspto_corpus_integration():
 
     root = Path(USPTO_DIR)
     ds = load_dataset(root / "citations.tsv", root / "patents.tsv")
-    result = pagerank(ds.graph, PageRankParams(damping=0.5), threads=min(8, os.cpu_count() or 1))
+    result = pagerank(ds.graph, PageRankParams(damping=0.5))
     table = top_table(ds, [result], 20, 0.5)
     ids = [row.patent_id for row in table.rows]
     assert "4683195" in ids and "4683202" in ids

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patentflow import MalformedEdgeError, build_graph, induced_subgraph
+from patentflow import MalformedEdgeError, PatentFlowError, build_graph, induced_subgraph
+from patentflow.graph import edge_index_array
 
 
 @st.composite
@@ -138,7 +139,28 @@ def test_induced_subgraph_matches_brute_force_filter():
         assert remap[old] == new_index.get(old, -1)
 
 
-def test_has_cycle():
-    assert not build_graph([(0, 1), (1, 2)], 3).has_cycle()
-    assert build_graph([(0, 1), (1, 2), (2, 0)], 3).has_cycle()
-    assert not build_graph([], 3).has_cycle()
+@pytest.mark.parametrize(
+    "edges",
+    [[(0.7, 1.9)], np.array([[False, True]]), np.array([[0, 1]], dtype=object)],
+    ids=["float", "bool", "object"],
+)
+def test_non_integer_edge_indices_rejected(edges):
+    # a cast would silently store (0, 1)
+    with pytest.raises(PatentFlowError, match="integer"):
+        build_graph(edges, 3)
+
+
+def test_empty_and_integer_edge_inputs_accepted():
+    assert build_graph([], 3).edge_count == 0
+    assert build_graph(np.array([[0, 1]], dtype=np.uint8), 3).edge_count == 1
+    edges = np.array([[0, 1], [1, 2]], dtype=np.int64)
+    assert edge_index_array(edges, 3) is edges
+
+
+def test_induced_subgraph_rejects_boolean_mask_and_floats():
+    g = build_graph([(0, 1), (1, 2)], 3)
+    for keep in (np.array([False, True, True]), [0.0, 1.0]):
+        with pytest.raises(PatentFlowError, match="integer"):
+            induced_subgraph(g, keep)
+    for keep in ([], set(), range(0)):
+        assert induced_subgraph(g, keep)[0].node_count == 0

@@ -13,7 +13,6 @@ from patentflow import (
     RankTable,
     generate_synthetic_dataset,
     pagerank,
-    pagerank_sweep,
     render_rank_table,
     top_table,
     write_rank_csv,
@@ -93,7 +92,7 @@ def test_table_matches_external_sort_of_score_tsv(tmp_path):
         assignees=(("x", 0.5), ("y", 0.5)),
     )
     ds = generate_synthetic_dataset(spec, seed=3)
-    results = pagerank_sweep(ds.graph, [0.5], epsilon=1e-12)
+    results = [pagerank(ds.graph, PageRankParams(damping=d, epsilon=1e-12)) for d in [0.5]]
     table = top_table(ds, results, 20, 0.5)
 
     # oracle: parse the exported TSV and sort it independently
@@ -110,7 +109,7 @@ def test_table_matches_external_sort_of_score_tsv(tmp_path):
 
 def test_render_and_csv(tmp_path):
     ds = _dataset()
-    results = pagerank_sweep(ds.graph, [0.5, 0.85], epsilon=1e-12)
+    results = [pagerank(ds.graph, PageRankParams(damping=d, epsilon=1e-12)) for d in [0.5, 0.85]]
     table = top_table(ds, results, 3, 0.5)
     text = render_rank_table(table)
     lines = text.splitlines()

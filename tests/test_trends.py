@@ -14,13 +14,18 @@ from patentflow import (
     class_inflow_series,
     class_ratio,
     crossover_year,
-    excluded_flow_pipeline,
     pagerank,
     patent_inflow_breakdown,
 )
 from conftest import make_dataset, random_dataset
 
 PARAMS = PageRankParams(damping=0.5, epsilon=1e-10)
+
+
+def _excluded_flow(ds, assignee, target_class, metric="pagerank-sum"):
+    """The ``exclude-flow`` steps: exclude, rank the reduced graph, take its flow."""
+    reduced, _ = apply_exclusion(ds, assignee_exclusion_set(ds, assignee))
+    return class_inflow_series(reduced, pagerank(reduced.graph, PARAMS), target_class, metric)
 
 
 def _three_citer_dataset():
@@ -351,10 +356,10 @@ def test_null_exclusion_series_identical():
     ds = random_dataset(7, n=100)
     result = pagerank(ds.graph, PARAMS)
     direct = class_inflow_series(ds, result, "100", "pagerank-sum")
-    excluded = excluded_flow_pipeline(ds, "nosuchco", "100", PARAMS, "pagerank-sum")
+    excluded = _excluded_flow(ds, "nosuchco", "100", "pagerank-sum")
     assert excluded.entries == direct.entries
     direct_counts = class_inflow_series(ds, result, "100", "citation-count")
-    excluded_counts = excluded_flow_pipeline(ds, "nosuchco", "100", PARAMS, "citation-count")
+    excluded_counts = _excluded_flow(ds, "nosuchco", "100", "citation-count")
     assert excluded_counts.entries == direct_counts.entries
 
 
@@ -370,7 +375,7 @@ def test_excluded_pipeline_chain_example():
     )
     # y is cited by owned c, so it vanishes with the exclusion and the
     # reduced dataset has no target-class patent left
-    s = excluded_flow_pipeline(ds, "canon", "347", PARAMS, "citation-count")
+    s = _excluded_flow(ds, "canon", "347", "citation-count")
     assert s.entries == {}
     # without exclusion both c and w are external citers of y
     full = class_inflow_series(ds, pagerank(ds.graph, PARAMS), "347", "citation-count")
@@ -380,7 +385,7 @@ def test_excluded_pipeline_chain_example():
 def test_excluded_pipeline_empty_graph_raises():
     ds = make_dataset([], [("a", "100", 2000, "solo")])
     with pytest.raises(PatentFlowError, match="solo"):
-        excluded_flow_pipeline(ds, "solo", "100", PARAMS)
+        _excluded_flow(ds, "solo", "100")
 
 
 def test_apply_exclusion_remap():
