@@ -333,10 +333,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code = args.func(args)
-    except PatentFlowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PatentFlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"{args.command}: done in {time.perf_counter() - started:.2f}s", file=sys.stderr)

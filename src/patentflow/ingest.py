@@ -20,8 +20,9 @@ define the format. citations.tsv is classified with numpy, about half a MB
 of whole lines at a time: a simple line is printable ASCII with one tab,
 no space at a field's edge, no leading ``#`` and ids of 1 to 32 bytes. Its
 ids are read straight from the buffer and interned by sorting their bytes
-packed into integers; the other lines' pairs are merged back at their line
-numbers, so the result is the same as reading each line as text.
+packed into integers. The other lines' pairs are merged in at their line
+numbers first, and then the ids are numbered by their first token in line
+order, so the result is the same as reading each line as text.
 """
 from __future__ import annotations
 
@@ -356,20 +357,6 @@ def _line_count(data: bytes) -> int:
     return data.count(b"\n") + (len(data) > 0 and not data.endswith(b"\n"))
 
 
-def _simple_line_numbers(fallback_numbers: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """The line numbers of the simple lines of the given ``ranks`` among
-    the simple lines, which are the lines not in ``fallback_numbers``."""
-    return ranks + np.searchsorted(
-        fallback_numbers - np.arange(len(fallback_numbers)), ranks, side="right"
-    )
-
-
-def _simple_lines_before(fallback_numbers: np.ndarray, numbers: np.ndarray) -> np.ndarray:
-    """How many simple lines, the lines not in ``fallback_numbers``, come
-    before each of the fallback lines ``numbers``."""
-    return numbers - np.searchsorted(fallback_numbers, numbers)
-
-
 def parse_citations(data: bytes) -> tuple[tuple[list[str], np.ndarray], CitationParseReport]:
     """Read citing/cited id pairs from the bytes of a citations file,
     skipping and counting bad lines.
@@ -386,8 +373,9 @@ def parse_citations(data: bytes) -> tuple[tuple[list[str], np.ndarray], Citation
     packed = np.zeros((2 * lines, 1), dtype="<u8")
     rows = 0
     # the fallback lines are streamed: their numbers, the numbers of the
-    # accepted ones, and the codes of their ids in fallback_index, which
-    # numbers them by first appearance among the fallback ids
+    # accepted ones, and the codes of their ids in fallback_index, a dict so
+    # that fallback-heavy input stays compact; the order of its codes is not
+    # relied on
     fallback_numbers, accepted_numbers, fallback_codes = array("q"), array("q"), array("q")
     fallback_index: dict[str, int] = {}
     counts: dict[str, int] = {}
@@ -403,15 +391,13 @@ def parse_citations(data: bytes) -> tuple[tuple[list[str], np.ndarray], Citation
             fallback_codes.append(fallback_index.setdefault(citing, len(fallback_index)))
             fallback_codes.append(fallback_index.setdefault(cited, len(fallback_index)))
     packed = packed[:rows]
-    simple = rows // 2
     fallback_numbers = np.frombuffer(fallback_numbers, dtype=np.int64)
     accepted_numbers = np.frombuffer(accepted_numbers, dtype=np.int64)
     fallback_codes = np.frombuffer(fallback_codes, dtype=np.int64)
     # made before the sort's temporaries of the same size: made after them,
-    # they would sit in the heap above the temporaries' freed memory and
-    # keep the allocator from giving it back
-    edges = np.empty((simple + len(accepted_numbers), 2), dtype=np.int64)
-    simple_edges = np.empty(2 * simple, dtype=np.int64)
+    # it would sit in the heap above the temporaries' freed memory and keep
+    # the allocator from giving it back
+    edges = np.empty((rows // 2 + len(accepted_numbers), 2), dtype=np.int64)
 
     order, runs = _sort_rows(packed)
     simple_ids = packed[runs].view(f"S{8 * packed.shape[1]}").ravel().astype(str).tolist()
@@ -419,35 +405,28 @@ def parse_citations(data: bytes) -> tuple[tuple[list[str], np.ndarray], Citation
     fallback_to_index = np.fromiter(
         (index.setdefault(pid, len(index)) for pid in fallback_index), np.int64, len(fallback_index)
     )
-    # the token in field f of line n sits at 2n + f of the token stream, and
-    # the ids are numbered in the order of their first position in it; the
-    # sort need not be stable, since a run's first token has its smallest
-    # index, and fallback codes count up, so each code first appears where
-    # their running maximum reaches it
-    first = np.minimum.reduceat(order, runs)
-    first_position = np.full(len(index), np.iinfo(np.int64).max)
-    first_position[:len(simple_ids)] = 2 * _simple_line_numbers(fallback_numbers, first // 2) + first % 2
-    first = np.searchsorted(np.maximum.accumulate(fallback_codes), np.arange(len(fallback_index)))
-    first_position[fallback_to_index] = np.minimum(
-        first_position[fallback_to_index], 2 * accepted_numbers[first // 2] + first % 2
-    )
-    by_first = np.argsort(first_position)
-    code = np.empty(len(index), dtype=np.int64)
-    code[by_first] = np.arange(len(index))
-    ids = list(map(list(index).__getitem__, by_first.tolist()))
-
-    # each run's code, at the positions of its tokens
-    simple_edges[order] = np.repeat(code[:len(simple_ids)], np.diff(runs, append=len(order)))
+    # the rows hold the simple lines and the accepted fallback lines in line
+    # order, so a fallback row counts the simple lines and the fallback rows
+    # before it; each token first holds its id's place in ``index``, for a
+    # simple token its run
+    run_of_token = np.empty(len(order), dtype=np.int64)
+    run_of_token[order] = np.repeat(np.arange(len(runs)), np.diff(runs, append=len(order)))
     del order, packed
-    # the rows hold the simple lines and the accepted fallback lines in
-    # line order
-    fallback_rows = _simple_lines_before(fallback_numbers, accepted_numbers) + np.arange(
-        len(accepted_numbers)
-    )
+    fallback_rows = accepted_numbers - np.searchsorted(fallback_numbers, accepted_numbers)
+    fallback_rows += np.arange(len(accepted_numbers))
     is_simple = np.ones(len(edges), dtype=bool)
     is_simple[fallback_rows] = False
-    edges[is_simple] = simple_edges.reshape(-1, 2)
-    edges[fallback_rows] = code[fallback_to_index][fallback_codes].reshape(-1, 2)
+    edges[is_simple] = run_of_token.reshape(-1, 2)
+    edges[fallback_rows] = fallback_to_index[fallback_codes].reshape(-1, 2)
+    # then the ids are numbered by their first token in the rows; each id
+    # has a token, so the first positions are distinct
+    first = np.full(len(index), edges.size)
+    np.minimum.at(first, edges.ravel(), np.arange(edges.size))
+    by_first = np.argsort(first)
+    code = np.empty(len(index), dtype=np.int64)
+    code[by_first] = np.arange(len(index))
+    np.take(code, edges, out=edges)
+    ids = list(map(list(index).__getitem__, by_first.tolist()))
     return (ids, edges), CitationParseReport(lines=lines, edges=len(edges), **counts)
 
 

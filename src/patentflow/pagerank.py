@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +36,11 @@ DEFAULT_MAX_ITERATIONS = 1000
 _PUSH_BLOCK_NODES = 4096
 
 
+def _is_real(value: object) -> bool:
+    """True for a real number, numpy's included, that is not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PageRankParams:
     """Knobs for one PageRank computation."""
@@ -45,10 +51,10 @@ class PageRankParams:
     dangling_mode: str = DANGLING_UNIFORM_ALL
 
     def __post_init__(self) -> None:
-        if isinstance(self.damping, (bool, np.bool_)) or not 0.0 <= self.damping < 1.0:
-            raise PatentFlowError(f"damping must be a number in [0, 1), got {self.damping}")
-        if isinstance(self.epsilon, (bool, np.bool_)) or not 0.0 < self.epsilon < float("inf"):
-            raise PatentFlowError(f"epsilon must be a positive finite number, got {self.epsilon}")
+        if not _is_real(self.damping) or not 0.0 <= self.damping < 1.0:
+            raise PatentFlowError(f"damping must be a number in [0, 1), got {self.damping!r}")
+        if not _is_real(self.epsilon) or not 0.0 < self.epsilon < float("inf"):
+            raise PatentFlowError(f"epsilon must be a positive finite number, got {self.epsilon!r}")
         max_iterations = self.max_iterations
         if isinstance(max_iterations, bool) or not isinstance(max_iterations, (int, np.integer)):
             raise PatentFlowError(f"max_iterations must be an integer, got {self.max_iterations!r}")

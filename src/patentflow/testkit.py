@@ -137,6 +137,23 @@ class SyntheticSpec:
                 )
 
 
+def _whole_number(name: str, value: object) -> int:
+    """A spec's integer field: an integer, or a float without a fraction
+    such as ``5000.0``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return value
+
+
+def _proportion(name: str, value: object) -> float:
+    """A spec's proportion: an integer or a float, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} proportions must be numbers, got {value!r}")
+    return float(value)
+
+
 def load_spec(path: str | os.PathLike) -> SyntheticSpec:
     """Read a SyntheticSpec from its JSON file form."""
     try:
@@ -148,22 +165,22 @@ def load_spec(path: str | os.PathLike) -> SyntheticSpec:
         pc = obj.get("planted_crossover")
         start, end = obj["year_range"]
         return SyntheticSpec(
-            node_count=int(obj["node_count"]),
-            classes=tuple((str(c), float(p)) for c, p in obj["classes"]),
-            year_range=(int(start), int(end)),
-            assignees=tuple((str(a), float(p)) for a, p in obj["assignees"]),
+            node_count=_whole_number("node_count", obj["node_count"]),
+            classes=tuple((str(c), _proportion("classes", p)) for c, p in obj["classes"]),
+            year_range=(_whole_number("year_range", start), _whole_number("year_range", end)),
+            assignees=tuple((str(a), _proportion("assignees", p)) for a, p in obj["assignees"]),
             edge_model=em,
             planted_crossover=PlantedCrossover(
                 target_class=str(pc["target_class"]),
                 source_class_a=str(pc["source_class_a"]),
                 source_class_b=str(pc["source_class_b"]),
-                crossover_year=int(pc["crossover_year"]),
+                crossover_year=_whole_number("crossover_year", pc["crossover_year"]),
             )
             if pc
             else None,
             dominant_assignee=obj.get("dominant_assignee"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PatentFlowError(f"invalid synthetic spec: {exc}") from exc
 
 

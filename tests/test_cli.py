@@ -310,6 +310,9 @@ def _spec_with(**changes) -> bytes:
     return json.dumps({**SPEC, **changes}).encode()
 
 
+_INVALID = "error: invalid synthetic spec: "
+
+
 @pytest.mark.parametrize(
     "content",
     [b'{"node_count": 5', b'{"node_count": "\xff"}', b"[1, 2]",
@@ -341,9 +344,25 @@ def test_gen_bad_spec_is_domain_error(tmp_path, capsys, content):
          "error: out_degree_mean must be in"),
         (_spec_with(year_range=[1700, 1705]), [], "error: year_range"),
         (_spec_with(year_range=[2095, 2104]), [], "error: year_range"),
+        (_spec_with(node_count=5000.7), [], f"{_INVALID}node_count must be a whole number"),
+        (_spec_with(node_count=True), [], f"{_INVALID}node_count must be a whole number"),
+        (_spec_with(node_count="600"), [], f"{_INVALID}node_count must be a whole number"),
+        (_spec_with(year_range=[1995.9, 2010.2]), [], f"{_INVALID}year_range must be a whole number"),
+        (_spec_with(year_range=[1998, False]), [], f"{_INVALID}year_range must be a whole number"),
+        (_spec_with(planted_crossover={**SPEC["planted_crossover"], "crossover_year": 2004.9}),
+         [], f"{_INVALID}crossover_year must be a whole number"),
+        (_spec_with(planted_crossover={**SPEC["planted_crossover"], "crossover_year": "2003"}),
+         [], f"{_INVALID}crossover_year must be a whole number"),
+        (_spec_with(classes=[["347", True]]), [], f"{_INVALID}classes proportions must be numbers"),
+        (_spec_with(assignees=[["canoncorp", "0.3"], ["alpha", 0.4], ["beta", 0.3]]), [],
+         f"{_INVALID}assignees proportions must be numbers"),
+        (_spec_with(classes=[["347", 10**400]]), [], _INVALID),
     ],
     ids=["nan-proportion", "negative-seed", "nan-out-degree", "infinite-out-degree",
-         "huge-out-degree", "negative-out-degree", "years-before-1790", "years-after-2100"],
+         "huge-out-degree", "negative-out-degree", "years-before-1790", "years-after-2100",
+         "fractional-node-count", "bool-node-count", "string-node-count", "fractional-years",
+         "bool-year", "fractional-crossover-year", "string-crossover-year", "bool-proportion",
+         "string-proportion", "huge-integer-proportion"],
 )
 def test_gen_bad_value_is_domain_error(tmp_path, capsys, content, argv, message):
     spec_path = tmp_path / "spec.json"
@@ -352,6 +371,18 @@ def test_gen_bad_value_is_domain_error(tmp_path, capsys, content, argv, message)
     assert code == 1
     assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "out").exists()
+
+
+def test_spec_whole_floats_read_as_integers(tmp_path):
+    (tmp_path / "int.json").write_bytes(_spec_with())
+    (tmp_path / "float.json").write_bytes(_spec_with(
+        node_count=600.0, year_range=[1998.0, 2007.0],
+        planted_crossover={**SPEC["planted_crossover"], "crossover_year": 2003.0},
+    ))
+    spec = load_spec(tmp_path / "float.json")
+    assert spec == load_spec(tmp_path / "int.json")
+    values = (spec.node_count, *spec.year_range, spec.planted_crossover.crossover_year)
+    assert all(type(v) is int for v in values)
 
 
 @pytest.mark.parametrize(

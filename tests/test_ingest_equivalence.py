@@ -22,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ingest_oracle as oracle
@@ -206,6 +206,12 @@ def _text(data: bytes) -> io.TextIOWrapper:
 
 @settings(max_examples=400, deadline=None)
 @given(citations_bytes, patents_bytes, st.sampled_from([1, 2, 3, 7, 40, 1 << 20]))
+# p1 first appears in a fallback line, then in a simple one
+@example(b" p1\tp2\np1\tp3\n", b"", 1 << 20)
+# a fallback-only non-ASCII id between simple lines, then the same data with
+# the fallback line at a block seam
+@example(b"p2\tp1\n\xc3\xa9\tp1 \np3\tp2\n", b"", 1 << 20)
+@example(b"p2\tp1\n\xc3\xa9\tp1 \np3\tp2\n", b"", 7)
 def test_byte_parsers_match_text_mode_parsers(citation_data, patent_data, block_bytes):
     with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
         (ids, edges), cit_report = parse_citations(citation_data)

@@ -138,6 +138,9 @@ def test_single_node_graph_both_modes():
         dict(damping=0.5, max_iterations="10"),
         dict(damping=False),
         dict(damping=0.5, epsilon=True),
+        dict(damping="0.5"),
+        dict(damping=0.5, epsilon=None),
+        dict(damping=0.5 + 0j),
     ],
 )
 def test_params_validation(kwargs):
