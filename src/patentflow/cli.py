@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .atomic import atomic_write
@@ -87,7 +88,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _params_from(args, damping: float) -> PageRankParams:
+def _params_from(args, damping: float | None = None) -> PageRankParams:
+    """PageRank settings; without ``damping``, --damping or PATENTFLOW_DAMPING or the default."""
+    if damping is None:
+        damping = _env_or(args.damping, "DAMPING", float, DEFAULT_DAMPING)
     return PageRankParams(
         damping=damping,
         epsilon=_env_or(args.epsilon, "EPSILON", float, DEFAULT_EPSILON),
@@ -96,10 +100,14 @@ def _params_from(args, damping: float) -> PageRankParams:
     )
 
 
-def _load(args) -> PatentDataset:
-    dataset = load_dataset(args.citations, args.patents)
+def _reported(dataset: PatentDataset) -> PatentDataset:
+    """Print the dataset's build report as one JSON line on stderr."""
     print(json.dumps(dataset.build_report.to_json_dict(), sort_keys=True), file=sys.stderr)
     return dataset
+
+
+def _load(args) -> PatentDataset:
+    return _reported(load_dataset(args.citations, args.patents))
 
 
 def _write_summary(path: Path, payload: dict) -> None:
@@ -108,71 +116,52 @@ def _write_summary(path: Path, payload: dict) -> None:
         f.write("\n")
 
 
+def _summary(args, dataset: PatentDataset, **fields) -> dict:
+    """A summary.json payload: the command and the dataset's size, then ``fields``."""
+    return {"command": args.command, "nodes": dataset.node_count,
+            "edges": dataset.graph.edge_count, **fields}
+
+
 def _result_summary(result) -> dict:
     return {
-        "damping": result.params.damping,
-        "epsilon": result.params.epsilon,
-        "max_iterations": result.params.max_iterations,
-        "dangling_mode": result.params.dangling_mode,
+        **asdict(result.params),
         "iterations": result.iterations,
         "final_delta": result.final_delta,
         "converged": result.converged,
     }
 
 
+def _scores(args, params_list: list[PageRankParams]):
+    """Load the dataset, run PageRank once per params and write each scores_d<d>.tsv."""
+    dataset = _load(args)
+    results = [pagerank(dataset.graph, params) for params in params_list]
+    out = _out_dir(args)
+    for r in results:
+        write_scores_tsv(dataset.index_to_id, r.scores, out / f"scores_d{r.params.damping:g}.tsv")
+    return dataset, results, out
+
+
 def _cmd_rank(args) -> int:
-    damping = _env_or(args.damping, "DAMPING", float, DEFAULT_DAMPING)
-    params = _params_from(args, damping)
+    params = _params_from(args)
     top = _env_or(args.top, "TOP", int, DEFAULT_TOP)
     if top < 0:
         raise PatentFlowError(f"top must be non-negative, got {top}")
-    dataset = _load(args)
-    result = pagerank(dataset.graph, params)
-    out = _out_dir(args)
-
-    write_scores_tsv(dataset.index_to_id, result.scores, out / f"scores_d{damping:g}.tsv")
-    table = top_table(dataset, [result], top, damping)
+    dataset, [result], out = _scores(args, [params])
+    table = top_table(dataset, [result], top, params.damping)
     with atomic_write(out / "rank_table.txt") as f:
         f.write(render_rank_table(table))
     write_rank_csv(table, out / "rank_table.csv")
-    _write_summary(
-        out / "summary.json",
-        {
-            "command": "rank",
-            "nodes": dataset.node_count,
-            "edges": dataset.graph.edge_count,
-            **_result_summary(result),
-        },
-    )
+    _write_summary(out / "summary.json", _summary(args, dataset, **_result_summary(result)))
     return 0
 
 
 def _cmd_sweep(args) -> int:
     raw = _env_or(args.damping_list, "DAMPING_LIST", str, None)
     dampings = DEFAULT_SWEEP_DAMPINGS if raw is None else _parse_damping_list(raw)
-    params_list = [_params_from(args, d) for d in dampings]
-    dataset = _load(args)
-    results = [pagerank(dataset.graph, params) for params in params_list]
-    out = _out_dir(args)
-    for result in results:
-        d = result.params.damping
-        write_scores_tsv(dataset.index_to_id, result.scores, out / f"scores_d{d:g}.tsv")
-    _write_summary(
-        out / "sweep_summary.json",
-        {
-            "command": "sweep",
-            "nodes": dataset.node_count,
-            "edges": dataset.graph.edge_count,
-            "runs": [_result_summary(r) for r in results],
-        },
-    )
+    dataset, results, out = _scores(args, [_params_from(args, d) for d in dampings])
+    runs = [_result_summary(r) for r in results]
+    _write_summary(out / "sweep_summary.json", _summary(args, dataset, runs=runs))
     return 0
-
-
-def _flow_metrics(args) -> list[str]:
-    if args.metric is not None:
-        return [args.metric]
-    return [METRIC_CITATION_COUNT, METRIC_PAGERANK_SUM]
 
 
 def _cmd_flow(args) -> int:
@@ -180,10 +169,10 @@ def _cmd_flow(args) -> int:
     require_name("target class", args.target_class)
     if args.command == "exclude-flow":
         require_name("assignee", args.exclude_assignee)
-    params = _params_from(args, _env_or(args.damping, "DAMPING", float, DEFAULT_DAMPING))
+    params = _params_from(args)
     dataset = _load(args)
     target = args.target_class
-    summary = {"command": args.command, "target_class": target}
+    summary = {"target_class": target}
     exclusion = None
     if args.command == "exclude-flow":
         exclusion = assignee_exclusion_set(dataset, args.exclude_assignee)
@@ -191,7 +180,8 @@ def _cmd_flow(args) -> int:
         summary["excluded_assignee"] = args.exclude_assignee
         summary["excluded_nodes"] = int(exclusion.excluded.size)
     result = pagerank(dataset.graph, params)
-    series_list = [class_inflow_series(dataset, result, target, m) for m in _flow_metrics(args)]
+    metrics = [args.metric] if args.metric else [METRIC_CITATION_COUNT, METRIC_PAGERANK_SUM]
+    series_list = [class_inflow_series(dataset, result, target, m) for m in metrics]
     out = _out_dir(args)
     write_flow_csv(series_list, out / f"flow_{_safe_name(target)}.csv")
     target_patents = int(dataset.class_mask(target).sum())
@@ -201,22 +191,13 @@ def _cmd_flow(args) -> int:
         _write_summary(out / "exclusion_report.json", exclusion.report())
     else:
         summary["target_class_patents"] = target_patents
-    _write_summary(
-        out / "summary.json",
-        {
-            **summary,
-            "metrics": [s.metric for s in series_list],
-            "nodes": dataset.node_count,
-            "edges": dataset.graph.edge_count,
-            **_result_summary(result),
-        },
-    )
+    summary.update(metrics=[s.metric for s in series_list], **_result_summary(result))
+    _write_summary(out / "summary.json", _summary(args, dataset, **summary))
     return 0
 
 
 def _cmd_patent(args) -> int:
-    damping = _env_or(args.damping, "DAMPING", float, DEFAULT_DAMPING)
-    params = _params_from(args, damping)
+    params = _params_from(args)
     dataset = _load(args)
     idx = dataset.index_of(args.patent_id)
     if idx is None:
@@ -231,7 +212,7 @@ def _cmd_patent(args) -> int:
         "assignee": meta.assignee,
         "in_degree": dataset.graph.in_degree(idx),
         "out_degree": dataset.graph.out_degree(idx),
-        "damping": damping,
+        "damping": params.damping,
         "score": float(result.scores[idx]),
         "breakdown": [
             {
@@ -250,27 +231,11 @@ def _cmd_patent(args) -> int:
 
 def _cmd_gen(args) -> int:
     spec = load_spec(args.spec)
-    dataset = generate_synthetic_dataset(spec, seed=args.seed)
-    print(json.dumps(dataset.build_report.to_json_dict(), sort_keys=True), file=sys.stderr)
+    dataset = _reported(generate_synthetic_dataset(spec, seed=args.seed))
     out = _out_dir(args)
     write_citations(dataset, out / "citations.tsv")
     write_metadata(dataset, out / "patents.tsv")
     return 0
-
-
-def _add_common(parser: argparse.ArgumentParser, dataset: bool = True) -> None:
-    if dataset:
-        parser.add_argument("--citations", required=True, help="citations.tsv path")
-        parser.add_argument("--patents", required=True, help="patents.tsv path")
-        parser.add_argument("--epsilon", type=float, default=None,
-                            help=f"convergence threshold (default {DEFAULT_EPSILON:g})")
-        parser.add_argument("--max-iters", type=int, default=None,
-                            help=f"iteration cap (default {DEFAULT_MAX_ITERATIONS})")
-        parser.add_argument("--dangling-mode", default=None,
-                            choices=[DANGLING_UNIFORM_ALL, DANGLING_UNIFORM_OTHERS])
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; has no effect on results or speed")
-    parser.add_argument("--out", default=None, help="output directory (default .)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,46 +245,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rank", help="single damping value: score TSV plus top-N table")
-    _add_common(p)
-    p.add_argument("--damping", type=float, default=None)
+    # one parent parser per flag group; each command lists the groups it takes
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--threads", type=int, default=None,
+                        help="accepted for compatibility; has no effect on results or speed")
+    common.add_argument("--out", default=None, help="output directory (default .)")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--citations", required=True, help="citations.tsv path")
+    data.add_argument("--patents", required=True, help="patents.tsv path")
+    data.add_argument("--epsilon", type=float, default=None,
+                      help=f"convergence threshold (default {DEFAULT_EPSILON:g})")
+    data.add_argument("--max-iters", type=int, default=None,
+                      help=f"iteration cap (default {DEFAULT_MAX_ITERATIONS})")
+    data.add_argument("--dangling-mode", default=None,
+                      choices=[DANGLING_UNIFORM_ALL, DANGLING_UNIFORM_OTHERS])
+    damping = argparse.ArgumentParser(add_help=False)
+    damping.add_argument("--damping", type=float, default=None)
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("--target-class", required=True)
+    target.add_argument("--metric", default=None,
+                        choices=[METRIC_PAGERANK_SUM, METRIC_CITATION_COUNT],
+                        help="restrict to one metric (default: both)")
+
+    p = sub.add_parser("rank", parents=[data, common, damping],
+                       help="single damping value: score TSV plus top-N table")
     p.add_argument("--top", type=int, default=None)
     p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("sweep", help="one run per damping value plus iteration summary")
-    _add_common(p)
+    p = sub.add_parser("sweep", parents=[data, common],
+                       help="one run per damping value plus iteration summary")
     p.add_argument("--damping-list", default=None,
                    help="comma-separated damping values (default "
                         + ",".join(f"{d:g}" for d in DEFAULT_SWEEP_DAMPINGS) + ")")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("flow", help="per-class per-year citation inflow into a target class")
-    _add_common(p)
-    p.add_argument("--target-class", required=True)
-    p.add_argument("--damping", type=float, default=None)
-    p.add_argument("--metric", default=None,
-                   choices=[METRIC_PAGERANK_SUM, METRIC_CITATION_COUNT],
-                   help="restrict to one metric (default: both)")
+    p = sub.add_parser("flow", parents=[data, common, target, damping],
+                       help="per-class per-year citation inflow into a target class")
     p.set_defaults(func=_cmd_flow)
 
-    p = sub.add_parser("exclude-flow",
+    p = sub.add_parser("exclude-flow", parents=[data, common, target, damping],
                        help="flow recomputed with an assignee's neighborhood removed")
-    _add_common(p)
-    p.add_argument("--target-class", required=True)
     p.add_argument("--exclude-assignee", required=True)
-    p.add_argument("--damping", type=float, default=None)
-    p.add_argument("--metric", default=None,
-                   choices=[METRIC_PAGERANK_SUM, METRIC_CITATION_COUNT])
     p.set_defaults(func=_cmd_flow)
 
-    p = sub.add_parser("patent", help="citation breakdown for one patent as JSON")
-    _add_common(p)
+    p = sub.add_parser("patent", parents=[data, common, damping],
+                       help="citation breakdown for one patent as JSON")
     p.add_argument("patent_id")
-    p.add_argument("--damping", type=float, default=None)
     p.set_defaults(func=_cmd_patent)
 
-    p = sub.add_parser("gen", help="generate a synthetic dataset from a JSON spec")
-    _add_common(p, dataset=False)
+    p = sub.add_parser("gen", parents=[common],
+                       help="generate a synthetic dataset from a JSON spec")
     p.add_argument("--spec", required=True, help="synthetic spec JSON path")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen)

@@ -17,12 +17,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import PatentFlowError
+from .graph import MAX_NODE_COUNT
 from .ingest import YEAR_MAX, YEAR_MIN, PatentDataset, _undecodable, assemble_dataset
+from .pagerank import _is_real
 
 # the largest mean numpy's Poisson sampler accepts
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
@@ -50,6 +52,9 @@ class EdgeModel:
     recency_window: float = 0.25
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not _is_real(getattr(self, f.name)):
+                raise PatentFlowError(f"{f.name} must be a number, got {getattr(self, f.name)!r}")
         mean = self.out_degree_mean
         if not 0.0 <= mean <= _POISSON_LAM_MAX:
             raise PatentFlowError(f"out_degree_mean must be in [0, {_POISSON_LAM_MAX:.6g}], got {mean}")
@@ -80,8 +85,11 @@ class SyntheticSpec:
     dominant_assignee: str | None = None
 
     def __post_init__(self) -> None:
-        if self.node_count < 0:
-            raise PatentFlowError("node_count must be non-negative")
+        # graph.build_graph takes no more nodes than this
+        if not 0 <= self.node_count <= MAX_NODE_COUNT:
+            raise PatentFlowError(
+                f"node_count must be in [0, {MAX_NODE_COUNT}], got {self.node_count}"
+            )
         for name, pairs in (("classes", self.classes), ("assignees", self.assignees)):
             if not pairs:
                 raise PatentFlowError(f"{name} must be non-empty")
@@ -154,6 +162,13 @@ def _proportion(name: str, value: object) -> float:
     return float(value)
 
 
+def _label(name: str, value: object) -> str:
+    """A spec's class or assignee label: a string, not a number or null."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} labels must be strings, got {value!r}")
+    return value
+
+
 def load_spec(path: str | os.PathLike) -> SyntheticSpec:
     """Read a SyntheticSpec from its JSON file form."""
     try:
@@ -166,14 +181,18 @@ def load_spec(path: str | os.PathLike) -> SyntheticSpec:
         start, end = obj["year_range"]
         return SyntheticSpec(
             node_count=_whole_number("node_count", obj["node_count"]),
-            classes=tuple((str(c), _proportion("classes", p)) for c, p in obj["classes"]),
+            classes=tuple(
+                (_label("classes", c), _proportion("classes", p)) for c, p in obj["classes"]
+            ),
             year_range=(_whole_number("year_range", start), _whole_number("year_range", end)),
-            assignees=tuple((str(a), _proportion("assignees", p)) for a, p in obj["assignees"]),
+            assignees=tuple(
+                (_label("assignees", a), _proportion("assignees", p)) for a, p in obj["assignees"]
+            ),
             edge_model=em,
             planted_crossover=PlantedCrossover(
-                target_class=str(pc["target_class"]),
-                source_class_a=str(pc["source_class_a"]),
-                source_class_b=str(pc["source_class_b"]),
+                target_class=_label("planted_crossover", pc["target_class"]),
+                source_class_a=_label("planted_crossover", pc["source_class_a"]),
+                source_class_b=_label("planted_crossover", pc["source_class_b"]),
                 crossover_year=_whole_number("crossover_year", pc["crossover_year"]),
             )
             if pc

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -357,12 +358,29 @@ def test_gen_bad_spec_is_domain_error(tmp_path, capsys, content):
         (_spec_with(assignees=[["canoncorp", "0.3"], ["alpha", 0.4], ["beta", 0.3]]), [],
          f"{_INVALID}assignees proportions must be numbers"),
         (_spec_with(classes=[["347", 10**400]]), [], _INVALID),
+        (_spec_with(edge_model={"out_degree_mean": True, "preferential": True,
+                                "recency_bias": False, "recency_window": True}), [],
+         "error: out_degree_mean must be a number, got True"),
+        (_spec_with(edge_model={"out_degree_mean": "3"}), [],
+         "error: out_degree_mean must be a number, got '3'"),
+        (_spec_with(classes=[[True, 0.5], ["400", 0.5]]), [],
+         f"{_INVALID}classes labels must be strings, got True"),
+        (_spec_with(assignees=[[None, 0.5], ["alpha", 0.5]]), [],
+         f"{_INVALID}assignees labels must be strings, got None"),
+        (_spec_with(classes=[[347, 0.2], ["400", 0.2], ["358", 0.2], ["435", 0.4]]), [],
+         f"{_INVALID}classes labels must be strings, got 347"),
+        (_spec_with(planted_crossover={**SPEC["planted_crossover"], "source_class_b": 1}), [],
+         f"{_INVALID}planted_crossover labels must be strings, got 1"),
+        (_spec_with(node_count=10**20), [], "error: node_count must be in [0, 3037000499]"),
+        (_spec_with(node_count=4_000_000_000), [], "error: node_count must be in [0, 3037000499]"),
     ],
     ids=["nan-proportion", "negative-seed", "nan-out-degree", "infinite-out-degree",
          "huge-out-degree", "negative-out-degree", "years-before-1790", "years-after-2100",
          "fractional-node-count", "bool-node-count", "string-node-count", "fractional-years",
          "bool-year", "fractional-crossover-year", "string-crossover-year", "bool-proportion",
-         "string-proportion", "huge-integer-proportion"],
+         "string-proportion", "huge-integer-proportion", "bool-edge-model", "string-out-degree",
+         "bool-class-label", "null-assignee-label", "number-class-label", "number-planted-label",
+         "node-count-over-int64", "node-count-over-graph-limit"],
 )
 def test_gen_bad_value_is_domain_error(tmp_path, capsys, content, argv, message):
     spec_path = tmp_path / "spec.json"
@@ -432,3 +450,29 @@ def test_sweep_colliding_damping_values_rejected(data_dir, tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert err.count("error: damping list") == 2
     assert _no_build_report(err)
+
+
+# each command's --flags, with True for the required ones
+_FLAGS = {"--threads": False, "--out": False}
+_DATASET_FLAGS = {**_FLAGS, "--citations": True, "--patents": True, "--epsilon": False,
+                  "--max-iters": False, "--dangling-mode": False}
+_FLOW_FLAGS = {**_DATASET_FLAGS, "--damping": False, "--target-class": True, "--metric": False}
+SUBCOMMAND_FLAGS = {
+    "rank": {**_DATASET_FLAGS, "--damping": False, "--top": False},
+    "sweep": {**_DATASET_FLAGS, "--damping-list": False},
+    "flow": _FLOW_FLAGS,
+    "exclude-flow": {**_FLOW_FLAGS, "--exclude-assignee": True},
+    "patent": {**_DATASET_FLAGS, "--damping": False},
+    "gen": {**_FLAGS, "--spec": True, "--seed": False},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_subcommand_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    # the usage line shows an optional flag as "[--flag ...]", a required one bare
+    flags = {flag: not bracket for bracket, flag in re.findall(r"(\[?)(--[a-z][a-z-]*)", usage)}
+    assert flags == SUBCOMMAND_FLAGS[command]
