@@ -5,7 +5,6 @@ from .graph import CitationGraph, GraphBuildReport, build_graph, induced_subgrap
 from .ingest import (
     DatasetBuildReport,
     PatentDataset,
-    PatentMeta,
     assemble_dataset,
     intern_pairs,
     load_dataset,
@@ -55,7 +54,6 @@ __all__ = [
     "PageRankResult",
     "PatentDataset",
     "PatentFlowError",
-    "PatentMeta",
     "PlantedCrossover",
     "RankRow",
     "RankTable",

@@ -11,6 +11,7 @@ built-in defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -204,14 +205,13 @@ def _cmd_patent(args) -> int:
         raise PatentFlowError(f"patent id {args.patent_id!r} not in dataset")
     result = pagerank(dataset.graph, params)
     breakdown = patent_inflow_breakdown(dataset, result, idx)
-    meta = dataset.meta_of(idx)
     payload = {
-        "patent_id": meta.patent_id,
-        "class": meta.primary_class,
-        "year": meta.grant_year,
-        "assignee": meta.assignee,
-        "in_degree": dataset.graph.in_degree(idx),
-        "out_degree": dataset.graph.out_degree(idx),
+        "patent_id": args.patent_id,
+        "class": (*dataset.classes, "")[dataset.class_code[idx]],  # code -1 is unknown, ""
+        "year": int(dataset.year[idx]) or None,
+        "assignee": dataset.assignees[dataset.assignee_code[idx]],
+        "in_degree": int(dataset.graph.in_degrees[idx]),
+        "out_degree": int(dataset.graph.out_degrees[idx]),
         "damping": params.damping,
         "score": float(result.scores[idx]),
         "breakdown": [
@@ -242,8 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="patentflow",
         description="PageRank and class-level citation trend reports for patent networks",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags must be spelled in full: a prefix of one is a usage error
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     # one parent parser per flag group; each command lists the groups it takes
     common = argparse.ArgumentParser(add_help=False)
@@ -267,34 +270,34 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=[METRIC_PAGERANK_SUM, METRIC_CITATION_COUNT],
                         help="restrict to one metric (default: both)")
 
-    p = sub.add_parser("rank", parents=[data, common, damping],
-                       help="single damping value: score TSV plus top-N table")
+    p = add_parser("rank", parents=[data, common, damping],
+                   help="single damping value: score TSV plus top-N table")
     p.add_argument("--top", type=int, default=None)
     p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("sweep", parents=[data, common],
-                       help="one run per damping value plus iteration summary")
+    p = add_parser("sweep", parents=[data, common],
+                   help="one run per damping value plus iteration summary")
     p.add_argument("--damping-list", default=None,
                    help="comma-separated damping values (default "
                         + ",".join(f"{d:g}" for d in DEFAULT_SWEEP_DAMPINGS) + ")")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("flow", parents=[data, common, target, damping],
-                       help="per-class per-year citation inflow into a target class")
+    p = add_parser("flow", parents=[data, common, target, damping],
+                   help="per-class per-year citation inflow into a target class")
     p.set_defaults(func=_cmd_flow)
 
-    p = sub.add_parser("exclude-flow", parents=[data, common, target, damping],
-                       help="flow recomputed with an assignee's neighborhood removed")
+    p = add_parser("exclude-flow", parents=[data, common, target, damping],
+                   help="flow recomputed with an assignee's neighborhood removed")
     p.add_argument("--exclude-assignee", required=True)
     p.set_defaults(func=_cmd_flow)
 
-    p = sub.add_parser("patent", parents=[data, common, damping],
-                       help="citation breakdown for one patent as JSON")
+    p = add_parser("patent", parents=[data, common, damping],
+                   help="citation breakdown for one patent as JSON")
     p.add_argument("patent_id")
     p.set_defaults(func=_cmd_patent)
 
-    p = sub.add_parser("gen", parents=[common],
-                       help="generate a synthetic dataset from a JSON spec")
+    p = add_parser("gen", parents=[common],
+                   help="generate a synthetic dataset from a JSON spec")
     p.add_argument("--spec", required=True, help="synthetic spec JSON path")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen)

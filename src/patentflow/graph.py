@@ -84,12 +84,6 @@ class CitationGraph:
     def edge_count(self) -> int:
         return int(self.out_indices.size)
 
-    def out_degree(self, u: int) -> int:
-        return int(self.out_degrees[u])
-
-    def in_degree(self, u: int) -> int:
-        return int(self.in_degrees[u])
-
     def out_neighbors(self, u: int) -> np.ndarray:
         return self.out_indices[self.out_indptr[u]:self.out_indptr[u + 1]]
 

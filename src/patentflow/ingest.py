@@ -26,6 +26,7 @@ order, so the result is the same as reading each line as text.
 """
 from __future__ import annotations
 
+import codecs
 import dataclasses
 import os
 from array import array
@@ -52,17 +53,6 @@ _BLOCK_BYTES = 1 << 19
 _ID_BYTES_MAX = 32
 # _LOW_BYTES[k] keeps the k low-order bytes of a uint64
 _LOW_BYTES = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
-
-
-@dataclass(frozen=True, slots=True)
-class PatentMeta:
-    """A node's metadata as ``PatentDataset.meta_of`` returns it. Empty
-    class/assignee and None year mean unknown."""
-
-    patent_id: str
-    primary_class: str = ""
-    grant_year: int | None = None
-    assignee: str = ""
 
 
 @dataclass(frozen=True)
@@ -162,16 +152,6 @@ class PatentDataset:
             return self.index_to_id.index(patent_id)
         except ValueError:
             return None
-
-    def meta_of(self, i: int) -> PatentMeta:
-        """Node ``i``'s metadata as a record."""
-        code = int(self.class_code[i])
-        return PatentMeta(
-            patent_id=self.index_to_id[i],
-            primary_class=self.classes[code] if code >= 0 else "",
-            grant_year=int(self.year[i]) or None,
-            assignee=self.assignees[self.assignee_code[i]],
-        )
 
     def class_mask(self, name: str) -> np.ndarray:
         """True for the nodes whose class is ``name``; all False for "" or
@@ -442,11 +422,11 @@ def intern_pairs(pairs: Iterable[Sequence[str]]) -> tuple[list[str], np.ndarray]
 
 def _parse_year(text: str) -> int | None:
     text = text.strip()
-    if not text:
+    if not (text.isascii() and text.isdigit()):
         return None
     try:
         year = int(text)
-    except ValueError:
+    except ValueError:  # more digits than int() converts
         return None
     if not YEAR_MIN <= year <= YEAR_MAX:
         return None
@@ -458,8 +438,8 @@ def parse_metadata(data: bytes) -> tuple[dict[str, tuple[str, int | None, str]],
 
     The payload maps each id to its ``(class, year, assignee)`` in record
     order; a repeated id keeps its last record at its first position. A
-    year that is missing, non-numeric, or outside [1790, 2100] is stored as
-    None and counted as unknown.
+    year that is missing, not ASCII decimal digits, or outside [1790, 2100]
+    is stored as None and counted as unknown.
     """
     data = _universal_newlines(data)
     records: dict[str, tuple[str, int | None, str]] = {}
@@ -549,11 +529,12 @@ def assemble_dataset(
 
 def load_dataset(citations_path: str | os.PathLike, patents_path: str | os.PathLike) -> PatentDataset:
     """Parse both files and assemble a dataset with a combined build report."""
-    # each file's bytes live only for their parser's call
+    # each file's bytes live only for their parser's call; a UTF-8 byte-order
+    # mark is not part of the first line
     with open(citations_path, "rb") as f:
-        citations, cit_report = parse_citations(f.read())
+        citations, cit_report = parse_citations(f.read().removeprefix(codecs.BOM_UTF8))
     with open(patents_path, "rb") as f:
-        records, meta_report = parse_metadata(f.read())
+        records, meta_report = parse_metadata(f.read().removeprefix(codecs.BOM_UTF8))
     return assemble_dataset(citations, records, cit_report, meta_report)
 
 

@@ -1,9 +1,34 @@
 """Shared builders for hand-made and randomized datasets."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from patentflow import assemble_dataset, intern_pairs
+
+
+@dataclass(frozen=True, slots=True)
+class PatentMeta:
+    """One node's metadata as a record, the shape the oracles in
+    ``ingest_oracle`` and ``meta_oracle`` hold. Empty class/assignee and
+    None year mean unknown."""
+
+    patent_id: str
+    primary_class: str = ""
+    grant_year: int | None = None
+    assignee: str = ""
+
+
+def meta_of(ds, i: int) -> PatentMeta:
+    """Node ``i`` of dataset ``ds`` read from its columns as a record."""
+    code = int(ds.class_code[i])
+    return PatentMeta(
+        patent_id=ds.index_to_id[i],
+        primary_class=ds.classes[code] if code >= 0 else "",
+        grant_year=int(ds.year[i]) or None,
+        assignee=ds.assignees[ds.assignee_code[i]],
+    )
 
 
 def make_dataset(edges, metas):

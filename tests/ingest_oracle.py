@@ -18,13 +18,13 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
+from conftest import PatentMeta
 from patentflow.graph import build_graph
 from patentflow.ingest import (
     CitationParseReport,
     DatasetBuildReport,
     MetadataParseReport,
     PatentDataset,
-    PatentMeta,
     _parse_year,
     _undecodable,
     _year_column,

@@ -16,13 +16,13 @@ from typing import Iterable
 
 import numpy as np
 
+from conftest import PatentMeta
 from patentflow.errors import PatentFlowError
 from patentflow.graph import CitationGraph, build_graph, induced_subgraph
 from patentflow.ingest import (
     CitationParseReport,
     DatasetBuildReport,
     MetadataParseReport,
-    PatentMeta,
 )
 from patentflow.pagerank import PageRankResult
 from patentflow.trends import _METRICS, METRIC_PAGERANK_SUM, ClassFlowSeries, ExclusionSet

@@ -178,6 +178,48 @@ def test_patent_command(data_dir, tmp_path):
     assert isinstance(payload["breakdown"], list)
 
 
+@pytest.fixture
+def unknown_meta_args(tmp_path):
+    """A record a with empty class, year and assignee, placeholders b and c
+    (seen only in citations) and a full record d."""
+    (tmp_path / "c.tsv").write_text("a\tb\nc\ta\nd\ta\n", encoding="utf-8")
+    (tmp_path / "p.tsv").write_text("a\t\t\t\nd\t347\t1999\tacme\n", encoding="utf-8")
+    return ["--citations", str(tmp_path / "c.tsv"), "--patents", str(tmp_path / "p.tsv")]
+
+
+def test_patent_payload_of_unknown_and_known_metadata(unknown_meta_args, tmp_path):
+    out = tmp_path / "patent"
+    for pid in ("a", "b", "d"):
+        assert main(["patent", *unknown_meta_args, pid, "--out", str(out)]) == 0
+    fields = ("patent_id", "class", "year", "assignee", "in_degree", "out_degree", "damping")
+    payloads = {
+        pid: {k: v for k, v in json.loads((out / f"patent_{pid}.json").read_text()).items()
+              if k in fields}
+        for pid in ("a", "b", "d")
+    }
+    assert payloads == {
+        "a": {"patent_id": "a", "class": "", "year": None, "assignee": "",
+              "in_degree": 2, "out_degree": 1, "damping": 0.5},
+        "b": {"patent_id": "b", "class": "", "year": None, "assignee": "",
+              "in_degree": 1, "out_degree": 0, "damping": 0.5},
+        "d": {"patent_id": "d", "class": "347", "year": 1999, "assignee": "acme",
+              "in_degree": 0, "out_degree": 1, "damping": 0.5},
+    }
+
+
+def test_rank_table_marks_unknown_class(unknown_meta_args, tmp_path):
+    out = tmp_path / "rank"
+    assert main(["rank", *unknown_meta_args, "--top", "4", "--out", str(out)]) == 0
+    text_rows = (out / "rank_table.txt").read_text().splitlines()[1:]
+    assert {row.split()[1]: row.split()[2] for row in text_rows} == {
+        "a": "?", "b": "?", "c": "?", "d": "347",
+    }
+    csv_rows = (out / "rank_table.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[1]: row.split(",")[2] for row in csv_rows} == {
+        "a": "", "b": "", "c": "", "d": "347",
+    }
+
+
 def test_patent_unknown_id_domain_error(data_dir, tmp_path, capsys):
     code = main(["patent", *_dataset_args(data_dir), "doesnotexist",
                  "--out", str(tmp_path / "x")])
@@ -248,6 +290,18 @@ def test_usage_errors_exit_2():
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--spec", "spec.json", flag, value])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--damping", "0.5"],  # a prefix of sweep's --damping-list
+    ["rank", "--damp", "0.15"],  # a prefix of rank's --damping
+])
+def test_flag_prefixes_are_usage_errors(data_dir, tmp_path, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], *_dataset_args(data_dir), *argv[1:], "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_env_defaults_and_flag_precedence(data_dir, tmp_path, monkeypatch):

@@ -91,7 +91,7 @@ def test_degree_sums_and_transpose_consistency(case):
     assert fwd == rev
     assert len(set(fwd)) == len(fwd)
     assert all(u != v for u, v in fwd)
-    assert g.dangling_nodes.tolist() == [u for u in range(n) if g.out_degree(u) == 0]
+    assert g.dangling_nodes.tolist() == [u for u in range(n) if int(g.out_degrees[u]) == 0]
 
 
 def test_induced_subgraph_edge_filter():

@@ -18,6 +18,7 @@ from patentflow import (
     write_citations,
     write_metadata,
 )
+from conftest import meta_of
 
 
 def _pairs(payload):
@@ -73,7 +74,11 @@ def test_parse_metadata_duplicate_last_wins():
     assert report.duplicate_ids == 1
 
 
-@pytest.mark.parametrize("year", ["notayear", "1492", "2525"])
+@pytest.mark.parametrize("year", [
+    "notayear", "1492", "2525", "1_999", "+1999", "\u0661\u0669\u0669\u0669",
+    # past int()'s digit limit
+    pytest.param("9" * 5000, id="9x5000"),
+])
 def test_parse_metadata_bad_year_kept_unknown(year):
     records, report = parse_metadata(f"x\t435\t{year}\tacme\n".encode())
     assert records["x"][1] is None
@@ -94,9 +99,9 @@ def test_assemble_placeholders_for_unknown_ids():
     ds = assemble_dataset(intern_pairs([("a", "b")]), {})
     assert ds.node_count == 2
     assert ds.build_report.placeholder_nodes == 2
-    assert ds.meta_of(0).patent_id == "a"
-    assert ds.meta_of(0).primary_class == ""
-    assert ds.meta_of(0).grant_year is None
+    assert meta_of(ds, 0).patent_id == "a"
+    assert meta_of(ds, 0).primary_class == ""
+    assert meta_of(ds, 0).grant_year is None
 
 
 def test_assemble_id_map_bijection():
@@ -107,7 +112,7 @@ def test_assemble_id_map_bijection():
     assert ds.node_count == len(ds.index_to_id) == len(set(ds.index_to_id))
     for idx, pid in enumerate(ds.index_to_id):
         assert ds.index_of(pid) == idx
-        assert ds.meta_of(idx).patent_id == pid
+        assert meta_of(ds, idx).patent_id == pid
     assert ds.index_of("q") is None
     # acme owns b and a cites b: only c is left
     reduced, _ = apply_exclusion(ds, assignee_exclusion_set(ds, "acme"))
@@ -220,7 +225,7 @@ def test_round_trip(tmp_path_factory, edges, metas):
     assert (tmp / "c.tsv").read_text(encoding="utf-8") == "".join(
         f"{ids[u]}\t{ids[v]}\n" for u in range(ds.node_count) for v in ds.graph.out_neighbors(u)
     )
-    rows = [ds.meta_of(i) for i in range(ds.node_count)]
+    rows = [meta_of(ds, i) for i in range(ds.node_count)]
     assert (tmp / "p.tsv").read_text(encoding="utf-8") == "".join(
         f"{m.patent_id}\t{m.primary_class}\t{'' if m.grant_year is None else m.grant_year}"
         f"\t{m.assignee}\n" for m in rows
@@ -237,8 +242,8 @@ def test_round_trip(tmp_path_factory, edges, metas):
         assert reduced.index_of(ds.index_to_id[0]) is None
         for idx, pid in enumerate(ds.index_to_id[1:]):
             assert reduced.index_of(pid) == idx
-    assert [ds2.meta_of(i) for i in range(ds2.node_count)] == [
-        ds.meta_of(i) for i in range(ds.node_count)
+    assert [meta_of(ds2, i) for i in range(ds2.node_count)] == [
+        meta_of(ds, i) for i in range(ds.node_count)
     ]
     assert np.array_equal(ds2.graph.out_indptr, ds.graph.out_indptr)
     assert np.array_equal(ds2.graph.out_indices, ds.graph.out_indices)
@@ -261,7 +266,7 @@ def test_undecodable_lines_are_malformed(tmp_path):
     cit, meta = ds.build_report.citations, ds.build_report.metadata
     assert (cit.lines, cit.edges, cit.malformed) == (3, 1, 2)
     assert (meta.lines, meta.records, meta.malformed) == (2, 1, 1)
-    assert ds.meta_of(ds.index_of("a")).assignee == "café"
+    assert meta_of(ds, ds.index_of("a")).assignee == "café"
 
 
 _chunks = st.one_of(

@@ -17,6 +17,7 @@ tables with dtypes, record count, every CSR array and the build report.
 Inputs include duplicate metadata ids, ids seen only in citations,
 self-loops, repeated pairs and empty inputs.
 """
+import codecs
 import io
 from unittest import mock
 
@@ -26,9 +27,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ingest_oracle as oracle
-from conftest import records_of
+from conftest import PatentMeta, records_of
 from patentflow import (
-    PatentMeta,
     assemble_dataset,
     ingest,
     intern_pairs,
@@ -255,3 +255,14 @@ def test_load_dataset_counts_planted_malformed_lines(tmp_path):
     assert (report.citations.lines, report.citations.malformed) == (12, 6)
     assert (report.citations.comments, report.citations.blank) == (1, 1)
     assert (report.metadata.lines, report.metadata.malformed) == (12, 6)
+
+
+def test_load_dataset_skips_utf8_byte_order_mark(tmp_path):
+    citations = b"4723129\t4683202\r\n4683202\t4500000\r\n5000001\t4723129\r\n"
+    patents = b"4723129\t435\t1988\tCetus\n4683202\t435\t1987\tCetus\n"
+    for name, data in (("c.tsv", citations), ("p.tsv", patents)):
+        (tmp_path / name).write_bytes(data)
+        (tmp_path / f"bom_{name}").write_bytes(codecs.BOM_UTF8 + data)
+    plain = load_dataset(tmp_path / "c.tsv", tmp_path / "p.tsv")
+    assert plain.build_report.placeholder_nodes == 2
+    _assert_same_dataset(load_dataset(tmp_path / "bom_c.tsv", tmp_path / "bom_p.tsv"), plain)

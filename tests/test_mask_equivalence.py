@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dataset
+from conftest import meta_of, random_dataset
 from lexsort_oracle import lexsort_build_graph
 from patentflow import PatentFlowError, assignee_exclusion_set, build_graph, induced_subgraph
 
@@ -36,7 +36,7 @@ def _unique_exclusion_arrays(dataset, assignee):
     key = assignee.strip().casefold()
     n = dataset.node_count
     owned_mask = np.fromiter(
-        (dataset.meta_of(i).assignee.strip().casefold() == key for i in range(n)),
+        (meta_of(dataset, i).assignee.strip().casefold() == key for i in range(n)),
         dtype=bool,
         count=n,
     )

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import records_of
+from conftest import PatentMeta, meta_of, records_of
 from meta_oracle import (
     apply_exclusion as oracle_apply_exclusion,
     assignee_exclusion_set as oracle_exclusion_set,
@@ -23,7 +23,6 @@ from patentflow import (
     PageRankParams,
     PageRankResult,
     PatentFlowError,
-    PatentMeta,
     apply_exclusion,
     assemble_dataset,
     assignee_exclusion_set,
@@ -131,7 +130,7 @@ def _same_dataset(new, old):
     assert new.index_to_id == old.index_to_id
     for pid, i in old.id_to_index.items():
         assert new.index_of(pid) == i
-    assert [new.meta_of(i) for i in range(new.node_count)] == list(old.meta)
+    assert [meta_of(new, i) for i in range(new.node_count)] == list(old.meta)
     for name in CSR:
         _same_array(getattr(new.graph, name), getattr(old.graph, name))
 

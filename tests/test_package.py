@@ -1,4 +1,6 @@
+import ast
 import inspect
+from pathlib import Path
 
 import patentflow
 
@@ -7,8 +9,8 @@ import patentflow
 PUBLIC_NAMES = {
     "CitationGraph", "ClassFlowSeries", "DatasetBuildReport", "EdgeModel", "ExclusionSet",
     "GraphBuildReport", "MalformedEdgeError", "PageRankParams", "PageRankResult",
-    "PatentDataset", "PatentFlowError", "PatentMeta", "PlantedCrossover", "RankRow",
-    "RankTable", "SyntheticSpec", "apply_exclusion", "assemble_dataset",
+    "PatentDataset", "PatentFlowError", "PlantedCrossover", "RankRow", "RankTable",
+    "SyntheticSpec", "apply_exclusion", "assemble_dataset",
     "assignee_exclusion_set", "build_graph", "class_inflow_series", "class_ratio",
     "convergence_delta", "crossover_year", "generate_synthetic_dataset", "induced_subgraph",
     "intern_pairs", "load_dataset", "load_spec", "pagerank", "parse_citations",
@@ -27,3 +29,20 @@ def test_public_names():
 
 def test_pagerank_takes_graph_and_params_only():
     assert list(inspect.signature(patentflow.pagerank).parameters) == ["graph", "params"]
+
+
+def test_no_unused_imports():
+    """Every name a module imports is used in it, so a deletion leaves no
+    import behind."""
+    for path in sorted(Path(patentflow.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"

@@ -19,7 +19,7 @@ from patentflow import (
     write_scores_tsv,
     SyntheticSpec,
 )
-from conftest import make_dataset
+from conftest import make_dataset, meta_of
 
 
 def _dataset():
@@ -101,7 +101,7 @@ def test_table_matches_external_sort_of_score_tsv(tmp_path):
     rows = []
     for line in path.read_text(encoding="utf-8").splitlines():
         idx_text, pid, score_text = line.split("\t")
-        rows.append((-float(score_text), -ds.graph.in_degree(int(idx_text)), pid))
+        rows.append((-float(score_text), -int(ds.graph.in_degrees[int(idx_text)]), pid))
     rows.sort()
     expected_ids = [pid for _, _, pid in rows[:20]]
     assert [row.patent_id for row in table.rows] == expected_ids
@@ -133,7 +133,7 @@ def test_ncit_equals_in_degree():
     table = top_table(ds, results, 4, 0.5)
     for row in table.rows:
         idx = ds.index_of(row.patent_id)
-        assert row.ncit == ds.graph.in_degree(idx)
+        assert row.ncit == int(ds.graph.in_degrees[idx])
 
 
 def _full_sort_top_table(dataset, results, n, principal_d):
@@ -161,7 +161,7 @@ def _full_sort_top_table(dataset, results, n, principal_d):
             RankRow(
                 rank=rank,
                 patent_id=ids[i],
-                primary_class=dataset.meta_of(i).primary_class,
+                primary_class=meta_of(dataset, i).primary_class,
                 ncit=int(in_degrees[i]),
                 scores={r.params.damping: float(r.scores[i]) for r in results},
             )

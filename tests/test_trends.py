@@ -17,7 +17,7 @@ from patentflow import (
     pagerank,
     patent_inflow_breakdown,
 )
-from conftest import make_dataset, random_dataset
+from conftest import make_dataset, meta_of, random_dataset
 
 PARAMS = PageRankParams(damping=0.5, epsilon=1e-10)
 
@@ -155,7 +155,7 @@ def _series_via_breakdowns(ds, result, target, metric):
     """Oracle: sum per-patent breakdowns over the target class, then undo
     the double counting of citers that cite several target patents."""
     g = ds.graph
-    targets = [i for i in range(ds.node_count) if ds.meta_of(i).primary_class == target]
+    targets = [i for i in range(ds.node_count) if meta_of(ds, i).primary_class == target]
     agg = defaultdict(lambda: [0, 0.0])
     for t in targets:
         for key, (cnt, pr) in patent_inflow_breakdown(ds, result, t).items():
@@ -166,7 +166,7 @@ def _series_via_breakdowns(ds, result, target, metric):
         for u in g.in_neighbors(t):
             citations_per_citer[int(u)] += 1
     for u, k in citations_per_citer.items():
-        m = ds.meta_of(u)
+        m = meta_of(ds, u)
         if k > 1 and m.primary_class != "" and m.grant_year is not None:
             agg[(m.primary_class, m.grant_year)][0] -= k - 1
             agg[(m.primary_class, m.grant_year)][1] -= (k - 1) * float(result.scores[u])
@@ -327,7 +327,7 @@ def test_exclusion_rejects_empty_assignee(assignee):
 def _brute_force_exclusion(ds, assignee):
     key = assignee.strip().casefold()
     owned = {
-        i for i in range(ds.node_count) if ds.meta_of(i).assignee.strip().casefold() == key
+        i for i in range(ds.node_count) if meta_of(ds, i).assignee.strip().casefold() == key
     }
     cites, cited = set(), set()
     for u, v in ds.graph.edge_array().tolist():
@@ -401,7 +401,7 @@ def test_apply_exclusion_remap():
     exc = assignee_exclusion_set(ds, "canon")
     reduced, remap = apply_exclusion(ds, exc)
     assert reduced.node_count == 1
-    assert reduced.meta_of(0).patent_id == "z"
+    assert meta_of(reduced, 0).patent_id == "z"
     assert remap[ds.index_of("z")] == 0
     assert remap[ds.index_of("c")] == -1
 
