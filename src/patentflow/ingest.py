@@ -18,19 +18,19 @@ citation line that is not "simple", is decoded with ``surrogateescape``
 and goes through the per-line classifier ``_accepted_fields``, whose rules
 define the format. citations.tsv is classified with numpy, about half a MB
 of whole lines at a time: a simple line is printable ASCII with one tab,
-no space at a field's edge, no leading ``#`` and ids of 1 to 32 bytes. Its
-ids are read straight from the buffer and interned by sorting their bytes
-packed into integers. The other lines' pairs are merged in at their line
-numbers first, and then the ids are numbered by their first token in line
-order, so the result is the same as reading each line as text.
+no space at a field's edge, no leading ``#`` and ids of 1 to 32 bytes.
+Every accepted id, read from the buffer or encoded back from its line, is
+packed into integers in line order, and one sort numbers them all by first
+appearance, so the result is the same as reading each line as text. Only
+an id longer than 32 bytes or holding a NUL byte is numbered by a dict.
 """
 from __future__ import annotations
 
 import codecs
 import dataclasses
 import os
-from array import array
 from dataclasses import dataclass, field
+from itertools import compress, count
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -48,8 +48,8 @@ _YEAR_COLUMN_MAX = int(np.iinfo(np.int16).max)
 # that the per-byte and per-line temporaries, and the heap they leave behind
 # when freed, stay small
 _BLOCK_BYTES = 1 << 19
-# a longer id sends its line to the fallback, so that one long id cannot
-# widen every packed citation key
+# a longer id, or one with a NUL byte, is numbered by a dict, so that one
+# long id cannot widen every packed citation key
 _ID_BYTES_MAX = 32
 # _LOW_BYTES[k] keeps the k low-order bytes of a uint64
 _LOW_BYTES = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
@@ -246,21 +246,24 @@ def _numbered_lines(data: bytes) -> Iterator[tuple[int, str]]:
 
 
 def _citation_blocks(
-    data: bytes,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]]:
+    data: bytes, counts: dict[str, int]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, Iterator[str]]]:
     """Classify the lines of citations ``data``, which has ``\\n`` line
-    ends, block by block. For each block yield its bytes, the first byte and
-    the length of each id of its simple lines (citing then cited, line by
-    line), and the numbers and the texts of its other lines, decoded with
-    ``surrogateescape``.
+    ends, block by block, and count each line that is not accepted in
+    ``counts``. For each block yield a buffer, the first byte in it and the
+    length of each id of the block's accepted lines (citing then cited,
+    line by line), and the ids that cannot be packed, in the same order;
+    their length is 0.
 
     A simple line is accepted by ``_accepted_fields`` with its fields
     unchanged by ``str.strip()``, and its bytes are its characters: it has
     one tab, only printable ASCII besides, no space at either edge of a
-    field, no leading ``#``, and ids of 1 to ``_ID_BYTES_MAX`` bytes.
+    field, no leading ``#``, and ids of 1 to ``_ID_BYTES_MAX`` bytes. Its
+    ids are read in the block. The other lines are decoded with
+    ``surrogateescape`` and go through ``_accepted_fields``; the ids of the
+    accepted ones are encoded as UTF-8 after the block.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
-    first_line = 0
     for lo, hi in _block_bounds(data):
         block = buf[lo:hi]
         ends = np.flatnonzero(block == 10)
@@ -277,17 +280,17 @@ def _citation_blocks(
         # byte never sits on a line end, so its line is the first end after it
         unprintable = (block - np.uint8(32) >= 96) & (block - np.uint8(9) >= 2)
         simple[np.searchsorted(ends, np.flatnonzero(unprintable))] = False
-        lines = np.flatnonzero(simple)
-        tab = tabs[first_tab[lines]]
-        field_lo = np.vstack((starts[lines], tab + 1))
-        length = np.vstack((tab, ends[lines])) - field_lo
+        # each line's two fields, split at its first tab; a line without one
+        # gets a later line's tab or 0, and is not simple
+        tab = np.append(tabs, 0)[first_tab]
+        field_lo = np.stack((starts, tab + 1), axis=1)
+        length = np.stack((tab, ends), axis=1) - field_lo
         # an empty last field may start at the end of the data
         edge = np.minimum(field_lo, len(block) - 1)
-        ok = (block[field_lo[0]] != ord("#")) & (
+        simple &= (block[starts] != ord("#")) & (
             (block[edge] != ord(" ")) & (block[field_lo + length - 1] != ord(" "))
             & (length > 0) & (length <= _ID_BYTES_MAX)
-        ).all(axis=0)
-        simple[lines[~ok]] = False
+        ).all(axis=1)
         rest = np.flatnonzero(~simple)
         if 8 * len(rest) > len(ends):
             # one decode of the whole block is cheaper
@@ -298,14 +301,28 @@ def _citation_blocks(
                 data[lo + a:lo + b].decode("utf-8", "surrogateescape")
                 for a, b in zip(starts[rest].tolist(), ends[rest].tolist())
             ]
-        yield block, field_lo[:, ok].T.ravel(), length[:, ok].T.ravel(), first_line + rest, texts
-        first_line += len(ends)
+        numbers, ids = [], []
+        for number, fields in _accepted_fields(zip(rest.tolist(), texts), 2, 2, counts):
+            numbers.append(number)
+            ids += fields
+        tail = np.frombuffer("\n".join([*ids, ""]).encode(), dtype=np.uint8)
+        tail_ends = np.flatnonzero(tail == 10)
+        tail_lo = np.append(0, tail_ends + 1)[:-1]
+        tail_length = tail_ends - tail_lo
+        unpackable = tail_length > _ID_BYTES_MAX
+        unpackable[np.searchsorted(tail_ends, np.flatnonzero(tail == 0))] = True
+        tail_length[unpackable] = 0
+        field_lo[numbers] = (len(block) + tail_lo).reshape(-1, 2)
+        length[numbers] = tail_length.reshape(-1, 2)
+        simple[numbers] = True  # now every accepted line
+        yield (np.concatenate((block, tail)), field_lo[simple].ravel(), length[simple].ravel(),
+               compress(ids, unpackable.tolist()))
 
 
 def _pack(block: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
     """The tokens ``block[lo:lo + length]`` as rows of little-endian uint64
-    words, zero padded. Simple tokens hold no NUL byte, so equal rows are
-    equal tokens, and a row viewed as bytes is its token."""
+    words, zero padded. The tokens hold no NUL byte, so equal rows are equal
+    tokens, and a row viewed as bytes is its token."""
     words = -(-int(length.max(initial=1)) // 8)
     padded = np.zeros(len(block) + 8 * words, dtype=np.uint8)
     padded[:len(block)] = block
@@ -347,67 +364,46 @@ def parse_citations(data: bytes) -> tuple[tuple[list[str], np.ndarray], Citation
     """
     data = _universal_newlines(data)
     lines = _line_count(data)
-    # the simple ids, packed as by _pack; allocated once at its largest size
-    # and sliced, since blocks that each left an array behind would fragment
-    # the heap
+    # every accepted id, packed as by _pack, two rows per accepted line in
+    # line order; allocated once at its largest size and sliced, since blocks
+    # that each left an array behind would fragment the heap
     packed = np.zeros((2 * lines, 1), dtype="<u8")
     rows = 0
-    # the fallback lines are streamed: their numbers, the numbers of the
-    # accepted ones, and the codes of their ids in fallback_index, a dict so
-    # that fallback-heavy input stays compact; the order of its codes is not
-    # relied on
-    fallback_numbers, accepted_numbers, fallback_codes = array("q"), array("q"), array("q")
-    fallback_index: dict[str, int] = {}
+    # an id that cannot be packed gets the next number of ``codes`` where it
+    # is first seen (so codes are distinct, not dense) and sorts as the one
+    # word code << 8 | 0xFF, whose first byte, 0xFF, starts no UTF-8 id
+    unpackable: dict[str, int] = {}
+    codes = count()
     counts: dict[str, int] = {}
-    for block, lo, length, numbers, texts in _citation_blocks(data):
-        keys = _pack(block, lo, length)
+    for buffer, lo, length, long_ids in _citation_blocks(data, counts):
+        keys = _pack(buffer, lo, length)
+        long_codes = np.fromiter(map(unpackable.setdefault, long_ids, codes), np.uint64)
+        keys[length == 0, 0] = long_codes << 8 | 0xFF
         if keys.shape[1] > packed.shape[1]:
             packed = np.pad(packed, ((0, 0), (0, keys.shape[1] - packed.shape[1])))
         packed[rows:rows + len(keys), :keys.shape[1]] = keys
         rows += len(keys)
-        fallback_numbers.frombytes(numbers.astype(np.int64).tobytes())
-        for number, (citing, cited) in _accepted_fields(zip(numbers.tolist(), texts), 2, 2, counts):
-            accepted_numbers.append(number)
-            fallback_codes.append(fallback_index.setdefault(citing, len(fallback_index)))
-            fallback_codes.append(fallback_index.setdefault(cited, len(fallback_index)))
     packed = packed[:rows]
-    fallback_numbers = np.frombuffer(fallback_numbers, dtype=np.int64)
-    accepted_numbers = np.frombuffer(accepted_numbers, dtype=np.int64)
-    fallback_codes = np.frombuffer(fallback_codes, dtype=np.int64)
-    # made before the sort's temporaries of the same size: made after them,
-    # it would sit in the heap above the temporaries' freed memory and keep
-    # the allocator from giving it back
-    edges = np.empty((rows // 2 + len(accepted_numbers), 2), dtype=np.int64)
 
+    # the tokens are in line order, so each id's first token is the least
+    # index among its run's, and the ids are numbered in that order
     order, runs = _sort_rows(packed)
-    simple_ids = packed[runs].view(f"S{8 * packed.shape[1]}").ravel().astype(str).tolist()
-    index = dict(zip(simple_ids, range(len(simple_ids))))
-    fallback_to_index = np.fromiter(
-        (index.setdefault(pid, len(index)) for pid in fallback_index), np.int64, len(fallback_index)
-    )
-    # the rows hold the simple lines and the accepted fallback lines in line
-    # order, so a fallback row counts the simple lines and the fallback rows
-    # before it; each token first holds its id's place in ``index``, for a
-    # simple token its run
-    run_of_token = np.empty(len(order), dtype=np.int64)
-    run_of_token[order] = np.repeat(np.arange(len(runs)), np.diff(runs, append=len(order)))
+    by_first = np.argsort(np.minimum.reduceat(order, runs))
+    code = np.empty(len(runs), dtype=np.int64)
+    code[by_first] = np.arange(len(runs))
+    edges = np.empty(rows, dtype=np.int64)
+    edges[order] = np.repeat(code, np.diff(runs, append=rows))
+    keys = packed[runs[by_first]]
     del order, packed
-    fallback_rows = accepted_numbers - np.searchsorted(fallback_numbers, accepted_numbers)
-    fallback_rows += np.arange(len(accepted_numbers))
-    is_simple = np.ones(len(edges), dtype=bool)
-    is_simple[fallback_rows] = False
-    edges[is_simple] = run_of_token.reshape(-1, 2)
-    edges[fallback_rows] = fallback_to_index[fallback_codes].reshape(-1, 2)
-    # then the ids are numbered by their first token in the rows; each id
-    # has a token, so the first positions are distinct
-    first = np.full(len(index), edges.size)
-    np.minimum.at(first, edges.ravel(), np.arange(edges.size))
-    by_first = np.argsort(first)
-    code = np.empty(len(index), dtype=np.int64)
-    code[by_first] = np.arange(len(index))
-    np.take(code, edges, out=edges)
-    ids = list(map(list(index).__getitem__, by_first.tolist()))
-    return (ids, edges), CitationParseReport(lines=lines, edges=len(edges), **counts)
+    # the ids in that order are read back from their keys, or by their code
+    long = np.flatnonzero(keys[:, 0] & 0xFF == 0xFF)
+    name = dict(zip(unpackable.values(), unpackable))
+    long_ids = [name[c] for c in (keys[long, 0] >> 8).tolist()]
+    keys[long] = 0
+    ids = list(map(bytes.decode, keys.view(f"S{8 * keys.shape[1]}").ravel().tolist()))
+    for i, pid in zip(long.tolist(), long_ids):
+        ids[i] = pid
+    return (ids, edges.reshape(-1, 2)), CitationParseReport(lines=lines, edges=rows // 2, **counts)
 
 
 def intern_pairs(pairs: Iterable[Sequence[str]]) -> tuple[list[str], np.ndarray]:

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from patentflow import (
     write_citations,
     write_metadata,
 )
+import ingest_oracle
 from conftest import meta_of
 
 
@@ -45,6 +48,17 @@ def test_parse_citations_malformed_line_skipped():
     payload, report = parse_citations("a\tb\nc\n".encode())
     assert _pairs(payload) == [("a", "b")]
     assert report.malformed == 1
+
+
+def test_parse_citations_numbers_more_long_ids_than_two_bytes_count():
+    # 70,000 distinct ids too long to pack, each line followed by a simple one
+    lines = [f"{'L' * 30}{k:06d}\t{k % 997}\n{k % 991}\t{k}\n" for k in range(70_000)]
+    data = "".join(lines).encode()
+    (ids, edges), report = parse_citations(data)
+    (want_ids, want_edges), want_report = ingest_oracle.parse_citations_text(io.StringIO(data.decode()))
+    assert ids == want_ids
+    assert np.array_equal(edges, want_edges)
+    assert report == want_report
 
 
 @pytest.mark.parametrize("line", ["a\t\n", "\tb\n", "a\tb\tc\n"])

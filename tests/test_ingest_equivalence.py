@@ -212,6 +212,15 @@ def _text(data: bytes) -> io.TextIOWrapper:
 # the fallback line at a block seam
 @example(b"p2\tp1\n\xc3\xa9\tp1 \np3\tp2\n", b"", 1 << 20)
 @example(b"p2\tp1\n\xc3\xa9\tp1 \np3\tp2\n", b"", 7)
+# ids that zero padding would merge
+@example(b"p\tq\np\x00\tp\x00\x00\nq\tp\x00\n", b"", 1 << 20)
+# two 40-byte ids with the same first 32 bytes, one on both sides of a seam
+@example(b"x" * 32 + b"aaaaaaaa\tp1\np2\t" + b"x" * 32 + b"aaaaaaaa\n" + b"x" * 32 + b"bbbbbbbb\tp1\n",
+         b"", 7)
+# every accepted line falls back, so only fallback ids set the key width
+@example(b" p1\t" + b"y" * 17 + b"\n\xc3\xa9\tp1\n#\n", b"", 1 << 20)
+# a 32-byte id read once from a fallback line and once from a simple one
+@example(b" " + b"w" * 32 + b"\tp1\n" + b"w" * 32 + b"\tp1\n", b"", 1 << 20)
 def test_byte_parsers_match_text_mode_parsers(citation_data, patent_data, block_bytes):
     with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
         (ids, edges), cit_report = parse_citations(citation_data)
