@@ -458,8 +458,11 @@ def parse_metadata(data: bytes) -> tuple[dict[str, tuple[str, int | None, str]],
 
 
 def _year_column(years: list[int | None]) -> np.ndarray:
-    """Grant years as int16 with 0 for unknown; a known year must be in
-    [1, 32767]."""
+    """Grant years as int16 with 0 for unknown; a known year must be an
+    integer, numpy's included but not a bool, in [1, 32767]."""
+    for kind in set(map(type, years)) - {type(None)}:
+        if issubclass(kind, bool) or not issubclass(kind, (int, np.integer)):
+            raise PatentFlowError(f"grant year of type {kind.__name__} is not an integer")
     col = np.array([-1 if y is None else y for y in years], dtype=np.int64)
     bad = (col == 0) | (col < -1) | (col > _YEAR_COLUMN_MAX)
     if bad.any():
@@ -483,8 +486,9 @@ def assemble_dataset(
     returns it. Node indices follow first appearance: the records in order,
     then ids seen only in citations (these get placeholder metadata and are
     counted). Raises MalformedEdgeError for an edge index outside ``ids``,
-    and PatentFlowError for edges not integer or not shaped (m, 2) or a
-    known grant year outside [1, 32767].
+    and PatentFlowError for edges not integer or not shaped (m, 2), a known
+    grant year not an integer or outside [1, 32767], or a class or assignee
+    that is not a str.
     """
     cited_ids, edges = citations
     edges = edge_index_array(edges, len(cited_ids))
@@ -506,6 +510,9 @@ def assemble_dataset(
         assignee_index.setdefault(asg, len(assignee_index)) for _, _, asg in records.values()
     ]
     assignee_code[len(records):] = assignee_index.setdefault("", len(assignee_index))
+    for label in (*class_index, *assignee_index):
+        if not isinstance(label, str):
+            raise PatentFlowError(f"class or assignee {label!r} is not a string")
     year = np.zeros(n, dtype=np.int16)
     year[: len(records)] = _year_column([y for _, y, _ in records.values()])
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +41,11 @@ def _is_real(value: object) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+def _is_integer(value: object) -> bool:
+    """True for an integer, numpy's included, that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PageRankParams:
     """Knobs for one PageRank computation."""
@@ -55,8 +60,7 @@ class PageRankParams:
             raise PatentFlowError(f"damping must be a number in [0, 1), got {self.damping!r}")
         if not _is_real(self.epsilon) or not 0.0 < self.epsilon < float("inf"):
             raise PatentFlowError(f"epsilon must be a positive finite number, got {self.epsilon!r}")
-        max_iterations = self.max_iterations
-        if isinstance(max_iterations, bool) or not isinstance(max_iterations, (int, np.integer)):
+        if not _is_integer(self.max_iterations):
             raise PatentFlowError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise PatentFlowError(f"max_iterations must be >= 1, got {self.max_iterations}")

@@ -49,16 +49,11 @@ def top_table(
 ) -> RankTable:
     """Pick the top ``n`` patents by score at ``principal_d``."""
     damping_values = tuple(r.params.damping for r in results)
-    principal = None
-    for r in results:
-        if r.params.damping == principal_d:
-            principal = r
-            break
-    if principal is None:
+    if principal_d not in damping_values:
         raise PatentFlowError(
             f"principal damping {principal_d} not among computed values {damping_values}"
         )
-    scores = principal.scores
+    scores = results[damping_values.index(principal_d)].scores
     in_degrees = dataset.graph.in_degrees
     ids = dataset.index_to_id
     classes = (*dataset.classes, "")  # class code -1, unknown, reads the last entry
@@ -94,13 +89,8 @@ def render_rank_table(table: RankTable) -> str:
         cells = [str(row.rank), row.patent_id, row.primary_class or "?", str(row.ncit)]
         cells.extend(str(table.scaled(row, d)) for d in table.damping_values)
         body.append(cells)
-    widths = [
-        max(len(headers[c]), *(len(r[c]) for r in body)) if body else len(headers[c])
-        for c in range(len(headers))
-    ]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for cells in body:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(cells, widths)))
+    widths = [max([len(h), *(len(r[c]) for r in body)]) for c, h in enumerate(headers)]
+    lines = ["  ".join(cell.rjust(w) for cell, w in zip(cells, widths)) for cells in (headers, *body)]
     return "\n".join(lines) + "\n"
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import PatentFlowError
 from .graph import MAX_NODE_COUNT
 from .ingest import YEAR_MAX, YEAR_MIN, PatentDataset, _undecodable, assemble_dataset
-from .pagerank import _is_real
+from .pagerank import _is_integer, _is_real
 
 # the largest mean numpy's Poisson sampler accepts
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
@@ -73,6 +73,10 @@ class PlantedCrossover:
     source_class_b: str
     crossover_year: int
 
+    def __post_init__(self) -> None:
+        if not _is_integer(self.crossover_year):
+            raise PatentFlowError(f"crossover_year must be an integer, got {self.crossover_year!r}")
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -86,29 +90,40 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         # graph.build_graph takes no more nodes than this
-        if not 0 <= self.node_count <= MAX_NODE_COUNT:
+        if not _is_integer(self.node_count) or not 0 <= self.node_count <= MAX_NODE_COUNT:
             raise PatentFlowError(
-                f"node_count must be in [0, {MAX_NODE_COUNT}], got {self.node_count}"
+                f"node_count must be in [0, {MAX_NODE_COUNT}] and an integer, got {self.node_count!r}"
             )
+        pc = self.planted_crossover
+        labels = [label for pairs in (self.classes, self.assignees) for label, _ in pairs]
+        if pc is not None:
+            labels += [pc.target_class, pc.source_class_a, pc.source_class_b]
+        for label in labels:
+            # each label must read back from patents.tsv as written
+            if (not isinstance(label, str) or label != label.strip()
+                    or any(c in label for c in "\t\n\r") or _undecodable(label)):
+                raise PatentFlowError(
+                    f"label {label!r} is not a string, or has a tab, a line break, surrounding "
+                    "whitespace or bytes that are not UTF-8, which patents.tsv cannot carry"
+                )
         for name, pairs in (("classes", self.classes), ("assignees", self.assignees)):
             if not pairs:
                 raise PatentFlowError(f"{name} must be non-empty")
+            if not all(_is_real(p) and math.isfinite(p) and p >= 0 for _, p in pairs):
+                raise PatentFlowError(f"{name} proportions must be finite non-negative numbers")
             total = sum(p for _, p in pairs)
             if abs(total - 1.0) > 1e-9:
                 raise PatentFlowError(f"{name} proportions sum to {total}, expected 1")
-            if not all(math.isfinite(p) and p >= 0 for _, p in pairs):
-                raise PatentFlowError(f"{name} proportions must be finite and non-negative")
             labels = [label for label, _ in pairs]
             if len(set(labels)) != len(labels):
                 raise PatentFlowError(f"{name} labels must be unique")
         start, end = self.year_range
         # patents.tsv reads a year outside [YEAR_MIN, YEAR_MAX] back as unknown
-        if not YEAR_MIN <= start <= end <= YEAR_MAX:
+        if not all(map(_is_integer, self.year_range)) or not YEAR_MIN <= start <= end <= YEAR_MAX:
             raise PatentFlowError(
-                f"year_range {self.year_range} must be non-empty and within "
+                f"year_range {self.year_range} must be integers, non-empty and within "
                 f"[{YEAR_MIN}, {YEAR_MAX}]"
             )
-        pc = self.planted_crossover
         if pc is not None:
             if len({pc.target_class, pc.source_class_a, pc.source_class_b}) != 3:
                 raise PatentFlowError("planted classes must be three distinct codes")
@@ -133,16 +148,6 @@ class SyntheticSpec:
                 )
             if len(names) < 2:
                 raise PatentFlowError("a dominant assignee needs at least one other assignee")
-        labels = [label for pairs in (self.classes, self.assignees) for label, _ in pairs]
-        if pc is not None:
-            labels += [pc.target_class, pc.source_class_a, pc.source_class_b]
-        for label in labels:
-            # each label must read back from patents.tsv as written
-            if label != label.strip() or any(c in label for c in "\t\n\r") or _undecodable(label):
-                raise PatentFlowError(
-                    f"label {label!r} has a tab, a line break, surrounding whitespace "
-                    "or bytes that are not UTF-8, which patents.tsv cannot carry"
-                )
 
 
 def _whole_number(name: str, value: object) -> int:

@@ -71,12 +71,13 @@ def _bucket_flows(
 ) -> tuple[list[tuple[str, int]], list[int], list[float]]:
     """Count and score sum of ``citers`` per (class, year) bucket.
 
-    ``citers`` are ascending node indices whose class and year are known.
-    ``bincount`` adds in input order, so each sum folds its citers' scores
-    in ascending index order, starting from 0.0. The bucket arrays hold
-    (largest citer class code + 1) x (citer year span) entries. Only
-    buckets with at least one citer are returned, as plain Python values.
+    ``citers`` are ascending node indices; those of unknown class or year
+    are dropped. ``bincount`` adds in input order, so each sum folds its
+    citers' scores in ascending index order, starting from 0.0. The bucket
+    arrays hold (largest citer class code + 1) x (citer year span) entries.
+    Only buckets with at least one citer are returned, as plain Python values.
     """
+    citers = citers[(dataset.class_code[citers] >= 0) & (dataset.year[citers] > 0)]
     if citers.size == 0:
         return [], [], []
     years = dataset.year[citers].astype(np.int64)
@@ -113,8 +114,6 @@ def class_inflow_series(
     citing = np.zeros(dataset.node_count, dtype=bool)
     citing[graph.in_neighbors_of(np.flatnonzero(target))] = True
     citing &= ~target
-    citing &= dataset.class_code >= 0
-    citing &= dataset.year > 0
     keys, counts, sums = _bucket_flows(dataset, np.flatnonzero(citing), scores)
     values = sums if metric == METRIC_PAGERANK_SUM else counts
     return ClassFlowSeries(
@@ -134,9 +133,7 @@ def patent_inflow_breakdown(
     if not 0 <= patent < dataset.node_count:
         raise PatentFlowError(f"patent index {patent} out of range")
     scores = _require_scores(dataset, result)
-    citers = dataset.graph.in_neighbors(patent)
-    citers = citers[(dataset.class_code[citers] >= 0) & (dataset.year[citers] > 0)]
-    keys, counts, sums = _bucket_flows(dataset, citers, scores)
+    keys, counts, sums = _bucket_flows(dataset, dataset.graph.in_neighbors(patent), scores)
     return dict(zip(keys, zip(counts, sums)))
 
 
@@ -205,9 +202,7 @@ class ExclusionSet:
             "owned": int(self.owned.size),
             "cites_owned": int(self.cites_owned.size),
             "cited_by_owned": int(self.cited_by_owned.size),
-            "excluded_total": int(
-                self.owned.size + self.cites_owned.size + self.cited_by_owned.size
-            ),
+            "excluded_total": int(self.excluded.size),
         }
 
 
@@ -215,28 +210,26 @@ def assignee_exclusion_set(dataset: PatentDataset, assignee: str) -> ExclusionSe
     """Compute the assignee's neighborhood: owned patents plus every
     non-owned patent that cites or is cited by one of them.
 
-    Names match after ``strip().casefold()``. Raises PatentFlowError for an
-    empty (or all-whitespace) name.
+    The neighbours are read from the owned patents' rows in the graph's
+    two CSR directions. Names match after ``strip().casefold()``. Raises
+    PatentFlowError for an empty (or all-whitespace) name.
     """
     require_name("assignee", assignee)
     key = assignee_key(assignee)
     names = dataset.assignees
     match = np.fromiter((assignee_key(a) == key for a in names), dtype=bool, count=len(names))
-    owned_mask = match[dataset.assignee_code]
-    n = dataset.node_count
-    src = dataset.graph.edge_sources()
-    dst = dataset.graph.out_indices
-    owned_src = owned_mask[src]
-    owned_dst = owned_mask[dst]
-    cites = np.zeros(n, dtype=bool)
-    cites[src[owned_dst & ~owned_src]] = True
-    cited = np.zeros(n, dtype=bool)
-    cited[dst[owned_src & ~owned_dst]] = True
+    owned = match[dataset.assignee_code]
+    graph = dataset.graph
+    cites = np.zeros(dataset.node_count, dtype=bool)
+    cites[graph.in_indices[np.repeat(owned, graph.in_degrees)]] = True
+    cites &= ~owned
+    cited = np.zeros(dataset.node_count, dtype=bool)
+    cited[graph.out_indices[np.repeat(owned, graph.out_degrees)]] = True
     return ExclusionSet(
         assignee=assignee,
-        owned=np.flatnonzero(owned_mask),
+        owned=np.flatnonzero(owned),
         cites_owned=np.flatnonzero(cites),
-        cited_by_owned=np.flatnonzero(cited & ~cites),
+        cited_by_owned=np.flatnonzero(cited & ~owned & ~cites),
     )
 
 
@@ -281,7 +274,6 @@ def write_flow_csv(series_list, path: str | os.PathLike) -> None:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["target_class", "source_class", "year", "metric", "value"])
         for series in series_list:
-            for cls, year in sorted(series.entries):
-                value = series.entries[(cls, year)]
+            for (cls, year), value in sorted(series.entries.items()):
                 text = str(value) if series.metric == METRIC_CITATION_COUNT else f"{value:.17g}"
                 writer.writerow([series.target_class, cls, year, series.metric, text])

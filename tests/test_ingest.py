@@ -151,6 +151,31 @@ def test_assemble_rejects_citations_not_shaped_m_by_2(edges):
         assemble_dataset((["a", "b"], edges), {})
 
 
+@pytest.mark.parametrize(
+    "record",
+    [("347", 1999.7, "acme"), ("347", 1999.0, "acme"), ("347", "1999", "acme"),
+     ("347", True, "acme"), ("347", np.bool_(True), "acme"), (None, 1999, "acme"),
+     (347, 1999, "acme"), ("347", 1999, None), ("347", 1999, 7)],
+    ids=["fractional-year", "float-year", "string-year", "bool-year", "numpy-bool-year",
+         "null-class", "int-class", "null-assignee", "int-assignee"],
+)
+def test_assemble_rejects_record_values_it_would_cast(record):
+    with pytest.raises(PatentFlowError, match="is not an integer|is not a string"):
+        assemble_dataset(intern_pairs([("a", "b")]), {"a": record})
+
+
+@pytest.mark.parametrize("year", [np.int64(1999), np.int16(1999), np.uint16(1999)])
+def test_assemble_numpy_integer_year_same_as_int(year):
+    want = assemble_dataset(intern_pairs([("a", "b")]), {"a": ("347", 1999, "acme")})
+    got = assemble_dataset(intern_pairs([("a", "b")]), {"a": ("347", year, "acme")})
+    for name in ("class_code", "year", "assignee_code"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+    for name in ("index_to_id", "classes", "assignees", "record_count"):
+        assert getattr(got, name) == getattr(want, name)
+    assert np.array_equal(got.graph.edge_array(), want.graph.edge_array())
+
+
 def _recount_oracle(citation_lines, metadata_lines):
     """Independent tally over the raw text, no ingest code involved."""
     ids = set()

@@ -199,6 +199,29 @@ def test_spec_validation_errors():
         )
     with pytest.raises(PatentFlowError):
         EdgeModel(preferential=0.8, recency_bias=0.5)
+    # a spec built in Python gets the type checks load_spec gives a JSON one
+    base = dict(node_count=good.node_count, classes=good.classes,
+                year_range=good.year_range, assignees=good.assignees)
+    for bad in (
+        dict(node_count=500.5),
+        dict(node_count=True),
+        dict(year_range=(2000.5, 2005)),
+        dict(year_range=(1995, np.float64(2010))),
+        dict(classes=(("a", True),)),
+        dict(classes=(("a", "1.0"),)),
+        dict(classes=((347, 1.0),)),
+        dict(assignees=((None, 1.0),)),
+        dict(planted_crossover=PlantedCrossover("347", 400, "358", 2004)),
+    ):
+        with pytest.raises(PatentFlowError):
+            SyntheticSpec(**{**base, **bad})
+    for year in (2003.5, True, "2004"):
+        with pytest.raises(PatentFlowError):
+            PlantedCrossover("347", "400", "358", year)
+    # numpy integers are integers
+    SyntheticSpec(**{**base, "node_count": np.int64(good.node_count),
+                     "year_range": (np.int16(1995), np.uint16(2010)),
+                     "planted_crossover": PlantedCrossover("347", "400", "358", np.int64(2004))})
 
 
 def test_random_citation_edges_point_backward():
