@@ -9,7 +9,7 @@ Node counts are limited to MAX_NODE_COUNT (3,037,000,499).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,55 +30,35 @@ class GraphBuildReport:
     duplicate_edges_dropped: int
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class CitationGraph:
     """Directed graph frozen after construction.
 
-    All arrays are marked read-only, so a graph can be shared across
-    threads without locking. Neighbor lists are sorted ascending, which
-    fixes the floating-point accumulation order for anything that folds
-    over them.
+    No field can be reassigned and every array is marked read-only, so a
+    graph can be shared across threads without locking. Neighbor lists are
+    sorted ascending, which fixes the floating-point accumulation order for
+    anything that folds over them. Equality and hashing are by identity.
     """
 
-    __slots__ = (
-        "node_count",
-        "out_indptr",
-        "out_indices",
-        "in_indptr",
-        "in_indices",
-        "out_degrees",
-        "in_degrees",
-        "dangling_nodes",
-        "build_report",
-    )
+    node_count: int
+    out_indptr: np.ndarray
+    out_indices: np.ndarray
+    in_indptr: np.ndarray
+    in_indices: np.ndarray
+    build_report: GraphBuildReport
+    out_degrees: np.ndarray = field(init=False)
+    in_degrees: np.ndarray = field(init=False)
+    dangling_nodes: np.ndarray = field(init=False)
 
-    def __init__(
-        self,
-        node_count: int,
-        out_indptr: np.ndarray,
-        out_indices: np.ndarray,
-        in_indptr: np.ndarray,
-        in_indices: np.ndarray,
-        build_report: GraphBuildReport,
-    ) -> None:
-        self.node_count = int(node_count)
-        self.out_indptr = out_indptr
-        self.out_indices = out_indices
-        self.in_indptr = in_indptr
-        self.in_indices = in_indices
-        self.out_degrees = np.diff(out_indptr)
-        self.in_degrees = np.diff(in_indptr)
-        self.dangling_nodes = np.flatnonzero(self.out_degrees == 0)
-        self.build_report = build_report
-        for arr in (
-            self.out_indptr,
-            self.out_indices,
-            self.in_indptr,
-            self.in_indices,
-            self.out_degrees,
-            self.in_degrees,
-            self.dangling_nodes,
-        ):
-            arr.flags.writeable = False
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "node_count", int(self.node_count))
+        object.__setattr__(self, "out_degrees", np.diff(self.out_indptr))
+        object.__setattr__(self, "in_degrees", np.diff(self.in_indptr))
+        object.__setattr__(self, "dangling_nodes", np.flatnonzero(self.out_degrees == 0))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def edge_count(self) -> int:

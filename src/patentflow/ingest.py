@@ -30,7 +30,7 @@ import codecs
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from itertools import compress, count
+from itertools import chain, compress, count
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -139,8 +139,10 @@ class PatentDataset:
     build_report: DatasetBuildReport
 
     def __post_init__(self) -> None:
-        for col in (self.class_code, self.year, self.assignee_code):
-            col.flags.writeable = False
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def node_count(self) -> int:
@@ -406,13 +408,19 @@ def parse_citations(data: bytes) -> tuple[tuple[list[str], np.ndarray], Citation
     return (ids, edges.reshape(-1, 2)), CitationParseReport(lines=lines, edges=rows // 2, **counts)
 
 
+def _pair(pair: Sequence[str]) -> Sequence[str]:
+    if isinstance(pair, (str, bytes)) or len(pair) != 2:
+        raise PatentFlowError(f"{pair!r} is not a (citing, cited) pair of ids")
+    return pair
+
+
 def intern_pairs(pairs: Iterable[Sequence[str]]) -> tuple[list[str], np.ndarray]:
     """The distinct ids of ``pairs`` in first-appearance order, and the pairs
-    as an (m, 2) int64 array of indices into that list."""
+    as an (m, 2) int64 array of indices into that list. Raises PatentFlowError
+    for a pair that is a str or bytes or does not hold exactly two ids."""
     index: dict[str, int] = {}
-    flat = np.fromiter(
-        (index.setdefault(pid, len(index)) for pair in pairs for pid in pair), dtype=np.int64
-    )
+    flat = np.fromiter((index.setdefault(pid, len(index)) for pair in map(_pair, pairs)
+                        for pid in pair), np.int64)
     return list(index), flat.reshape(-1, 2)
 
 
@@ -463,7 +471,10 @@ def _year_column(years: list[int | None]) -> np.ndarray:
     for kind in set(map(type, years)) - {type(None)}:
         if issubclass(kind, bool) or not issubclass(kind, (int, np.integer)):
             raise PatentFlowError(f"grant year of type {kind.__name__} is not an integer")
-    col = np.array([-1 if y is None else y for y in years], dtype=np.int64)
+    try:
+        col = np.array([-1 if y is None else y for y in years], dtype=np.int64)
+    except OverflowError:
+        raise PatentFlowError(f"a grant year is outside [1, {_YEAR_COLUMN_MAX}]") from None
     bad = (col == 0) | (col < -1) | (col > _YEAR_COLUMN_MAX)
     if bad.any():
         raise PatentFlowError(
@@ -486,37 +497,38 @@ def assemble_dataset(
     returns it. Node indices follow first appearance: the records in order,
     then ids seen only in citations (these get placeholder metadata and are
     counted). Raises MalformedEdgeError for an edge index outside ``ids``,
-    and PatentFlowError for edges not integer or not shaped (m, 2), a known
-    grant year not an integer or outside [1, 32767], or a class or assignee
-    that is not a str.
+    and PatentFlowError for edges not integer or not shaped (m, 2), an id,
+    class or assignee that is not a str, a record that is not a ``(class,
+    year, assignee)`` triple, or a known grant year not an integer or
+    outside [1, 32767].
     """
     cited_ids, edges = citations
     edges = edge_index_array(edges, len(cited_ids))
     index = {pid: i for i, pid in enumerate(records)}
-    # each distinct citation id is looked up once; an unknown one becomes
-    # the next placeholder node
-    remap = np.fromiter((index.setdefault(pid, len(index)) for pid in cited_ids), np.int64)
-    n = len(index)
-
     # "" is the unknown class, code -1; every other spelling gets the next code
     class_index: dict[str, int] = {"": -1}
-    class_code = np.full(n, -1, dtype=np.int32)
-    class_code[: len(records)] = [
-        class_index.setdefault(cls, len(class_index) - 1) for cls, _, _ in records.values()
-    ]
     assignee_index: dict[str, int] = {}
-    assignee_code = np.empty(n, dtype=np.int32)
-    assignee_code[: len(records)] = [
-        assignee_index.setdefault(asg, len(assignee_index)) for _, _, asg in records.values()
-    ]
-    assignee_code[len(records):] = assignee_index.setdefault("", len(assignee_index))
-    for label in (*class_index, *assignee_index):
-        if not isinstance(label, str):
-            raise PatentFlowError(f"class or assignee {label!r} is not a string")
-    year = np.zeros(n, dtype=np.int16)
-    year[: len(records)] = _year_column([y for _, y, _ in records.values()])
+    try:
+        # each distinct citation id is looked up once; a new one is a placeholder
+        remap = np.fromiter((index.setdefault(pid, len(index)) for pid in cited_ids), np.int64)
+        class_codes = [
+            class_index.setdefault(cls, len(class_index) - 1) for cls, _, _ in records.values()
+        ]
+        assignee_codes = [
+            assignee_index.setdefault(asg, len(assignee_index)) for _, _, asg in records.values()
+        ]
+    except (TypeError, ValueError) as exc:  # unhashable, or not a triple
+        raise PatentFlowError(f"malformed id or metadata record: {exc}") from None
+    placeholders = (0, len(index) - len(records))
+    class_code = np.pad(np.array(class_codes, dtype=np.int32), placeholders, constant_values=-1)
+    assignee_code = np.pad(np.array(assignee_codes, dtype=np.int32), placeholders,
+                           constant_values=assignee_index.setdefault("", len(assignee_index)))
+    for kind in set(map(type, chain(index, class_index, assignee_index))):
+        if not issubclass(kind, str):
+            raise PatentFlowError(f"an id, class or assignee of type {kind.__name__} is not a string")
+    year = np.pad(_year_column([y for _, y, _ in records.values()]), placeholders)
 
-    graph = build_graph(remap[edges], n)
+    graph = build_graph(remap[edges], len(index))
     return PatentDataset(
         graph=graph,
         index_to_id=tuple(index),

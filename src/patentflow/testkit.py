@@ -109,7 +109,11 @@ class SyntheticSpec:
         for name, pairs in (("classes", self.classes), ("assignees", self.assignees)):
             if not pairs:
                 raise PatentFlowError(f"{name} must be non-empty")
-            if not all(_is_real(p) and math.isfinite(p) and p >= 0 for _, p in pairs):
+            try:
+                valid = all(_is_real(p) and math.isfinite(p) and p >= 0 for _, p in pairs)
+            except OverflowError:  # a number too large for a float
+                valid = False
+            if not valid:
                 raise PatentFlowError(f"{name} proportions must be finite non-negative numbers")
             total = sum(p for _, p in pairs)
             if abs(total - 1.0) > 1e-9:

@@ -1,9 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patentflow import MalformedEdgeError, PatentFlowError, build_graph, induced_subgraph
+from patentflow import (
+    CitationGraph,
+    MalformedEdgeError,
+    PatentFlowError,
+    build_graph,
+    induced_subgraph,
+)
 from patentflow.graph import edge_index_array
 
 
@@ -59,6 +67,36 @@ def test_graph_is_frozen():
     g = build_graph([(0, 1)], 2)
     with pytest.raises(ValueError):
         g.out_indices[0] = 0
+
+
+def test_graph_fields_cannot_be_reassigned_or_written():
+    full = build_graph([(0, 1), (1, 2), (2, 0), (0, 2)], 4)
+    sub, _ = induced_subgraph(full, [0, 2, 3])
+    for g, text in ((full, "CitationGraph(nodes=4, edges=4, dangling=1)"),
+                    (sub, "CitationGraph(nodes=3, edges=2, dangling=1)")):
+        assert repr(g) == text
+        names = [f.name for f in dataclasses.fields(g)]
+        assert names == ["node_count", "out_indptr", "out_indices", "in_indptr", "in_indices",
+                         "build_report", "out_degrees", "in_degrees", "dangling_nodes"]
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, name, getattr(g, name))
+            value = getattr(g, name)
+            if isinstance(value, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    value[:1] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del g.node_count
+        assert not hasattr(g, "__dict__")
+        # positional construction derives the same arrays and casts the node
+        # count to int; equality stays identity
+        again = CitationGraph(np.int64(g.node_count), g.out_indptr, g.out_indices, g.in_indptr,
+                              g.in_indices, g.build_report)
+        assert again != g and repr(again) == text and type(again.node_count) is int
+        for name in ("out_degrees", "in_degrees", "dangling_nodes"):
+            assert np.array_equal(getattr(again, name), getattr(g, name))
+    # the dangling node 3 of the full graph is index 2 of the subgraph
+    assert sub.dangling_nodes.tolist() == [2]
 
 
 @settings(max_examples=60, deadline=None)

@@ -164,6 +164,34 @@ def test_assemble_rejects_record_values_it_would_cast(record):
         assemble_dataset(intern_pairs([("a", "b")]), {"a": record})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: assemble_dataset(intern_pairs([("a", "b")]), {"a": ("347", 10**20, "x")}),
+        lambda: assemble_dataset(intern_pairs([("a", "b")]), {"a": ("347", -10**20, "x")}),
+        lambda: assemble_dataset(intern_pairs([("a", "b")]), {"a": (["347"], 1999, "x")}),
+        lambda: assemble_dataset(intern_pairs([("a", "b")]), {"a": ("347", 1999, ["x"])}),
+        lambda: assemble_dataset(intern_pairs([("a", "b")]), {"a": ("347", 1999)}),
+        lambda: assemble_dataset(intern_pairs([("a", "b")]), {"a": ("347", 1999, "x", "y")}),
+        lambda: assemble_dataset(intern_pairs([("a", "b")]), {"a": None}),
+        lambda: assemble_dataset(([1, 2], np.array([[0, 1]])), {}),
+        lambda: assemble_dataset(([["a"], "b"], np.array([[0, 1]])), {}),
+        lambda: assemble_dataset(intern_pairs([("a", "b")]), {5: ("347", 1999, "x")}),
+        lambda: assemble_dataset(intern_pairs([("a", "b")]), {b"a": ("347", 1999, "x")}),
+        lambda: intern_pairs([("a", "b", "c"), ("d",)]),
+        lambda: intern_pairs(["ab", "cd"]),
+        lambda: intern_pairs([b"ab"]),
+    ],
+    ids=["year-above-int64", "year-below-int64", "list-class", "list-assignee", "record-pair",
+         "record-quadruple", "record-none", "int-citation-ids", "list-citation-id",
+         "int-record-id", "bytes-record-id", "pair-of-three-then-one", "str-pairs",
+         "bytes-pair"],
+)
+def test_malformed_ids_and_records_raise_patentflow_error(build):
+    with pytest.raises(PatentFlowError):
+        build()
+
+
 @pytest.mark.parametrize("year", [np.int64(1999), np.int16(1999), np.uint16(1999)])
 def test_assemble_numpy_integer_year_same_as_int(year):
     want = assemble_dataset(intern_pairs([("a", "b")]), {"a": ("347", 1999, "acme")})

@@ -212,6 +212,7 @@ def test_spec_validation_errors():
         dict(classes=((347, 1.0),)),
         dict(assignees=((None, 1.0),)),
         dict(planted_crossover=PlantedCrossover("347", 400, "358", 2004)),
+        dict(classes=(("a", 10**400),)),
     ):
         with pytest.raises(PatentFlowError):
             SyntheticSpec(**{**base, **bad})
