@@ -207,7 +207,7 @@ def _cmd_patent(args) -> int:
     breakdown = patent_inflow_breakdown(dataset, result, idx)
     payload = {
         "patent_id": args.patent_id,
-        "class": (*dataset.classes, "")[dataset.class_code[idx]],  # code -1 is unknown, ""
+        "class": dataset.classes[dataset.class_code[idx]],
         "year": int(dataset.year[idx]) or None,
         "assignee": dataset.assignees[dataset.assignee_code[idx]],
         "in_degree": int(dataset.graph.in_degrees[idx]),

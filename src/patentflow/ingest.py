@@ -9,9 +9,9 @@ Input formats (UTF-8, one record per line, ``#`` starts a comment line):
 Parsing never aborts on a bad line; anomalies are skipped or repaired and
 counted in per-stream reports. A line with bytes that are not valid UTF-8
 counts as malformed. A record stores an unknown year as ``None`` and an
-unknown class as the empty string; a dataset's columns store them as 0
-and -1. Both keep the patent in the graph but drop it from class-level
-aggregations.
+unknown class or assignee as the empty string; a dataset stores the year
+as 0 and the label as the ``""`` entry of its table. Either keeps the
+patent in the graph but drops it from class-level aggregations.
 
 The parsers take a file's bytes. Every line of patents.tsv, and every
 citation line that is not "simple", is decoded with ``surrogateescape``
@@ -109,23 +109,18 @@ class DatasetBuildReport:
         )
 
     def to_json_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        if d["citations"] is None:
-            d.pop("citations")
-        if d["metadata"] is None:
-            d.pop("metadata")
-        return d
+        return dataclasses.asdict(self, dict_factory=lambda kv: {k: v for k, v in kv if v is not None})
 
 
 @dataclass(frozen=True, eq=False)
 class PatentDataset:
     """A citation graph joined to columnar per-node metadata and the ids.
 
-    Node ``i`` has id ``index_to_id[i]``, class ``classes[class_code[i]]``
-    (``class_code`` -1 means unknown), grant year ``year[i]`` (0 means
-    unknown) and assignee ``assignees[assignee_code[i]]``, the spelling as
-    given. Nodes from ``record_count`` on have no metadata record: they are
-    the placeholders for ids seen only in citations.
+    Node ``i`` has id ``index_to_id[i]``, class ``classes[class_code[i]]``,
+    grant year ``year[i]`` (0 means unknown) and assignee
+    ``assignees[assignee_code[i]]``, each the spelling as given; both tables
+    hold ``""``, the unknown label. Nodes from ``record_count`` on have no
+    metadata record: they are the placeholders for ids seen only in citations.
     """
 
     graph: CitationGraph
@@ -158,7 +153,7 @@ class PatentDataset:
     def class_mask(self, name: str) -> np.ndarray:
         """True for the nodes whose class is ``name``; all False for "" or
         a class no node has."""
-        if name not in self.classes:
+        if not name or name not in self.classes:
             return np.zeros(self.node_count, dtype=bool)
         return self.class_code == self.classes.index(name)
 
@@ -417,10 +412,13 @@ def _pair(pair: Sequence[str]) -> Sequence[str]:
 def intern_pairs(pairs: Iterable[Sequence[str]]) -> tuple[list[str], np.ndarray]:
     """The distinct ids of ``pairs`` in first-appearance order, and the pairs
     as an (m, 2) int64 array of indices into that list. Raises PatentFlowError
-    for a pair that is a str or bytes or does not hold exactly two ids."""
+    for a pair that is a str or bytes or not two ids, or an unhashable id."""
     index: dict[str, int] = {}
-    flat = np.fromiter((index.setdefault(pid, len(index)) for pair in map(_pair, pairs)
-                        for pid in pair), np.int64)
+    try:
+        flat = np.fromiter((index.setdefault(pid, len(index)) for pair in map(_pair, pairs)
+                            for pid in pair), np.int64)
+    except TypeError as exc:  # a pair without a length, or an unhashable id
+        raise PatentFlowError(f"malformed (citing, cited) pair: {exc}") from None
     return list(index), flat.reshape(-1, 2)
 
 
@@ -484,6 +482,15 @@ def _year_column(years: list[int | None]) -> np.ndarray:
     return col.astype(np.int16)
 
 
+def _label_codes(labels: list[str], placeholders: int) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Codes of ``labels`` by first appearance, then ``placeholders`` codes of
+    "", the unknown label; and the table of labels by code, which holds ""."""
+    index: dict[str, int] = {}
+    codes = np.array([index.setdefault(label, len(index)) for label in labels], dtype=np.int32)
+    unknown = index.setdefault("", len(index))
+    return np.pad(codes, (0, placeholders), constant_values=unknown), tuple(index)
+
+
 def assemble_dataset(
     citations: tuple[Sequence[str], np.ndarray],
     records: Mapping[str, tuple[str, int | None, str]],
@@ -505,28 +512,18 @@ def assemble_dataset(
     cited_ids, edges = citations
     edges = edge_index_array(edges, len(cited_ids))
     index = {pid: i for i, pid in enumerate(records)}
-    # "" is the unknown class, code -1; every other spelling gets the next code
-    class_index: dict[str, int] = {"": -1}
-    assignee_index: dict[str, int] = {}
     try:
         # each distinct citation id is looked up once; a new one is a placeholder
         remap = np.fromiter((index.setdefault(pid, len(index)) for pid in cited_ids), np.int64)
-        class_codes = [
-            class_index.setdefault(cls, len(class_index) - 1) for cls, _, _ in records.values()
-        ]
-        assignee_codes = [
-            assignee_index.setdefault(asg, len(assignee_index)) for _, _, asg in records.values()
-        ]
+        placeholders = len(index) - len(records)
+        class_code, classes = _label_codes([c for c, _, _ in records.values()], placeholders)
+        assignee_code, assignees = _label_codes([a for _, _, a in records.values()], placeholders)
     except (TypeError, ValueError) as exc:  # unhashable, or not a triple
         raise PatentFlowError(f"malformed id or metadata record: {exc}") from None
-    placeholders = (0, len(index) - len(records))
-    class_code = np.pad(np.array(class_codes, dtype=np.int32), placeholders, constant_values=-1)
-    assignee_code = np.pad(np.array(assignee_codes, dtype=np.int32), placeholders,
-                           constant_values=assignee_index.setdefault("", len(assignee_index)))
-    for kind in set(map(type, chain(index, class_index, assignee_index))):
+    for kind in set(map(type, chain(index, classes, assignees))):
         if not issubclass(kind, str):
             raise PatentFlowError(f"an id, class or assignee of type {kind.__name__} is not a string")
-    year = np.pad(_year_column([y for _, y, _ in records.values()]), placeholders)
+    year = np.pad(_year_column([y for _, y, _ in records.values()]), (0, placeholders))
 
     graph = build_graph(remap[edges], len(index))
     return PatentDataset(
@@ -535,8 +532,8 @@ def assemble_dataset(
         class_code=class_code,
         year=year,
         assignee_code=assignee_code,
-        classes=tuple(class_index)[1:],
-        assignees=tuple(assignee_index),
+        classes=classes,
+        assignees=assignees,
         record_count=len(records),
         build_report=DatasetBuildReport.of(graph, len(records), citations_report, metadata_report),
     )
@@ -567,10 +564,8 @@ def write_citations(dataset: PatentDataset, path: str | os.PathLike) -> None:
 
 def write_metadata(dataset: PatentDataset, path: str | os.PathLike) -> None:
     """Serialize metadata back to the patents.tsv format, in index order."""
-    classes = (*dataset.classes, "")  # class code -1, unknown, reads the last entry
     rows = zip(dataset.index_to_id, dataset.class_code.tolist(), dataset.year.tolist(),
                dataset.assignee_code.tolist())
     with atomic_write(path) as f:
-        f.write("".join(
-            f"{pid}\t{classes[c]}\t{y or ''}\t{dataset.assignees[a]}\n" for pid, c, y, a in rows
-        ))
+        f.write("".join(f"{pid}\t{dataset.classes[c]}\t{y or ''}\t{dataset.assignees[a]}\n"
+                        for pid, c, y, a in rows))

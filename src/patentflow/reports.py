@@ -56,7 +56,6 @@ def top_table(
     scores = results[damping_values.index(principal_d)].scores
     in_degrees = dataset.graph.in_degrees
     ids = dataset.index_to_id
-    classes = (*dataset.classes, "")  # class code -1, unknown, reads the last entry
     k = min(max(int(n), 0), dataset.node_count)
     candidates = []
     if k:
@@ -72,7 +71,7 @@ def top_table(
             RankRow(
                 rank=rank,
                 patent_id=ids[i],
-                primary_class=classes[dataset.class_code[i]],
+                primary_class=dataset.classes[dataset.class_code[i]],
                 ncit=int(in_degrees[i]),
                 scores={r.params.damping: float(r.scores[i]) for r in results},
             )

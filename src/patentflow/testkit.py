@@ -218,8 +218,8 @@ def _weighted_pick(rng: np.random.Generator, labels: list[str], probs: list[floa
 
 def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> PatentDataset:
     """Deterministic synthetic PatentDataset for a given spec and seed."""
-    if seed < 0:
-        raise PatentFlowError(f"seed must be non-negative, got {seed}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise PatentFlowError(f"seed must be non-negative and an integer, got {seed!r}")
     n = spec.node_count
     rng = np.random.default_rng(seed)
     start, end = spec.year_range

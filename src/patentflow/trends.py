@@ -21,7 +21,7 @@ from .atomic import atomic_write
 from .errors import PatentFlowError
 from .graph import induced_subgraph
 from .ingest import DatasetBuildReport, PatentDataset
-from .pagerank import PageRankResult
+from .pagerank import PageRankResult, _is_integer
 
 METRIC_PAGERANK_SUM = "pagerank-sum"
 METRIC_CITATION_COUNT = "citation-count"
@@ -29,7 +29,9 @@ _METRICS = (METRIC_PAGERANK_SUM, METRIC_CITATION_COUNT)
 
 
 def require_name(what: str, name: str) -> None:
-    """Raise PatentFlowError when ``name`` is empty after ``strip()``."""
+    """Raise PatentFlowError when ``name`` is not a str or is empty after ``strip()``."""
+    if not isinstance(name, str):
+        raise PatentFlowError(f"{what} must be a string, got {name!r}")
     if not name.strip():
         raise PatentFlowError(f"{what} must not be empty, got {name!r}")
 
@@ -77,7 +79,8 @@ def _bucket_flows(
     arrays hold (largest citer class code + 1) x (citer year span) entries.
     Only buckets with at least one citer are returned, as plain Python values.
     """
-    citers = citers[(dataset.class_code[citers] >= 0) & (dataset.year[citers] > 0)]
+    unknown = dataset.classes.index("") if "" in dataset.classes else -1
+    citers = citers[(dataset.class_code[citers] != unknown) & (dataset.year[citers] > 0)]
     if citers.size == 0:
         return [], [], []
     years = dataset.year[citers].astype(np.int64)
@@ -128,8 +131,11 @@ def patent_inflow_breakdown(
 
     Returns ``(count, pagerank_sum)`` per bucket; citers with unknown
     class or year are skipped. Same-class citers are included here, unlike
-    in the class-level series.
+    in the class-level series. Raises PatentFlowError for a ``patent`` not an
+    integer (numpy's included, a bool not) or out of range.
     """
+    if not _is_integer(patent):
+        raise PatentFlowError(f"patent index {patent!r} is not an integer")
     if not 0 <= patent < dataset.node_count:
         raise PatentFlowError(f"patent index {patent} out of range")
     scores = _require_scores(dataset, result)

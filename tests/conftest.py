@@ -22,10 +22,9 @@ class PatentMeta:
 
 def meta_of(ds, i: int) -> PatentMeta:
     """Node ``i`` of dataset ``ds`` read from its columns as a record."""
-    code = int(ds.class_code[i])
     return PatentMeta(
         patent_id=ds.index_to_id[i],
-        primary_class=ds.classes[code] if code >= 0 else "",
+        primary_class=ds.classes[ds.class_code[i]],
         grant_year=int(ds.year[i]) or None,
         assignee=ds.assignees[ds.assignee_code[i]],
     )

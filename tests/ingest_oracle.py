@@ -187,12 +187,13 @@ def assemble_dataset(
     n = len(ids)
     placeholders = n - len(records)
 
-    # "" is the unknown class, code -1; every other spelling gets the next code
-    class_index: dict[str, int] = {"": -1}
-    class_code = np.full(n, -1, dtype=np.int32)
+    # "" is the unknown class, and every placeholder's
+    class_index: dict[str, int] = {}
+    class_code = np.empty(n, dtype=np.int32)
     class_code[: len(records)] = [
-        class_index.setdefault(m.primary_class, len(class_index) - 1) for m in records
+        class_index.setdefault(m.primary_class, len(class_index)) for m in records
     ]
+    class_code[len(records):] = class_index.setdefault("", len(class_index))
     assignee_index: dict[str, int] = {}
     assignee_code = np.empty(n, dtype=np.int32)
     assignee_code[: len(records)] = [
@@ -218,7 +219,7 @@ def assemble_dataset(
         class_code=class_code,
         year=year,
         assignee_code=assignee_code,
-        classes=tuple(class_index)[1:],
+        classes=tuple(class_index),
         assignees=tuple(assignee_index),
         record_count=len(records),
         build_report=report,

@@ -204,6 +204,40 @@ def test_assemble_numpy_integer_year_same_as_int(year):
     assert np.array_equal(got.graph.edge_array(), want.graph.edge_array())
 
 
+@pytest.mark.parametrize(
+    "pairs, records",
+    [
+        # b's class is unknown, z is a placeholder, w is dropped by the exclusion
+        ([("a", "b"), ("c", "a"), ("c", "z")],
+         {"a": ("347", 2000, "x"), "b": ("", 1999, ""), "c": ("400", 2001, "y"),
+          "w": ("358", 2002, "w")}),
+        # the unknown class is the first seen
+        ([("b", "a")], {"b": ("", 1999, "y"), "a": ("347", 2000, "x"), "w": ("", 2002, "w")}),
+        # no unknown class, no placeholder
+        ([("a", "b")], {"a": ("347", 2000, "x"), "b": ("400", 1999, "y"), "w": ("347", 2002, "w")}),
+    ],
+    ids=["unknown-class-and-placeholder", "unknown-class-first", "no-unknown-class"],
+)
+def test_unknown_class_is_the_empty_entry_of_classes(pairs, records):
+    ds = assemble_dataset(intern_pairs(pairs), records)
+    reduced, _ = apply_exclusion(ds, assignee_exclusion_set(ds, "w"))
+    assert "w" in ds.index_to_id and "w" not in reduced.index_to_id
+    for d in (ds, reduced):
+        assert d.class_code.min() >= 0 and d.assignee_code.min() >= 0
+        assert "" in d.classes and "" in d.assignees
+        want = [records.get(pid, ("", None, "")) for pid in d.index_to_id]
+        assert [d.classes[c] for c in d.class_code] == [cls for cls, _, _ in want]
+        assert [d.assignees[a] for a in d.assignee_code] == [asg for _, _, asg in want]
+
+
+def test_class_mask_of_empty_or_absent_class_is_all_false():
+    ds = assemble_dataset(intern_pairs([("a", "b"), ("c", "z")]),
+                          {"a": ("347", 2000, "x"), "b": ("", 1999, ""), "c": ("347", 2001, "")})
+    assert ds.class_mask("347").tolist() == [True, False, True, False]
+    for name in ("", "no-such-class"):
+        assert ds.class_mask(name).tolist() == [False] * 4
+
+
 def _recount_oracle(citation_lines, metadata_lines):
     """Independent tally over the raw text, no ingest code involved."""
     ids = set()

@@ -225,6 +225,17 @@ def test_spec_validation_errors():
                      "planted_crossover": PlantedCrossover("347", "400", "358", np.int64(2004))})
 
 
+def test_generator_classes_hold_the_unknown_label():
+    spec = _crossover_spec()
+    ds = generate_synthetic_dataset(spec, seed=3)
+    assert ds.class_code.min() >= 0
+    assert "" in ds.classes and "" in ds.assignees
+    # every node has a record with a spec class, so no node reads ""
+    labels = {c for c, _ in spec.classes}
+    assert {ds.classes[c] for c in ds.class_code} <= labels
+    assert set(ds.classes) == {ds.classes[c] for c in ds.class_code} | {""}
+
+
 def test_random_citation_edges_point_backward():
     edges = random_citation_edges(10_000, 50_000, seed=3)
     assert (edges[:, 1] < edges[:, 0]).all()

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -9,11 +10,14 @@ from patentflow import (
     ClassFlowSeries,
     PageRankParams,
     PatentFlowError,
+    SyntheticSpec,
     apply_exclusion,
     assignee_exclusion_set,
     class_inflow_series,
     class_ratio,
     crossover_year,
+    generate_synthetic_dataset,
+    intern_pairs,
     pagerank,
     patent_inflow_breakdown,
 )
@@ -83,6 +87,18 @@ def test_series_skips_unknown_class_or_year():
     assert s.entries == {("400", 2001): 1}
 
 
+def test_series_on_a_dataset_whose_classes_lack_the_empty_label():
+    # a hand-built dataset need not hold "": no citer is dropped for its class
+    ds = _three_citer_dataset()
+    assert ds.classes[-1] == "" and ds.record_count == ds.node_count
+    bare = dataclasses.replace(ds, classes=ds.classes[:-1])
+    r = pagerank(ds.graph, PARAMS)
+    for metric in ("pagerank-sum", "citation-count"):
+        want = class_inflow_series(ds, r, "347", metric).entries
+        assert class_inflow_series(bare, r, "347", metric).entries == want
+    assert len(want) == 2
+
+
 def test_series_counts_each_citer_once():
     # one citer citing two target-class patents contributes a single unit
     ds = make_dataset(
@@ -149,6 +165,49 @@ def test_breakdown_two_citers_same_bucket():
     count, total = bd[("358", 2000)]
     assert count == 2
     assert total == pytest.approx(float(r.scores[a]) + float(r.scores[b]), abs=1e-15)
+
+
+_TINY_SPEC = SyntheticSpec(node_count=10, classes=(("347", 1.0),), year_range=(2000, 2001),
+                           assignees=(("x", 1.0),))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ds, r: intern_pairs([3]),
+        lambda ds, r: intern_pairs([(["a"], "b")]),
+        lambda ds, r: intern_pairs(5),
+        lambda ds, r: class_inflow_series(ds, r, 347),
+        lambda ds, r: class_inflow_series(ds, r, None),
+        lambda ds, r: assignee_exclusion_set(ds, None),
+        lambda ds, r: assignee_exclusion_set(ds, b"canon"),
+        lambda ds, r: patent_inflow_breakdown(ds, r, 1.5),
+        lambda ds, r: patent_inflow_breakdown(ds, r, "1"),
+        lambda ds, r: patent_inflow_breakdown(ds, r, True),
+        lambda ds, r: patent_inflow_breakdown(ds, r, np.float64(1.0)),
+        lambda ds, r: generate_synthetic_dataset(_TINY_SPEC, None),
+        lambda ds, r: generate_synthetic_dataset(_TINY_SPEC, "3"),
+        lambda ds, r: generate_synthetic_dataset(_TINY_SPEC, 1.5),
+        lambda ds, r: generate_synthetic_dataset(_TINY_SPEC, True),
+    ],
+    ids=["int-pair", "list-id", "int-pairs", "int-class", "none-class", "none-assignee",
+         "bytes-assignee", "float-patent", "str-patent", "bool-patent", "numpy-float-patent",
+         "none-seed", "str-seed", "float-seed", "bool-seed"],
+)
+def test_wrongly_typed_arguments_raise_patentflow_error(call):
+    ds = _three_citer_dataset()
+    with pytest.raises(PatentFlowError):
+        call(ds, pagerank(ds.graph, PARAMS))
+
+
+def test_numpy_integers_are_patent_indices_and_seeds():
+    ds = _three_citer_dataset()
+    r = pagerank(ds.graph, PARAMS)
+    t = ds.index_of("t")
+    assert patent_inflow_breakdown(ds, r, np.int32(t)) == patent_inflow_breakdown(ds, r, t)
+    a = generate_synthetic_dataset(_TINY_SPEC, np.uint8(3))
+    b = generate_synthetic_dataset(_TINY_SPEC, 3)
+    assert np.array_equal(a.graph.edge_array(), b.graph.edge_array())
 
 
 def _series_via_breakdowns(ds, result, target, metric):
