@@ -131,13 +131,15 @@ def edge_index_array(edges, node_count: int) -> np.ndarray:
     return arr
 
 
-def build_graph(edges, node_count: int) -> CitationGraph:
+def build_graph(edges, node_count: int, *, remap=None) -> CitationGraph:
     """Build a CitationGraph from (citing, cited) index pairs.
 
     Self-loops and duplicate pairs are dropped and counted in the build
     report. Raises MalformedEdgeError if any index falls outside
     ``[0, node_count)``, and PatentFlowError if ``node_count`` exceeds
-    MAX_NODE_COUNT.
+    MAX_NODE_COUNT. With ``remap``, the pairs index ``remap``, whose entries
+    are the node indices: the graph is that of ``remap[edges]``, built
+    without that copy.
 
     Each direction is one sort of the int64 key ``row * n + col``, whose
     order is (row, col) order, so neighbor lists come out ascending.
@@ -149,14 +151,22 @@ def build_graph(edges, node_count: int) -> CitationGraph:
         raise PatentFlowError(
             f"node_count {n} exceeds {MAX_NODE_COUNT}, the largest whose edge keys fit in int64"
         )
-    arr = edge_index_array(edges, n)
+    if remap is None:
+        arr = edge_index_array(edges, n)
+        src, dst = arr[:, 0], arr[:, 1]
+    else:
+        nodes = _integer_indices(remap, "remap").ravel()
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
+            raise MalformedEdgeError(f"remap holds a node index outside [0, {n})")
+        arr = edge_index_array(edges, len(nodes))
+        src, dst = nodes[arr[:, 0]], nodes[arr[:, 1]]
     edges_input = arr.shape[0]
-    src = arr[:, 0]
-    dst = arr[:, 1]
     loops = src == dst
     self_loops = int(loops.sum())
-    keys = src * n
+    # remapped sources are already a copy, which becomes the keys
+    keys = src * n if remap is None else np.multiply(src, n, out=src)
     keys += dst
+    del src, dst
     if self_loops:
         keys = keys[~loops]
     keys.sort()

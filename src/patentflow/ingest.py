@@ -8,21 +8,26 @@ Input formats (UTF-8, one record per line, ``#`` starts a comment line):
 ``\n``, ``\r\n`` or a lone ``\r`` ends a line, as in a text-mode read.
 Parsing never aborts on a bad line; anomalies are skipped or repaired and
 counted in per-stream reports. A line with bytes that are not valid UTF-8
-counts as malformed. A record stores an unknown year as ``None`` and an
-unknown class or assignee as the empty string; a dataset stores the year
-as 0 and the label as the ``""`` entry of its table. Either keeps the
-patent in the graph but drops it from class-level aggregations.
+counts as malformed. An unknown year is stored as 0, and an unknown class
+or assignee as the ``""`` entry of its table: the patent stays in the graph
+but drops out of class-level aggregations.
 
-The parsers take a file's bytes. Every line of patents.tsv, and every
-citation line that is not "simple", is decoded with ``surrogateescape``
-and goes through the per-line classifier ``_accepted_fields``, whose rules
-define the format. citations.tsv is classified with numpy, about half a MB
-of whole lines at a time: a simple line is printable ASCII with one tab,
-no space at a field's edge, no leading ``#`` and ids of 1 to 32 bytes.
-Every accepted id, read from the buffer or encoded back from its line, is
-packed into integers in line order, and one sort numbers them all by first
-appearance, so the result is the same as reading each line as text. Only
-an id longer than 32 bytes or holding a NUL byte is numbered by a dict.
+The per-line classifier ``_accepted_fields`` defines the format, but the
+parsers classify a file's bytes with numpy, half a MB of lines at a time,
+and only lines that are not "simple" go through it. A simple line has one
+tab fewer than the file has fields, no other control byte, no leading ``#``
+and a printable, non-space ASCII byte at each edge of each non-empty field;
+its ids have 1 to 32 bytes, its labels at most 32 and its year at most 4. A
+non-ASCII byte may sit inside a field when the block is valid UTF-8, and
+``str.strip()`` leaves such fields as they are, so they are read as bytes.
+
+Every id and label is packed into integers, and one sort numbers each kind
+by first appearance (``_number``): the citation ids, the record ids (a
+repeated id keeps its last record at its first position), the labels of the
+kept records and, in ``assemble_dataset``, the record ids and the citation
+ids together, which joins the files. Only a token longer than 32 bytes or
+holding a NUL byte is numbered by a dict. The result is that of reading
+each line as text.
 """
 from __future__ import annotations
 
@@ -30,11 +35,10 @@ import codecs
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from itertools import chain, compress, count
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .atomic import atomic_write
 from .errors import PatentFlowError
@@ -48,9 +52,12 @@ _YEAR_COLUMN_MAX = int(np.iinfo(np.int16).max)
 # that the per-byte and per-line temporaries, and the heap they leave behind
 # when freed, stay small
 _BLOCK_BYTES = 1 << 19
-# a longer id, or one with a NUL byte, is numbered by a dict, so that one
-# long id cannot widen every packed citation key
-_ID_BYTES_MAX = 32
+# a longer token, or one with a NUL byte, is numbered by a dict, so that one
+# long token cannot widen every packed key
+_TOKEN_BYTES_MAX = 32
+# the most bytes of each field of a simple line; a longer year (field 2)
+# takes the per-line path, whose _parse_year reads any number of digits
+_PATENT_FIELDS = (_TOKEN_BYTES_MAX, _TOKEN_BYTES_MAX, 4, _TOKEN_BYTES_MAX)
 # _LOW_BYTES[k] keeps the k low-order bytes of a uint64
 _LOW_BYTES = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
 
@@ -98,18 +105,25 @@ class DatasetBuildReport:
         """The report of a dataset over ``graph`` whose first ``record_count``
         nodes have metadata records; the rest are placeholders."""
         r = graph.build_report
-        return cls(
-            nodes=graph.node_count,
-            edges_stored=r.edges_stored,
-            self_loops_dropped=r.self_loops_dropped,
-            duplicate_edges_dropped=r.duplicate_edges_dropped,
-            placeholder_nodes=graph.node_count - record_count,
-            citations=citations,
-            metadata=metadata,
-        )
+        return cls(graph.node_count, r.edges_stored, r.self_loops_dropped, r.duplicate_edges_dropped,
+                   graph.node_count - record_count, citations, metadata)
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self, dict_factory=lambda kv: {k: v for k, v in kv if v is not None})
+
+
+@dataclass(frozen=True, eq=False)
+class MetadataColumns:
+    """Metadata records as columns, in record order: record ``i`` has id
+    ``ids[i]``, class ``classes[class_code[i]]``, year ``year[i]`` (0 when unknown) and
+    assignee ``assignees[assignee_code[i]]``. Ids are distinct; both tables hold ``""``."""
+
+    ids: tuple[str, ...]
+    class_code: np.ndarray = field(repr=False)
+    year: np.ndarray = field(repr=False)
+    assignee_code: np.ndarray = field(repr=False)
+    classes: tuple[str, ...] = field(repr=False)
+    assignees: tuple[str, ...] = field(repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,16 +186,14 @@ def _accepted_fields(
     lines: Iterable[tuple[int, str]], width: int, id_fields: int, counts: dict[str, int]
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(number, fields)`` for each accepted line of ``lines``, given
-    as ``(number, text)`` without the newline: its tab-separated fields with
-    the ids stripped.
+    as ``(number, text)`` without the newline: its tab-separated fields,
+    stripped. The first ``id_fields`` fields (one or two) hold ids.
 
-    The first ``id_fields`` fields (one or two) hold ids. A line is blank,
-    a comment or malformed, or else accepted. It is malformed when it holds
-    undecodable bytes, does not split into ``width`` fields, or has an
-    empty id. Each line that is not accepted adds one to ``counts`` under
-    ``blank``, ``comments`` or ``malformed``.
+    A line is blank, a comment or malformed, or else accepted. It is
+    malformed when it holds undecodable bytes, does not split into ``width``
+    fields, or has an empty id. Each line that is not accepted adds one to
+    ``counts`` under ``blank``, ``comments`` or ``malformed``.
     """
-    last_id = id_fields - 1
     for number, line in lines:
         if not line.isascii() and _undecodable(line):
             kind = "malformed"
@@ -192,9 +204,8 @@ def _accepted_fields(
         else:
             fields = line.split("\t")
             if len(fields) == width:
-                fields[0] = fields[0].strip()
-                fields[last_id] = fields[last_id].strip()
-                if fields[0] and fields[last_id]:
+                fields = [f.strip() for f in fields]
+                if fields[0] and fields[id_fields - 1]:
                     yield number, fields
                     continue
             kind = "malformed"
@@ -221,45 +232,62 @@ def _block_bounds(data: bytes) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-def _block_lines(data: bytes, lo: int, hi: int) -> list[str]:
-    """The lines of ``data[lo:hi]``, whole lines with ``\\n`` ends, decoded
-    with ``surrogateescape``. A newline byte never sits inside a UTF-8
-    sequence, so the lines decode as they would one by one."""
-    lines = data[lo:hi].decode("utf-8", "surrogateescape").split("\n")
-    if data[hi - 1] == 10:
-        lines.pop()
-    return lines
+def _token_bytes(tokens: list[str], names: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``tokens`` as UTF-8 (a lone surrogate as its three bytes), joined and
+    followed by ``_TOKEN_BYTES_MAX`` zero bytes, and the start and length of
+    each. A token that cannot be packed is written as 8 bytes: its number in
+    ``names`` after the byte 0xFF, which starts no UTF-8 text."""
+    joined = "".join(tokens)
+    parts = None if joined.isascii() else [t.encode("utf-8", "surrogatepass") for t in tokens]
+    data = joined.encode("ascii") if parts is None else b"".join(parts)
+    length = np.fromiter(map(len, tokens if parts is None else parts), np.int64, len(tokens))
+    long = length > _TOKEN_BYTES_MAX
+    nul = np.flatnonzero(np.frombuffer(data, np.uint8) == 0)
+    long[np.searchsorted(np.cumsum(length), nul, "right")] = True
+    if long.any():
+        parts = parts or [t.encode() for t in tokens]
+        for i in np.flatnonzero(long).tolist():
+            parts[i] = (names.setdefault(tokens[i], len(names)) << 8 | 0xFF).to_bytes(8, "little")
+        data, length[long] = b"".join(parts), 8
+    return np.frombuffer(data + bytes(_TOKEN_BYTES_MAX), np.uint8), np.cumsum(length) - length, length
 
 
-def _numbered_lines(data: bytes) -> Iterator[tuple[int, str]]:
-    """``(number, text)`` for each line of ``data``, which has ``\\n`` line
-    ends, decoded a block at a time, so that the lines of the whole file
-    never live at once."""
-    number = 0
-    for lo, hi in _block_bounds(data):
-        lines = _block_lines(data, lo, hi)
-        yield from enumerate(lines, number)
-        number += len(lines)
+def _pack(buffer: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The tokens ``buffer[lo:lo + length]``, each followed by at least
+    ``_TOKEN_BYTES_MAX`` bytes, as rows of little-endian uint64 words, zero
+    padded. A token holds no NUL byte or is a number from ``_token_bytes``,
+    so equal rows are equal tokens."""
+    words = -(-int(length.max(initial=1)) // 8)
+    # the words that start at each byte
+    keys = np.ndarray((len(buffer) - 8 * words + 1, words), "<u8", buffer, strides=(1, 8))[lo]
+    keys &= _LOW_BYTES[np.clip(length[:, None] - 8 * np.arange(words), 0, 8)]
+    return keys
 
 
-def _citation_blocks(
-    data: bytes, counts: dict[str, int]
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, Iterator[str]]]:
-    """Classify the lines of citations ``data``, which has ``\\n`` line
-    ends, block by block, and count each line that is not accepted in
-    ``counts``. For each block yield a buffer, the first byte in it and the
-    length of each id of the block's accepted lines (citing then cited,
-    line by line), and the ids that cannot be packed, in the same order;
-    their length is 0.
+def _packed_fields(
+    data: bytes, limits: tuple[int, ...], id_fields: int, counts: dict[str, int],
+    year: int | None = None,
+) -> tuple[list[np.ndarray], dict[str, int]]:
+    """The fields of the accepted lines of ``data`` (``\\n`` line ends)
+    packed by ``_pack``, as arrays of (line, field, word), one of the first
+    ``id_fields`` fields and one of each other field, and the numbers of the
+    fields that cannot be packed. Counts the lines, and each that is not
+    accepted, in ``counts``.
 
-    A simple line is accepted by ``_accepted_fields`` with its fields
-    unchanged by ``str.strip()``, and its bytes are its characters: it has
-    one tab, only printable ASCII besides, no space at either edge of a
-    field, no leading ``#``, and ids of 1 to ``_ID_BYTES_MAX`` bytes. Its
-    ids are read in the block. The other lines are decoded with
-    ``surrogateescape`` and go through ``_accepted_fields``; the ids of the
-    accepted ones are encoded as UTF-8 after the block.
+    A simple line's fields are read as bytes: field ``j`` has at most
+    ``limits[j]`` of them, and the id fields are not empty. The other lines
+    go through ``_accepted_fields``, and the fields of the accepted ones,
+    field ``year`` as ``_parse_year`` reads it, are written after the block.
     """
+    # a last line without a newline counts
+    lines = counts["lines"] = data.count(b"\n") + (len(data) > 0 and not data.endswith(b"\n"))
+    width = len(limits)
+    groups = [slice(0, id_fields), *(slice(j, j + 1) for j in range(id_fields, width))]
+    # allocated once at their largest size and sliced, since blocks that each
+    # left an array behind would fragment the heap
+    packed = [np.zeros((lines, g.stop - g.start, 1), dtype="<u8") for g in groups]
+    rows = 0
+    names: dict[str, int] = {}
     buf = np.frombuffer(data, dtype=np.uint8)
     for lo, hi in _block_bounds(data):
         block = buf[lo:hi]
@@ -270,137 +298,120 @@ def _citation_blocks(
         tabs = np.flatnonzero(block == 9)
         tabs_before_end = np.searchsorted(tabs, ends)
         first_tab = np.concatenate(([0], tabs_before_end[:-1]))
-        simple = tabs_before_end - first_tab == 1
-        # control bytes other than tab and newline, and every byte of a
-        # multi-byte or invalid UTF-8 sequence, make a line not simple (uint8
+        simple = (tabs_before_end - first_tab == width - 1) & (block[starts] != ord("#"))
+        # control bytes other than tab and newline make a line not simple,
+        # and so do bytes from 128 unless the block is valid UTF-8 (uint8
         # subtraction wraps: b - 32 >= 96 means b < 32 or b >= 128); such a
         # byte never sits on a line end, so its line is the first end after it
-        unprintable = (block - np.uint8(32) >= 96) & (block - np.uint8(9) >= 2)
-        simple[np.searchsorted(ends, np.flatnonzero(unprintable))] = False
-        # each line's two fields, split at its first tab; a line without one
-        # gets a later line's tab or 0, and is not simple
-        tab = np.append(tabs, 0)[first_tab]
-        field_lo = np.stack((starts, tab + 1), axis=1)
-        length = np.stack((tab, ends), axis=1) - field_lo
-        # an empty last field may start at the end of the data
-        edge = np.minimum(field_lo, len(block) - 1)
-        simple &= (block[starts] != ord("#")) & (
-            (block[edge] != ord(" ")) & (block[field_lo + length - 1] != ord(" "))
-            & (length > 0) & (length <= _ID_BYTES_MAX)
-        ).all(axis=1)
+        bad = np.flatnonzero((block - np.uint8(32) >= 96) & (block - np.uint8(9) >= 2))
+        if bad.size:
+            try:
+                str(memoryview(data)[lo:hi], "utf-8")
+                bad = bad[block[bad] < 128]
+            except UnicodeDecodeError:
+                pass
+        simple[np.searchsorted(ends, bad)] = False
+        # each line's fields, split at its tabs; a line with fewer tabs gets
+        # later lines' tabs or 0, and is not simple
+        tabs = np.append(tabs, np.zeros(width - 1, tabs.dtype))
+        bounds = [starts - 1, *(tabs[first_tab + j] for j in range(width - 1)), ends]
+        for j, limit in enumerate(limits):
+            n = bounds[j + 1] - bounds[j] - 1
+            # an empty last field may start at the end of the data
+            edges = block[np.minimum(bounds[j] + 1, len(block) - 1)], block[bounds[j + 1] - 1]
+            printable = (edges[0] - np.uint8(33) < 95) & (edges[1] - np.uint8(33) < 95)
+            simple &= (n <= limit) & (printable & (n > 0) if j < id_fields else printable | (n == 0))
+        field_lo = np.stack(bounds[:-1], axis=1) + 1
+        length = np.stack(bounds[1:], axis=1) - field_lo
         rest = np.flatnonzero(~simple)
         if 8 * len(rest) > len(ends):
-            # one decode of the whole block is cheaper
-            decoded = _block_lines(data, lo, hi)
+            # one decode of the whole block is cheaper; a newline byte never
+            # sits inside a UTF-8 sequence, so the lines decode as one by one
+            decoded = data[lo:hi].decode("utf-8", "surrogateescape").split("\n")
             texts = [decoded[n] for n in rest.tolist()]
         else:
-            texts = [
-                data[lo + a:lo + b].decode("utf-8", "surrogateescape")
-                for a, b in zip(starts[rest].tolist(), ends[rest].tolist())
-            ]
-        numbers, ids = [], []
-        for number, fields in _accepted_fields(zip(rest.tolist(), texts), 2, 2, counts):
+            texts = [data[lo + a:lo + b].decode("utf-8", "surrogateescape")
+                     for a, b in zip(starts[rest].tolist(), ends[rest].tolist())]
+        numbers, tokens = [], []
+        for number, fields in _accepted_fields(zip(rest.tolist(), texts), width, id_fields, counts):
             numbers.append(number)
-            ids += fields
-        tail = np.frombuffer("\n".join([*ids, ""]).encode(), dtype=np.uint8)
-        tail_ends = np.flatnonzero(tail == 10)
-        tail_lo = np.append(0, tail_ends + 1)[:-1]
-        tail_length = tail_ends - tail_lo
-        unpackable = tail_length > _ID_BYTES_MAX
-        unpackable[np.searchsorted(tail_ends, np.flatnonzero(tail == 0))] = True
-        tail_length[unpackable] = 0
-        field_lo[numbers] = (len(block) + tail_lo).reshape(-1, 2)
-        length[numbers] = tail_length.reshape(-1, 2)
+            if year is not None:
+                fields[year] = str(_parse_year(fields[year]) or "")
+            tokens += fields
+        tail, tail_lo, tail_length = _token_bytes(tokens, names)
+        field_lo[numbers] = (len(block) + tail_lo).reshape(-1, width)
+        length[numbers] = tail_length.reshape(-1, width)
         simple[numbers] = True  # now every accepted line
-        yield (np.concatenate((block, tail)), field_lo[simple].ravel(), length[simple].ravel(),
-               compress(ids, unpackable.tolist()))
+        field_lo, length = np.compress(simple, field_lo, axis=0), np.compress(simple, length, axis=0)
+        buffer = np.concatenate((block, tail))
+        for i, g in enumerate(groups):
+            keys = _pack(buffer, field_lo[:, g].ravel(), length[:, g].ravel())
+            words = keys.shape[1]
+            if words > packed[i].shape[2]:
+                packed[i] = np.pad(packed[i], ((0, 0), (0, 0), (0, words - packed[i].shape[2])))
+            packed[i][rows:rows + len(length), :, :words] = keys.reshape(-1, g.stop - g.start, words)
+        rows += len(length)
+    return [p[:rows] for p in packed], names
 
 
-def _pack(block: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The tokens ``block[lo:lo + length]`` as rows of little-endian uint64
-    words, zero padded. The tokens hold no NUL byte, so equal rows are equal
-    tokens, and a row viewed as bytes is its token."""
-    words = -(-int(length.max(initial=1)) // 8)
-    padded = np.zeros(len(block) + 8 * words, dtype=np.uint8)
-    padded[:len(block)] = block
-    keys = sliding_window_view(padded, 8 * words)[lo].view("<u8")
-    for j in range(words):
-        keys[:, j] &= _LOW_BYTES[np.clip(length - 8 * j, 0, 8)]
-    return keys
-
-
-def _sort_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort the rows of ``keys`` in place; return the order that sorted
-    them, and the start of each run of equal rows."""
+def _number(keys: np.ndarray, last: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number the distinct rows of ``keys`` by first appearance, sorting
+    ``keys`` in place. Return each row's number, each number's first row (or
+    its last, with ``last``), and the distinct rows in number order."""
+    rows = len(keys)
     if keys.shape[1] == 1:
         order = np.argsort(keys[:, 0])
         keys.sort(axis=0)
     else:
         order = np.lexsort(keys.T[::-1])
         keys[...] = keys[order]
-    head = np.ones(len(keys), dtype=bool)
+    head = np.ones(rows, dtype=bool)
     np.not_equal(keys[1:, 0], keys[:-1, 0], out=head[1:])
     for j in range(1, keys.shape[1]):
         head[1:] |= keys[1:, j] != keys[:-1, j]
-    return order, np.flatnonzero(head)
+    runs = np.flatnonzero(head)
+    first = np.minimum.reduceat(order, runs)
+    by_first = np.argsort(first)
+    code = np.empty(len(runs), dtype=np.int64)
+    code[by_first] = np.arange(len(runs))
+    codes = np.empty(rows, dtype=np.int64)
+    codes[order] = np.repeat(code, np.diff(runs, append=rows))
+    if last:
+        first = np.maximum.reduceat(order, runs)
+    return codes, first[by_first], keys[runs[by_first]]
 
 
-def _line_count(data: bytes) -> int:
-    """The number of lines of ``data``, which has ``\\n`` line ends; a last
-    line without a newline counts."""
-    return data.count(b"\n") + (len(data) > 0 and not data.endswith(b"\n"))
+def _unpack(keys: np.ndarray, names: dict[str, int]) -> list[str]:
+    """The tokens of ``keys``, rows packed by ``_pack`` or numbered by ``names``."""
+    long = np.flatnonzero(keys[:, 0] & 0xFF == 0xFF)
+    # a packed token holds no NUL byte, so its nonzero bytes are the token,
+    # and a NUL after each separates them
+    rows = np.zeros((len(keys), 8 * keys.shape[1] + 1), dtype=np.uint8)
+    rows[:, :-1] = keys.view(np.uint8).reshape(len(keys), 8 * keys.shape[1])
+    rows[long] = 0
+    kept = rows != 0
+    kept[:, -1] = True
+    tokens = rows[kept].tobytes().decode("utf-8", "surrogatepass").split("\0")[:-1]
+    text = dict(zip(names.values(), names))
+    for i, code in zip(long.tolist(), (keys[long, 0] >> 8).tolist()):
+        tokens[i] = text[code]
+    return tokens
 
 
 def parse_citations(data: bytes) -> tuple[tuple[list[str], np.ndarray], CitationParseReport]:
     """Read citing/cited id pairs from the bytes of a citations file,
-    skipping and counting bad lines.
-
-    The payload is ``(ids, edges)``, as ``intern_pairs`` builds it from the
-    accepted pairs: the distinct ids in first-appearance order, and one row
-    of indices into ``ids`` per accepted line.
+    skipping and counting bad lines. The payload is ``(ids, edges)``, as
+    ``intern_pairs`` builds it from the accepted pairs: the distinct ids in
+    first-appearance order, and a row of indices into ``ids`` per line.
     """
-    data = _universal_newlines(data)
-    lines = _line_count(data)
-    # every accepted id, packed as by _pack, two rows per accepted line in
-    # line order; allocated once at its largest size and sliced, since blocks
-    # that each left an array behind would fragment the heap
-    packed = np.zeros((2 * lines, 1), dtype="<u8")
-    rows = 0
-    # an id that cannot be packed gets the next number of ``codes`` where it
-    # is first seen (so codes are distinct, not dense) and sorts as the one
-    # word code << 8 | 0xFF, whose first byte, 0xFF, starts no UTF-8 id
-    unpackable: dict[str, int] = {}
-    codes = count()
     counts: dict[str, int] = {}
-    for buffer, lo, length, long_ids in _citation_blocks(data, counts):
-        keys = _pack(buffer, lo, length)
-        long_codes = np.fromiter(map(unpackable.setdefault, long_ids, codes), np.uint64)
-        keys[length == 0, 0] = long_codes << 8 | 0xFF
-        if keys.shape[1] > packed.shape[1]:
-            packed = np.pad(packed, ((0, 0), (0, keys.shape[1] - packed.shape[1])))
-        packed[rows:rows + len(keys), :keys.shape[1]] = keys
-        rows += len(keys)
-    packed = packed[:rows]
-
-    # the tokens are in line order, so each id's first token is the least
-    # index among its run's, and the ids are numbered in that order
-    order, runs = _sort_rows(packed)
-    by_first = np.argsort(np.minimum.reduceat(order, runs))
-    code = np.empty(len(runs), dtype=np.int64)
-    code[by_first] = np.arange(len(runs))
-    edges = np.empty(rows, dtype=np.int64)
-    edges[order] = np.repeat(code, np.diff(runs, append=rows))
-    keys = packed[runs[by_first]]
-    del order, packed
-    # the ids in that order are read back from their keys, or by their code
-    long = np.flatnonzero(keys[:, 0] & 0xFF == 0xFF)
-    name = dict(zip(unpackable.values(), unpackable))
-    long_ids = [name[c] for c in (keys[long, 0] >> 8).tolist()]
-    keys[long] = 0
-    ids = list(map(bytes.decode, keys.view(f"S{8 * keys.shape[1]}").ravel().tolist()))
-    for i, pid in zip(long.tolist(), long_ids):
-        ids[i] = pid
-    return (ids, edges.reshape(-1, 2)), CitationParseReport(lines=lines, edges=rows // 2, **counts)
+    (packed,), names = _packed_fields(_universal_newlines(data), (_TOKEN_BYTES_MAX,) * 2, 2, counts)
+    rows = len(packed)
+    # the citing then the cited id of each line, in line order
+    edges, _, keys = _number(packed.reshape(2 * rows, packed.shape[2]))
+    del packed
+    report = CitationParseReport(edges=rows, **counts)
+    return (_unpack(keys, names), edges.reshape(-1, 2)), report
 
 
 def _pair(pair: Sequence[str]) -> Sequence[str]:
@@ -430,35 +441,50 @@ def _parse_year(text: str) -> int | None:
         year = int(text)
     except ValueError:  # more digits than int() converts
         return None
-    if not YEAR_MIN <= year <= YEAR_MAX:
-        return None
-    return year
+    return year if YEAR_MIN <= year <= YEAR_MAX else None
 
 
-def parse_metadata(data: bytes) -> tuple[dict[str, tuple[str, int | None, str]], MetadataParseReport]:
+def _years(words: np.ndarray) -> np.ndarray:
+    """The years packed in ``words``, one word of at most 4 bytes each, read
+    as ``_parse_year`` reads them, as int16 with 0 for unknown."""
+    digits = np.ascontiguousarray(words).view(np.uint8).reshape(-1, 8)[:, :4]
+    year, known = np.zeros(len(digits), dtype=np.int64), digits[:, 0] != 0
+    for k in range(4):
+        present = digits[:, k] != 0
+        known &= ~present | (digits[:, k] - np.uint8(48) < 10)
+        year = np.where(present, 10 * year + digits[:, k] - 48, year)
+    year[~known | (year < YEAR_MIN) | (year > YEAR_MAX)] = 0
+    return year.astype(np.int16)
+
+
+def _label_column(keys: np.ndarray, names: dict[str, int]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Codes of the packed labels ``keys`` by first appearance, and the table
+    of labels by code, which ends with "", the unknown label, if it lacks it."""
+    codes, _, table_keys = _number(keys)
+    table = tuple(_unpack(table_keys, names))
+    return codes.astype(np.int32), table if "" in table else (*table, "")
+
+
+def parse_metadata(data: bytes) -> tuple[MetadataColumns, MetadataParseReport]:
     """Read patent metadata records from the bytes of a patents file.
 
-    The payload maps each id to its ``(class, year, assignee)`` in record
-    order; a repeated id keeps its last record at its first position. A
-    year that is missing, not ASCII decimal digits, or outside [1790, 2100]
-    is stored as None and counted as unknown.
+    The payload holds the records as columns, in record order; a repeated id
+    keeps its last record at its first position, and the labels are numbered
+    after that. A year that is missing, not ASCII decimal digits, or outside
+    [1790, 2100] is stored as 0 and counted as unknown.
     """
-    data = _universal_newlines(data)
-    records: dict[str, tuple[str, int | None, str]] = {}
-    # the records share one str per class or assignee spelling
-    shared: dict[str, str] = {}
     counts: dict[str, int] = {}
-    accepted = unknown_years = 0
-    for _, parts in _accepted_fields(_numbered_lines(data), 4, 1, counts):
-        accepted += 1
-        year = _parse_year(parts[2])
-        if year is None:
-            unknown_years += 1
-        cls, assignee = parts[1].strip(), parts[3].strip()
-        records[parts[0]] = (shared.setdefault(cls, cls), year, shared.setdefault(assignee, assignee))
+    columns, names = _packed_fields(_universal_newlines(data), _PATENT_FIELDS, 1, counts, 2)
+    ids, classes, years, assignees = (c[:, 0] for c in columns)
+    _, kept, id_keys = _number(ids, last=True)
+    year = _years(years[:, 0])
+    class_code, classes = _label_column(classes[kept], names)
+    assignee_code, assignees = _label_column(assignees[kept], names)
+    records = MetadataColumns(tuple(_unpack(id_keys, names)), class_code, year[kept], assignee_code,
+                              classes, assignees)
     report = MetadataParseReport(
-        lines=_line_count(data), records=len(records), duplicate_ids=accepted - len(records),
-        unknown_years=unknown_years, **counts,
+        records=len(kept), duplicate_ids=len(ids) - len(kept),
+        unknown_years=int(np.count_nonzero(year == 0)), **counts,
     )
     return records, report
 
@@ -469,73 +495,76 @@ def _year_column(years: list[int | None]) -> np.ndarray:
     for kind in set(map(type, years)) - {type(None)}:
         if issubclass(kind, bool) or not issubclass(kind, (int, np.integer)):
             raise PatentFlowError(f"grant year of type {kind.__name__} is not an integer")
+    bad = [y for y in years if y is not None and not 1 <= y <= _YEAR_COLUMN_MAX]
+    if bad:
+        raise PatentFlowError(f"grant year {int(bad[0])} is outside [1, {_YEAR_COLUMN_MAX}]")
+    return np.array([0 if y is None else y for y in years], dtype=np.int16)
+
+
+def _require_strings(values: Iterable) -> None:
+    for kind in set(map(type, values)):
+        if not issubclass(kind, str):
+            raise PatentFlowError(f"an id, class or assignee of type {kind.__name__} is not a string")
+
+
+def _columns_of(records: Mapping[str, tuple[str, int | None, str]]) -> MetadataColumns:
+    """The columns of an id -> ``(class, year, assignee)`` mapping."""
     try:
-        col = np.array([-1 if y is None else y for y in years], dtype=np.int64)
-    except OverflowError:
-        raise PatentFlowError(f"a grant year is outside [1, {_YEAR_COLUMN_MAX}]") from None
-    bad = (col == 0) | (col < -1) | (col > _YEAR_COLUMN_MAX)
-    if bad.any():
-        raise PatentFlowError(
-            f"grant year {int(col[bad][0])} is outside [1, {_YEAR_COLUMN_MAX}]"
-        )
-    col[col == -1] = 0
-    return col.astype(np.int16)
-
-
-def _label_codes(labels: list[str], placeholders: int) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Codes of ``labels`` by first appearance, then ``placeholders`` codes of
-    "", the unknown label; and the table of labels by code, which holds ""."""
-    index: dict[str, int] = {}
-    codes = np.array([index.setdefault(label, len(index)) for label in labels], dtype=np.int32)
-    unknown = index.setdefault("", len(index))
-    return np.pad(codes, (0, placeholders), constant_values=unknown), tuple(index)
+        classes, years, assignees = list(zip(*[(c, y, a) for c, y, a in records.values()])) or [()] * 3
+    except (TypeError, ValueError) as exc:  # not a triple
+        raise PatentFlowError(f"malformed metadata record: {exc}") from None
+    _require_strings(chain(records, classes, assignees))
+    year, names = _year_column(years), {}
+    class_code, class_table = _label_column(_pack(*_token_bytes(classes, names)), names)
+    assignee_code, assignee_table = _label_column(_pack(*_token_bytes(assignees, names)), names)
+    return MetadataColumns(tuple(records), class_code, year, assignee_code, class_table, assignee_table)
 
 
 def assemble_dataset(
     citations: tuple[Sequence[str], np.ndarray],
-    records: Mapping[str, tuple[str, int | None, str]],
+    records: MetadataColumns | Mapping[str, tuple[str, int | None, str]],
     citations_report: CitationParseReport | None = None,
     metadata_report: MetadataParseReport | None = None,
 ) -> PatentDataset:
     """Join parsed citations and metadata into a dataset.
 
     ``citations`` is ``(ids, edges)`` as ``intern_pairs`` returns it, and
-    ``records`` maps ids to ``(class, year, assignee)`` as ``parse_metadata``
-    returns it. Node indices follow first appearance: the records in order,
-    then ids seen only in citations (these get placeholder metadata and are
-    counted). Raises MalformedEdgeError for an edge index outside ``ids``,
-    and PatentFlowError for edges not integer or not shaped (m, 2), an id,
-    class or assignee that is not a str, a record that is not a ``(class,
-    year, assignee)`` triple, or a known grant year not an integer or
-    outside [1, 32767].
+    ``records`` the columns ``parse_metadata`` returns or a mapping of ids to
+    ``(class, year, assignee)`` in record order. Node indices follow first
+    appearance: the records in order, then ids seen only in citations (these
+    get placeholder metadata and are counted). Raises MalformedEdgeError for
+    an edge index outside ``ids``, and PatentFlowError for edges not integer
+    or not shaped (m, 2), an id, class or assignee that is not a str, a record
+    that is not a ``(class, year, assignee)`` triple, or a known grant year
+    not an integer or outside [1, 32767].
     """
     cited_ids, edges = citations
     edges = edge_index_array(edges, len(cited_ids))
-    index = {pid: i for i, pid in enumerate(records)}
-    try:
-        # each distinct citation id is looked up once; a new one is a placeholder
-        remap = np.fromiter((index.setdefault(pid, len(index)) for pid in cited_ids), np.int64)
-        placeholders = len(index) - len(records)
-        class_code, classes = _label_codes([c for c, _, _ in records.values()], placeholders)
-        assignee_code, assignees = _label_codes([a for _, _, a in records.values()], placeholders)
-    except (TypeError, ValueError) as exc:  # unhashable, or not a triple
-        raise PatentFlowError(f"malformed id or metadata record: {exc}") from None
-    for kind in set(map(type, chain(index, classes, assignees))):
-        if not issubclass(kind, str):
-            raise PatentFlowError(f"an id, class or assignee of type {kind.__name__} is not a string")
-    year = np.pad(_year_column([y for _, y, _ in records.values()]), (0, placeholders))
+    if not isinstance(records, MetadataColumns):
+        records = _columns_of(records)
+    _require_strings(cited_ids)
+    # the record ids come first and are distinct, so a citation id's number
+    # is its record's index, or else the next placeholder's
+    ids = [*records.ids, *cited_ids]
+    codes, first, _ = _number(_pack(*_token_bytes(ids, {})))
+    count = len(records.ids)
+    index_to_id = (*records.ids, *map(ids.__getitem__, first[count:].tolist()))
+    del ids
+    graph = build_graph(edges, len(index_to_id), remap=codes[count:])
 
-    graph = build_graph(remap[edges], len(index))
+    def pad(column: np.ndarray, fill: int = 0) -> np.ndarray:  # with the placeholders' value
+        return np.pad(column, (0, len(index_to_id) - count), constant_values=fill)
+
     return PatentDataset(
         graph=graph,
-        index_to_id=tuple(index),
-        class_code=class_code,
-        year=year,
-        assignee_code=assignee_code,
-        classes=classes,
-        assignees=assignees,
-        record_count=len(records),
-        build_report=DatasetBuildReport.of(graph, len(records), citations_report, metadata_report),
+        index_to_id=index_to_id,
+        class_code=pad(records.class_code, records.classes.index("")),
+        year=pad(records.year),
+        assignee_code=pad(records.assignee_code, records.assignees.index("")),
+        classes=records.classes,
+        assignees=records.assignees,
+        record_count=count,
+        build_report=DatasetBuildReport.of(graph, count, citations_report, metadata_report),
     )
 
 

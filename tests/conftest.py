@@ -6,6 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from patentflow import assemble_dataset, intern_pairs
+# the ``parse_metadata`` columns of an id -> (class, year, assignee) mapping,
+# as ``assemble_dataset`` converts it
+from patentflow.ingest import _columns_of as columns_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,6 +47,17 @@ def records_of(metas):
     """The ``assemble_dataset`` mapping of a ``PatentMeta`` list, the input
     shape of the oracles in ``ingest_oracle`` and ``meta_oracle``."""
     return {m.patent_id: (m.primary_class, m.grant_year, m.assignee) for m in metas}
+
+
+def assert_same_columns(got, want):
+    """Metadata columns equal field by field, dtypes included."""
+    assert got.ids == want.ids
+    for name in ("class_code", "year", "assignee_code"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+    assert got.classes == want.classes
+    assert got.assignees == want.assignees
 
 
 def random_dataset(

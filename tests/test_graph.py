@@ -202,3 +202,19 @@ def test_induced_subgraph_rejects_boolean_mask_and_floats():
             induced_subgraph(g, keep)
     for keep in ([], set(), range(0)):
         assert induced_subgraph(g, keep)[0].node_count == 0
+
+
+def test_build_graph_through_remap_is_the_graph_of_the_remapped_edges():
+    # the remap is not one to one: (2, 3) becomes the self-loop (1, 1)
+    edges = np.array([[0, 1], [1, 2], [2, 0], [0, 0], [3, 1], [1, 2], [2, 3]])
+    remap = np.array([2, 0, 1, 1])
+    got, want = build_graph(edges, 3, remap=remap), build_graph(remap[edges], 3)
+    for name in ("out_indptr", "out_indices", "in_indptr", "in_indices"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.build_report == want.build_report
+    with pytest.raises(MalformedEdgeError, match="remap"):
+        build_graph(edges, 3, remap=np.array([0, 1, 3, 0]))
+    with pytest.raises(MalformedEdgeError, match="out of range"):
+        build_graph([[0, 4]], 3, remap=remap)
+    with pytest.raises(PatentFlowError, match="integer"):
+        build_graph(edges, 3, remap=np.array([0.0, 1.0, 2.0, 0.0]))

@@ -21,7 +21,7 @@ from patentflow import (
     write_metadata,
 )
 import ingest_oracle
-from conftest import meta_of
+from conftest import assert_same_columns, columns_of, meta_of
 
 
 def _pairs(payload):
@@ -70,13 +70,13 @@ def test_parse_citations_rejects_bad_fields(line):
 
 def test_parse_metadata_basic():
     records, report = parse_metadata("4723129\t347\t1988\tCanon\n".encode())
-    assert records == {"4723129": ("347", 1988, "Canon")}
+    assert_same_columns(records, columns_of({"4723129": ("347", 1988, "Canon")}))
     assert report.records == 1
 
 
 def test_parse_metadata_missing_fields():
     records, report = parse_metadata("x\t435\t\t\n".encode())
-    assert records == {"x": ("435", None, "")}
+    assert_same_columns(records, columns_of({"x": ("435", None, "")}))
     assert report.unknown_years == 1
 
 
@@ -84,7 +84,7 @@ def test_parse_metadata_duplicate_last_wins():
     text = "x\t100\t1999\tfirst\ny\t300\t\t\nx\t200\t2001\tsecond\n"
     records, report = parse_metadata(text.encode())
     # the last record, at the first record's position
-    assert list(records.items()) == [("x", ("200", 2001, "second")), ("y", ("300", None, ""))]
+    assert_same_columns(records, columns_of({"x": ("200", 2001, "second"), "y": ("300", None, "")}))
     assert report.duplicate_ids == 1
 
 
@@ -95,7 +95,7 @@ def test_parse_metadata_duplicate_last_wins():
 ])
 def test_parse_metadata_bad_year_kept_unknown(year):
     records, report = parse_metadata(f"x\t435\t{year}\tacme\n".encode())
-    assert records["x"][1] is None
+    assert_same_columns(records, columns_of({"x": ("435", None, "acme")}))
     assert report.unknown_years == 1
 
 

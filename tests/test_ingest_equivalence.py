@@ -27,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ingest_oracle as oracle
-from conftest import PatentMeta, records_of
+from conftest import PatentMeta, assert_same_columns, columns_of, records_of
 from patentflow import (
     assemble_dataset,
     ingest,
@@ -134,10 +134,7 @@ def test_parsed_text_matches_string_pair_oracle(citation_lines, metadata_lines, 
     assert cit_report == want_cit_report
     records, meta_report = parse_metadata(patents.encode("utf-8", "surrogateescape"))
     want_metas, want_meta_report = oracle.parse_metadata(io.StringIO(patents))
-    assert type(records) is dict
-    assert list(records.items()) == [
-        (m.patent_id, (m.primary_class, m.grant_year, m.assignee)) for m in want_metas
-    ]
+    assert_same_columns(records, columns_of(records_of(want_metas)))
     assert meta_report == want_meta_report
     _assert_same_dataset(
         assemble_dataset(payload, records, cit_report, meta_report),
@@ -164,10 +161,16 @@ _YEARS = [
     b"1_990", b"01990", b"1" * 30, b" 1999", b"1999\x1c", b"n/a", "\u0661\u0669\u0669\u0660".encode(),
     b"19\xff",
 ]
-_CLASSES = [b"", b"100", b"200", b" 200", b"200\x1c", "\xe9".encode(), b"a b", b"\xff"]
+# labels longer than 32 bytes or holding a NUL are numbered by a dict; U+00A0
+# and U+3000 at an edge are stripped, as a space is
+_CLASSES = [
+    b"", b"100", b"200", b" 200", b"200\x1c", "\xe9".encode(), b"a b", b"\xff", b"c" * 33,
+    b"2\x000", "\xa0200".encode(), "200\u3000".encode(),
+]
 _ASSIGNEES = [
     b"", b"Acme", b"Org1155 GmbH", b" Acme", b"Acme\x1f ", "Soci\xe9t\xe9".encode(),
-    "\u3000Acme".encode(), b"\xc3",
+    "\u3000Acme".encode(), b"\xc3", "Org1270 Soci\xe9t\xe9 Anonyme Holdings".encode(),
+    b"Ac\x00me", "Acme\xa0".encode(), "Acme\u3000".encode(),
 ]
 _JUNK = [b"", b"   ", b"\t", b"\t\t\t", b"#", b"# comment", b"\x1c", "\x85".encode(), b"p1", b"p1\tp2\tp3"]
 
@@ -217,6 +220,14 @@ def _text(data: bytes) -> io.TextIOWrapper:
 # two 40-byte ids with the same first 32 bytes, one on both sides of a seam
 @example(b"x" * 32 + b"aaaaaaaa\tp1\np2\t" + b"x" * 32 + b"aaaaaaaa\n" + b"x" * 32 + b"bbbbbbbb\tp1\n",
          b"", 7)
+# a repeated id whose first record's class appears nowhere else
+@example(b"p1\tp2\n", b"p1\tONLY\t1999\tAcme\np2\t100\t2000\tAcme\np1\t200\t2001\tB\n", 1 << 20)
+# a non-ASCII assignee line just after a block seam, then just before one
+@example(b"", b"p1\t100\t1999\tAcme Corp\np2\t200\t2000\tSoci\xc3\xa9t\xc3\xa9 Anonyme\n", 24)
+@example(b"", b"p2\t200\t2000\tSoci\xc3\xa9t\xc3\xa9 Anonyme\np1\t100\t1999\tAcme Corp\n", 32)
+# an invalid UTF-8 line in a block with valid non-ASCII lines
+@example(b"", b"p1\t100\t1999\tSoci\xc3\xa9t\xc3\xa9\np2\t100\t1999\tAc\xffme\np3\t\xc3\xa9\t2000\tx\n",
+         1 << 20)
 # every accepted line falls back, so only fallback ids set the key width
 @example(b" p1\t" + b"y" * 17 + b"\n\xc3\xa9\tp1\n#\n", b"", 1 << 20)
 # a 32-byte id read once from a fallback line and once from a simple one
@@ -231,8 +242,7 @@ def test_byte_parsers_match_text_mode_parsers(citation_data, patent_data, block_
     assert edges.dtype == want_edges.dtype and edges.shape == want_edges.shape
     assert np.array_equal(edges, want_edges)
     assert cit_report == want_cit_report
-    assert type(records) is dict
-    assert list(records.items()) == list(want_records.items())
+    assert_same_columns(records, columns_of(want_records))
     assert meta_report == want_meta_report
     pairs = [(want_ids[a], want_ids[b]) for a, b in want_edges.tolist()]
     metas = [PatentMeta(pid, *record) for pid, record in want_records.items()]
@@ -242,12 +252,22 @@ def test_byte_parsers_match_text_mode_parsers(citation_data, patent_data, block_
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(citations_bytes, patents_bytes)
+def test_mapping_and_parsed_columns_assemble_the_same_dataset(citation_data, patent_data):
+    citations, _ = parse_citations(citation_data)
+    records, _ = parse_metadata(patent_data)
+    mapping, _ = oracle.parse_metadata_text(_text(patent_data))
+    assert type(mapping) is dict
+    _assert_same_dataset(assemble_dataset(citations, records), assemble_dataset(citations, mapping))
+
+
 @pytest.mark.parametrize("year", _YEARS)
 def test_byte_parser_reads_each_year_as_text_mode_does(year):
     data = b"p1\t100\t" + year + b"\tAcme\nUS4683202\t\t" + year + b"\t\n"
     records, report = parse_metadata(data)
     want_records, want_report = oracle.parse_metadata_text(_text(data))
-    assert list(records.items()) == list(want_records.items())
+    assert_same_columns(records, columns_of(want_records))
     assert report == want_report
 
 
