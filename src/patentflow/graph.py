@@ -4,20 +4,20 @@ Nodes are dense integers in ``[0, node_count)``. The graph stores both
 directions (out-links and in-links) as CSR-style index arrays so degree
 queries are O(1) and neighbor iteration is a contiguous slice either way.
 Self-loops and duplicate edges are dropped at build time and counted.
-Node counts are limited to MAX_NODE_COUNT (3,037,000,499).
+Node indices are int32 and edge offsets (``indptr``) int64, so node counts
+are limited to MAX_NODE_COUNT (2,147,483,647).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import MalformedEdgeError, PatentFlowError
 
-# Largest node count whose edge keys ``row * n + col`` (at most n*n - 1)
-# fit in int64.
-MAX_NODE_COUNT = math.isqrt(2**63 - 1)
+# Largest node count whose indices fit in int32; its edge keys
+# ``row * n + col`` (at most n*n - 1) fit in int64.
+MAX_NODE_COUNT = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class CitationGraph:
 
     def edge_sources(self) -> np.ndarray:
         """Source index of every stored edge, aligned with ``out_indices``."""
-        return np.repeat(np.arange(self.node_count, dtype=np.int64), self.out_degrees)
+        return np.repeat(np.arange(self.node_count, dtype=np.int32), self.out_degrees)
 
     def edge_array(self) -> np.ndarray:
         """All stored edges as an (m, 2) array ordered by (source, target)."""
@@ -97,24 +97,23 @@ class CitationGraph:
         )
 
 
-def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
-    """CSR row pointers for entries whose rows are ``rows`` (in row order)."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr
+def _indptr(keys: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers of the sorted edge keys ``row * n + col``."""
+    return np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
 
 
 def _integer_indices(values, what: str) -> np.ndarray:
-    """``values`` as int64 (int64 input is not copied). Raises PatentFlowError
-    for non-empty float, bool or object input, which a cast would reinterpret."""
+    """``values`` as int32 or int64 (such input is not copied; other integer
+    dtypes become int64). Raises PatentFlowError for non-empty float, bool
+    or object input, which a cast would reinterpret."""
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "iu":
         raise PatentFlowError(f"{what} must be integer indices, got dtype {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
+    return arr if arr.dtype in (np.int32, np.int64) else arr.astype(np.int64)
 
 
 def edge_index_array(edges, node_count: int) -> np.ndarray:
-    """``edges`` as an (m, 2) int64 array of indices in ``[0, node_count)``.
+    """``edges`` as an (m, 2) int32 or int64 array of indices in ``[0, node_count)``.
 
     Raises PatentFlowError when ``edges`` is not integer or not shaped
     (m, 2), and MalformedEdgeError when an index falls outside the range.
@@ -142,14 +141,15 @@ def build_graph(edges, node_count: int, *, remap=None) -> CitationGraph:
     without that copy.
 
     Each direction is one sort of the int64 key ``row * n + col``, whose
-    order is (row, col) order, so neighbor lists come out ascending.
+    order is (row, col) order, so neighbor lists come out ascending; the
+    sorted keys give the row pointers and split into int32 indices.
     """
     n = int(node_count)
     if n < 0:
         raise PatentFlowError(f"node_count must be non-negative, got {node_count}")
     if n > MAX_NODE_COUNT:
         raise PatentFlowError(
-            f"node_count {n} exceeds {MAX_NODE_COUNT}, the largest whose edge keys fit in int64"
+            f"node_count {n} exceeds {MAX_NODE_COUNT}, the largest whose node indices fit in int32"
         )
     if remap is None:
         arr = edge_index_array(edges, n)
@@ -163,12 +163,15 @@ def build_graph(edges, node_count: int, *, remap=None) -> CitationGraph:
     edges_input = arr.shape[0]
     loops = src == dst
     self_loops = int(loops.sum())
-    # remapped sources are already a copy, which becomes the keys
-    keys = src * n if remap is None else np.multiply(src, n, out=src)
+    # widened before the multiply, which int32 would overflow; remapped
+    # int64 sources are already a copy, which becomes the keys
+    keys = src.astype(np.int64, copy=remap is None)
+    keys *= n
     keys += dst
     del src, dst
     if self_loops:
         keys = keys[~loops]
+    del loops
     keys.sort()
     if keys.size > 1:
         distinct = np.empty(keys.size, dtype=bool)
@@ -183,18 +186,18 @@ def build_graph(edges, node_count: int, *, remap=None) -> CitationGraph:
         self_loops_dropped=self_loops,
         duplicate_edges_dropped=edges_input - self_loops - int(keys.size),
     )
-    # the remainder overwrites the sorted keys with the out-neighbors; the
-    # (target, source) keys of the in-CSR are split the same way in place
-    sources = np.empty_like(keys)
-    out_indices = keys
-    np.divmod(keys, n, out=(sources, out_indices))
-    out_indptr = _indptr(sources, n)
-    in_indices = out_indices * n
-    in_indices += sources
-    del sources
-    in_indices.sort()
-    np.remainder(in_indices, n, out=in_indices)
-    in_indptr = _indptr(out_indices, n)
+    out_indptr = _indptr(keys, n)
+    sources = np.empty(keys.size, dtype=np.int32)
+    out_indices = np.empty_like(sources)
+    np.divmod(keys, n, out=(sources, out_indices), casting="unsafe")
+    # the (target, source) keys of the in-CSR take the out-keys' buffer, and
+    # the in-neighbors the sources'
+    np.multiply(out_indices, n, out=keys, dtype=np.int64)
+    keys += sources
+    keys.sort()
+    in_indptr = _indptr(keys, n)
+    in_indices = np.remainder(keys, n, out=sources, casting="unsafe")
+    del keys
     return CitationGraph(n, out_indptr, out_indices, in_indptr, in_indices, report)
 
 
@@ -231,8 +234,8 @@ def induced_subgraph(graph: CitationGraph, keep) -> tuple[CitationGraph, np.ndar
     keep_mask = np.zeros(graph.node_count, dtype=bool)
     keep_mask[keep_arr] = True
     kept = np.flatnonzero(keep_mask)
-    remap = np.full(graph.node_count, -1, dtype=np.int64)
-    remap[kept] = np.arange(kept.size, dtype=np.int64)
+    remap = np.full(graph.node_count, -1, dtype=np.int32)
+    remap[kept] = np.arange(kept.size, dtype=np.int32)
 
     ends = np.concatenate(([0], kept + 1))
     out_indptr, out_indices = _restrict(graph.out_indptr, graph.out_indices, keep_mask, remap, ends)

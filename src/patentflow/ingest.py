@@ -356,8 +356,8 @@ def _packed_fields(
 
 def _number(keys: np.ndarray, last: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Number the distinct rows of ``keys`` by first appearance, sorting
-    ``keys`` in place. Return each row's number, each number's first row (or
-    its last, with ``last``), and the distinct rows in number order."""
+    ``keys`` in place. Return each row's number (int32), each number's first
+    row (or its last, with ``last``), and the distinct rows in number order."""
     rows = len(keys)
     if keys.shape[1] == 1:
         order = np.argsort(keys[:, 0])
@@ -372,9 +372,9 @@ def _number(keys: np.ndarray, last: bool = False) -> tuple[np.ndarray, np.ndarra
     runs = np.flatnonzero(head)
     first = np.minimum.reduceat(order, runs)
     by_first = np.argsort(first)
-    code = np.empty(len(runs), dtype=np.int64)
+    code = np.empty(len(runs), dtype=np.int32)
     code[by_first] = np.arange(len(runs))
-    codes = np.empty(rows, dtype=np.int64)
+    codes = np.empty(rows, dtype=np.int32)
     codes[order] = np.repeat(code, np.diff(runs, append=rows))
     if last:
         first = np.maximum.reduceat(order, runs)
@@ -422,12 +422,12 @@ def _pair(pair: Sequence[str]) -> Sequence[str]:
 
 def intern_pairs(pairs: Iterable[Sequence[str]]) -> tuple[list[str], np.ndarray]:
     """The distinct ids of ``pairs`` in first-appearance order, and the pairs
-    as an (m, 2) int64 array of indices into that list. Raises PatentFlowError
+    as an (m, 2) int32 array of indices into that list. Raises PatentFlowError
     for a pair that is a str or bytes or not two ids, or an unhashable id."""
     index: dict[str, int] = {}
     try:
         flat = np.fromiter((index.setdefault(pid, len(index)) for pair in map(_pair, pairs)
-                            for pid in pair), np.int64)
+                            for pid in pair), np.int32)
     except TypeError as exc:  # a pair without a length, or an unhashable id
         raise PatentFlowError(f"malformed (citing, cited) pair: {exc}") from None
     return list(index), flat.reshape(-1, 2)
@@ -462,7 +462,7 @@ def _label_column(keys: np.ndarray, names: dict[str, int]) -> tuple[np.ndarray, 
     of labels by code, which ends with "", the unknown label, if it lacks it."""
     codes, _, table_keys = _number(keys)
     table = tuple(_unpack(table_keys, names))
-    return codes.astype(np.int32), table if "" in table else (*table, "")
+    return codes, table if "" in table else (*table, "")
 
 
 def parse_metadata(data: bytes) -> tuple[MetadataColumns, MetadataParseReport]:

@@ -189,8 +189,8 @@ def crossover_year(series: ClassFlowSeries, class_a: str, class_b: str) -> int |
 class ExclusionSet:
     """Nodes removed for an assignee: theirs, their citers, their cited.
 
-    The three index arrays are disjoint; a node that both cites and is
-    cited by the assignee's patents is tagged cites-owned.
+    The three int32 node index arrays are disjoint; a node that both cites
+    and is cited by the assignee's patents is tagged cites-owned.
     """
 
     assignee: str
@@ -231,12 +231,8 @@ def assignee_exclusion_set(dataset: PatentDataset, assignee: str) -> ExclusionSe
     cites &= ~owned
     cited = np.zeros(dataset.node_count, dtype=bool)
     cited[graph.out_indices[np.repeat(owned, graph.out_degrees)]] = True
-    return ExclusionSet(
-        assignee=assignee,
-        owned=np.flatnonzero(owned),
-        cites_owned=np.flatnonzero(cites),
-        cited_by_owned=np.flatnonzero(cited & ~owned & ~cites),
-    )
+    nodes = (np.flatnonzero(m).astype(np.int32) for m in (owned, cites, cited & ~owned & ~cites))
+    return ExclusionSet(assignee, *nodes)
 
 
 def apply_exclusion(

@@ -3,9 +3,10 @@
 ``lexsort_build_graph`` and ``rebuild_induced_subgraph`` are the graph
 layer's ``build_graph`` and ``induced_subgraph`` as they were before the
 one-sort composite-key build and the sort-free mask restriction replaced
-them. Their bodies are unchanged apart from the function names; the
-current code must return bitwise-equal arrays, equal dtypes and equal
-build reports.
+them. Their bodies are unchanged apart from the function names and the
+int32 node indices that the graph now stores (the CSR ``indices`` and the
+remap); the current code must return bitwise-equal arrays, equal dtypes and
+equal build reports.
 """
 import numpy as np
 
@@ -15,7 +16,7 @@ from patentflow.graph import CitationGraph, GraphBuildReport
 
 def _csr_from_pairs(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort((dst, src))
-    indices = dst[order]
+    indices = dst[order].astype(np.int32)
     counts = np.bincount(src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
@@ -76,8 +77,8 @@ def rebuild_induced_subgraph(graph: CitationGraph, keep) -> tuple[CitationGraph,
     keep_mask = np.zeros(graph.node_count, dtype=bool)
     keep_mask[keep_arr] = True
     kept = np.flatnonzero(keep_mask)
-    remap = np.full(graph.node_count, -1, dtype=np.int64)
-    remap[kept] = np.arange(kept.size, dtype=np.int64)
+    remap = np.full(graph.node_count, -1, dtype=np.int32)
+    remap[kept] = np.arange(kept.size, dtype=np.int32)
 
     src = graph.edge_sources()
     dst = graph.out_indices

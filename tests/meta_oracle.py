@@ -5,7 +5,8 @@ class and ``assemble_dataset`` as they were when a dataset held one
 ``PatentMeta`` per node; ``class_inflow_series``, ``patent_inflow_breakdown``,
 ``assignee_exclusion_set`` and ``apply_exclusion`` are the trends
 functions that scanned those records node by node. Their bodies are
-unchanged apart from the dataset class's name. The columnar code must
+unchanged apart from the dataset class's name and the int32 exclusion
+arrays, the node index dtype of the graph. The columnar code must
 return equal entries (same key and value types, same float bits), equal
 exclusion arrays with equal dtypes, and the same reduced datasets.
 """
@@ -193,9 +194,9 @@ def assignee_exclusion_set(dataset: MetaTupleDataset, assignee: str) -> Exclusio
     cited[dst[owned_src & ~owned_dst]] = True
     return ExclusionSet(
         assignee=assignee,
-        owned=np.flatnonzero(owned_mask),
-        cites_owned=np.flatnonzero(cites),
-        cited_by_owned=np.flatnonzero(cited & ~cites),
+        owned=np.flatnonzero(owned_mask).astype(np.int32),
+        cites_owned=np.flatnonzero(cites).astype(np.int32),
+        cited_by_owned=np.flatnonzero(cited & ~cites).astype(np.int32),
     )
 
 

@@ -425,8 +425,8 @@ def test_gen_bad_spec_is_domain_error(tmp_path, capsys, content):
          f"{_INVALID}classes labels must be strings, got 347"),
         (_spec_with(planted_crossover={**SPEC["planted_crossover"], "source_class_b": 1}), [],
          f"{_INVALID}planted_crossover labels must be strings, got 1"),
-        (_spec_with(node_count=10**20), [], "error: node_count must be in [0, 3037000499]"),
-        (_spec_with(node_count=4_000_000_000), [], "error: node_count must be in [0, 3037000499]"),
+        (_spec_with(node_count=10**20), [], "error: node_count must be in [0, 2147483647]"),
+        (_spec_with(node_count=4_000_000_000), [], "error: node_count must be in [0, 2147483647]"),
     ],
     ids=["nan-proportion", "negative-seed", "nan-out-degree", "infinite-out-degree",
          "huge-out-degree", "negative-out-degree", "years-before-1790", "years-after-2100",

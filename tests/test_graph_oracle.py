@@ -99,15 +99,15 @@ def test_large_random_graph_matches_lexsort_oracle():
     _assert_same_graph(sub, want_sub)
 
 
-def test_max_node_count_is_largest_with_int64_keys():
-    assert MAX_NODE_COUNT == 3_037_000_499
-    assert MAX_NODE_COUNT * MAX_NODE_COUNT < 2**63 <= (MAX_NODE_COUNT + 1) ** 2
+def test_max_node_count_is_largest_int32_index_and_keys_fit_int64():
+    assert MAX_NODE_COUNT == np.iinfo(np.int32).max == 2_147_483_647
+    assert MAX_NODE_COUNT * MAX_NODE_COUNT < 2**63
 
 
 def test_node_count_beyond_key_range_rejected_before_allocating():
     tracemalloc.start()
     try:
-        with pytest.raises(PatentFlowError, match="fit in int64"):
+        with pytest.raises(PatentFlowError, match="fit in int32"):
             build_graph([], MAX_NODE_COUNT + 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:

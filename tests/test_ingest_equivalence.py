@@ -61,7 +61,7 @@ def _assert_same_dataset(got, want):
 
 def _pairs(payload):
     ids, edges = payload
-    assert edges.dtype == np.int64 and edges.ndim == 2 and edges.shape[1] == 2
+    assert edges.dtype == np.int32 and edges.ndim == 2 and edges.shape[1] == 2
     return [(ids[a], ids[b]) for a, b in edges.tolist()]
 
 

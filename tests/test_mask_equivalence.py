@@ -1,7 +1,8 @@
 """Mask-based subgraph and exclusion code against the versions it replaced.
 
 The oracles are the earlier ``np.unique``/``setdiff1d`` implementations of
-``induced_subgraph`` and ``assignee_exclusion_set``, kept here unchanged.
+``induced_subgraph`` and ``assignee_exclusion_set``, kept here unchanged
+apart from returning node indices as int32, as the graph now stores them.
 The current code must return the same values with the same dtypes. The
 oracle subgraph is built with the three-``lexsort`` build from
 ``lexsort_oracle``, so it does not depend on the current ``build_graph``.
@@ -21,10 +22,10 @@ def _unique_induced_subgraph(graph, keep):
                                     dtype=np.int64))
     if keep_arr.size and (keep_arr[0] < 0 or keep_arr[-1] >= graph.node_count):
         raise PatentFlowError("keep set contains indices outside the graph")
-    remap = np.full(graph.node_count, -1, dtype=np.int64)
-    remap[keep_arr] = np.arange(keep_arr.size, dtype=np.int64)
+    remap = np.full(graph.node_count, -1, dtype=np.int32)
+    remap[keep_arr] = np.arange(keep_arr.size, dtype=np.int32)
 
-    src = np.repeat(np.arange(graph.node_count, dtype=np.int64), graph.out_degrees)
+    src = np.repeat(np.arange(graph.node_count, dtype=np.int32), graph.out_degrees)
     dst = graph.out_indices
     mask = (remap[src] >= 0) & (remap[dst] >= 0)
     new_edges = np.column_stack((remap[src[mask]], remap[dst[mask]]))
@@ -41,12 +42,12 @@ def _unique_exclusion_arrays(dataset, assignee):
         count=n,
     )
     graph = dataset.graph
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.out_degrees)
+    src = np.repeat(np.arange(n, dtype=np.int32), graph.out_degrees)
     dst = graph.out_indices
     cites = np.unique(src[owned_mask[dst] & ~owned_mask[src]])
     cited = np.unique(dst[owned_mask[src] & ~owned_mask[dst]])
     cited = np.setdiff1d(cited, cites, assume_unique=True)
-    return np.flatnonzero(owned_mask), cites, cited
+    return np.flatnonzero(owned_mask).astype(np.int32), cites, cited
 
 
 def _assert_same(got, want):

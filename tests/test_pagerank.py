@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patentflow import (
+    CitationGraph,
     PageRankParams,
     PatentFlowError,
     build_graph,
@@ -277,6 +278,21 @@ def test_matches_bincount_oracle_bitwise_at_real_block_size(mode):
         scores, iterations, delta = bincount_pagerank(g, params)
         assert (r.iterations, r.final_delta) == (iterations, delta)
         assert np.array_equal(r.scores, scores)
+
+
+@pytest.mark.parametrize("mode", ["uniform-all", "uniform-others"])
+def test_int32_indices_match_int64_indices_bitwise(mode):
+    block = pagerank_module._PUSH_BLOCK_NODES
+    n = 5 * block // 2
+    g = random_graph(n, 8 * n, seed=43)
+    assert g.out_indices.dtype == np.int32 and g.dangling_nodes.size
+    wide = CitationGraph(n, g.out_indptr, g.out_indices.astype(np.int64), g.in_indptr,
+                         g.in_indices.astype(np.int64), g.build_report)
+    for d in (0.15, 0.5, 0.85):
+        params = PageRankParams(damping=d, epsilon=1e-12, dangling_mode=mode)
+        r, w = pagerank(g, params), pagerank(wide, params)
+        assert (r.iterations, r.final_delta) == (w.iterations, w.final_delta)
+        assert np.array_equal(r.scores, w.scores)
 
 
 def _graph_with_dangling(n, m, k, seed):
