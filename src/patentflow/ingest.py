@@ -17,17 +17,17 @@ parsers classify a file's bytes with numpy, half a MB of lines at a time,
 and only lines that are not "simple" go through it. A simple line has one
 tab fewer than the file has fields, no other control byte, no leading ``#``
 and a printable, non-space ASCII byte at each edge of each non-empty field;
-its ids have 1 to 32 bytes, its labels at most 32 and its year at most 4. A
-non-ASCII byte may sit inside a field when the block is valid UTF-8, and
+every field has at most 32 bytes, and its ids are not empty. A non-ASCII
+byte may sit inside a field when the block is valid UTF-8, and
 ``str.strip()`` leaves such fields as they are, so they are read as bytes.
 
-Every id and label is packed into integers, and one sort numbers each kind
-by first appearance (``_number``): the citation ids, the record ids (a
-repeated id keeps its last record at its first position), the labels of the
-kept records and, in ``assemble_dataset``, the record ids and the citation
-ids together, which joins the files. Only a token longer than 32 bytes or
-holding a NUL byte is numbered by a dict. The result is that of reading
-each line as text.
+Every id, label and year is packed into integers, and one sort numbers each
+kind by first appearance (``_number``): the citation ids, the record ids (a
+repeated id keeps its last record at its first position), the years, the
+labels of the kept records and, in ``assemble_dataset``, the record ids and
+the citation ids together, which joins the files. Only a token longer than
+32 bytes or holding a NUL byte is numbered by a dict. The result is that
+of reading each line as text.
 """
 from __future__ import annotations
 
@@ -55,9 +55,6 @@ _BLOCK_BYTES = 1 << 19
 # a longer token, or one with a NUL byte, is numbered by a dict, so that one
 # long token cannot widen every packed key
 _TOKEN_BYTES_MAX = 32
-# the most bytes of each field of a simple line; a longer year (field 2)
-# takes the per-line path, whose _parse_year reads any number of digits
-_PATENT_FIELDS = (_TOKEN_BYTES_MAX, _TOKEN_BYTES_MAX, 4, _TOKEN_BYTES_MAX)
 # _LOW_BYTES[k] keeps the k low-order bytes of a uint64
 _LOW_BYTES = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
 
@@ -265,8 +262,7 @@ def _pack(buffer: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
 
 
 def _packed_fields(
-    data: bytes, limits: tuple[int, ...], id_fields: int, counts: dict[str, int],
-    year: int | None = None,
+    data: bytes, width: int, id_fields: int, counts: dict[str, int]
 ) -> tuple[list[np.ndarray], dict[str, int]]:
     """The fields of the accepted lines of ``data`` (``\\n`` line ends)
     packed by ``_pack``, as arrays of (line, field, word), one of the first
@@ -274,14 +270,14 @@ def _packed_fields(
     fields that cannot be packed. Counts the lines, and each that is not
     accepted, in ``counts``.
 
-    A simple line's fields are read as bytes: field ``j`` has at most
-    ``limits[j]`` of them, and the id fields are not empty. The other lines
-    go through ``_accepted_fields``, and the fields of the accepted ones,
-    field ``year`` as ``_parse_year`` reads it, are written after the block.
+    A simple line's fields are read as bytes: each has at most
+    ``_TOKEN_BYTES_MAX`` of them, and the id fields are not empty. The other
+    lines go through ``_accepted_fields``, and the stripped fields of the
+    accepted ones are written after the block. No field is read as a value
+    here: ``parse_metadata`` reads a year once per distinct spelling.
     """
     # a last line without a newline counts
     lines = counts["lines"] = data.count(b"\n") + (len(data) > 0 and not data.endswith(b"\n"))
-    width = len(limits)
     groups = [slice(0, id_fields), *(slice(j, j + 1) for j in range(id_fields, width))]
     # allocated once at their largest size and sliced, since blocks that each
     # left an array behind would fragment the heap
@@ -315,12 +311,12 @@ def _packed_fields(
         # later lines' tabs or 0, and is not simple
         tabs = np.append(tabs, np.zeros(width - 1, tabs.dtype))
         bounds = [starts - 1, *(tabs[first_tab + j] for j in range(width - 1)), ends]
-        for j, limit in enumerate(limits):
+        for j in range(width):
             n = bounds[j + 1] - bounds[j] - 1
             # an empty last field may start at the end of the data
             edges = block[np.minimum(bounds[j] + 1, len(block) - 1)], block[bounds[j + 1] - 1]
             printable = (edges[0] - np.uint8(33) < 95) & (edges[1] - np.uint8(33) < 95)
-            simple &= (n <= limit) & (printable & (n > 0) if j < id_fields else printable | (n == 0))
+            simple &= (n <= _TOKEN_BYTES_MAX) & (printable & (n > 0) if j < id_fields else printable | (n == 0))
         field_lo = np.stack(bounds[:-1], axis=1) + 1
         length = np.stack(bounds[1:], axis=1) - field_lo
         rest = np.flatnonzero(~simple)
@@ -335,8 +331,6 @@ def _packed_fields(
         numbers, tokens = [], []
         for number, fields in _accepted_fields(zip(rest.tolist(), texts), width, id_fields, counts):
             numbers.append(number)
-            if year is not None:
-                fields[year] = str(_parse_year(fields[year]) or "")
             tokens += fields
         tail, tail_lo, tail_length = _token_bytes(tokens, names)
         field_lo[numbers] = (len(block) + tail_lo).reshape(-1, width)
@@ -405,7 +399,7 @@ def parse_citations(data: bytes) -> tuple[tuple[list[str], np.ndarray], Citation
     first-appearance order, and a row of indices into ``ids`` per line.
     """
     counts: dict[str, int] = {}
-    (packed,), names = _packed_fields(_universal_newlines(data), (_TOKEN_BYTES_MAX,) * 2, 2, counts)
+    (packed,), names = _packed_fields(_universal_newlines(data), 2, 2, counts)
     rows = len(packed)
     # the citing then the cited id of each line, in line order
     edges, _, keys = _number(packed.reshape(2 * rows, packed.shape[2]))
@@ -444,19 +438,6 @@ def _parse_year(text: str) -> int | None:
     return year if YEAR_MIN <= year <= YEAR_MAX else None
 
 
-def _years(words: np.ndarray) -> np.ndarray:
-    """The years packed in ``words``, one word of at most 4 bytes each, read
-    as ``_parse_year`` reads them, as int16 with 0 for unknown."""
-    digits = np.ascontiguousarray(words).view(np.uint8).reshape(-1, 8)[:, :4]
-    year, known = np.zeros(len(digits), dtype=np.int64), digits[:, 0] != 0
-    for k in range(4):
-        present = digits[:, k] != 0
-        known &= ~present | (digits[:, k] - np.uint8(48) < 10)
-        year = np.where(present, 10 * year + digits[:, k] - 48, year)
-    year[~known | (year < YEAR_MIN) | (year > YEAR_MAX)] = 0
-    return year.astype(np.int16)
-
-
 def _label_column(keys: np.ndarray, names: dict[str, int]) -> tuple[np.ndarray, tuple[str, ...]]:
     """Codes of the packed labels ``keys`` by first appearance, and the table
     of labels by code, which ends with "", the unknown label, if it lacks it."""
@@ -471,13 +452,15 @@ def parse_metadata(data: bytes) -> tuple[MetadataColumns, MetadataParseReport]:
     The payload holds the records as columns, in record order; a repeated id
     keeps its last record at its first position, and the labels are numbered
     after that. A year that is missing, not ASCII decimal digits, or outside
-    [1790, 2100] is stored as 0 and counted as unknown.
+    [1790, 2100] is stored as 0 and counted as unknown; ``_parse_year`` reads
+    each distinct spelling once, over every accepted line.
     """
     counts: dict[str, int] = {}
-    columns, names = _packed_fields(_universal_newlines(data), _PATENT_FIELDS, 1, counts, 2)
+    columns, names = _packed_fields(_universal_newlines(data), 4, 1, counts)
     ids, classes, years, assignees = (c[:, 0] for c in columns)
     _, kept, id_keys = _number(ids, last=True)
-    year = _years(years[:, 0])
+    codes, _, spellings = _number(years)
+    year = np.array([_parse_year(s) or 0 for s in _unpack(spellings, names)], dtype=np.int16)[codes]
     class_code, classes = _label_column(classes[kept], names)
     assignee_code, assignees = _label_column(assignees[kept], names)
     records = MetadataColumns(tuple(_unpack(id_keys, names)), class_code, year[kept], assignee_code,

@@ -159,7 +159,7 @@ _ID_SPELLINGS = [
 _YEARS = [
     b"", b"1999", b"2000", b"0199", b"1789", b"1790", b"2100", b"2101", b"+1990", b"-1990",
     b"1_990", b"01990", b"1" * 30, b" 1999", b"1999\x1c", b"n/a", "\u0661\u0669\u0669\u0660".encode(),
-    b"19\xff",
+    b"19\xff", b"0001999", b"0" * 29 + b"1999", b"19\x0099", "1\uff1999".encode(), b"19 99",
 ]
 # labels longer than 32 bytes or holding a NUL are numbered by a dict; U+00A0
 # and U+3000 at an edge are stripped, as a space is

@@ -46,3 +46,26 @@ def test_no_unused_imports():
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
+
+
+def _top_level_names(statement: ast.stmt) -> set[str]:
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = statement.targets if isinstance(statement, ast.Assign) else [getattr(statement, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def test_no_unused_private_definitions():
+    """Every top-level ``_name`` a module defines is read somewhere in the
+    package outside its own definition, so a deletion leaves no helper or
+    constant behind."""
+    statements = [s for path in sorted(Path(patentflow.__file__).parent.glob("*.py"))
+                  for s in ast.parse(path.read_text(encoding="utf-8")).body]
+    reads = [{node.id for node in ast.walk(s) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+             | {node.attr for node in ast.walk(s) if isinstance(node, ast.Attribute)} for s in statements]
+    defined = {name: i for i, s in enumerate(statements) for name in _top_level_names(s)
+               if name.startswith("_") and not name.startswith("__")}
+    unused = sorted(name for name, i in defined.items()
+                    if not any(name in r for j, r in enumerate(reads) if j != i))
+    assert len(defined) > 50
+    assert not unused, f"private names defined but never read: {unused}"
