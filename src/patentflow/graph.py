@@ -55,10 +55,7 @@ class CitationGraph:
         object.__setattr__(self, "out_degrees", np.diff(self.out_indptr))
         object.__setattr__(self, "in_degrees", np.diff(self.in_indptr))
         object.__setattr__(self, "dangling_nodes", np.flatnonzero(self.out_degrees == 0))
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+        _freeze_arrays(self)
 
     @property
     def edge_count(self) -> int:
@@ -70,17 +67,20 @@ class CitationGraph:
     def in_neighbors(self, u: int) -> np.ndarray:
         return self.in_indices[self.in_indptr[u]:self.in_indptr[u + 1]]
 
-    def in_neighbors_of(self, nodes: np.ndarray) -> np.ndarray:
-        """In-neighbors of each of ``nodes``, concatenated in that order.
-
-        Costs time in the number of entries gathered, not in the edge count.
-        """
-        degrees = self.in_degrees[nodes]
-        # entry j of node k's run sits at in_indptr[k] + j; shifting each
-        # run's output positions by (start - output offset) gives that
-        shift = np.repeat(self.in_indptr[nodes] - (np.cumsum(degrees) - degrees), degrees)
+    def adjacent(self, mask: np.ndarray, *, citing: bool) -> np.ndarray:
+        """Mask of the nodes that cite a node of the boolean ``mask`` (with
+        ``citing``) or that such a node cites, read from those nodes' CSR rows:
+        the cost grows with the entries read, not with the edge count."""
+        indptr, indices = (self.in_indptr, self.in_indices) if citing else (self.out_indptr, self.out_indices)
+        nodes = np.flatnonzero(mask)
+        degrees = indptr[nodes + 1] - indptr[nodes]
+        # entry j of node k's row sits at indptr[k] + j; shifting each row's
+        # output positions by (start - output offset) gives that
+        shift = np.repeat(indptr[nodes] - (np.cumsum(degrees) - degrees), degrees)
         shift += np.arange(shift.size)
-        return self.in_indices[shift]
+        found = np.zeros(self.node_count, dtype=bool)
+        found[indices[shift]] = True
+        return found
 
     def edge_sources(self) -> np.ndarray:
         """Source index of every stored edge, aligned with ``out_indices``."""
@@ -95,6 +95,14 @@ class CitationGraph:
             f"CitationGraph(nodes={self.node_count}, edges={self.edge_count}, "
             f"dangling={self.dangling_nodes.size})"
         )
+
+
+def _freeze_arrays(obj) -> None:
+    """Mark every array field of the dataclass ``obj`` read-only."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
 
 
 def _indptr(keys: np.ndarray, n: int) -> np.ndarray:

@@ -5,12 +5,13 @@ Input formats (UTF-8, one record per line, ``#`` starts a comment line):
 * citations.tsv:  ``citing_id<TAB>cited_id``
 * patents.tsv:    ``patent_id<TAB>class<TAB>year<TAB>assignee``
 
-``\n``, ``\r\n`` or a lone ``\r`` ends a line, as in a text-mode read.
-Parsing never aborts on a bad line; anomalies are skipped or repaired and
-counted in per-stream reports. A line with bytes that are not valid UTF-8
-counts as malformed. An unknown year is stored as 0, and an unknown class
-or assignee as the ``""`` entry of its table: the patent stays in the graph
-but drops out of class-level aggregations.
+``\n``, ``\r\n`` or a lone ``\r`` ends a line, as in a text-mode read, and a
+leading UTF-8 byte-order mark is skipped. Parsing never aborts on a bad
+line; anomalies are skipped or repaired and counted in per-stream reports.
+A line with bytes that are not valid UTF-8 counts as malformed. An unknown
+year is stored as 0, and an unknown class or assignee as the ``""`` entry
+of its table: the patent stays in the graph but drops out of class-level
+aggregations.
 
 The per-line classifier ``_accepted_fields`` defines the format, but the
 parsers classify a file's bytes with numpy, half a MB of lines at a time,
@@ -42,7 +43,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import PatentFlowError
-from .graph import CitationGraph, build_graph, edge_index_array
+from .graph import CitationGraph, _freeze_arrays, build_graph
 
 YEAR_MIN = 1790
 YEAR_MAX = 2100
@@ -145,10 +146,7 @@ class PatentDataset:
     build_report: DatasetBuildReport
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+        _freeze_arrays(self)
 
     @property
     def node_count(self) -> int:
@@ -210,8 +208,9 @@ def _accepted_fields(
 
 
 def _universal_newlines(data: bytes) -> bytes:
-    """``data`` with ``\\r\\n`` and lone ``\\r`` turned into ``\\n``, the line
-    ends of a text-mode read."""
+    """``data`` without a leading UTF-8 byte-order mark and with ``\\r\\n`` and
+    lone ``\\r`` turned into ``\\n``, as a text-mode read sees its lines."""
+    data = data.removeprefix(codecs.BOM_UTF8)
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     return data
@@ -386,7 +385,7 @@ def _unpack(keys: np.ndarray, names: dict[str, int]) -> list[str]:
     kept = rows != 0
     kept[:, -1] = True
     tokens = rows[kept].tobytes().decode("utf-8", "surrogatepass").split("\0")[:-1]
-    text = dict(zip(names.values(), names))
+    text = list(names)
     for i, code in zip(long.tolist(), (keys[long, 0] >> 8).tolist()):
         tokens[i] = text[code]
     return tokens
@@ -522,7 +521,6 @@ def assemble_dataset(
     not an integer or outside [1, 32767].
     """
     cited_ids, edges = citations
-    edges = edge_index_array(edges, len(cited_ids))
     if not isinstance(records, MetadataColumns):
         records = _columns_of(records)
     _require_strings(cited_ids)
@@ -553,12 +551,11 @@ def assemble_dataset(
 
 def load_dataset(citations_path: str | os.PathLike, patents_path: str | os.PathLike) -> PatentDataset:
     """Parse both files and assemble a dataset with a combined build report."""
-    # each file's bytes live only for their parser's call; a UTF-8 byte-order
-    # mark is not part of the first line
+    # each file's bytes live only for their parser's call
     with open(citations_path, "rb") as f:
-        citations, cit_report = parse_citations(f.read().removeprefix(codecs.BOM_UTF8))
+        citations, cit_report = parse_citations(f.read())
     with open(patents_path, "rb") as f:
-        records, meta_report = parse_metadata(f.read().removeprefix(codecs.BOM_UTF8))
+        records, meta_report = parse_metadata(f.read())
     return assemble_dataset(citations, records, cit_report, meta_report)
 
 

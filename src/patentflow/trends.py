@@ -112,11 +112,8 @@ def class_inflow_series(
         raise PatentFlowError(f"metric must be one of {_METRICS}, got {metric!r}")
     require_name("target class", target_class)
     scores = _require_scores(dataset, result)
-    graph = dataset.graph
     target = dataset.class_mask(target_class)
-    citing = np.zeros(dataset.node_count, dtype=bool)
-    citing[graph.in_neighbors_of(np.flatnonzero(target))] = True
-    citing &= ~target
+    citing = dataset.graph.adjacent(target, citing=True) & ~target
     keys, counts, sums = _bucket_flows(dataset, np.flatnonzero(citing), scores)
     values = sums if metric == METRIC_PAGERANK_SUM else counts
     return ClassFlowSeries(
@@ -216,8 +213,8 @@ def assignee_exclusion_set(dataset: PatentDataset, assignee: str) -> ExclusionSe
     """Compute the assignee's neighborhood: owned patents plus every
     non-owned patent that cites or is cited by one of them.
 
-    The neighbours are read from the owned patents' rows in the graph's
-    two CSR directions. Names match after ``strip().casefold()``. Raises
+    The neighbours are read from the owned patents' rows in both graph
+    directions. Names match after ``strip().casefold()``. Raises
     PatentFlowError for an empty (or all-whitespace) name.
     """
     require_name("assignee", assignee)
@@ -225,13 +222,9 @@ def assignee_exclusion_set(dataset: PatentDataset, assignee: str) -> ExclusionSe
     names = dataset.assignees
     match = np.fromiter((assignee_key(a) == key for a in names), dtype=bool, count=len(names))
     owned = match[dataset.assignee_code]
-    graph = dataset.graph
-    cites = np.zeros(dataset.node_count, dtype=bool)
-    cites[graph.in_indices[np.repeat(owned, graph.in_degrees)]] = True
-    cites &= ~owned
-    cited = np.zeros(dataset.node_count, dtype=bool)
-    cited[graph.out_indices[np.repeat(owned, graph.out_degrees)]] = True
-    nodes = (np.flatnonzero(m).astype(np.int32) for m in (owned, cites, cited & ~owned & ~cites))
+    cites = dataset.graph.adjacent(owned, citing=True) & ~owned
+    cited = dataset.graph.adjacent(owned, citing=False) & ~owned & ~cites
+    nodes = (np.flatnonzero(m).astype(np.int32) for m in (owned, cites, cited))
     return ExclusionSet(assignee, *nodes)
 
 

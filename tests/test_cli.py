@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from patentflow import PatentFlowError, load_spec
-from patentflow.cli import main
+from patentflow.cli import _parse_damping_list, main
 
 SPEC = {
     "node_count": 600,
@@ -504,6 +504,20 @@ def test_sweep_colliding_damping_values_rejected(data_dir, tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert err.count("error: damping list") == 2
     assert _no_build_report(err)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0.5,abc", "bad damping list '0.5,abc': could not convert string to float: 'abc'"),
+        ("", "damping list '' is empty"),
+        (" , ,", "damping list ' , ,' is empty"),
+    ],
+    ids=["not-a-number", "empty", "only-commas"],
+)
+def test_damping_list_errors(text, message):
+    with pytest.raises(PatentFlowError, match=f"^{re.escape(message)}$"):
+        _parse_damping_list(text)
 
 
 # each command's --flags, with True for the required ones

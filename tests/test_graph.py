@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dataset
@@ -61,6 +61,65 @@ def test_out_of_range_edge_rejected():
         build_graph([(0, 1), (1, 5)], 3)
     with pytest.raises(MalformedEdgeError):
         build_graph([(-1, 0)], 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_graph([], -1), "node_count must be non-negative, got -1"),
+        (lambda: induced_subgraph(build_graph([(0, 1)], 2), [1, 2]),
+         "keep set contains indices outside the graph"),
+        (lambda: induced_subgraph(build_graph([(0, 1)], 2), [-1]),
+         "keep set contains indices outside the graph"),
+    ],
+    ids=["negative-node-count", "keep-past-end", "negative-keep"],
+)
+def test_graph_errors(call, message):
+    with pytest.raises(PatentFlowError, match=f"^{message}$"):
+        call()
+
+
+def _row_gather(indptr, indices, nodes):
+    """The neighbours of ``nodes``, concatenated, by the shift gather of the
+    ``CitationGraph.in_neighbors_of`` that ``adjacent`` replaced, in either
+    CSR direction."""
+    degrees = np.diff(indptr)[nodes]
+    shift = np.repeat(indptr[nodes] - (np.cumsum(degrees) - degrees), degrees)
+    shift += np.arange(shift.size)
+    return indices[shift]
+
+
+def _mask_of(nodes, n):
+    mask = np.zeros(n, dtype=bool)
+    mask[nodes] = True
+    return mask
+
+
+@st.composite
+def graphs_and_masks(draw):
+    n, edges = draw(edge_lists())
+    return n, edges, draw(st.lists(st.booleans(), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_masks())
+@example((0, [], []))
+@example((4, [(0, 1), (2, 1), (1, 3)], [False] * 4))  # an empty mask
+@example((4, [(0, 1), (2, 1), (1, 3)], [True] * 4))  # an all-true mask
+@example((5, [(0, 1), (1, 2)], [True, False, False, True, True]))  # nodes 3 and 4 have no edges
+def test_adjacent_matches_the_gathers_it_replaced(case):
+    n, edges, mask = case
+    mask = np.array(mask, dtype=bool)
+    g = build_graph(edges, n)
+    stored = {(u, v) for u, v in edges if u != v}
+    for citing, indptr, indices in ((True, g.in_indptr, g.in_indices),
+                                    (False, g.out_indptr, g.out_indices)):
+        got = g.adjacent(mask, citing=citing)
+        assert got.dtype == bool and got.shape == (n,)
+        assert np.array_equal(got, _mask_of(_row_gather(indptr, indices, np.flatnonzero(mask)), n))
+        assert np.array_equal(got, _mask_of(indices[np.repeat(mask, np.diff(indptr))], n))
+        want = {u for u, v in stored if mask[v]} if citing else {v for u, v in stored if mask[u]}
+        assert set(np.flatnonzero(got).tolist()) == want
 
 
 def test_neighbor_lists_sorted():

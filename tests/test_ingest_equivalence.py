@@ -183,17 +183,18 @@ def _join(lines: list[tuple[bytes, bytes]], final_newline: bool) -> bytes:
 
 
 def _tsv(*fields):
-    """Bytes of a TSV file: records of ``fields`` mixed with junk lines,
-    each ended by a newline, a CR LF pair or a lone CR, except perhaps the
-    last."""
+    """Bytes of a TSV file, perhaps after a byte-order mark: records of
+    ``fields`` mixed with junk lines, each ended by a newline, a CR LF pair
+    or a lone CR, except perhaps the last."""
     line = st.one_of(
         st.tuples(*fields).map(b"\t".join),
         st.sampled_from(_JUNK),
         st.binary(max_size=6),
     )
     ends = st.sampled_from([b"\n", b"\r\n", b"\r"])
-    return st.tuples(st.lists(st.tuples(line, ends), max_size=30), st.booleans()).map(
-        lambda t: _join(*t)
+    bom = st.sampled_from([b"", codecs.BOM_UTF8])
+    return st.tuples(bom, st.lists(st.tuples(line, ends), max_size=30), st.booleans()).map(
+        lambda t: t[0] + _join(*t[1:])
     )
 
 
@@ -203,8 +204,9 @@ patents_bytes = _tsv(_id, st.sampled_from(_CLASSES), st.sampled_from(_YEARS), st
 
 
 def _text(data: bytes) -> io.TextIOWrapper:
-    """``data`` as a file opened in text mode, as the text-mode parsers read it."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    """``data`` as a file opened in text mode, as the text-mode parsers read
+    it; ``utf-8-sig`` skips a leading UTF-8 byte-order mark."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", errors="surrogateescape")
 
 
 @settings(max_examples=400, deadline=None)
@@ -232,6 +234,11 @@ def _text(data: bytes) -> io.TextIOWrapper:
 @example(b" p1\t" + b"y" * 17 + b"\n\xc3\xa9\tp1\n#\n", b"", 1 << 20)
 # a 32-byte id read once from a fallback line and once from a simple one
 @example(b" " + b"w" * 32 + b"\tp1\n" + b"w" * 32 + b"\tp1\n", b"", 1 << 20)
+# files that start with a byte-order mark, one before a CR LF line end, and
+# a byte-order mark inside a line, which is part of its id
+@example(codecs.BOM_UTF8 + b"p1\tp2\r\np2\t\xef\xbb\xbfp1\n",
+         codecs.BOM_UTF8 + b"p1\t100\t1999\tAcme\n", 1 << 20)
+@example(codecs.BOM_UTF8 + b"\r\np1\tp2", codecs.BOM_UTF8, 7)
 def test_byte_parsers_match_text_mode_parsers(citation_data, patent_data, block_bytes):
     with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
         (ids, edges), cit_report = parse_citations(citation_data)
@@ -295,3 +302,14 @@ def test_load_dataset_skips_utf8_byte_order_mark(tmp_path):
     plain = load_dataset(tmp_path / "c.tsv", tmp_path / "p.tsv")
     assert plain.build_report.placeholder_nodes == 2
     _assert_same_dataset(load_dataset(tmp_path / "bom_c.tsv", tmp_path / "bom_p.tsv"), plain)
+    # the parsers skip it, so load_dataset is the three library calls
+    (ids, edges), cit_report = parse_citations(codecs.BOM_UTF8 + citations)
+    (want_ids, want_edges), want_cit_report = parse_citations(citations)
+    assert ids == want_ids and ids[0] == "4723129"
+    assert np.array_equal(edges, want_edges)
+    assert cit_report == want_cit_report
+    records, meta_report = parse_metadata(codecs.BOM_UTF8 + patents)
+    want_records, want_meta_report = parse_metadata(patents)
+    assert_same_columns(records, want_records)
+    assert meta_report == want_meta_report
+    _assert_same_dataset(assemble_dataset((ids, edges), records, cit_report, meta_report), plain)

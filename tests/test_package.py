@@ -48,6 +48,15 @@ def test_no_unused_imports():
         assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
 
 
+def test_trends_reads_no_csr_array():
+    """``trends.py`` reads every neighbourhood through ``CitationGraph``
+    methods, so a second row-gather idiom cannot come back unnoticed."""
+    tree = ast.parse((Path(patentflow.__file__).parent / "trends.py").read_text(encoding="utf-8"))
+    csr = {"in_indices", "out_indices", "in_indptr", "out_indptr"}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} & csr
+    assert not read, f"trends.py reads the CSR arrays {sorted(read)}"
+
+
 def _top_level_names(statement: ast.stmt) -> set[str]:
     if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
         return {statement.name}

@@ -345,3 +345,12 @@ def test_scores_tsv_format(tmp_path):
         # each float64 scalar formatted by numpy, as rows were written one scalar at a time
         assert rows == [[str(i), pid, f"{s:.17g}"] for i, (pid, s) in enumerate(zip(ids, scores))]
         assert np.array_equal([float(r[2]) for r in rows], scores, equal_nan=True)
+
+
+@pytest.mark.parametrize("ids, scores", [(["a"], np.zeros(2)), (["a", "b"], np.zeros(1))],
+                         ids=["fewer-ids", "fewer-scores"])
+def test_scores_tsv_errors(tmp_path, ids, scores):
+    path = tmp_path / "scores.tsv"
+    with pytest.raises(PatentFlowError, match="^id list and score vector differ in length$"):
+        write_scores_tsv(ids, scores, path)
+    assert not path.exists()

@@ -1,5 +1,7 @@
 import math
+import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,6 +225,44 @@ def test_spec_validation_errors():
     SyntheticSpec(**{**base, "node_count": np.int64(good.node_count),
                      "year_range": (np.int16(1995), np.uint16(2010)),
                      "planted_crossover": PlantedCrossover("347", "400", "358", np.int64(2004))})
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: EdgeModel(preferential=1.5), "preferential must be in [0, 1], got 1.5"),
+        (lambda: EdgeModel(recency_window=-0.25), "recency_window must be in [0, 1], got -0.25"),
+        (lambda: replace(_crossover_spec(), classes=()), "classes must be non-empty"),
+        (lambda: replace(_crossover_spec(), assignees=()), "assignees must be non-empty"),
+        (lambda: replace(_crossover_spec(), classes=(("347", 0.5), ("347", 0.5))),
+         "classes labels must be unique"),
+        (lambda: replace(_crossover_spec(), planted_crossover=PlantedCrossover("347", "400", "347", 2004)),
+         "planted classes must be three distinct codes"),
+        (lambda: _crossover_spec(n=16 * (14 + 6) - 1),
+         "node_count too small to plant a crossover across 16 years"),
+        (lambda: replace(_crossover_spec(dominant="canoncorp"), assignees=(("canoncorp", 1.0),)),
+         "a dominant assignee needs at least one other assignee"),
+    ],
+    ids=["preferential", "recency-window", "no-classes", "no-assignees", "repeated-class",
+         "planted-class-twice", "too-few-nodes", "dominant-alone"],
+)
+def test_spec_errors(make, message):
+    with pytest.raises(PatentFlowError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_others_of_zero_weight_are_picked_uniformly():
+    # every drawn assignee is canoncorp, so each planted patent it must not
+    # own gets another assignee; their weights sum to 0, so it is drawn uniformly
+    spec = replace(_crossover_spec(dominant="canoncorp"),
+                   assignees=(("canoncorp", 1.0), ("alpha", 0.0), ("beta", 0.0)))
+    ds = generate_synthetic_dataset(spec, seed=5)
+    names = Counter(ds.assignees[c] for c in ds.assignee_code.tolist())
+    # per year 2 targets not owned, and from the second year 10 citers
+    drawn = 16 * 2 + 15 * 10
+    assert names["alpha"] + names["beta"] == drawn
+    assert names["canoncorp"] == spec.node_count - drawn
+    assert abs(names["alpha"] - drawn / 2) <= 3 * math.sqrt(drawn / 4)
 
 
 def test_generator_classes_hold_the_unknown_label():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -13,6 +14,7 @@ from patentflow import (
     SyntheticSpec,
     apply_exclusion,
     assignee_exclusion_set,
+    build_graph,
     class_inflow_series,
     class_ratio,
     crossover_year,
@@ -135,6 +137,26 @@ def test_series_rejects_empty_target_class(target):
     r = pagerank(ds.graph, PARAMS)
     with pytest.raises(PatentFlowError, match="target class"):
         class_inflow_series(ds, r, target)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda ds, r, short: class_inflow_series(ds, short, "347"),
+         "score vector length does not match the dataset's node count"),
+        (lambda ds, r, short: patent_inflow_breakdown(ds, short, 0),
+         "score vector length does not match the dataset's node count"),
+        (lambda ds, r, short: patent_inflow_breakdown(ds, r, 3), "patent index 3 out of range"),
+        (lambda ds, r, short: patent_inflow_breakdown(ds, r, -1), "patent index -1 out of range"),
+    ],
+    ids=["series-scores", "breakdown-scores", "patent-past-end", "negative-patent"],
+)
+def test_trends_errors(call, message):
+    ds = _three_citer_dataset()
+    # ``short`` ranks a graph with one node fewer than the dataset's
+    short = pagerank(build_graph([(0, 1)], 2), PARAMS)
+    with pytest.raises(PatentFlowError, match=f"^{re.escape(message)}$"):
+        call(ds, pagerank(ds.graph, PARAMS), short)
 
 
 def test_series_rejects_bad_metric():
