@@ -6,7 +6,6 @@ from .ingest import (
     DatasetBuildReport,
     PatentDataset,
     assemble_dataset,
-    intern_pairs,
     load_dataset,
     parse_citations,
     parse_metadata,
@@ -68,7 +67,6 @@ __all__ = [
     "crossover_year",
     "generate_synthetic_dataset",
     "induced_subgraph",
-    "intern_pairs",
     "load_dataset",
     "load_spec",
     "pagerank",

@@ -1,15 +1,15 @@
 """Immutable compressed adjacency for directed citation graphs.
 
-Nodes are dense integers in ``[0, node_count)``. The graph stores both
-directions (out-links and in-links) as CSR-style index arrays so degree
-queries are O(1) and neighbor iteration is a contiguous slice either way.
-Self-loops and duplicate edges are dropped at build time and counted.
+Nodes are dense integers in ``[0, node_count)``. Out-links are stored as
+CSR-style index arrays, and the in-links, their transpose, are built on
+first read; degree queries are O(1) and neighbor iteration is a contiguous
+slice either way. Self-loops and duplicate edges are dropped and counted.
 Node indices are int32 and edge offsets (``indptr``) int64, so node counts
 are limited to MAX_NODE_COUNT (2,147,483,647).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 
 import numpy as np
 
@@ -34,28 +34,44 @@ class GraphBuildReport:
 class CitationGraph:
     """Directed graph frozen after construction.
 
-    No field can be reassigned and every array is marked read-only, so a
-    graph can be shared across threads without locking. Neighbor lists are
-    sorted ascending, which fixes the floating-point accumulation order for
-    anything that folds over them. Equality and hashing are by identity.
+    No field can be reassigned and every array is read-only, so a graph can
+    be shared across threads without locking: racing first reads of the lazy
+    in-CSR or ``in_degrees`` may build twice but publish identical arrays.
+    Neighbor lists are sorted ascending, which fixes the floating-point
+    accumulation order of folds over them. Equality and hashing are by identity.
     """
 
     node_count: int
     out_indptr: np.ndarray
     out_indices: np.ndarray
-    in_indptr: np.ndarray
-    in_indices: np.ndarray
     build_report: GraphBuildReport
     out_degrees: np.ndarray = field(init=False)
-    in_degrees: np.ndarray = field(init=False)
     dangling_nodes: np.ndarray = field(init=False)
+    _derived: dict = field(init=False, default_factory=dict)  # arrays built on first read
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "node_count", int(self.node_count))
         object.__setattr__(self, "out_degrees", np.diff(self.out_indptr))
-        object.__setattr__(self, "in_degrees", np.diff(self.in_indptr))
         object.__setattr__(self, "dangling_nodes", np.flatnonzero(self.out_degrees == 0))
-        _freeze_arrays(self)
+        _freeze_arrays(*(getattr(self, f.name) for f in fields(self)))
+
+    def _cached(self, key: str, build) -> tuple[np.ndarray, ...]:
+        if key not in self._derived:
+            self._derived[key] = _freeze_arrays(*build())
+        return self._derived[key]
+
+    @property
+    def in_indptr(self) -> np.ndarray:
+        return self._cached("in", lambda: _transpose(self))[0]
+
+    @property
+    def in_indices(self) -> np.ndarray:
+        return self._cached("in", lambda: _transpose(self))[1]
+
+    @property
+    def in_degrees(self) -> np.ndarray:
+        return self._cached("in_degrees",
+                            lambda: (np.bincount(self.out_indices, minlength=self.node_count),))[0]
 
     @property
     def edge_count(self) -> int:
@@ -97,17 +113,36 @@ class CitationGraph:
         )
 
 
-def _freeze_arrays(obj) -> None:
-    """Mark every array field of the dataclass ``obj`` read-only."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+# the slotted dataclass's own check raises TypeError, not FrozenInstanceError,
+# for a name that is not a field (Python 3.11), such as a lazy property
+def _refuse(self, name: str, *value) -> None:
+    raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
+
+
+CitationGraph.__setattr__ = CitationGraph.__delattr__ = _refuse
+
+
+def _freeze_arrays(*values) -> tuple:
+    """Mark every array among ``values`` read-only, and return ``values``."""
+    for value in values:
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
+    return values
 
 
-def _indptr(keys: np.ndarray, n: int) -> np.ndarray:
-    """CSR row pointers of the sorted edge keys ``row * n + col``."""
-    return np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+def _transpose(graph: CitationGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The in-CSR, from one sort of the (target, source) keys."""
+    sources = graph.edge_sources()
+    keys = np.multiply(graph.out_indices, graph.node_count, dtype=np.int64)
+    keys += sources
+    keys.sort()
+    return _csr(keys, graph.node_count, sources)
+
+
+def _csr(keys: np.ndarray, n: int, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row pointers and int32 indices (into ``out``) of the sorted keys ``row * n + col``."""
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return indptr, np.remainder(keys, n, out=out, casting="unsafe")
 
 
 def _integer_indices(values, what: str) -> np.ndarray:
@@ -131,9 +166,8 @@ def edge_index_array(edges, node_count: int) -> np.ndarray:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise PatentFlowError("edges must be a sequence of (citing, cited) pairs")
-    bad = (arr < 0) | (arr >= node_count)
-    if bad.any():
-        src, dst = arr[int(np.argmax(bad)) // 2].tolist()
+    if arr.size and (arr.min() < 0 or arr.max() >= node_count):
+        src, dst = arr[int(np.argmax((arr < 0) | (arr >= node_count))) // 2].tolist()
         raise MalformedEdgeError(f"edge ({src}, {dst}) out of range for node_count={node_count}")
     return arr
 
@@ -148,9 +182,9 @@ def build_graph(edges, node_count: int, *, remap=None) -> CitationGraph:
     are the node indices: the graph is that of ``remap[edges]``, built
     without that copy.
 
-    Each direction is one sort of the int64 key ``row * n + col``, whose
-    order is (row, col) order, so neighbor lists come out ascending; the
-    sorted keys give the row pointers and split into int32 indices.
+    Each direction (the in-CSR when first read) is one sort of the int64 key
+    ``row * n + col``, whose order is (row, col) order, so neighbor lists come
+    out ascending; the sorted keys give the row pointers and int32 indices.
     """
     n = int(node_count)
     if n < 0:
@@ -169,8 +203,8 @@ def build_graph(edges, node_count: int, *, remap=None) -> CitationGraph:
         arr = edge_index_array(edges, len(nodes))
         src, dst = nodes[arr[:, 0]], nodes[arr[:, 1]]
     edges_input = arr.shape[0]
-    loops = src == dst
-    self_loops = int(loops.sum())
+    kept = src != dst
+    self_loops = edges_input - int(np.count_nonzero(kept))
     # widened before the multiply, which int32 would overflow; remapped
     # int64 sources are already a copy, which becomes the keys
     keys = src.astype(np.int64, copy=remap is None)
@@ -178,8 +212,8 @@ def build_graph(edges, node_count: int, *, remap=None) -> CitationGraph:
     keys += dst
     del src, dst
     if self_loops:
-        keys = keys[~loops]
-    del loops
+        keys = keys[kept]
+    del kept
     keys.sort()
     if keys.size > 1:
         distinct = np.empty(keys.size, dtype=bool)
@@ -188,25 +222,8 @@ def build_graph(edges, node_count: int, *, remap=None) -> CitationGraph:
         if not distinct.all():
             keys = keys[distinct]
 
-    report = GraphBuildReport(
-        edges_input=edges_input,
-        edges_stored=int(keys.size),
-        self_loops_dropped=self_loops,
-        duplicate_edges_dropped=edges_input - self_loops - int(keys.size),
-    )
-    out_indptr = _indptr(keys, n)
-    sources = np.empty(keys.size, dtype=np.int32)
-    out_indices = np.empty_like(sources)
-    np.divmod(keys, n, out=(sources, out_indices), casting="unsafe")
-    # the (target, source) keys of the in-CSR take the out-keys' buffer, and
-    # the in-neighbors the sources'
-    np.multiply(out_indices, n, out=keys, dtype=np.int64)
-    keys += sources
-    keys.sort()
-    in_indptr = _indptr(keys, n)
-    in_indices = np.remainder(keys, n, out=sources, casting="unsafe")
-    del keys
-    return CitationGraph(n, out_indptr, out_indices, in_indptr, in_indices, report)
+    report = GraphBuildReport(edges_input, keys.size, self_loops, edges_input - self_loops - keys.size)
+    return CitationGraph(n, *_csr(keys, n, np.empty(keys.size, dtype=np.int32)), report)
 
 
 def _restrict(indptr: np.ndarray, indices: np.ndarray, keep_mask: np.ndarray,
@@ -247,10 +264,8 @@ def induced_subgraph(graph: CitationGraph, keep) -> tuple[CitationGraph, np.ndar
 
     ends = np.concatenate(([0], kept + 1))
     out_indptr, out_indices = _restrict(graph.out_indptr, graph.out_indices, keep_mask, remap, ends)
-    in_indptr, in_indices = _restrict(graph.in_indptr, graph.in_indices, keep_mask, remap, ends)
     m = int(out_indices.size)
-    report = GraphBuildReport(
-        edges_input=m, edges_stored=m, self_loops_dropped=0, duplicate_edges_dropped=0
-    )
-    sub = CitationGraph(kept.size, out_indptr, out_indices, in_indptr, in_indices, report)
+    sub = CitationGraph(kept.size, out_indptr, out_indices, GraphBuildReport(m, m, 0, 0))
+    if "in" in graph._derived:  # restricting the parent's in-CSR is cheaper than a sort
+        sub._cached("in", lambda: _restrict(graph.in_indptr, graph.in_indices, keep_mask, remap, ends))
     return sub, remap

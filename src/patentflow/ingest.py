@@ -146,7 +146,7 @@ class PatentDataset:
     build_report: DatasetBuildReport
 
     def __post_init__(self) -> None:
-        _freeze_arrays(self)
+        _freeze_arrays(*(getattr(self, f.name) for f in dataclasses.fields(self)))
 
     @property
     def node_count(self) -> int:
@@ -393,9 +393,9 @@ def _unpack(keys: np.ndarray, names: dict[str, int]) -> list[str]:
 
 def parse_citations(data: bytes) -> tuple[tuple[list[str], np.ndarray], CitationParseReport]:
     """Read citing/cited id pairs from the bytes of a citations file,
-    skipping and counting bad lines. The payload is ``(ids, edges)``, as
-    ``intern_pairs`` builds it from the accepted pairs: the distinct ids in
-    first-appearance order, and a row of indices into ``ids`` per line.
+    skipping and counting bad lines. The payload is ``(ids, edges)``: the
+    distinct ids in first-appearance order, and an (m, 2) int32 array with a
+    row of indices into ``ids`` per accepted line.
     """
     counts: dict[str, int] = {}
     (packed,), names = _packed_fields(_universal_newlines(data), 2, 2, counts)
@@ -405,25 +405,6 @@ def parse_citations(data: bytes) -> tuple[tuple[list[str], np.ndarray], Citation
     del packed
     report = CitationParseReport(edges=rows, **counts)
     return (_unpack(keys, names), edges.reshape(-1, 2)), report
-
-
-def _pair(pair: Sequence[str]) -> Sequence[str]:
-    if isinstance(pair, (str, bytes)) or len(pair) != 2:
-        raise PatentFlowError(f"{pair!r} is not a (citing, cited) pair of ids")
-    return pair
-
-
-def intern_pairs(pairs: Iterable[Sequence[str]]) -> tuple[list[str], np.ndarray]:
-    """The distinct ids of ``pairs`` in first-appearance order, and the pairs
-    as an (m, 2) int32 array of indices into that list. Raises PatentFlowError
-    for a pair that is a str or bytes or not two ids, or an unhashable id."""
-    index: dict[str, int] = {}
-    try:
-        flat = np.fromiter((index.setdefault(pid, len(index)) for pair in map(_pair, pairs)
-                            for pid in pair), np.int32)
-    except TypeError as exc:  # a pair without a length, or an unhashable id
-        raise PatentFlowError(f"malformed (citing, cited) pair: {exc}") from None
-    return list(index), flat.reshape(-1, 2)
 
 
 def _parse_year(text: str) -> int | None:
@@ -510,7 +491,7 @@ def assemble_dataset(
 ) -> PatentDataset:
     """Join parsed citations and metadata into a dataset.
 
-    ``citations`` is ``(ids, edges)`` as ``intern_pairs`` returns it, and
+    ``citations`` is ``(ids, edges)`` as ``parse_citations`` returns it, and
     ``records`` the columns ``parse_metadata`` returns or a mapping of ids to
     ``(class, year, assignee)`` in record order. Node indices follow first
     appearance: the records in order, then ids seen only in citations (these

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from patentflow import assemble_dataset, intern_pairs
+from patentflow import assemble_dataset
 # the ``parse_metadata`` columns of an id -> (class, year, assignee) mapping,
 # as ``assemble_dataset`` converts it
 from patentflow.ingest import _columns_of as columns_of
@@ -39,6 +39,8 @@ def make_dataset(edges, metas):
     Each meta tuple is (patent_id, class, year, assignee); year may be None.
     A repeated id keeps its last tuple at its first position.
     """
+    from ingest_oracle import intern_pairs  # a module that imports this one
+
     records = {pid: (cls, year, asg) for pid, cls, year, asg in metas}
     return assemble_dataset(intern_pairs(edges), records)
 

@@ -11,14 +11,20 @@ ingest functions as they were when the citation payload was a list of
 ``(citing, cited)`` id strings that ``assemble_dataset`` interned in a
 second dict. Their bodies are unchanged. The interning code must give the
 same pairs, records and reports, and the same datasets.
+
+``intern_pairs`` numbers ``(citing, cited)`` id pairs with a dict. It was
+the package's second way to build the ``(ids, edges)`` citation payload,
+beside ``parse_citations``'s key sort, and is kept unchanged as the oracle
+of that payload.
 """
 from __future__ import annotations
 
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from conftest import PatentMeta
+from patentflow.errors import PatentFlowError
 from patentflow.graph import build_graph
 from patentflow.ingest import (
     CitationParseReport,
@@ -28,8 +34,26 @@ from patentflow.ingest import (
     _parse_year,
     _undecodable,
     _year_column,
-    intern_pairs,
 )
+
+
+def _pair(pair: Sequence[str]) -> Sequence[str]:
+    if isinstance(pair, (str, bytes)) or len(pair) != 2:
+        raise PatentFlowError(f"{pair!r} is not a (citing, cited) pair of ids")
+    return pair
+
+
+def intern_pairs(pairs: Iterable[Sequence[str]]) -> tuple[list[str], np.ndarray]:
+    """The distinct ids of ``pairs`` in first-appearance order, and the pairs
+    as an (m, 2) int32 array of indices into that list. Raises PatentFlowError
+    for a pair that is a str or bytes or not two ids, or an unhashable id."""
+    index: dict[str, int] = {}
+    try:
+        flat = np.fromiter((index.setdefault(pid, len(index)) for pair in map(_pair, pairs)
+                            for pid in pair), np.int32)
+    except TypeError as exc:  # a pair without a length, or an unhashable id
+        raise PatentFlowError(f"malformed (citing, cited) pair: {exc}") from None
+    return list(index), flat.reshape(-1, 2)
 
 
 def _accepted_fields(

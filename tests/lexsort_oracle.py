@@ -3,10 +3,12 @@
 ``lexsort_build_graph`` and ``rebuild_induced_subgraph`` are the graph
 layer's ``build_graph`` and ``induced_subgraph`` as they were before the
 one-sort composite-key build and the sort-free mask restriction replaced
-them. Their bodies are unchanged apart from the function names and the
+them. Their bodies are unchanged apart from the function names, the
 int32 node indices that the graph now stores (the CSR ``indices`` and the
-remap); the current code must return bitwise-equal arrays, equal dtypes and
-equal build reports.
+remap) and their return value: as the graph now builds its in-CSR on first
+read, they return it beside the graph, as ``(graph, in_indptr,
+in_indices)``. The current code must return bitwise-equal arrays, equal
+dtypes and equal build reports.
 """
 import numpy as np
 
@@ -23,7 +25,7 @@ def _csr_from_pairs(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarra
     return indptr, indices
 
 
-def lexsort_build_graph(edges, node_count: int) -> CitationGraph:
+def lexsort_build_graph(edges, node_count: int) -> tuple[CitationGraph, np.ndarray, np.ndarray]:
     n = int(node_count)
     if n < 0:
         raise PatentFlowError(f"node_count must be non-negative, got {node_count}")
@@ -66,10 +68,12 @@ def lexsort_build_graph(edges, node_count: int) -> CitationGraph:
     )
     out_indptr, out_indices = _csr_from_pairs(src, dst, n)
     in_indptr, in_indices = _csr_from_pairs(dst, src, n)
-    return CitationGraph(n, out_indptr, out_indices, in_indptr, in_indices, report)
+    return CitationGraph(n, out_indptr, out_indices, report), in_indptr, in_indices
 
 
-def rebuild_induced_subgraph(graph: CitationGraph, keep) -> tuple[CitationGraph, np.ndarray]:
+def rebuild_induced_subgraph(
+    graph: CitationGraph, keep
+) -> tuple[tuple[CitationGraph, np.ndarray, np.ndarray], np.ndarray]:
     keep_arr = np.asarray(list(keep) if isinstance(keep, (set, frozenset)) else keep,
                           dtype=np.int64)
     if keep_arr.size and (keep_arr.min() < 0 or keep_arr.max() >= graph.node_count):

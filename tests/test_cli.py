@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from patentflow import PatentFlowError, load_spec
+from patentflow import graph as graph_module
 from patentflow.cli import _parse_damping_list, main
 
 SPEC = {
@@ -80,6 +81,27 @@ def test_sweep_default_five_values(data_dir, tmp_path):
     assert [run["damping"] for run in summary["runs"]] == [0.01, 0.15, 0.5, 0.85, 0.99]
     iters = [run["iterations"] for run in summary["runs"]]
     assert iters == sorted(iters)
+
+
+class _InCsrBuilt(Exception):
+    pass
+
+
+def test_rank_sweep_and_gen_never_build_the_in_csr(tmp_path, monkeypatch):
+    def refuse(graph):
+        raise _InCsrBuilt
+
+    monkeypatch.setattr(graph_module, "_transpose", refuse)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC), encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["gen", "--spec", str(spec_path), "--seed", "7", "--out", str(data)]) == 0
+    assert main(["rank", *_dataset_args(data), "--out", str(tmp_path / "rank")]) == 0
+    assert main(["sweep", *_dataset_args(data), "--damping-list", "0.15,0.85",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    # the patched builder is the one a citing-side query reads
+    with pytest.raises(_InCsrBuilt):
+        main(["flow", *_dataset_args(data), "--target-class", "347", "--out", str(tmp_path / "flow")])
 
 
 def test_flow_command_both_metrics(data_dir, tmp_path):

@@ -141,24 +141,25 @@ def test_graph_fields_cannot_be_reassigned_or_written():
                     (sub, "CitationGraph(nodes=3, edges=2, dangling=1)")):
         assert repr(g) == text
         names = [f.name for f in dataclasses.fields(g)]
-        assert names == ["node_count", "out_indptr", "out_indices", "in_indptr", "in_indices",
-                         "build_report", "out_degrees", "in_degrees", "dangling_nodes"]
-        for name in names:
+        assert names == ["node_count", "out_indptr", "out_indices", "build_report", "out_degrees",
+                         "dangling_nodes", "_derived"]
+        # the in-CSR and in-degrees are properties, built on first read
+        for name in [*names, "in_indptr", "in_indices", "in_degrees"]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(g, name, getattr(g, name))
             value = getattr(g, name)
             if isinstance(value, np.ndarray):
                 with pytest.raises(ValueError, match="read-only"):
                     value[:1] = 0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            del g.node_count
+        for name in ("node_count", "in_indptr"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(g, name)
         assert not hasattr(g, "__dict__")
         # positional construction derives the same arrays and casts the node
         # count to int; equality stays identity
-        again = CitationGraph(np.int64(g.node_count), g.out_indptr, g.out_indices, g.in_indptr,
-                              g.in_indices, g.build_report)
+        again = CitationGraph(np.int64(g.node_count), g.out_indptr, g.out_indices, g.build_report)
         assert again != g and repr(again) == text and type(again.node_count) is int
-        for name in ("out_degrees", "in_degrees", "dangling_nodes"):
+        for name in ("out_degrees", "in_degrees", "dangling_nodes", "in_indptr", "in_indices"):
             assert np.array_equal(getattr(again, name), getattr(g, name))
     # the dangling node 3 of the full graph is index 2 of the subgraph
     assert sub.dangling_nodes.tolist() == [2]
@@ -315,9 +316,13 @@ def test_node_indices_are_int32_and_edge_offsets_int64():
         assert g.out_indptr.dtype == g.in_indptr.dtype == np.int64
 
 
-# tracemalloc counts build_graph's own peak on this input at 19.4 bytes per
-# edge; with int64 CSR indices it was 26.8, and 42.8 from int32 input
-_BUILD_PEAK_BYTES_PER_EDGE = 22
+# tracemalloc counts build_graph's own peak on this input at 17.0 bytes per
+# input edge; it was 19.4 while the build also sorted the in-CSR, 26.8 with
+# int64 CSR indices, and 42.8 from int32 input. The graph it returns holds
+# 5.6 bytes per stored edge (the out-CSR and its degrees); with the in-CSR
+# built eagerly it held 11.2.
+_BUILD_PEAK_BYTES_PER_EDGE = 18
+_GRAPH_BYTES_PER_EDGE = 6
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32])
@@ -327,8 +332,9 @@ def test_build_graph_peak_memory_per_edge(dtype):
     tracemalloc.start()
     try:
         graph = build_graph(edges, n)
-        _, peak = tracemalloc.get_traced_memory()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert graph.edge_count > 0.99 * m
     assert peak < _BUILD_PEAK_BYTES_PER_EDGE * m
+    assert retained < _GRAPH_BYTES_PER_EDGE * graph.edge_count

@@ -1,12 +1,14 @@
 """The one-sort graph build and the mask restriction against the code they replaced.
 
 ``lexsort_oracle`` keeps the three-``lexsort`` ``build_graph`` and the
-rebuild-based ``induced_subgraph`` unchanged. Every CSR, degree and dangling
-array must match in values and dtype, and the build reports and remap must
-be equal, including on self-loops, duplicates, empty graphs and empty or
-full keep sets.
+rebuild-based ``induced_subgraph``, which return the in-CSR beside the graph.
+Every CSR, degree and dangling array must match in values and dtype, and the
+build reports and remap must be equal, including on self-loops, duplicates,
+empty graphs and empty or full keep sets. The graph's in-CSR and in-degrees,
+built on first read, are compared the same way.
 """
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,24 +17,22 @@ from hypothesis import strategies as st
 
 from lexsort_oracle import lexsort_build_graph, rebuild_induced_subgraph
 from patentflow import PatentFlowError, build_graph, induced_subgraph
+from patentflow import graph as graph_module
 from patentflow.graph import MAX_NODE_COUNT
 
-ARRAYS = (
-    "out_indptr",
-    "out_indices",
-    "in_indptr",
-    "in_indices",
-    "out_degrees",
-    "in_degrees",
-    "dangling_nodes",
-)
+ARRAYS = ("out_indptr", "out_indices", "out_degrees", "dangling_nodes")
 
 
 def _assert_same_graph(got, want):
-    assert got.node_count == want.node_count
-    assert got.build_report == want.build_report
-    for name in ARRAYS:
-        g, w = getattr(got, name), getattr(want, name)
+    """``want`` is an oracle's ``(graph, in_indptr, in_indices)``; its
+    in-degrees are ``np.diff(in_indptr)``, as the graph once derived them."""
+    graph, in_indptr, in_indices = want
+    assert got.node_count == graph.node_count
+    assert got.build_report == graph.build_report
+    wanted = {name: getattr(graph, name) for name in ARRAYS}
+    wanted.update(in_indptr=in_indptr, in_indices=in_indices, in_degrees=np.diff(in_indptr))
+    for name, w in wanted.items():
+        g = getattr(got, name)
         assert g.dtype == w.dtype, name
         assert np.array_equal(g, w), name
 
@@ -82,6 +82,38 @@ def test_induced_subgraph_matches_rebuild_oracle(case):
     assert remap.dtype == want_remap.dtype
     assert np.array_equal(remap, want_remap)
     _assert_same_graph(sub, want_sub)
+
+
+def _refuse_transpose(graph):
+    raise AssertionError("the in-CSR was sorted again")
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_keeps())
+def test_lazy_in_csr_matches_oracle_and_subgraphs_agree(case):
+    graph, keep = case
+    n, edges = graph.node_count, graph.edge_array()
+    _, in_indptr, in_indices = lexsort_build_graph(edges, n)
+    read_first, unread = build_graph(edges, n), build_graph(edges, n)
+    lazy = (read_first.in_indptr, read_first.in_indices, read_first.in_degrees)
+    for got, want in zip(lazy, (in_indptr, in_indices, np.diff(in_indptr))):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+    again = (read_first.in_indptr, read_first.in_indices, read_first.in_degrees)
+    assert all(a is b for a, b in zip(lazy, again))
+    # neither call sorts: the first restricts its parent's in-CSR, and the
+    # second leaves the subgraph's to its own first read
+    with mock.patch.object(graph_module, "_transpose", _refuse_transpose):
+        sub_first, remap_first = induced_subgraph(read_first, keep)
+        restricted = (sub_first.in_indptr, sub_first.in_indices)
+        sub_lazy, remap_lazy = induced_subgraph(unread, keep)
+    assert np.array_equal(remap_first, remap_lazy)
+    for name in ("out_indptr", "out_indices", "out_degrees", "dangling_nodes", "in_degrees"):
+        a, b = getattr(sub_first, name), getattr(sub_lazy, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for a, b in zip(restricted, (sub_lazy.in_indptr, sub_lazy.in_indices)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert not a.flags.writeable
 
 
 def test_large_random_graph_matches_lexsort_oracle():

@@ -27,11 +27,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ingest_oracle as oracle
+from ingest_oracle import intern_pairs
 from conftest import PatentMeta, assert_same_columns, columns_of, records_of
 from patentflow import (
     assemble_dataset,
     ingest,
-    intern_pairs,
     load_dataset,
     parse_citations,
     parse_metadata,

@@ -5,7 +5,8 @@ The oracles are the earlier ``np.unique``/``setdiff1d`` implementations of
 apart from returning node indices as int32, as the graph now stores them.
 The current code must return the same values with the same dtypes. The
 oracle subgraph is built with the three-``lexsort`` build from
-``lexsort_oracle``, so it does not depend on the current ``build_graph``.
+``lexsort_oracle``, so it does not depend on the current ``build_graph``;
+that build returns the in-CSR beside the graph, and so does the oracle here.
 """
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ def _unique_induced_subgraph(graph, keep):
     dst = graph.out_indices
     mask = (remap[src] >= 0) & (remap[dst] >= 0)
     new_edges = np.column_stack((remap[src[mask]], remap[dst[mask]]))
-    sub = lexsort_build_graph(new_edges, keep_arr.size)
-    return sub, remap
+    sub, in_indptr, in_indices = lexsort_build_graph(new_edges, keep_arr.size)
+    return sub, {"in_indptr": in_indptr, "in_indices": in_indices}, remap
 
 
 def _unique_exclusion_arrays(dataset, assignee):
@@ -70,12 +71,14 @@ def graphs_and_keeps(draw):
 def test_induced_subgraph_matches_unique_oracle(case):
     graph, keep = case
     sub, remap = induced_subgraph(graph, keep)
-    want_sub, want_remap = _unique_induced_subgraph(graph, keep)
+    want_sub, want_in, want_remap = _unique_induced_subgraph(graph, keep)
     _assert_same(remap, want_remap)
     assert sub.node_count == want_sub.node_count
     assert sub.build_report == want_sub.build_report
-    for name in ("out_indptr", "out_indices", "in_indptr", "in_indices", "dangling_nodes"):
+    for name in ("out_indptr", "out_indices", "dangling_nodes"):
         _assert_same(getattr(sub, name), getattr(want_sub, name))
+    for name, want in want_in.items():
+        _assert_same(getattr(sub, name), want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PatentMeta, meta_of, records_of
+from ingest_oracle import intern_pairs
 from meta_oracle import (
     apply_exclusion as oracle_apply_exclusion,
     assignee_exclusion_set as oracle_exclusion_set,
@@ -27,7 +28,6 @@ from patentflow import (
     assemble_dataset,
     assignee_exclusion_set,
     class_inflow_series,
-    intern_pairs,
     patent_inflow_breakdown,
 )
 

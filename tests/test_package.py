@@ -13,7 +13,7 @@ PUBLIC_NAMES = {
     "SyntheticSpec", "apply_exclusion", "assemble_dataset",
     "assignee_exclusion_set", "build_graph", "class_inflow_series", "class_ratio",
     "convergence_delta", "crossover_year", "generate_synthetic_dataset", "induced_subgraph",
-    "intern_pairs", "load_dataset", "load_spec", "pagerank", "parse_citations",
+    "load_dataset", "load_spec", "pagerank", "parse_citations",
     "parse_metadata", "patent_inflow_breakdown", "render_rank_table", "top_table",
     "write_citations", "write_flow_csv", "write_metadata", "write_rank_csv",
     "write_scores_tsv",

@@ -286,8 +286,7 @@ def test_int32_indices_match_int64_indices_bitwise(mode):
     n = 5 * block // 2
     g = random_graph(n, 8 * n, seed=43)
     assert g.out_indices.dtype == np.int32 and g.dangling_nodes.size
-    wide = CitationGraph(n, g.out_indptr, g.out_indices.astype(np.int64), g.in_indptr,
-                         g.in_indices.astype(np.int64), g.build_report)
+    wide = CitationGraph(n, g.out_indptr, g.out_indices.astype(np.int64), g.build_report)
     for d in (0.15, 0.5, 0.85):
         params = PageRankParams(damping=d, epsilon=1e-12, dangling_mode=mode)
         r, w = pagerank(g, params), pagerank(wide, params)

@@ -19,11 +19,11 @@ from patentflow import (
     class_ratio,
     crossover_year,
     generate_synthetic_dataset,
-    intern_pairs,
     pagerank,
     patent_inflow_breakdown,
 )
 from conftest import make_dataset, meta_of, random_dataset
+from ingest_oracle import intern_pairs
 
 PARAMS = PageRankParams(damping=0.5, epsilon=1e-10)
 
