@@ -36,8 +36,7 @@ import codecs
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,8 +46,6 @@ from .graph import CitationGraph, _freeze_arrays, build_graph
 
 YEAR_MIN = 1790
 YEAR_MAX = 2100
-# the int16 year column holds 0 for unknown, so a known year must be positive
-_YEAR_COLUMN_MAX = int(np.iinfo(np.int16).max)
 # lines are classified in blocks of about this many bytes of whole lines, so
 # that the per-byte and per-line temporaries, and the heap they leave behind
 # when freed, stay small
@@ -452,58 +449,28 @@ def parse_metadata(data: bytes) -> tuple[MetadataColumns, MetadataParseReport]:
     return records, report
 
 
-def _year_column(years: list[int | None]) -> np.ndarray:
-    """Grant years as int16 with 0 for unknown; a known year must be an
-    integer, numpy's included but not a bool, in [1, 32767]."""
-    for kind in set(map(type, years)) - {type(None)}:
-        if issubclass(kind, bool) or not issubclass(kind, (int, np.integer)):
-            raise PatentFlowError(f"grant year of type {kind.__name__} is not an integer")
-    bad = [y for y in years if y is not None and not 1 <= y <= _YEAR_COLUMN_MAX]
-    if bad:
-        raise PatentFlowError(f"grant year {int(bad[0])} is outside [1, {_YEAR_COLUMN_MAX}]")
-    return np.array([0 if y is None else y for y in years], dtype=np.int16)
-
-
 def _require_strings(values: Iterable) -> None:
     for kind in set(map(type, values)):
         if not issubclass(kind, str):
-            raise PatentFlowError(f"an id, class or assignee of type {kind.__name__} is not a string")
-
-
-def _columns_of(records: Mapping[str, tuple[str, int | None, str]]) -> MetadataColumns:
-    """The columns of an id -> ``(class, year, assignee)`` mapping."""
-    try:
-        classes, years, assignees = list(zip(*[(c, y, a) for c, y, a in records.values()])) or [()] * 3
-    except (TypeError, ValueError) as exc:  # not a triple
-        raise PatentFlowError(f"malformed metadata record: {exc}") from None
-    _require_strings(chain(records, classes, assignees))
-    year, names = _year_column(years), {}
-    class_code, class_table = _label_column(_pack(*_token_bytes(classes, names)), names)
-    assignee_code, assignee_table = _label_column(_pack(*_token_bytes(assignees, names)), names)
-    return MetadataColumns(tuple(records), class_code, year, assignee_code, class_table, assignee_table)
+            raise PatentFlowError(f"a citation id of type {kind.__name__} is not a string")
 
 
 def assemble_dataset(
     citations: tuple[Sequence[str], np.ndarray],
-    records: MetadataColumns | Mapping[str, tuple[str, int | None, str]],
+    records: MetadataColumns,
     citations_report: CitationParseReport | None = None,
     metadata_report: MetadataParseReport | None = None,
 ) -> PatentDataset:
     """Join parsed citations and metadata into a dataset.
 
     ``citations`` is ``(ids, edges)`` as ``parse_citations`` returns it, and
-    ``records`` the columns ``parse_metadata`` returns or a mapping of ids to
-    ``(class, year, assignee)`` in record order. Node indices follow first
-    appearance: the records in order, then ids seen only in citations (these
-    get placeholder metadata and are counted). Raises MalformedEdgeError for
-    an edge index outside ``ids``, and PatentFlowError for edges not integer
-    or not shaped (m, 2), an id, class or assignee that is not a str, a record
-    that is not a ``(class, year, assignee)`` triple, or a known grant year
-    not an integer or outside [1, 32767].
+    ``records`` the columns ``parse_metadata`` returns. Node indices follow
+    first appearance: the records in order, then ids seen only in citations
+    (these get placeholder metadata and are counted). Raises MalformedEdgeError
+    for an edge index outside ``ids``, and PatentFlowError for edges not
+    integer or not shaped (m, 2), or a citation id that is not a str.
     """
     cited_ids, edges = citations
-    if not isinstance(records, MetadataColumns):
-        records = _columns_of(records)
     _require_strings(cited_ids)
     # the record ids come first and are distinct, so a citation id's number
     # is its record's index, or else the next placeholder's

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import PatentFlowError
 from .graph import MAX_NODE_COUNT
-from .ingest import YEAR_MAX, YEAR_MIN, PatentDataset, _undecodable, assemble_dataset
+from .ingest import (YEAR_MAX, YEAR_MIN, MetadataColumns, PatentDataset, _label_column, _pack,
+                     _token_bytes, _undecodable, assemble_dataset)
 from .pagerank import _is_integer, _is_real
 
 # the largest mean numpy's Poisson sampler accepts
@@ -225,7 +226,7 @@ def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> PatentDataset:
     start, end = spec.year_range
     n_years = end - start + 1
     bounds = np.linspace(0, n, n_years + 1).astype(np.int64)
-    years = np.repeat(np.arange(start, end + 1), np.diff(bounds)).tolist()
+    years = np.repeat(np.arange(start, end + 1, dtype=np.int16), np.diff(bounds))
 
     class_labels = [c for c, _ in spec.classes]
     class_probs = [p for _, p in spec.classes]
@@ -338,4 +339,8 @@ def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> PatentDataset:
 
     width = len(str(n - 1)) if n > 1 else 1
     ids = [f"{7000000 + i:0{width}d}" for i in range(n)]
-    return assemble_dataset((ids, edges), dict(zip(ids, zip(classes, years, assignees))))
+    names: dict[str, int] = {}
+    class_code, class_table = _label_column(_pack(*_token_bytes(classes, names)), names)
+    assignee_code, assignee_table = _label_column(_pack(*_token_bytes(assignees, names)), names)
+    records = MetadataColumns(tuple(ids), class_code, years, assignee_code, class_table, assignee_table)
+    return assemble_dataset((ids, edges), records)

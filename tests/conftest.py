@@ -6,9 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from patentflow import assemble_dataset
-# the ``parse_metadata`` columns of an id -> (class, year, assignee) mapping,
-# as ``assemble_dataset`` converts it
-from patentflow.ingest import _columns_of as columns_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,6 +30,14 @@ def meta_of(ds, i: int) -> PatentMeta:
     )
 
 
+def columns_of(records):
+    """The ``parse_metadata`` columns of an id -> (class, year, assignee)
+    mapping, by the oracle converter ``ingest_oracle._columns_of``."""
+    from ingest_oracle import _columns_of  # a module that imports this one
+
+    return _columns_of(records)
+
+
 def make_dataset(edges, metas):
     """Dataset from (citing_id, cited_id) string pairs and meta tuples.
 
@@ -42,12 +47,12 @@ def make_dataset(edges, metas):
     from ingest_oracle import intern_pairs  # a module that imports this one
 
     records = {pid: (cls, year, asg) for pid, cls, year, asg in metas}
-    return assemble_dataset(intern_pairs(edges), records)
+    return assemble_dataset(intern_pairs(edges), columns_of(records))
 
 
 def records_of(metas):
-    """The ``assemble_dataset`` mapping of a ``PatentMeta`` list, the input
-    shape of the oracles in ``ingest_oracle`` and ``meta_oracle``."""
+    """The id -> (class, year, assignee) mapping of a ``PatentMeta`` list,
+    which ``columns_of`` turns into ``assemble_dataset``'s metadata input."""
     return {m.patent_id: (m.primary_class, m.grant_year, m.assignee) for m in metas}
 
 
@@ -60,6 +65,24 @@ def assert_same_columns(got, want):
         assert np.array_equal(g, w), name
     assert got.classes == want.classes
     assert got.assignees == want.assignees
+
+
+def assert_same_dataset(got, want):
+    """Datasets equal field by field: ids, columns and tables with dtypes,
+    record count, every CSR array and the build report."""
+    assert got.index_to_id == want.index_to_id
+    for name in ("class_code", "year", "assignee_code"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+    assert got.classes == want.classes
+    assert got.assignees == want.assignees
+    assert got.record_count == want.record_count
+    for name in ("out_indptr", "out_indices", "in_indptr", "in_indices"):
+        g, w = getattr(got.graph, name), getattr(want.graph, name)
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+    assert got.build_report == want.build_report
 
 
 def random_dataset(

@@ -16,10 +16,17 @@ same pairs, records and reports, and the same datasets.
 the package's second way to build the ``(ids, edges)`` citation payload,
 beside ``parse_citations``'s key sort, and is kept unchanged as the oracle
 of that payload.
+
+``_columns_of``, ``_year_column`` and ``_require_strings`` convert an id ->
+``(class, year, assignee)`` mapping into the ``MetadataColumns`` that
+``parse_metadata`` returns, and check its values. They were
+``assemble_dataset``'s second form of metadata input, and are kept
+unchanged as the oracle of that payload.
 """
 from __future__ import annotations
 
-from typing import IO, Iterable, Iterator, Sequence
+from itertools import chain
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,12 +36,18 @@ from patentflow.graph import build_graph
 from patentflow.ingest import (
     CitationParseReport,
     DatasetBuildReport,
+    MetadataColumns,
     MetadataParseReport,
     PatentDataset,
+    _label_column,
+    _pack,
     _parse_year,
+    _token_bytes,
     _undecodable,
-    _year_column,
 )
+
+# the int16 year column holds 0 for unknown, so a known year must be positive
+_YEAR_COLUMN_MAX = int(np.iinfo(np.int16).max)
 
 
 def _pair(pair: Sequence[str]) -> Sequence[str]:
@@ -54,6 +67,37 @@ def intern_pairs(pairs: Iterable[Sequence[str]]) -> tuple[list[str], np.ndarray]
     except TypeError as exc:  # a pair without a length, or an unhashable id
         raise PatentFlowError(f"malformed (citing, cited) pair: {exc}") from None
     return list(index), flat.reshape(-1, 2)
+
+
+def _year_column(years: list[int | None]) -> np.ndarray:
+    """Grant years as int16 with 0 for unknown; a known year must be an
+    integer, numpy's included but not a bool, in [1, 32767]."""
+    for kind in set(map(type, years)) - {type(None)}:
+        if issubclass(kind, bool) or not issubclass(kind, (int, np.integer)):
+            raise PatentFlowError(f"grant year of type {kind.__name__} is not an integer")
+    bad = [y for y in years if y is not None and not 1 <= y <= _YEAR_COLUMN_MAX]
+    if bad:
+        raise PatentFlowError(f"grant year {int(bad[0])} is outside [1, {_YEAR_COLUMN_MAX}]")
+    return np.array([0 if y is None else y for y in years], dtype=np.int16)
+
+
+def _require_strings(values: Iterable) -> None:
+    for kind in set(map(type, values)):
+        if not issubclass(kind, str):
+            raise PatentFlowError(f"an id, class or assignee of type {kind.__name__} is not a string")
+
+
+def _columns_of(records: Mapping[str, tuple[str, int | None, str]]) -> MetadataColumns:
+    """The columns of an id -> ``(class, year, assignee)`` mapping."""
+    try:
+        classes, years, assignees = list(zip(*[(c, y, a) for c, y, a in records.values()])) or [()] * 3
+    except (TypeError, ValueError) as exc:  # not a triple
+        raise PatentFlowError(f"malformed metadata record: {exc}") from None
+    _require_strings(chain(records, classes, assignees))
+    year, names = _year_column(years), {}
+    class_code, class_table = _label_column(_pack(*_token_bytes(classes, names)), names)
+    assignee_code, assignee_table = _label_column(_pack(*_token_bytes(assignees, names)), names)
+    return MetadataColumns(tuple(records), class_code, year, assignee_code, class_table, assignee_table)
 
 
 def _accepted_fields(

@@ -11,9 +11,10 @@ handling the fast path must get exactly right. The interning parser's
 payload, mapped back to id strings, must equal the string-pair oracle's
 pairs; the metadata mapping must hold the oracle's records as
 ``id -> (class, year, assignee)`` in the same order; and
-``assemble_dataset(intern_pairs(pairs), records_of(metas))`` must build the
-dataset the oracle builds from ``pairs`` and ``metas``: ids, columns and
-tables with dtypes, record count, every CSR array and the build report.
+``assemble_dataset(intern_pairs(pairs), columns_of(records_of(metas)))``
+must build the dataset the oracle builds from ``pairs`` and ``metas``: ids,
+columns and tables with dtypes, record count, every CSR array and the build
+report.
 Inputs include duplicate metadata ids, ids seen only in citations,
 self-loops, repeated pairs and empty inputs.
 """
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 
 import ingest_oracle as oracle
 from ingest_oracle import intern_pairs
-from conftest import PatentMeta, assert_same_columns, columns_of, records_of
+from conftest import PatentMeta, assert_same_columns, assert_same_dataset, columns_of, records_of
 from patentflow import (
     assemble_dataset,
     ingest,
@@ -37,26 +38,8 @@ from patentflow import (
     parse_metadata,
 )
 
-COLUMNS = ("class_code", "year", "assignee_code")
-CSR = ("out_indptr", "out_indices", "in_indptr", "in_indices")
 # "p1 " and " p1" strip to "p1"; "é" is a non-ASCII id
 ID_POOL = ["p0", "p1", "p2", "p3", "p4", "p5", "p1 ", " p1", "é"]
-
-
-def _assert_same_dataset(got, want):
-    assert got.index_to_id == want.index_to_id
-    for name in COLUMNS:
-        g, w = getattr(got, name), getattr(want, name)
-        assert g.dtype == w.dtype, name
-        assert np.array_equal(g, w), name
-    assert got.classes == want.classes
-    assert got.assignees == want.assignees
-    assert got.record_count == want.record_count
-    for name in CSR:
-        g, w = getattr(got.graph, name), getattr(want.graph, name)
-        assert g.dtype == w.dtype, name
-        assert np.array_equal(g, w), name
-    assert got.build_report == want.build_report
 
 
 def _pairs(payload):
@@ -92,15 +75,16 @@ def pairs_and_metas(draw):
 @given(pairs_and_metas())
 def test_assemble_matches_string_pair_oracle(case):
     pairs, metas = case
-    got = assemble_dataset(intern_pairs(pairs), records_of(metas))
-    _assert_same_dataset(got, oracle.assemble_dataset(pairs, metas))
+    got = assemble_dataset(intern_pairs(pairs), columns_of(records_of(metas)))
+    assert_same_dataset(got, oracle.assemble_dataset(pairs, metas))
 
 
 def test_assemble_empty_inputs_match_oracle():
-    _assert_same_dataset(assemble_dataset(intern_pairs([]), {}), oracle.assemble_dataset([], []))
+    assert_same_dataset(assemble_dataset(intern_pairs([]), columns_of({})), oracle.assemble_dataset([], []))
     metas = [PatentMeta("a", "100", 2000, "acme"), PatentMeta("a", "200", 2001, "")]
-    _assert_same_dataset(
-        assemble_dataset(intern_pairs([]), records_of(metas)), oracle.assemble_dataset([], metas)
+    assert_same_dataset(
+        assemble_dataset(intern_pairs([]), columns_of(records_of(metas))),
+        oracle.assemble_dataset([], metas),
     )
 
 
@@ -136,7 +120,7 @@ def test_parsed_text_matches_string_pair_oracle(citation_lines, metadata_lines, 
     want_metas, want_meta_report = oracle.parse_metadata(io.StringIO(patents))
     assert_same_columns(records, columns_of(records_of(want_metas)))
     assert meta_report == want_meta_report
-    _assert_same_dataset(
+    assert_same_dataset(
         assemble_dataset(payload, records, cit_report, meta_report),
         oracle.assemble_dataset(want_pairs, want_metas, want_cit_report, want_meta_report),
     )
@@ -253,7 +237,7 @@ def test_byte_parsers_match_text_mode_parsers(citation_data, patent_data, block_
     assert meta_report == want_meta_report
     pairs = [(want_ids[a], want_ids[b]) for a, b in want_edges.tolist()]
     metas = [PatentMeta(pid, *record) for pid, record in want_records.items()]
-    _assert_same_dataset(
+    assert_same_dataset(
         assemble_dataset((ids, edges), records, cit_report, meta_report),
         oracle.assemble_dataset(pairs, metas, want_cit_report, want_meta_report),
     )
@@ -266,7 +250,8 @@ def test_mapping_and_parsed_columns_assemble_the_same_dataset(citation_data, pat
     records, _ = parse_metadata(patent_data)
     mapping, _ = oracle.parse_metadata_text(_text(patent_data))
     assert type(mapping) is dict
-    _assert_same_dataset(assemble_dataset(citations, records), assemble_dataset(citations, mapping))
+    assert_same_dataset(assemble_dataset(citations, records),
+                         assemble_dataset(citations, columns_of(mapping)))
 
 
 @pytest.mark.parametrize("year", _YEARS)
@@ -301,7 +286,7 @@ def test_load_dataset_skips_utf8_byte_order_mark(tmp_path):
         (tmp_path / f"bom_{name}").write_bytes(codecs.BOM_UTF8 + data)
     plain = load_dataset(tmp_path / "c.tsv", tmp_path / "p.tsv")
     assert plain.build_report.placeholder_nodes == 2
-    _assert_same_dataset(load_dataset(tmp_path / "bom_c.tsv", tmp_path / "bom_p.tsv"), plain)
+    assert_same_dataset(load_dataset(tmp_path / "bom_c.tsv", tmp_path / "bom_p.tsv"), plain)
     # the parsers skip it, so load_dataset is the three library calls
     (ids, edges), cit_report = parse_citations(codecs.BOM_UTF8 + citations)
     (want_ids, want_edges), want_cit_report = parse_citations(citations)
@@ -312,4 +297,4 @@ def test_load_dataset_skips_utf8_byte_order_mark(tmp_path):
     want_records, want_meta_report = parse_metadata(patents)
     assert_same_columns(records, want_records)
     assert meta_report == want_meta_report
-    _assert_same_dataset(assemble_dataset((ids, edges), records, cit_report, meta_report), plain)
+    assert_same_dataset(assemble_dataset((ids, edges), records, cit_report, meta_report), plain)

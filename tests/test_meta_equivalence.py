@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PatentMeta, meta_of, records_of
+from conftest import PatentMeta, columns_of, meta_of, records_of
 from ingest_oracle import intern_pairs
 from meta_oracle import (
     apply_exclusion as oracle_apply_exclusion,
@@ -70,7 +70,7 @@ def cases(draw):
     ))
     edges = draw(st.lists(st.tuples(pid, pid), max_size=90))
     metas = [PatentMeta(*r) for r in records]
-    new = assemble_dataset(intern_pairs(edges), records_of(metas))
+    new = assemble_dataset(intern_pairs(edges), columns_of(records_of(metas)))
     old = meta_tuple_assemble_dataset(edges, metas)
     # magnitudes far apart make a float sum depend on its order
     score = st.sampled_from([1.0, 0.1, 0.3, 1e-16, 3e-17]) | st.floats(0.0, 1.0)
@@ -93,7 +93,7 @@ def _random_case(seed: int, n: int = 400, m: int = 3000):
         for k in range(int(n * 0.9))
     ]
     edges = [(ids[u], ids[v]) for u, v in rng.integers(0, n, size=(m, 2)).tolist()]
-    new = assemble_dataset(intern_pairs(edges), records_of(records))
+    new = assemble_dataset(intern_pairs(edges), columns_of(records_of(records)))
     old = meta_tuple_assemble_dataset(edges, records)
     magnitudes = rng.choice([1.0, 0.1, 0.3, 1e-16, 3e-17], size=new.node_count)
     scores = magnitudes * rng.random(new.node_count)

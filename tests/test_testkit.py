@@ -12,10 +12,11 @@ from patentflow import (
     PatentFlowError,
     PlantedCrossover,
     SyntheticSpec,
+    assemble_dataset,
     build_graph,
     generate_synthetic_dataset,
 )
-from conftest import meta_of
+from conftest import assert_same_dataset, columns_of, meta_of, records_of
 from dense_oracle import dense_pagerank, random_citation_edges, random_graph
 
 
@@ -274,6 +275,33 @@ def test_generator_classes_hold_the_unknown_label():
     labels = {c for c, _ in spec.classes}
     assert {ds.classes[c] for c in ds.class_code} <= labels
     assert set(ds.classes) == {ds.classes[c] for c in ds.class_code} | {""}
+
+
+def _label_spec(n, classes, assignees, **kw):
+    return SyntheticSpec(node_count=n, classes=classes, year_range=(2000, 2004),
+                         assignees=assignees, **kw)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        _label_spec(300, (("", 0.3), ("société", 0.3), ("L" * 40, 0.4)),
+                    (("ß" * 20, 0.5), ("", 0.5))),
+        _label_spec(300, (("400", 0.5), ("358", 0.5)), (("big", 0.6), ("small", 0.4)),
+                    planted_crossover=PlantedCrossover("347", "400", "358", 2003),
+                    dominant_assignee="big"),
+        _label_spec(0, (("a", 1.0),), (("x", 1.0),)),
+        _label_spec(1, (("é", 1.0),), (("", 1.0),)),
+    ],
+    ids=["empty-non-ascii-and-long-labels", "target-not-in-classes-and-dominant", "no-nodes",
+         "one-node"],
+)
+def test_generator_numbers_labels_as_assemble_dataset_of_its_records(spec):
+    # labels by first appearance, "" appended when absent, one names dict
+    # for the labels longer than 32 bytes, and int16 years
+    ds = generate_synthetic_dataset(spec, seed=7)
+    records = columns_of(records_of(_metas(ds)))
+    assert_same_dataset(ds, assemble_dataset((list(ds.index_to_id), ds.graph.edge_array()), records))
 
 
 def test_random_citation_edges_point_backward():
