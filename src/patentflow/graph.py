@@ -9,7 +9,8 @@ are limited to MAX_NODE_COUNT (2,147,483,647).
 """
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -30,13 +31,14 @@ class GraphBuildReport:
     duplicate_edges_dropped: int
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class CitationGraph:
     """Directed graph frozen after construction.
 
-    No field can be reassigned and every array is read-only, so a graph can
-    be shared across threads without locking: racing first reads of the lazy
-    in-CSR or ``in_degrees`` may build twice but publish identical arrays.
+    No attribute can be assigned or deleted and every array is read-only, so
+    a graph can be shared across threads without locking: racing first reads
+    of the lazy in-CSR or ``in_degrees`` publish identical arrays (Python
+    3.11 builds each under a lock; 3.12 and later may build twice).
     Neighbor lists are sorted ascending, which fixes the floating-point
     accumulation order of folds over them. Equality and hashing are by identity.
     """
@@ -47,7 +49,6 @@ class CitationGraph:
     build_report: GraphBuildReport
     out_degrees: np.ndarray = field(init=False)
     dangling_nodes: np.ndarray = field(init=False)
-    _derived: dict = field(init=False, default_factory=dict)  # arrays built on first read
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "node_count", int(self.node_count))
@@ -55,23 +56,21 @@ class CitationGraph:
         object.__setattr__(self, "dangling_nodes", np.flatnonzero(self.out_degrees == 0))
         _freeze_arrays(*(getattr(self, f.name) for f in fields(self)))
 
-    def _cached(self, key: str, build) -> tuple[np.ndarray, ...]:
-        if key not in self._derived:
-            self._derived[key] = _freeze_arrays(*build())
-        return self._derived[key]
+    @cached_property
+    def _in_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        return _freeze_arrays(*_transpose(self))
 
     @property
     def in_indptr(self) -> np.ndarray:
-        return self._cached("in", lambda: _transpose(self))[0]
+        return self._in_csr[0]
 
     @property
     def in_indices(self) -> np.ndarray:
-        return self._cached("in", lambda: _transpose(self))[1]
+        return self._in_csr[1]
 
-    @property
+    @cached_property
     def in_degrees(self) -> np.ndarray:
-        return self._cached("in_degrees",
-                            lambda: (np.bincount(self.out_indices, minlength=self.node_count),))[0]
+        return _freeze_arrays(np.bincount(self.out_indices, minlength=self.node_count))[0]
 
     @property
     def edge_count(self) -> int:
@@ -111,15 +110,6 @@ class CitationGraph:
             f"CitationGraph(nodes={self.node_count}, edges={self.edge_count}, "
             f"dangling={self.dangling_nodes.size})"
         )
-
-
-# the slotted dataclass's own check raises TypeError, not FrozenInstanceError,
-# for a name that is not a field (Python 3.11), such as a lazy property
-def _refuse(self, name: str, *value) -> None:
-    raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
-
-
-CitationGraph.__setattr__ = CitationGraph.__delattr__ = _refuse
 
 
 def _freeze_arrays(*values) -> tuple:
@@ -266,6 +256,7 @@ def induced_subgraph(graph: CitationGraph, keep) -> tuple[CitationGraph, np.ndar
     out_indptr, out_indices = _restrict(graph.out_indptr, graph.out_indices, keep_mask, remap, ends)
     m = int(out_indices.size)
     sub = CitationGraph(kept.size, out_indptr, out_indices, GraphBuildReport(m, m, 0, 0))
-    if "in" in graph._derived:  # restricting the parent's in-CSR is cheaper than a sort
-        sub._cached("in", lambda: _restrict(graph.in_indptr, graph.in_indices, keep_mask, remap, ends))
+    if "_in_csr" in vars(graph):  # restricting the parent's in-CSR is cheaper than a sort
+        in_csr = _restrict(graph.in_indptr, graph.in_indices, keep_mask, remap, ends)
+        vars(sub)["_in_csr"] = _freeze_arrays(*in_csr)
     return sub, remap

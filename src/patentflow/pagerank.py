@@ -70,7 +70,7 @@ class PageRankParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PageRankResult:
     scores: np.ndarray
     iterations: int
@@ -109,6 +109,7 @@ def pagerank(graph: CitationGraph, params: PageRankParams) -> PageRankResult:
     # uniform-others degenerates to uniform-all on a single-node graph:
     # there is no "other" node to receive the mass.
     exclude_self = params.dangling_mode == DANGLING_UNIFORM_OTHERS and n > 1
+    spread = n - 1.0 if exclude_self else n  # nodes that share the dangling mass
     step, indptr = _PUSH_BLOCK_NODES, graph.out_indptr
     blocks = [(slice(lo, lo + step), graph.out_indices[indptr[lo]:indptr[min(lo + step, n)]])
               for lo in range(0, n, step)]
@@ -123,11 +124,9 @@ def pagerank(graph: CitationGraph, params: PageRankParams) -> PageRankResult:
         inflow = np.zeros(n)
         for nodes, targets in blocks:
             np.add.at(inflow, targets, np.repeat(share[nodes], graph.out_degrees[nodes]))
+        nxt = base + d * (inflow + dangling_mass / spread)
         if exclude_self:
-            nxt = base + d * (inflow + dangling_mass / (n - 1.0))
-            nxt[dangling] -= d * (cur[dangling] / (n - 1.0))
-        else:
-            nxt = base + d * (inflow + dangling_mass / n)
+            nxt[dangling] -= d * (cur[dangling] / spread)
         delta = convergence_delta(cur, nxt)
         cur = nxt
         if delta < params.epsilon:

@@ -13,13 +13,14 @@ import csv
 import dataclasses
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
 from .atomic import atomic_write
 from .errors import PatentFlowError
-from .graph import induced_subgraph
+from .graph import _freeze_arrays, induced_subgraph
 from .ingest import DatasetBuildReport, PatentDataset
 from .pagerank import PageRankResult, _is_integer
 
@@ -182,12 +183,13 @@ def crossover_year(series: ClassFlowSeries, class_a: str, class_b: str) -> int |
     return last_held + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExclusionSet:
     """Nodes removed for an assignee: theirs, their citers, their cited.
 
     The three int32 node index arrays are disjoint; a node that both cites
-    and is cited by the assignee's patents is tagged cites-owned.
+    and is cited by the assignee's patents is tagged cites-owned. They are
+    read-only, and so is their sorted union ``excluded``, built on first read.
     """
 
     assignee: str
@@ -195,9 +197,13 @@ class ExclusionSet:
     cites_owned: np.ndarray
     cited_by_owned: np.ndarray
 
-    @property
+    def __post_init__(self) -> None:
+        _freeze_arrays(self.owned, self.cites_owned, self.cited_by_owned)
+
+    @cached_property
     def excluded(self) -> np.ndarray:
-        return np.sort(np.concatenate((self.owned, self.cites_owned, self.cited_by_owned)))
+        union = np.concatenate((self.owned, self.cites_owned, self.cited_by_owned))
+        return _freeze_arrays(np.sort(union))[0]
 
     def report(self) -> dict:
         return {

@@ -1,6 +1,11 @@
 import ast
+import dataclasses
+import importlib
 import inspect
+import typing
 from pathlib import Path
+
+import numpy as np
 
 import patentflow
 
@@ -78,3 +83,42 @@ def test_no_unused_private_definitions():
                     if not any(name in r for j, r in enumerate(reads) if j != i))
     assert len(defined) > 50
     assert not unused, f"private names defined but never read: {unused}"
+
+
+def _package_modules():
+    for path in sorted(Path(patentflow.__file__).parent.glob("*.py")):
+        if path.stem != "__main__":
+            yield path, importlib.import_module(f"patentflow.{path.stem}")
+
+
+def test_dataclasses_holding_arrays_compare_by_identity():
+    """Field-wise ``==`` on an array field asks numpy for the truth value of
+    an array, so such a dataclass must keep ``object``'s ``==`` and hash."""
+    holders = set()
+    for _, module in _package_modules():
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                hints = typing.get_type_hints(cls)
+                if any(hints[f.name] is np.ndarray for f in dataclasses.fields(cls)):
+                    holders.add(cls.__name__)
+                    assert cls.__eq__ is object.__eq__, cls.__name__
+                    assert cls.__hash__ is object.__hash__, cls.__name__
+    assert {"CitationGraph", "ExclusionSet", "MetadataColumns", "PageRankResult",
+            "PatentDataset"} <= holders
+
+
+def test_no_class_gets_setattr_or_delattr_patched_in():
+    """``__setattr__`` and ``__delattr__`` are defined in a class body, if
+    anywhere, never assigned onto a class afterwards."""
+    hooks = {"__setattr__", "__delattr__"}
+    for path, _ in _package_modules():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+            patched = {t.attr for t in targets if isinstance(t, ast.Attribute)} & hooks
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "setattr" and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)):
+                patched |= {node.args[1].value} & hooks
+            assert not patched, f"{path.name} line {node.lineno} assigns {sorted(patched)} to a class"

@@ -388,6 +388,28 @@ def test_exclusion_chain():
     assert ds.index_of("z") not in exc.excluded.tolist()
 
 
+def test_exclusion_arrays_are_read_only_and_the_union_is_built_once():
+    ds = _three_citer_dataset()
+    exc = assignee_exclusion_set(ds, "canon")
+    excluded = exc.excluded
+    assert exc.excluded is excluded and excluded.tolist() == sorted(excluded.tolist())
+    for name in ("owned", "cites_owned", "cited_by_owned", "excluded"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(exc, name)[:1] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        exc.excluded = excluded
+
+
+def test_results_and_exclusions_compare_by_identity():
+    # field-wise == would ask numpy for the truth value of an array
+    ds = _three_citer_dataset()
+    result = pagerank(ds.graph, PARAMS)
+    exc = assignee_exclusion_set(ds, "canon")
+    for value, twin in ((result, dataclasses.replace(result)), (exc, dataclasses.replace(exc))):
+        assert value == value and value != twin
+        assert hash(value) == hash(value) != hash(twin)
+
+
 def test_exclusion_matching_is_trimmed_and_casefolded():
     ds = make_dataset(
         [("a", "b")],
