@@ -29,12 +29,21 @@ labels of the kept records and, in ``assemble_dataset``, the record ids and
 the citation ids together, which joins the files. Only a token longer than
 32 bytes or holding a NUL byte is numbered by a dict. The result is that
 of reading each line as text.
+
+The sort is one ``np.sort`` of a uint64 word per key when the bits that vary
+between the keys, with the bits of a key's position below them, fit in 64:
+an ASCII-digit id varies in 4 bits per byte, so a 7- or 8-digit id needs 28
+or 32 of them. Other keys are ordered by an ``argsort`` or ``lexsort``. A
+citing id equal to the previous accepted line's cannot be a first
+appearance, so ``parse_citations`` numbers only the first of each run of
+them and repeats its number along the run.
 """
 from __future__ import annotations
 
 import codecs
 import dataclasses
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -55,6 +64,9 @@ _BLOCK_BYTES = 1 << 19
 _TOKEN_BYTES_MAX = 32
 # _LOW_BYTES[k] keeps the k low-order bytes of a uint64
 _LOW_BYTES = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
+# keys are packed into sort words, or moved, this many rows at a time, so that
+# the temporaries stay small
+_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -345,30 +357,81 @@ def _packed_fields(
 
 
 def _number(keys: np.ndarray, last: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Number the distinct rows of ``keys`` by first appearance, sorting
-    ``keys`` in place. Return each row's number (int32), each number's first
-    row (or its last, with ``last``), and the distinct rows in number order."""
-    rows = len(keys)
-    if keys.shape[1] == 1:
-        order = np.argsort(keys[:, 0])
-        keys.sort(axis=0)
+    """Number the distinct rows of ``keys`` by first appearance. Return each
+    row's number (int32), each number's first row (or its last, with
+    ``last``), and the distinct rows in number order. ``keys`` is left in an
+    unspecified state.
+
+    When the bits that vary between rows, with the bits of a row position
+    below them, fit in 64, each row becomes one uint64 word of them, written
+    over ``keys``: one ``np.sort`` then groups equal rows in position order,
+    so the first row of each run is its first appearance, and the distinct
+    rows are rebuilt from their words and the bits that never vary.
+    Otherwise an ``argsort`` or ``lexsort`` orders the rows.
+    """
+    keys = np.ascontiguousarray(keys)
+    rows, width = keys.shape
+    bits = (rows - 1).bit_length()  # of a row position
+    varying = np.bitwise_or.reduce(keys, axis=0) ^ np.bitwise_and.reduce(keys, axis=0)
+    # (key word, lowest bit, width, bit of the sort word) of each run of varying bits
+    fields, end = [], bits
+    for j, v in enumerate(varying.tolist()):
+        for run in re.finditer("1+", f"{v:b}"[::-1]):  # from the lowest bit
+            fields.append((j, run.start(), len(run[0]), end))
+            end += len(run[0])
+    if end <= 64:
+        words = keys.reshape(-1)[:rows]
+        constant = keys[0] & ~varying
+        # a block of rows at a time, so that the temporaries stay in cache; a
+        # block's words only overwrite rows that are already read
+        base, buf = np.arange(_CHUNK_ROWS, dtype=np.uint64), np.empty(_CHUNK_ROWS, np.uint64)
+        for a in range(0, rows, _CHUNK_ROWS):
+            b = min(a + _CHUNK_ROWS, rows)
+            word, part = base[:b - a] + np.uint64(a), buf[:b - a]
+            for j, lo, n, at in fields:
+                np.bitwise_and(keys[a:b, j], np.uint64(((1 << n) - 1) << lo), out=part)
+                word |= (np.left_shift if at >= lo else np.right_shift)(part, np.uint64(abs(at - lo)), out=part)
+            words[a:b] = word
+        words.sort()
+        head = np.ones(rows, dtype=bool)
+        np.greater_equal(words[1:] ^ words[:-1], np.uint64(1 << bits), out=head[1:])
+        runs = np.flatnonzero(head)
+        del head
+        heads = words[runs]
+        order = np.bitwise_and(words, np.uint64((1 << bits) - 1), out=words).view(np.int64)
+        first = order[runs]
+        # the positions are distinct and below 2**bits, and there are at most
+        # 2**(64 - bits) runs, so one more sort of (position, run) ranks them
+        by_first = np.left_shift(first.view(np.uint64), np.uint64(64 - bits))
+        by_first |= np.arange(len(runs), dtype=np.uint64)
+        by_first.sort()
+        by_first = (by_first & np.uint64((1 << (64 - bits)) - 1)).view(np.int64)
+        heads = heads[by_first]
+        distinct = np.repeat(constant[None], len(runs), axis=0)
+        for j, lo, n, at in fields:
+            distinct[:, j] |= (heads >> np.uint64(at) & np.uint64((1 << n) - 1)) << np.uint64(lo)
     else:
-        order = np.lexsort(keys.T[::-1])
-        keys[...] = keys[order]
-    head = np.ones(rows, dtype=bool)
-    np.not_equal(keys[1:, 0], keys[:-1, 0], out=head[1:])
-    for j in range(1, keys.shape[1]):
-        head[1:] |= keys[1:, j] != keys[:-1, j]
-    runs = np.flatnonzero(head)
-    first = np.minimum.reduceat(order, runs)
-    by_first = np.argsort(first)
+        if width == 1:
+            order = np.argsort(keys[:, 0])
+            keys.sort(axis=0)
+        else:
+            order = np.lexsort(keys.T[::-1])
+            keys[...] = keys[order]
+        head = np.ones(rows, dtype=bool)
+        np.not_equal(keys[1:, 0], keys[:-1, 0], out=head[1:])
+        for j in range(1, width):
+            head[1:] |= keys[1:, j] != keys[:-1, j]
+        runs = np.flatnonzero(head)
+        first = np.minimum.reduceat(order, runs)
+        by_first = np.argsort(first)
+        distinct = keys[runs[by_first]]
     code = np.empty(len(runs), dtype=np.int32)
     code[by_first] = np.arange(len(runs))
     codes = np.empty(rows, dtype=np.int32)
     codes[order] = np.repeat(code, np.diff(runs, append=rows))
     if last:
         first = np.maximum.reduceat(order, runs)
-    return codes, first[by_first], keys[runs[by_first]]
+    return codes, first[by_first], distinct
 
 
 def _unpack(keys: np.ndarray, names: dict[str, int]) -> list[str]:
@@ -396,12 +459,29 @@ def parse_citations(data: bytes) -> tuple[tuple[list[str], np.ndarray], Citation
     """
     counts: dict[str, int] = {}
     (packed,), names = _packed_fields(_universal_newlines(data), 2, 2, counts)
-    rows = len(packed)
-    # the citing then the cited id of each line, in line order
-    edges, _, keys = _number(packed.reshape(2 * rows, packed.shape[2]))
+    lines, width = len(packed), packed.shape[2]
+    # the citing then the cited id of each line, in line order, but only the
+    # first of each run of equal citing ids: the rest are not first appearances
+    fresh = np.ones((lines, 2), dtype=bool)
+    np.any(packed[1:, 0] != packed[:-1, 0], axis=1, out=fresh[1:, 0])
+    keys, kept = packed.reshape(2 * lines, width), 0
     del packed
-    report = CitationParseReport(edges=rows, **counts)
-    return (_unpack(keys, names), edges.reshape(-1, 2)), report
+    # the kept keys move to the front of their own buffer a block at a time:
+    # one compress of the whole array would make an index array as large
+    for a in range(0, 2 * lines, _CHUNK_ROWS):
+        block = np.compress(fresh.ravel()[a:a + _CHUNK_ROWS], keys[a:a + _CHUNK_ROWS], axis=0)
+        keys[kept:kept + len(block)] = block
+        kept += len(block)
+    codes, _, keys = _number(keys[:kept])
+    edges = np.empty((lines, 2), dtype=np.int32)
+    edges[fresh] = codes
+    del codes
+    # a line's citing id is that of the last line that starts a run
+    last = np.arange(lines)
+    last *= fresh[:, 0]
+    edges[:, 0] = edges[np.maximum.accumulate(last, out=last), 0]
+    report = CitationParseReport(edges=lines, **counts)
+    return (_unpack(keys, names), edges), report
 
 
 def _parse_year(text: str) -> int | None:

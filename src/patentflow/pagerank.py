@@ -22,7 +22,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import PatentFlowError
-from .graph import CitationGraph
+from .graph import CitationGraph, _freeze_arrays
 
 DANGLING_UNIFORM_ALL = "uniform-all"
 DANGLING_UNIFORM_OTHERS = "uniform-others"
@@ -77,6 +77,9 @@ class PageRankResult:
     final_delta: float
     converged: bool
     params: PageRankParams
+
+    def __post_init__(self) -> None:
+        _freeze_arrays(self.scores)
 
 
 def convergence_delta(prev: np.ndarray, nxt: np.ndarray) -> float:
@@ -133,7 +136,6 @@ def pagerank(graph: CitationGraph, params: PageRankParams) -> PageRankResult:
             converged = True
             break
 
-    cur.flags.writeable = False
     return PageRankResult(
         scores=cur,
         iterations=iterations,
@@ -150,7 +152,5 @@ def write_scores_tsv(
     if len(index_to_id) != len(scores):
         raise PatentFlowError("id list and score vector differ in length")
     with atomic_write(path) as f:
-        f.write("".join(
-            f"{i}\t{pid}\t{score:.17g}\n"
-            for i, (pid, score) in enumerate(zip(index_to_id, np.asarray(scores).tolist()))
-        ))
+        scores = np.asarray(scores, dtype=np.float64).tolist()
+        f.write("".join(map("%d\t%s\t%.17g\n".__mod__, zip(range(len(scores)), index_to_id, scores))))

@@ -22,6 +22,12 @@ of that payload.
 ``parse_metadata`` returns, and check its values. They were
 ``assemble_dataset``'s second form of metadata input, and are kept
 unchanged as the oracle of that payload.
+
+``_number`` numbers the distinct rows of a packed key array by first
+appearance with an ``argsort`` or ``lexsort`` of the rows and
+``minimum.reduceat`` over the runs. It was the package's numbering helper
+before the one sort of compacted key and position, and is kept unchanged as
+the oracle of that helper.
 """
 from __future__ import annotations
 
@@ -98,6 +104,33 @@ def _columns_of(records: Mapping[str, tuple[str, int | None, str]]) -> MetadataC
     class_code, class_table = _label_column(_pack(*_token_bytes(classes, names)), names)
     assignee_code, assignee_table = _label_column(_pack(*_token_bytes(assignees, names)), names)
     return MetadataColumns(tuple(records), class_code, year, assignee_code, class_table, assignee_table)
+
+
+def _number(keys: np.ndarray, last: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number the distinct rows of ``keys`` by first appearance, sorting
+    ``keys`` in place. Return each row's number (int32), each number's first
+    row (or its last, with ``last``), and the distinct rows in number order."""
+    rows = len(keys)
+    if keys.shape[1] == 1:
+        order = np.argsort(keys[:, 0])
+        keys.sort(axis=0)
+    else:
+        order = np.lexsort(keys.T[::-1])
+        keys[...] = keys[order]
+    head = np.ones(rows, dtype=bool)
+    np.not_equal(keys[1:, 0], keys[:-1, 0], out=head[1:])
+    for j in range(1, keys.shape[1]):
+        head[1:] |= keys[1:, j] != keys[:-1, j]
+    runs = np.flatnonzero(head)
+    first = np.minimum.reduceat(order, runs)
+    by_first = np.argsort(first)
+    code = np.empty(len(runs), dtype=np.int32)
+    code[by_first] = np.arange(len(runs))
+    codes = np.empty(rows, dtype=np.int32)
+    codes[order] = np.repeat(code, np.diff(runs, append=rows))
+    if last:
+        first = np.maximum.reduceat(order, runs)
+    return codes, first[by_first], keys[runs[by_first]]
 
 
 def _accepted_fields(

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -399,3 +400,33 @@ def test_arbitrary_bytes_never_raise_and_every_line_is_counted(
     c, m = report.citations, report.metadata
     assert c.lines == c.blank + c.comments + c.malformed + c.edges
     assert m.lines == m.blank + m.comments + m.malformed + m.records + m.duplicate_ids
+
+
+# tracemalloc counts load_dataset's peak on these files, whose bytes it reads
+# inside the traced call, at 4.02 (grouped) and 4.09 (shuffled) bytes per
+# byte of citations.tsv; numbering every citation id by one argsort, with
+# no run collapsed, peaked at 4.36 on both
+_LOAD_PEAK_PER_CITATION_BYTE = 4.25
+
+
+@pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "shuffled"])
+def test_load_dataset_peak_memory_per_citation_byte(tmp_path, grouped):
+    rng = np.random.default_rng(5)
+    n = 20_000
+    ids = 4_000_000 + np.cumsum(rng.integers(1, 6, n))
+    citing = np.repeat(np.arange(n), rng.integers(0, 20, n))
+    if not grouped:
+        citing = rng.permutation(citing)
+    cited = (citing * rng.random(len(citing))).astype(np.int64)
+    citations, patents = tmp_path / "c.tsv", tmp_path / "p.tsv"
+    citations.write_text("".join(f"{ids[a]}\t{ids[b]}\n" for a, b in zip(citing.tolist(), cited.tolist())))
+    patents.write_text("".join(f"{ids[i]}\t{rng.integers(100, 500)}\t{1976 + i * 30 // n}\tCo {rng.integers(0, 900)}\n"
+                               for i in range(n)))
+    tracemalloc.start()
+    try:
+        ds = load_dataset(citations, patents)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.build_report.citations.edges == len(citing)
+    assert peak < _LOAD_PEAK_PER_CITATION_BYTE * citations.stat().st_size

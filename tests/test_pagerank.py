@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from patentflow import (
     CitationGraph,
     PageRankParams,
+    PageRankResult,
     PatentFlowError,
     build_graph,
     convergence_delta,
@@ -344,6 +345,15 @@ def test_scores_tsv_format(tmp_path):
         # each float64 scalar formatted by numpy, as rows were written one scalar at a time
         assert rows == [[str(i), pid, f"{s:.17g}"] for i, (pid, s) in enumerate(zip(ids, scores))]
         assert np.array_equal([float(r[2]) for r in rows], scores, equal_nan=True)
+
+
+def test_hand_built_result_scores_are_read_only():
+    scores = np.array([0.25, 0.75])
+    result = PageRankResult(scores, 1, 0.0, True, PageRankParams(damping=0.5))
+    assert result.scores is scores and not scores.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        result.scores[0] = 1.0
+    assert not pagerank(build_graph([(0, 1)], 2), PageRankParams(damping=0.5)).scores.flags.writeable
 
 
 @pytest.mark.parametrize("ids, scores", [(["a"], np.zeros(2)), (["a", "b"], np.zeros(1))],
