@@ -197,6 +197,18 @@ def test_repeated_runs_bitwise_identical():
     assert np.array_equal(a.scores, b.scores)
 
 
+@pytest.mark.parametrize("mode", ["uniform-all", "uniform-others"])
+def test_second_run_leaves_first_scores_untouched(mode):
+    # each run's step buffers are its own: a later run, at another damping,
+    # writes none of the arrays an earlier result holds
+    g = random_graph(120, 500, seed=32)
+    first = pagerank(g, PageRankParams(damping=0.85, dangling_mode=mode))
+    kept = first.scores.copy()
+    second = pagerank(g, PageRankParams(damping=0.3, dangling_mode=mode))
+    assert np.array_equal(first.scores, kept)
+    assert not np.shares_memory(first.scores, second.scores)
+
+
 def _left_to_right_pagerank(g, params):
     """The update as documented, in plain Python: each node's inflow is
     summed left to right over its in-neighbors in ascending index order.
