@@ -9,13 +9,10 @@ from .ingest import (
     load_dataset,
     parse_citations,
     parse_metadata,
-    write_citations,
-    write_metadata,
 )
 from .pagerank import (
     PageRankParams,
     PageRankResult,
-    convergence_delta,
     pagerank,
     write_scores_tsv,
 )
@@ -63,7 +60,6 @@ __all__ = [
     "build_graph",
     "class_inflow_series",
     "class_ratio",
-    "convergence_delta",
     "crossover_year",
     "generate_synthetic_dataset",
     "induced_subgraph",
@@ -75,9 +71,7 @@ __all__ = [
     "patent_inflow_breakdown",
     "render_rank_table",
     "top_table",
-    "write_citations",
     "write_flow_csv",
-    "write_metadata",
     "write_rank_csv",
     "write_scores_tsv",
 ]

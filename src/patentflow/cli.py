@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .atomic import atomic_write
 from .errors import PatentFlowError
-from .ingest import PatentDataset, load_dataset, write_citations, write_metadata
+from .ingest import PatentDataset, assemble_dataset, load_dataset, parse_citations, parse_metadata
 from .pagerank import (
     DANGLING_UNIFORM_ALL,
     DANGLING_UNIFORM_OTHERS,
@@ -33,7 +33,7 @@ from .pagerank import (
     write_scores_tsv,
 )
 from .reports import render_rank_table, top_table, write_rank_csv
-from .testkit import generate_synthetic_dataset, load_spec
+from .testkit import load_spec, synthetic_files
 from .trends import (
     METRIC_CITATION_COUNT,
     METRIC_PAGERANK_SUM,
@@ -230,11 +230,12 @@ def _cmd_patent(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = load_spec(args.spec)
-    dataset = _reported(generate_synthetic_dataset(spec, seed=args.seed))
+    citations, patents = synthetic_files(load_spec(args.spec), seed=args.seed)
+    _reported(assemble_dataset(parse_citations(citations)[0], parse_metadata(patents)[0]))
     out = _out_dir(args)
-    write_citations(dataset, out / "citations.tsv")
-    write_metadata(dataset, out / "patents.tsv")
+    for name, data in (("citations.tsv", citations), ("patents.tsv", patents)):
+        with atomic_write(out / name) as f:
+            f.buffer.write(data)
     return 0
 
 

@@ -49,7 +49,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .atomic import atomic_write
 from .errors import PatentFlowError
 from .graph import CitationGraph, _freeze_arrays, build_graph
 
@@ -586,23 +585,3 @@ def load_dataset(citations_path: str | os.PathLike, patents_path: str | os.PathL
         records, meta_report = parse_metadata(f.read())
     return assemble_dataset(citations, records, cit_report, meta_report)
 
-
-def write_citations(dataset: PatentDataset, path: str | os.PathLike) -> None:
-    """Serialize stored edges back to the citations.tsv format."""
-    g = dataset.graph
-    citing = [pid + "\t" for pid in dataset.index_to_id]
-    cited = [pid + "\n" for pid in dataset.index_to_id]
-    parts = [""] * (2 * g.edge_count)
-    parts[0::2] = [citing[u] for u in g.edge_sources().tolist()]
-    parts[1::2] = [cited[v] for v in g.out_indices.tolist()]
-    with atomic_write(path) as f:
-        f.write("".join(parts))
-
-
-def write_metadata(dataset: PatentDataset, path: str | os.PathLike) -> None:
-    """Serialize metadata back to the patents.tsv format, in index order."""
-    rows = zip(dataset.index_to_id, dataset.class_code.tolist(), dataset.year.tolist(),
-               dataset.assignee_code.tolist())
-    with atomic_write(path) as f:
-        f.write("".join(f"{pid}\t{dataset.classes[c]}\t{y or ''}\t{dataset.assignees[a]}\n"
-                        for pid, c, y, a in rows))

@@ -94,17 +94,6 @@ class PageRankResult:
         _freeze_arrays(self.scores)
 
 
-def convergence_delta(prev: np.ndarray, nxt: np.ndarray) -> float:
-    """L1 distance between two score vectors."""
-    prev = np.asarray(prev, dtype=np.float64)
-    nxt = np.asarray(nxt, dtype=np.float64)
-    if prev.shape != nxt.shape:
-        raise PatentFlowError(
-            f"score vectors differ in length: {prev.shape} vs {nxt.shape}"
-        )
-    return float(np.abs(nxt - prev).sum())
-
-
 def pagerank(graph: CitationGraph, params: PageRankParams) -> PageRankResult:
     """Run the iterative scheme until the L1 delta drops below epsilon.
 

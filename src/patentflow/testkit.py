@@ -11,6 +11,10 @@ none of the background edges touch target-class patents, which keeps the
 planted per-year flows exact under both the citation-count and the
 pagerank-sum metric (equal-score leaf citers), including after an
 assignee-exclusion pass when a dominant assignee is planted alongside.
+
+``gen`` writes the two TSV files ``synthetic_files`` formats, and
+``generate_synthetic_dataset`` reads them back through the parsers, so a
+synthetic dataset is built as a loaded one is.
 """
 from __future__ import annotations
 
@@ -23,8 +27,8 @@ import numpy as np
 
 from .errors import PatentFlowError
 from .graph import MAX_NODE_COUNT
-from .ingest import (YEAR_MAX, YEAR_MIN, MetadataColumns, PatentDataset, _label_column, _pack,
-                     _token_bytes, _undecodable, assemble_dataset)
+from .ingest import (YEAR_MAX, YEAR_MIN, PatentDataset, assemble_dataset, parse_citations,
+                     parse_metadata)
 from .pagerank import _is_integer, _is_real
 
 # the largest mean numpy's Poisson sampler accepts
@@ -99,14 +103,14 @@ class SyntheticSpec:
         labels = [label for pairs in (self.classes, self.assignees) for label, _ in pairs]
         if pc is not None:
             labels += [pc.target_class, pc.source_class_a, pc.source_class_b]
-        for label in labels:
-            # each label must read back from patents.tsv as written
-            if (not isinstance(label, str) or label != label.strip()
-                    or any(c in label for c in "\t\n\r") or _undecodable(label)):
-                raise PatentFlowError(
-                    f"label {label!r} is not a string, or has a tab, a line break, surrounding "
-                    "whitespace or bytes that are not UTF-8, which patents.tsv cannot carry"
-                )
+        if not (all(isinstance(label, str) for label in labels) and _read_back(labels)):
+            # a label with a line break can spoil the lines of others, so
+            # the one to name is found with a parse of each label alone
+            label = next(s for s in labels if not (isinstance(s, str) and _read_back([s])))
+            raise PatentFlowError(
+                f"label {label!r} is not a string, or has a tab, a line break, surrounding "
+                "whitespace or bytes that are not UTF-8, which patents.tsv cannot carry"
+            )
         for name, pairs in (("classes", self.classes), ("assignees", self.assignees)):
             if not pairs:
                 raise PatentFlowError(f"{name} must be non-empty")
@@ -153,6 +157,17 @@ class SyntheticSpec:
                 )
             if len(names) < 2:
                 raise PatentFlowError("a dominant assignee needs at least one other assignee")
+
+
+def _read_back(labels: list[str]) -> bool:
+    """True when each of ``labels`` reads back unchanged from the class field
+    of its own line of one patents.tsv."""
+    try:
+        data = b"".join(b"%d\t%s\t\t\n" % (i, s.encode("utf-8")) for i, s in enumerate(labels))
+    except UnicodeEncodeError:  # a lone surrogate
+        return False
+    records, _ = parse_metadata(data)
+    return [records.classes[c] for c in records.class_code.tolist()] == labels
 
 
 def _whole_number(name: str, value: object) -> int:
@@ -217,8 +232,10 @@ def _weighted_pick(rng: np.random.Generator, labels: list[str], probs: list[floa
     return labels[int(rng.choice(len(labels), p=probs))]
 
 
-def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> PatentDataset:
-    """Deterministic synthetic PatentDataset for a given spec and seed."""
+def synthetic_files(spec: SyntheticSpec, seed: int) -> tuple[bytes, bytes]:
+    """The bytes of the citations.tsv and patents.tsv of a deterministic
+    synthetic dataset for a given spec and seed: the edges sorted by citing
+    then cited index, and one record per patent in index order."""
     if not (_is_integer(seed) and seed >= 0):
         raise PatentFlowError(f"seed must be non-negative and an integer, got {seed!r}")
     n = spec.node_count
@@ -339,8 +356,15 @@ def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> PatentDataset:
 
     width = len(str(n - 1)) if n > 1 else 1
     ids = [f"{7000000 + i:0{width}d}" for i in range(n)]
-    names: dict[str, int] = {}
-    class_code, class_table = _label_column(_pack(*_token_bytes(classes, names)), names)
-    assignee_code, assignee_table = _label_column(_pack(*_token_bytes(assignees, names)), names)
-    records = MetadataColumns(tuple(ids), class_code, years, assignee_code, class_table, assignee_table)
-    return assemble_dataset((ids, edges), records)
+    edges.sort()  # by citing then cited index, the order of the out-CSR
+    citations = "".join(f"{ids[u]}\t{ids[v]}\n" for u, v in edges)
+    patents = "".join(f"{pid}\t{c}\t{y}\t{a}\n"
+                      for pid, c, y, a in zip(ids, classes, years.tolist(), assignees))
+    return citations.encode(), patents.encode()
+
+
+def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> PatentDataset:
+    """Deterministic synthetic PatentDataset for a given spec and seed: what
+    the parsers read from the bytes of ``synthetic_files``."""
+    citations, patents = synthetic_files(spec, seed)
+    return assemble_dataset(parse_citations(citations)[0], parse_metadata(patents)[0])

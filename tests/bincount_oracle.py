@@ -5,10 +5,26 @@ one ``np.add.at`` per block of source nodes: every step builds the per-edge
 shares of all nodes with one ``np.repeat`` and sums them into the targets
 with one ``bincount``. The rest of the update is unchanged, so the current
 kernel must return bitwise-equal scores, iteration count and final delta.
+
+``convergence_delta`` is the package's L1 distance between two score
+vectors from before ``pagerank`` computed each step's delta in a reused
+buffer. It is kept unchanged as this kernel's delta.
 """
 import numpy as np
 
-from patentflow.pagerank import DANGLING_UNIFORM_OTHERS, convergence_delta
+from patentflow.errors import PatentFlowError
+from patentflow.pagerank import DANGLING_UNIFORM_OTHERS
+
+
+def convergence_delta(prev: np.ndarray, nxt: np.ndarray) -> float:
+    """L1 distance between two score vectors."""
+    prev = np.asarray(prev, dtype=np.float64)
+    nxt = np.asarray(nxt, dtype=np.float64)
+    if prev.shape != nxt.shape:
+        raise PatentFlowError(
+            f"score vectors differ in length: {prev.shape} vs {nxt.shape}"
+        )
+    return float(np.abs(nxt - prev).sum())
 
 
 def bincount_pagerank(graph, params):

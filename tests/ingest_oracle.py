@@ -28,15 +28,26 @@ appearance with an ``argsort`` or ``lexsort`` of the rows and
 ``minimum.reduceat`` over the runs. It was the package's numbering helper
 before the one sort of compacted key and position, and is kept unchanged as
 the oracle of that helper.
+
+``write_citations`` and ``write_metadata`` serialize a dataset back to the
+two file formats. They were the package's writers for ``gen`` before the
+generator formatted its own bytes, and are kept unchanged as the oracle of
+those bytes.
+
+``label_fits_patents_tsv`` is the spec's label rule as it was stated
+before ``SyntheticSpec`` asked ``parse_metadata`` whether a label reads
+back unchanged; it is kept unchanged as the oracle of that check.
 """
 from __future__ import annotations
 
+import os
 from itertools import chain
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from conftest import PatentMeta
+from patentflow.atomic import atomic_write
 from patentflow.errors import PatentFlowError
 from patentflow.graph import build_graph
 from patentflow.ingest import (
@@ -326,3 +337,31 @@ def assemble_dataset(
         build_report=report,
     )
 
+
+
+def write_citations(dataset: PatentDataset, path: str | os.PathLike) -> None:
+    """Serialize stored edges back to the citations.tsv format."""
+    g = dataset.graph
+    citing = [pid + "\t" for pid in dataset.index_to_id]
+    cited = [pid + "\n" for pid in dataset.index_to_id]
+    parts = [""] * (2 * g.edge_count)
+    parts[0::2] = [citing[u] for u in g.edge_sources().tolist()]
+    parts[1::2] = [cited[v] for v in g.out_indices.tolist()]
+    with atomic_write(path) as f:
+        f.write("".join(parts))
+
+
+def write_metadata(dataset: PatentDataset, path: str | os.PathLike) -> None:
+    """Serialize metadata back to the patents.tsv format, in index order."""
+    rows = zip(dataset.index_to_id, dataset.class_code.tolist(), dataset.year.tolist(),
+               dataset.assignee_code.tolist())
+    with atomic_write(path) as f:
+        f.write("".join(f"{pid}\t{dataset.classes[c]}\t{y or ''}\t{dataset.assignees[a]}\n"
+                        for pid, c, y, a in rows))
+
+
+def label_fits_patents_tsv(label: object) -> bool:
+    """True when ``label`` is a string that reads back from patents.tsv as
+    written: no tab, line break, surrounding whitespace or undecodable byte."""
+    return not (not isinstance(label, str) or label != label.strip()
+                or any(c in label for c in "\t\n\r") or _undecodable(label))

@@ -17,11 +17,9 @@ from patentflow import (
     load_dataset,
     parse_citations,
     parse_metadata,
-    write_citations,
-    write_metadata,
 )
 import ingest_oracle
-from ingest_oracle import intern_pairs
+from ingest_oracle import intern_pairs, write_citations, write_metadata
 from conftest import assert_same_columns, columns_of, meta_of
 
 

@@ -17,11 +17,10 @@ PUBLIC_NAMES = {
     "PatentDataset", "PatentFlowError", "PlantedCrossover", "RankRow", "RankTable",
     "SyntheticSpec", "apply_exclusion", "assemble_dataset",
     "assignee_exclusion_set", "build_graph", "class_inflow_series", "class_ratio",
-    "convergence_delta", "crossover_year", "generate_synthetic_dataset", "induced_subgraph",
+    "crossover_year", "generate_synthetic_dataset", "induced_subgraph",
     "load_dataset", "load_spec", "pagerank", "parse_citations",
     "parse_metadata", "patent_inflow_breakdown", "render_rank_table", "top_table",
-    "write_citations", "write_flow_csv", "write_metadata", "write_rank_csv",
-    "write_scores_tsv",
+    "write_flow_csv", "write_rank_csv", "write_scores_tsv",
 }
 
 
@@ -51,6 +50,19 @@ def test_no_unused_imports():
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
+
+
+def test_only_ingest_imports_its_private_names():
+    """No other module imports an underscore name from ``.ingest``, so a
+    dataset is built only through the public parsers and ``assemble_dataset``."""
+    for path in sorted(Path(patentflow.__file__).parent.glob("*.py")):
+        if path.name == "ingest.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level, node.module) in (
+                    (1, "ingest"), (0, "patentflow.ingest")):
+                private = sorted(a.name for a in node.names if a.name.startswith("_"))
+                assert not private, f"{path.name} imports {private} from .ingest"
 
 
 def test_trends_reads_no_csr_array():

@@ -11,11 +11,10 @@ from patentflow import (
     PageRankResult,
     PatentFlowError,
     build_graph,
-    convergence_delta,
     pagerank,
     write_scores_tsv,
 )
-from bincount_oracle import bincount_pagerank
+from bincount_oracle import bincount_pagerank, convergence_delta
 from dense_oracle import dense_pagerank, random_graph
 
 # the package's ``pagerank`` attribute is the function, not the module

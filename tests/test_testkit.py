@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from patentflow import (
     EdgeModel,
@@ -16,7 +18,9 @@ from patentflow import (
     build_graph,
     generate_synthetic_dataset,
 )
+from patentflow.testkit import synthetic_files
 from conftest import assert_same_dataset, columns_of, meta_of, records_of
+from ingest_oracle import label_fits_patents_tsv, write_citations, write_metadata
 from dense_oracle import dense_pagerank, random_citation_edges, random_graph
 
 
@@ -292,16 +296,46 @@ def _label_spec(n, classes, assignees, **kw):
                     dominant_assignee="big"),
         _label_spec(0, (("a", 1.0),), (("x", 1.0),)),
         _label_spec(1, (("é", 1.0),), (("", 1.0),)),
+        _label_spec(300, (("a\0b", 0.5), ("#347", 0.5)), (("x\u2028y", 0.6), ("#", 0.4))),
     ],
     ids=["empty-non-ascii-and-long-labels", "target-not-in-classes-and-dominant", "no-nodes",
-         "one-node"],
+         "one-node", "nul-comment-mark-and-line-separator"],
 )
-def test_generator_numbers_labels_as_assemble_dataset_of_its_records(spec):
+def test_generator_numbers_labels_as_assemble_dataset_of_its_records(spec, tmp_path):
     # labels by first appearance, "" appended when absent, one names dict
     # for the labels longer than 32 bytes, and int16 years
     ds = generate_synthetic_dataset(spec, seed=7)
     records = columns_of(records_of(_metas(ds)))
     assert_same_dataset(ds, assemble_dataset((list(ds.index_to_id), ds.graph.edge_array()), records))
+    # gen's files are what the oracle writers write for the dataset they read back as
+    write_citations(ds, tmp_path / "citations.tsv")
+    write_metadata(ds, tmp_path / "patents.tsv")
+    assert synthetic_files(spec, seed=7) == ((tmp_path / "citations.tsv").read_bytes(),
+                                             (tmp_path / "patents.tsv").read_bytes())
+
+
+# characters at the edges of the format: field and line breaks, whitespace
+# that str.strip() removes or keeps, NUL, a byte-order mark, a comment mark,
+# lone surrogates, and a run long enough to be numbered by a dict
+_LABEL_PARTS = ["a", "é", " ", "#", "\t", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x1f", "\x85",
+                "\xa0", "\u2028", "\u3000", "\0", "\ufeff", "\ud800", "\udfff", "L" * 40]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_LABEL_PARTS), max_size=5).map("".join),
+                min_size=1, max_size=3, unique=True))
+# the second label's line break writes a later record over the first's
+@example(["a", "b\n0\tz"])
+def test_spec_accepts_labels_exactly_when_the_stated_format_carries_them(labels):
+    def spec():
+        return _label_spec(0, tuple((label, 1 / len(labels)) for label in labels), (("x", 1.0),))
+
+    bad = [label for label in labels if not label_fits_patents_tsv(label)]
+    if bad:
+        with pytest.raises(PatentFlowError, match=f"^label {re.escape(repr(bad[0]))} is not"):
+            spec()
+    else:
+        spec()
 
 
 def test_random_citation_edges_point_backward():
