@@ -22,21 +22,22 @@ every field has at most 32 bytes, and its ids are not empty. A non-ASCII
 byte may sit inside a field when the block is valid UTF-8, and
 ``str.strip()`` leaves such fields as they are, so they are read as bytes.
 
-Every id, label and year is packed into integers, and one sort numbers each
-kind by first appearance (``_number``): the citation ids, the record ids (a
-repeated id keeps its last record at its first position), the years, the
+Every id, label and year is packed into integers, and one step numbers each
+column by first appearance (``_number``): the citation ids, the record ids
+(a repeated id keeps its last record at its first position), the years, the
 labels of the kept records and, in ``assemble_dataset``, the record ids and
 the citation ids together, which joins the files. Only a token longer than
 32 bytes or holding a NUL byte is numbered by a dict. The result is that
 of reading each line as text.
 
-The sort is one ``np.sort`` of a uint64 word per key when the bits that vary
-between the keys, with the bits of a key's position below them, fit in 64:
-an ASCII-digit id varies in 4 bits per byte, so a 7- or 8-digit id needs 28
-or 32 of them. Other keys are ordered by an ``argsort`` or ``lexsort``. A
-citing id equal to the previous accepted line's cannot be a first
-appearance, so ``parse_citations`` numbers only the first of each run of
-them and repeats its number along the run.
+A line whose first key equals the previous line's cannot hold its first
+appearance, so it takes that line's number, as along a run of one citing id
+or of one year. The other keys are grouped by one ``np.sort`` of a uint64
+word per key when the bits that vary between them, with the bits of a key's
+position below them, fit in 64: an ASCII-digit id varies in 4 bits per
+byte, so a 7- or 8-digit id needs 28 or 32 of them. Other keys are grouped
+by an ``argsort`` or ``lexsort``. On both paths one sort of (position,
+group) words ranks the groups.
 """
 from __future__ import annotations
 
@@ -355,39 +356,50 @@ def _packed_fields(
     return [p[:rows] for p in packed], names
 
 
-def _number(keys: np.ndarray, last: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Number the distinct rows of ``keys`` by first appearance. Return each
-    row's number (int32), each number's first row (or its last, with
-    ``last``), and the distinct rows in number order. ``keys`` is left in an
-    unspecified state.
+def _number(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the keys of ``packed``, a (line, field, word) array as
+    ``_packed_fields`` returns each group, by first appearance in (line,
+    field) order, and leave ``packed`` in an unspecified state. Return their
+    numbers as (line, field) int32 codes, and the distinct keys in number order.
 
-    When the bits that vary between rows, with the bits of a row position
-    below them, fit in 64, each row becomes one uint64 word of them, written
-    over ``keys``: one ``np.sort`` then groups equal rows in position order,
-    so the first row of each run is its first appearance, and the distinct
-    rows are rebuilt from their words and the bits that never vary.
-    Otherwise an ``argsort`` or ``lexsort`` orders the rows.
+    A line whose first key is the previous line's takes that line's number.
+    The other keys move to the front of the buffer and are grouped by one
+    ``np.sort`` of words written over it, which hold their varying bits above
+    their position when those fit in 64, or else by an ``argsort`` or
+    ``lexsort``. One sort of (first position, group) words ranks the groups.
     """
-    keys = np.ascontiguousarray(keys)
-    rows, width = keys.shape
-    bits = (rows - 1).bit_length()  # of a row position
+    lines, fields, width = packed.shape
+    if lines * fields > 1 << 32:
+        raise PatentFlowError(f"cannot number {lines * fields} keys: a ranking word holds 2**32 positions")
+    fresh = np.ones((lines, fields), dtype=bool)
+    np.any(packed[1:, 0] != packed[:-1, 0], axis=1, out=fresh[1:, 0])
+    keys, rows = np.ascontiguousarray(packed).reshape(lines * fields, width), 0
+    del packed
+    # the fresh keys move to the front a block at a time: one compress of
+    # the whole array would make an index array as large
+    for a in range(0, len(keys), _CHUNK_ROWS):
+        block = np.compress(fresh.ravel()[a:a + _CHUNK_ROWS], keys[a:a + _CHUNK_ROWS], axis=0)
+        keys[rows:rows + len(block)] = block
+        rows += len(block)
+    keys = keys[:rows]
+    bits = (rows - 1).bit_length()  # of a key position
     varying = np.bitwise_or.reduce(keys, axis=0) ^ np.bitwise_and.reduce(keys, axis=0)
     # (key word, lowest bit, width, bit of the sort word) of each run of varying bits
-    fields, end = [], bits
+    spans, end = [], bits
     for j, v in enumerate(varying.tolist()):
         for run in re.finditer("1+", f"{v:b}"[::-1]):  # from the lowest bit
-            fields.append((j, run.start(), len(run[0]), end))
+            spans.append((j, run.start(), len(run[0]), end))
             end += len(run[0])
     if end <= 64:
         words = keys.reshape(-1)[:rows]
         constant = keys[0] & ~varying
-        # a block of rows at a time, so that the temporaries stay in cache; a
-        # block's words only overwrite rows that are already read
+        # a block of keys at a time, so that the temporaries stay in cache; a
+        # block's words only overwrite keys that are already read
         base, buf = np.arange(_CHUNK_ROWS, dtype=np.uint64), np.empty(_CHUNK_ROWS, np.uint64)
         for a in range(0, rows, _CHUNK_ROWS):
             b = min(a + _CHUNK_ROWS, rows)
             word, part = base[:b - a] + np.uint64(a), buf[:b - a]
-            for j, lo, n, at in fields:
+            for j, lo, n, at in spans:
                 np.bitwise_and(keys[a:b, j], np.uint64(((1 << n) - 1) << lo), out=part)
                 word |= (np.left_shift if at >= lo else np.right_shift)(part, np.uint64(abs(at - lo)), out=part)
             words[a:b] = word
@@ -395,20 +407,13 @@ def _number(keys: np.ndarray, last: bool = False) -> tuple[np.ndarray, np.ndarra
         head = np.ones(rows, dtype=bool)
         np.greater_equal(words[1:] ^ words[:-1], np.uint64(1 << bits), out=head[1:])
         runs = np.flatnonzero(head)
-        del head
         heads = words[runs]
-        order = np.bitwise_and(words, np.uint64((1 << bits) - 1), out=words).view(np.int64)
-        first = order[runs]
-        # the positions are distinct and below 2**bits, and there are at most
-        # 2**(64 - bits) runs, so one more sort of (position, run) ranks them
-        by_first = np.left_shift(first.view(np.uint64), np.uint64(64 - bits))
-        by_first |= np.arange(len(runs), dtype=np.uint64)
-        by_first.sort()
-        by_first = (by_first & np.uint64((1 << (64 - bits)) - 1)).view(np.int64)
-        heads = heads[by_first]
         distinct = np.repeat(constant[None], len(runs), axis=0)
-        for j, lo, n, at in fields:
+        for j, lo, n, at in spans:
             distinct[:, j] |= (heads >> np.uint64(at) & np.uint64((1 << n) - 1)) << np.uint64(lo)
+        order = np.bitwise_and(words, np.uint64((1 << bits) - 1), out=words).view(np.int64)
+        del head, heads, words
+        first = order[runs]
     else:
         if width == 1:
             order = np.argsort(keys[:, 0])
@@ -421,16 +426,28 @@ def _number(keys: np.ndarray, last: bool = False) -> tuple[np.ndarray, np.ndarra
         for j in range(1, width):
             head[1:] |= keys[1:, j] != keys[:-1, j]
         runs = np.flatnonzero(head)
+        distinct = keys[runs]
         first = np.minimum.reduceat(order, runs)
-        by_first = np.argsort(first)
-        distinct = keys[runs[by_first]]
+    # the positions are distinct and below 2**bits, and there are at most
+    # 2**bits <= 2**(64 - bits) groups, so one sort of (position, group) ranks them
+    by_first = np.left_shift(first.view(np.uint64), np.uint64(64 - bits))
+    by_first |= np.arange(len(runs), dtype=np.uint64)
+    by_first.sort()
+    by_first = (by_first & np.uint64((1 << (64 - bits)) - 1)).view(np.int64)
     code = np.empty(len(runs), dtype=np.int32)
     code[by_first] = np.arange(len(runs))
-    codes = np.empty(rows, dtype=np.int32)
-    codes[order] = np.repeat(code, np.diff(runs, append=rows))
-    if last:
-        first = np.maximum.reduceat(order, runs)
-    return codes, first[by_first], distinct
+    fresh_codes = np.empty(rows, dtype=np.int32)
+    fresh_codes[order] = np.repeat(code, np.diff(runs, append=rows))
+    # the word path's positions are the key buffer, which goes before the codes are filled
+    del keys, order
+    codes = np.empty((lines, fields), dtype=np.int32)
+    codes[fresh] = fresh_codes
+    del fresh_codes
+    # a line's first key is that of the last line that starts a run
+    last = np.arange(lines)
+    last *= fresh[:, 0]
+    codes[:, 0] = codes[np.maximum.accumulate(last, out=last), 0]
+    return codes, distinct[by_first]
 
 
 def _unpack(keys: np.ndarray, names: dict[str, int]) -> list[str]:
@@ -457,29 +474,9 @@ def parse_citations(data: bytes) -> tuple[tuple[list[str], np.ndarray], Citation
     row of indices into ``ids`` per accepted line.
     """
     counts: dict[str, int] = {}
-    (packed,), names = _packed_fields(_universal_newlines(data), 2, 2, counts)
-    lines, width = len(packed), packed.shape[2]
-    # the citing then the cited id of each line, in line order, but only the
-    # first of each run of equal citing ids: the rest are not first appearances
-    fresh = np.ones((lines, 2), dtype=bool)
-    np.any(packed[1:, 0] != packed[:-1, 0], axis=1, out=fresh[1:, 0])
-    keys, kept = packed.reshape(2 * lines, width), 0
-    del packed
-    # the kept keys move to the front of their own buffer a block at a time:
-    # one compress of the whole array would make an index array as large
-    for a in range(0, 2 * lines, _CHUNK_ROWS):
-        block = np.compress(fresh.ravel()[a:a + _CHUNK_ROWS], keys[a:a + _CHUNK_ROWS], axis=0)
-        keys[kept:kept + len(block)] = block
-        kept += len(block)
-    codes, _, keys = _number(keys[:kept])
-    edges = np.empty((lines, 2), dtype=np.int32)
-    edges[fresh] = codes
-    del codes
-    # a line's citing id is that of the last line that starts a run
-    last = np.arange(lines)
-    last *= fresh[:, 0]
-    edges[:, 0] = edges[np.maximum.accumulate(last, out=last), 0]
-    report = CitationParseReport(edges=lines, **counts)
+    groups, names = _packed_fields(_universal_newlines(data), 2, 2, counts)
+    edges, keys = _number(groups.pop())
+    report = CitationParseReport(edges=len(edges), **counts)
     return (_unpack(keys, names), edges), report
 
 
@@ -497,9 +494,9 @@ def _parse_year(text: str) -> int | None:
 def _label_column(keys: np.ndarray, names: dict[str, int]) -> tuple[np.ndarray, tuple[str, ...]]:
     """Codes of the packed labels ``keys`` by first appearance, and the table
     of labels by code, which ends with "", the unknown label, if it lacks it."""
-    codes, _, table_keys = _number(keys)
+    codes, table_keys = _number(keys[:, None])
     table = tuple(_unpack(table_keys, names))
-    return codes, table if "" in table else (*table, "")
+    return codes[:, 0], table if "" in table else (*table, "")
 
 
 def parse_metadata(data: bytes) -> tuple[MetadataColumns, MetadataParseReport]:
@@ -513,12 +510,14 @@ def parse_metadata(data: bytes) -> tuple[MetadataColumns, MetadataParseReport]:
     """
     counts: dict[str, int] = {}
     columns, names = _packed_fields(_universal_newlines(data), 4, 1, counts)
-    ids, classes, years, assignees = (c[:, 0] for c in columns)
-    _, kept, id_keys = _number(ids, last=True)
-    codes, _, spellings = _number(years)
-    year = np.array([_parse_year(s) or 0 for s in _unpack(spellings, names)], dtype=np.int16)[codes]
-    class_code, classes = _label_column(classes[kept], names)
-    assignee_code, assignees = _label_column(assignees[kept], names)
+    ids, classes, years, assignees = columns
+    codes, id_keys = _number(ids)
+    kept = np.zeros(len(id_keys), dtype=np.intp)
+    np.maximum.at(kept, codes[:, 0], np.arange(len(codes)))  # each id's last record
+    codes, spellings = _number(years)
+    year = np.array([_parse_year(s) or 0 for s in _unpack(spellings, names)], dtype=np.int16)[codes[:, 0]]
+    class_code, classes = _label_column(classes[kept, 0], names)
+    assignee_code, assignees = _label_column(assignees[kept, 0], names)
     records = MetadataColumns(tuple(_unpack(id_keys, names)), class_code, year[kept], assignee_code,
                               classes, assignees)
     report = MetadataParseReport(
@@ -553,12 +552,11 @@ def assemble_dataset(
     _require_strings(cited_ids)
     # the record ids come first and are distinct, so a citation id's number
     # is its record's index, or else the next placeholder's
-    ids = [*records.ids, *cited_ids]
-    codes, first, _ = _number(_pack(*_token_bytes(ids, {})))
+    names: dict[str, int] = {}
+    codes, keys = _number(_pack(*_token_bytes([*records.ids, *cited_ids], names))[:, None])
     count = len(records.ids)
-    index_to_id = (*records.ids, *map(ids.__getitem__, first[count:].tolist()))
-    del ids
-    graph = build_graph(edges, len(index_to_id), remap=codes[count:])
+    index_to_id = (*records.ids, *_unpack(keys[count:], names))
+    graph = build_graph(edges, len(index_to_id), remap=codes[count:, 0])
 
     def pad(column: np.ndarray, fill: int = 0) -> np.ndarray:  # with the placeholders' value
         return np.pad(column, (0, len(index_to_id) - count), constant_values=fill)

@@ -347,9 +347,14 @@ def test_env_defaults_and_flag_precedence(data_dir, tmp_path, monkeypatch):
 
 def test_module_invocation_subprocess(data_dir, tmp_path):
     out = tmp_path / "subproc"
+    # pytest's pythonpath setting reaches only its own process, so the child
+    # gets the checkout's src ahead of any PYTHONPATH it inherits
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "patentflow", "rank", *_dataset_args(data_dir),
          "--damping", "0.5", "--out", str(out)],
+        env=env,
         capture_output=True,
         text=True,
     )
