@@ -17,8 +17,10 @@ import numpy as np
 from .errors import MalformedEdgeError, PatentFlowError
 
 # Largest node count whose indices fit in int32; its edge keys
-# ``row * n + col`` (at most n*n - 1) fit in int64.
+# ``row << 32 | col`` (below 2**63) fit in int64.
 MAX_NODE_COUNT = 2**31 - 1
+# rows per block of the blocked loops, which keep their temporaries small
+_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -122,17 +124,25 @@ def _freeze_arrays(*values) -> tuple:
 
 def _transpose(graph: CitationGraph) -> tuple[np.ndarray, np.ndarray]:
     """The in-CSR, from one sort of the (target, source) keys."""
-    sources = graph.edge_sources()
-    keys = np.multiply(graph.out_indices, graph.node_count, dtype=np.int64)
-    keys += sources
+    keys = np.left_shift(graph.out_indices, 32, dtype=np.int64)
+    keys |= graph.edge_sources()
     keys.sort()
-    return _csr(keys, graph.node_count, sources)
+    return _csr(keys, graph.node_count)
 
 
-def _csr(keys: np.ndarray, n: int, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row pointers and int32 indices (into ``out``) of the sorted keys ``row * n + col``."""
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    return indptr, np.remainder(keys, n, out=out, casting="unsafe")
+def _csr(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row pointers and int32 indices (the low words) of the sorted keys ``row << 32 | col``."""
+    return np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) << 32), keys.astype(np.int32)
+
+
+def _compact(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Move the rows of ``values`` where ``keep`` is set to its front, in blocks that keep copies small."""
+    rows = 0
+    for a in range(0, len(values), _CHUNK_ROWS):
+        block = np.compress(keep[a:a + _CHUNK_ROWS], values[a:a + _CHUNK_ROWS], axis=0)
+        values[rows:rows + len(block)] = block
+        rows += len(block)
+    return values[:rows]
 
 
 def _integer_indices(values, what: str) -> np.ndarray:
@@ -156,8 +166,10 @@ def edge_index_array(edges, node_count: int) -> np.ndarray:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise PatentFlowError("edges must be a sequence of (citing, cited) pairs")
-    if arr.size and (arr.min() < 0 or arr.max() >= node_count):
-        src, dst = arr[int(np.argmax((arr < 0) | (arr >= node_count))) // 2].tolist()
+    # read unsigned, a negative index is at least 2**31, so one bound checks both ends
+    unsigned = arr.view(f"u{arr.itemsize}")
+    if arr.size and unsigned.max() >= node_count:
+        src, dst = arr[int(np.argmax(unsigned >= node_count)) // 2].tolist()
         raise MalformedEdgeError(f"edge ({src}, {dst}) out of range for node_count={node_count}")
     return arr
 
@@ -173,8 +185,8 @@ def build_graph(edges, node_count: int, *, remap=None) -> CitationGraph:
     without that copy.
 
     Each direction (the in-CSR when first read) is one sort of the int64 key
-    ``row * n + col``, whose order is (row, col) order, so neighbor lists come
-    out ascending; the sorted keys give the row pointers and int32 indices.
+    ``row << 32 | col``, built a block of edges at a time; the sorted keys
+    give the row pointers, and their low words the ascending int32 indices.
     """
     n = int(node_count)
     if n < 0:
@@ -185,35 +197,31 @@ def build_graph(edges, node_count: int, *, remap=None) -> CitationGraph:
         )
     if remap is None:
         arr = edge_index_array(edges, n)
-        src, dst = arr[:, 0], arr[:, 1]
     else:
         nodes = _integer_indices(remap, "remap").ravel()
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
+        if nodes.size and nodes.view(f"u{nodes.itemsize}").max() >= n:
             raise MalformedEdgeError(f"remap holds a node index outside [0, {n})")
         arr = edge_index_array(edges, len(nodes))
-        src, dst = nodes[arr[:, 0]], nodes[arr[:, 1]]
     edges_input = arr.shape[0]
-    kept = src != dst
+    keys, kept = np.empty(edges_input, dtype=np.int64), np.empty(edges_input, dtype=bool)
+    for a in range(0, edges_input, _CHUNK_ROWS):
+        b = a + _CHUNK_ROWS
+        block = arr[a:b] if remap is None else nodes.take(arr[a:b])
+        # widened before the shift, which int32 would overflow
+        np.left_shift(block[:, 0], 32, out=keys[a:b], dtype=np.int64)
+        keys[a:b] |= block[:, 1]
+        np.not_equal(block[:, 0], block[:, 1], out=kept[a:b])
     self_loops = edges_input - int(np.count_nonzero(kept))
-    # widened before the multiply, which int32 would overflow; remapped
-    # int64 sources are already a copy, which becomes the keys
-    keys = src.astype(np.int64, copy=remap is None)
-    keys *= n
-    keys += dst
-    del src, dst
-    if self_loops:
-        keys = keys[kept]
-    del kept
+    keys = _compact(keys, kept)
     keys.sort()
-    if keys.size > 1:
-        distinct = np.empty(keys.size, dtype=bool)
-        distinct[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-        if not distinct.all():
-            keys = keys[distinct]
-
+    kept[:1] = True  # now whether a sorted key differs from the one before it
+    np.not_equal(keys[1:], keys[:-1], out=kept[1:keys.size])
+    keys = _compact(keys, kept[:keys.size])
+    del kept
     report = GraphBuildReport(edges_input, keys.size, self_loops, edges_input - self_loops - keys.size)
-    return CitationGraph(n, *_csr(keys, n, np.empty(keys.size, dtype=np.int32)), report)
+    indptr, indices = _csr(keys, n)
+    del keys  # before the graph makes its degree arrays
+    return CitationGraph(n, indptr, indices, report)
 
 
 def _restrict(indptr: np.ndarray, indices: np.ndarray, keep_mask: np.ndarray,
@@ -244,7 +252,7 @@ def induced_subgraph(graph: CitationGraph, keep) -> tuple[CitationGraph, np.ndar
     and the remap is monotone, so masking each list keeps both properties.
     """
     keep_arr = _integer_indices(list(keep) if isinstance(keep, (set, frozenset)) else keep, "keep")
-    if keep_arr.size and (keep_arr.min() < 0 or keep_arr.max() >= graph.node_count):
+    if keep_arr.size and keep_arr.view(f"u{keep_arr.itemsize}").max() >= graph.node_count:
         raise PatentFlowError("keep set contains indices outside the graph")
     keep_mask = np.zeros(graph.node_count, dtype=bool)
     keep_mask[keep_arr] = True

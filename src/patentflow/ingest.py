@@ -51,7 +51,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import PatentFlowError
-from .graph import CitationGraph, _freeze_arrays, build_graph
+from .graph import _CHUNK_ROWS, CitationGraph, _compact, _freeze_arrays, build_graph
 
 YEAR_MIN = 1790
 YEAR_MAX = 2100
@@ -64,9 +64,6 @@ _BLOCK_BYTES = 1 << 19
 _TOKEN_BYTES_MAX = 32
 # _LOW_BYTES[k] keeps the k low-order bytes of a uint64
 _LOW_BYTES = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
-# keys are packed into sort words, or moved, this many rows at a time, so that
-# the temporaries stay small
-_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -373,15 +370,9 @@ def _number(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise PatentFlowError(f"cannot number {lines * fields} keys: a ranking word holds 2**32 positions")
     fresh = np.ones((lines, fields), dtype=bool)
     np.any(packed[1:, 0] != packed[:-1, 0], axis=1, out=fresh[1:, 0])
-    keys, rows = np.ascontiguousarray(packed).reshape(lines * fields, width), 0
+    keys = _compact(np.ascontiguousarray(packed).reshape(lines * fields, width), fresh.ravel())
     del packed
-    # the fresh keys move to the front a block at a time: one compress of
-    # the whole array would make an index array as large
-    for a in range(0, len(keys), _CHUNK_ROWS):
-        block = np.compress(fresh.ravel()[a:a + _CHUNK_ROWS], keys[a:a + _CHUNK_ROWS], axis=0)
-        keys[rows:rows + len(block)] = block
-        rows += len(block)
-    keys = keys[:rows]
+    rows = len(keys)
     bits = (rows - 1).bit_length()  # of a key position
     varying = np.bitwise_or.reduce(keys, axis=0) ^ np.bitwise_and.reduce(keys, axis=0)
     # (key word, lowest bit, width, bit of the sort word) of each run of varying bits

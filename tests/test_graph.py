@@ -63,6 +63,26 @@ def test_out_of_range_edge_rejected():
         build_graph([(-1, 0)], 3)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("bad", ["-1", "min", "n", "max"])
+@pytest.mark.parametrize("row, col", [(0, 0), (-1, 1)], ids=["first-row", "last-row"])
+def test_out_of_range_index_rejected_at_either_end(dtype, bad, row, col):
+    # the range check reads the indices unsigned, where a negative one is at
+    # least 2**31, so one bound must catch both ends in either dtype
+    value = {"-1": -1, "min": np.iinfo(dtype).min, "n": 4, "max": np.iinfo(dtype).max}[bad]
+    edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0]], dtype=dtype)
+    edges[row, col] = value
+    src, dst = edges[row].tolist()
+    with pytest.raises(MalformedEdgeError, match=rf"^edge \({src}, {dst}\) out of range for node_count=4$"):
+        build_graph(edges, 4)
+    with pytest.raises(MalformedEdgeError, match=rf"^edge \({src}, {dst}\) out of range for node_count=4$"):
+        build_graph(edges, 3, remap=np.array([0, 1, 2, 1], dtype=dtype))
+    remap = np.array([0, 1, 2, 1], dtype=dtype)
+    remap[row] = 3 if bad == "n" else value
+    with pytest.raises(MalformedEdgeError, match=r"^remap holds a node index outside \[0, 3\)$"):
+        build_graph(np.zeros((1, 2), dtype=dtype), 3, remap=remap)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -289,7 +309,8 @@ def test_build_graph_through_remap_is_the_graph_of_the_remapped_edges():
 
 
 def test_int32_remap_keys_do_not_overflow():
-    # row * n + col passes the int32 range once n > 46,340
+    # an int32 row << 32 overflows for any row from 1, so the remapped rows
+    # must be widened to int64 before the shift
     n = 2**16 + 3
     rng = np.random.default_rng(22)
     remap = rng.permutation(n).astype(np.int32)
@@ -317,22 +338,50 @@ def test_node_indices_are_int32_and_edge_offsets_int64():
         assert g.out_indptr.dtype == g.in_indptr.dtype == np.int64
 
 
-# tracemalloc counts build_graph's own peak on this input at 17.0 bytes per
-# input edge; it was 19.4 while the build also sorted the in-CSR, 26.8 with
-# int64 CSR indices, and 42.8 from int32 input. The graph it returns holds
-# 5.6 bytes per stored edge (the out-CSR and its degrees); with the in-CSR
-# built eagerly it held 11.2.
-_BUILD_PEAK_BYTES_PER_EDGE = 18
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_remap_that_is_not_one_to_one_builds_the_remapped_graph(dtype):
+    # many indices share a node, so self-loops and duplicates appear only
+    # after remapping, and they fall in several blocks of edges
+    n, m = 1_000, 200_000
+    rng = np.random.default_rng(35)
+    remap = rng.integers(0, n, size=10 * n).astype(dtype)
+    citing = rng.integers(0, 10 * n, size=m)
+    edges = np.column_stack((citing, (citing + rng.integers(1, 10 * n, size=m)) % (10 * n))).astype(dtype)
+    before = build_graph(edges, 10 * n).build_report
+    got, want = build_graph(edges, n, remap=remap), build_graph(remap[edges], n)
+    assert before.self_loops_dropped == 0 < got.build_report.self_loops_dropped
+    assert before.duplicate_edges_dropped < got.build_report.duplicate_edges_dropped
+    for name in CSR:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.build_report == want.build_report
+
+
+# tracemalloc counts build_graph's own peak at 12.8 to 13.1 bytes per input
+# edge on this input and at 12.8 on the 1M / 10M mem_sweep array, with or
+# without a remap: the int64 keys, the int32 indices and the row pointers,
+# with the per-block temporaries a larger share here. It was 17.0 while the
+# remapped rows and columns sat beside the keys and the duplicate drop copied
+# them, 19.4 while the build also sorted the in-CSR, 26.8 with int64 CSR
+# indices, and 42.8 from int32 input. The graph it returns holds 5.6 bytes per
+# stored edge (the out-CSR and its degrees); with the in-CSR built eagerly it
+# held 11.2.
+_BUILD_PEAK_BYTES_PER_EDGE = 14
 _GRAPH_BYTES_PER_EDGE = 6
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.int32])
-def test_build_graph_peak_memory_per_edge(dtype):
+@pytest.mark.parametrize(
+    "dtype, remap_dtype",
+    [(np.int64, None), (np.int32, None), (np.int32, np.int32), (np.int64, np.int64)],
+    ids=["int64", "int32", "int32-int32-remap", "int64-int64-remap"],
+)
+def test_build_graph_peak_memory_per_edge(dtype, remap_dtype):
     n, m = 100_000, 1_000_000
-    edges = np.random.default_rng(9).integers(0, n, size=(m, 2)).astype(dtype)
+    rng = np.random.default_rng(9)
+    edges = rng.integers(0, n, size=(m, 2)).astype(dtype)
+    remap = None if remap_dtype is None else rng.permutation(n).astype(remap_dtype)
     tracemalloc.start()
     try:
-        graph = build_graph(edges, n)
+        graph = build_graph(edges, n, remap=remap)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -73,6 +73,33 @@ def test_build_graph_matches_lexsort_oracle(case):
     _assert_same_graph(build_graph(edges, n), lexsort_build_graph(edges, n))
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@settings(max_examples=100, deadline=None)
+@given(case=messy_edges())
+def test_blocked_build_matches_lexsort_oracle_across_block_seams(chunk, case):
+    # blocks of a few edges put the key fill's and both compactions' seams
+    # between self-loops, repeats and their neighbours
+    n, edges = case
+    with mock.patch.object(graph_module, "_CHUNK_ROWS", chunk):
+        got = build_graph(edges, n)
+    _assert_same_graph(got, lexsort_build_graph(edges, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(messy_edges(), st.data())
+def test_build_through_remap_matches_lexsort_oracle(case, data):
+    # a remap onto fewer nodes is not one to one, so it makes self-loops and
+    # duplicates of its own
+    n, edges = case
+    nodes = data.draw(st.integers(1, max(n, 1)))
+    dtype = data.draw(st.sampled_from([np.int32, np.int64]))
+    remap = np.array(data.draw(st.lists(st.integers(0, nodes - 1), min_size=n, max_size=n)), dtype=dtype)
+    edges = np.array(edges, dtype=data.draw(st.sampled_from([np.int32, np.int64]))).reshape(-1, 2)
+    with mock.patch.object(graph_module, "_CHUNK_ROWS", data.draw(st.sampled_from([1, 3, 1 << 16]))):
+        got = build_graph(edges, nodes, remap=remap)
+    _assert_same_graph(got, lexsort_build_graph(remap[edges], nodes))
+
+
 @settings(max_examples=300, deadline=None)
 @given(graphs_and_keeps())
 def test_induced_subgraph_matches_rebuild_oracle(case):
@@ -133,7 +160,9 @@ def test_large_random_graph_matches_lexsort_oracle():
 
 def test_max_node_count_is_largest_int32_index_and_keys_fit_int64():
     assert MAX_NODE_COUNT == np.iinfo(np.int32).max == 2_147_483_647
-    assert MAX_NODE_COUNT * MAX_NODE_COUNT < 2**63
+    # the largest key ``row << 32 | col``, and the row pointers' probe for row n
+    assert (MAX_NODE_COUNT - 1) << 32 | (MAX_NODE_COUNT - 1) < 2**63
+    assert MAX_NODE_COUNT << 32 < 2**63
 
 
 def test_node_count_beyond_key_range_rejected_before_allocating():

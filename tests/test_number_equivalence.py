@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import ingest_oracle as oracle
 from conftest import assert_same_columns, columns_of
-from patentflow import PatentFlowError, ingest, parse_citations, parse_metadata
+from patentflow import PatentFlowError, graph, ingest, parse_citations, parse_metadata
 
 
 def _digits(value: int) -> int:
@@ -95,7 +95,8 @@ def test_number_matches_argsort_oracle(packed, view, chunk):
         "lines": np.repeat(packed, 2, axis=0)[::2],
         "fields": np.concatenate((packed, packed), axis=1)[:, :packed.shape[1]],
     }[view]
-    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
+    # the word packing reads ingest's name, the key compaction graph's
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk), mock.patch.object(graph, "_CHUNK_ROWS", chunk):
         got = ingest._number(given_keys)
     _assert_numbers_as_oracle(got, packed)
 
