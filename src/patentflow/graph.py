@@ -137,6 +137,8 @@ def _csr(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _compact(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Move the rows of ``values`` where ``keep`` is set to its front, in blocks that keep copies small."""
+    if keep.all():
+        return values
     rows = 0
     for a in range(0, len(values), _CHUNK_ROWS):
         block = np.compress(keep[a:a + _CHUNK_ROWS], values[a:a + _CHUNK_ROWS], axis=0)

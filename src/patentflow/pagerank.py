@@ -5,11 +5,14 @@ vector) with the rank of dangling nodes redistributed evenly each step so
 total mass stays at 1. Iteration starts from the uniform vector and stops
 when the L1 change between consecutive vectors drops below epsilon.
 
-Each step pushes every node's share along its out-links with one
-unbuffered ``np.add.at`` per block of source nodes, the blocks in ascending
-order, so a node's inflow is summed left to right over its in-neighbors in
-ascending index order. The dangling-mass scalar is reduced in fixed index
-order too, so a run is bitwise reproducible.
+Each step's inflow is one scipy product ``push @ cur``, where ``push`` is
+the graph's out-CSR read as a CSC matrix (column ``s`` holds ``s``'s
+targets, each with the value ``1 / out_degree(s)``). The product walks the
+columns in ascending order and adds each term to its target from 0.0, so a
+node's inflow is summed left to right over its in-neighbors in ascending
+index order. The matrix shares the graph's int32 indices, and its values
+take 8 bytes per edge while ``pagerank`` runs. The dangling-mass scalar is
+reduced in fixed index order too, so a run is bitwise reproducible.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csc_matrix
 
 from .atomic import atomic_write
 from .errors import PatentFlowError
@@ -31,10 +35,6 @@ _DANGLING_MODES = (DANGLING_UNIFORM_ALL, DANGLING_UNIFORM_OTHERS)
 
 DEFAULT_EPSILON = 1e-6
 DEFAULT_MAX_ITERATIONS = 1000
-
-# Source nodes per np.add.at call in the push step; the fastest of 4,096 to
-# 262,144 in a per-step sweep at 1M nodes / 10M edges.
-_PUSH_BLOCK_NODES = 4096
 
 # Rows per byte matrix of write_scores_tsv (the fastest of 4,096 to 65,536
 # at 210k and 3M rows), and the longest id (in UTF-8 bytes) that goes into
@@ -107,36 +107,30 @@ def pagerank(graph: CitationGraph, params: PageRankParams) -> PageRankResult:
     d = params.damping
     base = (1.0 - d) / n
     dangling = graph.dangling_nodes
-    inv_out = np.zeros(n)
-    linked = graph.out_degrees > 0
-    inv_out[linked] = 1.0 / graph.out_degrees[linked]
     # uniform-others degenerates to uniform-all on a single-node graph:
     # there is no "other" node to receive the mass.
     exclude_self = params.dangling_mode == DANGLING_UNIFORM_OTHERS and n > 1
     spread = n - 1.0 if exclude_self else n  # nodes that share the dangling mass
-    step, indptr = _PUSH_BLOCK_NODES, graph.out_indptr
-    blocks = [(slice(lo, lo + step), graph.out_indices[indptr[lo]:indptr[min(lo + step, n)]])
-              for lo in range(0, n, step)]
+    degrees = graph.out_degrees
+    weights = np.repeat(1.0 / np.maximum(degrees, 1), degrees)  # 1 / out_degree of each edge's source
+    push = csc_matrix((weights, graph.out_indices, graph.out_indptr), shape=(n, n), copy=False)
 
     cur = np.full(n, 1.0 / n)
-    share, inflow, nxt, diff = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     iterations = 0
     delta = float("inf")
     converged = False
     for iterations in range(1, params.max_iterations + 1):
         dangling_mass = float(cur[dangling].sum())
-        np.multiply(cur, inv_out, out=share)
-        inflow.fill(0.0)
-        for nodes, targets in blocks:
-            np.add.at(inflow, targets, np.repeat(share[nodes], graph.out_degrees[nodes]))
-        # nxt = base + d * (inflow + dangling_mass / spread), in place
-        np.add(inflow, dangling_mass / spread, out=nxt)
-        np.multiply(d, nxt, out=nxt)
-        np.add(base, nxt, out=nxt)
+        # nxt = base + d * (inflow + dangling_mass / spread), in the product's fresh buffer
+        nxt = push @ cur
+        nxt += dangling_mass / spread
+        nxt *= d
+        nxt += base
         if exclude_self:
             nxt[dangling] -= d * (cur[dangling] / spread)
-        delta = float(np.abs(np.subtract(nxt, cur, out=diff), out=diff).sum())
-        cur, nxt = nxt, cur
+        # cur's buffer is not read again, so it holds |nxt - cur| for the delta
+        delta = float(np.abs(np.subtract(nxt, cur, out=cur), out=cur).sum())
+        cur = nxt
         if delta < params.epsilon:
             converged = True
             break

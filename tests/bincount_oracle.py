@@ -1,10 +1,12 @@
-"""The one-``bincount`` push step, kept as the oracle for the blocked kernel.
+"""The one-``bincount`` push step, kept as the oracle for the CSC kernel.
 
-``bincount_pagerank`` is ``pagerank`` as it was before the push step became
-one ``np.add.at`` per block of source nodes: every step builds the per-edge
-shares of all nodes with one ``np.repeat`` and sums them into the targets
-with one ``bincount``. The rest of the update is unchanged, so the current
-kernel must return bitwise-equal scores, iteration count and final delta.
+``bincount_pagerank`` is ``pagerank`` with its inflow computed another way:
+every step builds the per-edge shares of all nodes with one ``np.repeat``
+and sums them into the targets with one ``bincount``, in edge order. So
+each node's inflow is summed left to right over its in-neighbors in
+ascending index order, as the CSC product sums it. The rest of the update
+is the same, so ``pagerank`` must return bitwise-equal scores, iteration
+count and final delta.
 
 ``convergence_delta`` is the package's L1 distance between two score
 vectors from before ``pagerank`` computed each step's delta in a reused

@@ -85,6 +85,32 @@ def test_blocked_build_matches_lexsort_oracle_across_block_seams(chunk, case):
     _assert_same_graph(got, lexsort_build_graph(edges, n))
 
 
+def test_compact_with_every_row_kept_returns_its_input():
+    for values in (np.arange(10, dtype=np.int64), np.zeros((0, 3), dtype=np.uint8)):
+        assert graph_module._compact(values, np.ones(len(values), dtype=bool)) is values
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_build_without_self_loops_or_duplicates_matches_lexsort_oracle(chunk):
+    # input free of self-loops keeps every row of the first compaction, and
+    # input free of duplicates every row of the second
+    rng = np.random.default_rng(46)
+    n = 400
+    edges = rng.integers(0, n, size=(6_000, 2))
+    edges[:300, 1] = edges[:300, 0]
+    edges[300:900] = edges[900:1_500]
+    no_loops = edges[edges[:, 0] != edges[:, 1]]
+    no_repeats = edges[np.unique(edges[:, 0] << 32 | edges[:, 1], return_index=True)[1]]
+    no_repeats = no_repeats[rng.permutation(len(no_repeats))]
+    neither = no_repeats[no_repeats[:, 0] != no_repeats[:, 1]]
+    with mock.patch.object(graph_module, "_CHUNK_ROWS", chunk):
+        for case, loops, repeats in ((no_loops, False, True), (no_repeats, True, False), (neither, False, False)):
+            got = build_graph(case, n)
+            report = got.build_report
+            assert (report.self_loops_dropped > 0, report.duplicate_edges_dropped > 0) == (loops, repeats)
+            _assert_same_graph(got, lexsort_build_graph(case, n))
+
+
 @settings(max_examples=300, deadline=None)
 @given(messy_edges(), st.data())
 def test_build_through_remap_matches_lexsort_oracle(case, data):

@@ -2,10 +2,13 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
+import sys
 import typing
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import patentflow
 
@@ -50,6 +53,24 @@ def test_no_unused_imports():
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    """The modules the package imports, less the standard library and
+    itself, are exactly the distributions ``pyproject.toml`` declares."""
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(patentflow.__file__).parent
+    imported = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"patentflow"}
+    project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in project["dependencies"]}
+    assert third_party == declared
 
 
 def test_only_ingest_imports_its_private_names():

@@ -2,8 +2,9 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csc_matrix
 
 from patentflow import (
     CitationGraph,
@@ -259,8 +260,7 @@ def test_matches_left_to_right_oracle_bitwise(seed, mode):
 
 @pytest.mark.parametrize("block", [2, 3, 5])
 @pytest.mark.parametrize("mode", ["uniform-all", "uniform-others"])
-def test_block_seams_match_left_to_right_oracle_bitwise(monkeypatch, block, mode):
-    monkeypatch.setattr(pagerank_module, "_PUSH_BLOCK_NODES", block)
+def test_block_seams_match_left_to_right_oracle_bitwise(block, mode):
     n = 6 * block + 1  # the last block holds one node
     rng = np.random.default_rng(block)
     sources = np.setdiff1d(np.arange(n), np.arange(block, 2 * block))  # block 1 only dangling
@@ -280,7 +280,7 @@ def test_block_seams_match_left_to_right_oracle_bitwise(monkeypatch, block, mode
 
 @pytest.mark.parametrize("mode", ["uniform-all", "uniform-others"])
 def test_matches_bincount_oracle_bitwise_at_real_block_size(mode):
-    block = pagerank_module._PUSH_BLOCK_NODES
+    block = 4096
     n = 7 * block // 2
     g = random_graph(n, 8 * n, seed=41)
     assert n % block and g.dangling_nodes.size
@@ -294,7 +294,7 @@ def test_matches_bincount_oracle_bitwise_at_real_block_size(mode):
 
 @pytest.mark.parametrize("mode", ["uniform-all", "uniform-others"])
 def test_int32_indices_match_int64_indices_bitwise(mode):
-    block = pagerank_module._PUSH_BLOCK_NODES
+    block = 4096
     n = 5 * block // 2
     g = random_graph(n, 8 * n, seed=43)
     assert g.out_indices.dtype == np.int32 and g.dangling_nodes.size
@@ -304,6 +304,40 @@ def test_int32_indices_match_int64_indices_bitwise(mode):
         r, w = pagerank(g, params), pagerank(wide, params)
         assert (r.iterations, r.final_delta) == (w.iterations, w.final_delta)
         assert np.array_equal(r.scores, w.scores)
+
+
+@pytest.mark.parametrize("mode", ["uniform-all", "uniform-others"])
+@pytest.mark.parametrize("d", [0.0, 0.5, 0.99])
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 24), edges=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=80))
+@example(n=1, edges=[])  # one node
+@example(n=5, edges=[])  # no edges
+@example(n=4, edges=[(0, 0), (2, 2)])  # every node dangling once the self-loops go
+@example(n=6, edges=[(0, 1), (0, 2), (1, 2), (2, 1)])  # nodes 0, 3, 4 and 5 without in-links
+def test_matches_bincount_oracle_bitwise_on_any_graph(mode, d, n, edges):
+    g = build_graph([(u % n, v % n) for u, v in edges], n)
+    params = PageRankParams(damping=d, max_iterations=300, dangling_mode=mode)
+    r = pagerank(g, params)
+    scores, iterations, delta = bincount_pagerank(g, params)
+    assert (r.iterations, r.final_delta) == (iterations, delta)
+    assert np.array_equal(r.scores, scores)
+
+
+def test_push_matrix_shares_the_out_indices_and_no_in_csr_is_built(monkeypatch):
+    g = random_graph(300, 2400, seed=45)
+    built = []
+
+    def checked_csc_matrix(arg, **kwargs):
+        matrix = csc_matrix(arg, **kwargs)
+        assert np.shares_memory(matrix.indices, g.out_indices)
+        built.append(matrix)
+        return matrix
+
+    monkeypatch.setattr(pagerank_module, "csc_matrix", checked_csc_matrix)
+    for mode in ("uniform-all", "uniform-others"):
+        pagerank(g, PageRankParams(damping=0.85, dangling_mode=mode))
+    assert len(built) == 2
+    assert "_in_csr" not in vars(g)
 
 
 def _graph_with_dangling(n, m, k, seed):
