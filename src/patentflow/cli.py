@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     # one parent parser per flag group; each command lists the groups it takes
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; has no effect on results or speed")
+                        help="accepted for compatibility; has no effect: results are the same "
+                             "for every value, and PageRank uses the process's CPUs")
     common.add_argument("--out", default=None, help="output directory (default .)")
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--citations", required=True, help="citations.tsv path")

@@ -2,13 +2,16 @@
 
 Nodes are dense integers in ``[0, node_count)``. Out-links are stored as
 CSR-style index arrays, and the in-links, their transpose, are built on
-first read; degree queries are O(1) and neighbor iteration is a contiguous
-slice either way. Self-loops and duplicate edges are dropped and counted.
+first read, as are the out-CSR's target ranges that PageRank's product runs
+on (see ``_part_count``); degree queries are O(1) and neighbor iteration is
+a contiguous slice either way. Self-loops and duplicate edges are dropped and counted.
 Node indices are int32 and edge offsets (``indptr``) int64, so node counts
 are limited to MAX_NODE_COUNT (2,147,483,647).
 """
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -21,6 +24,10 @@ from .errors import MalformedEdgeError, PatentFlowError
 MAX_NODE_COUNT = 2**31 - 1
 # rows per block of the blocked loops, which keep their temporaries small
 _CHUNK_ROWS = 1 << 16
+# Edges below which PageRank's product is one part (see _part_count). A
+# five-damping sweep on a fresh citation-shaped graph with 10 edges per node,
+# split on two CPUs, was slower at 1M and 2M edges and faster at 4M.
+_SPLIT_EDGES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -39,8 +46,9 @@ class CitationGraph:
 
     No attribute can be assigned or deleted and every array is read-only, so
     a graph can be shared across threads without locking: racing first reads
-    of the lazy in-CSR or ``in_degrees`` publish identical arrays (Python
-    3.11 builds each under a lock; 3.12 and later may build twice).
+    of the lazy in-CSR, target ranges or ``in_degrees`` publish identical
+    arrays (Python 3.11 builds each under a lock; 3.12 and later may build
+    twice).
     Neighbor lists are sorted ascending, which fixes the floating-point
     accumulation order of folds over them. Equality and hashing are by identity.
     """
@@ -69,6 +77,11 @@ class CitationGraph:
     @property
     def in_indices(self) -> np.ndarray:
         return self._in_csr[1]
+
+    @cached_property
+    def _target_parts(self) -> _TargetParts:
+        """The out-CSR cut into target ranges for PageRank's product."""
+        return _split(self, _part_count(self))
 
     @cached_property
     def in_degrees(self) -> np.ndarray:
@@ -120,6 +133,82 @@ def _freeze_arrays(*values) -> tuple:
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
     return values
+
+
+def _part_count(graph: CitationGraph) -> int:
+    """How many target ranges ``graph``'s product is cut into.
+
+    One below ``_SPLIT_EDGES`` edges or on one CPU. Otherwise a multiple of
+    the CPUs in the process's affinity mask, the one nearest
+    P = sqrt(2m / n): the parts' row pointers take 4(n + 1) bytes each and
+    their shared ones 8m / P, a sum that is least there. A host with more
+    CPUs than that gets P parts, not one per CPU.
+    """
+    threads = len(os.sched_getaffinity(0))
+    if threads == 1 or graph.edge_count < _SPLIT_EDGES:
+        return 1
+    best = math.sqrt(2 * graph.edge_count / graph.node_count)
+    return min(threads, round(best)) * max(1, round(best / threads))
+
+
+@dataclass(frozen=True, eq=False)
+class _TargetParts:
+    """The out-CSR cut into target ranges: part k is the CSC matrix of shape
+    ``(bounds[k + 1] - bounds[k], n)`` with row pointers ``indptr[k]`` and
+    row indices ``indices[starts[k]:starts[k + 1]]``."""
+
+    bounds: tuple[int, ...]
+    starts: tuple[int, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __post_init__(self) -> None:
+        _freeze_arrays(self.indptr, self.indices)
+
+
+def _split(graph: CitationGraph, parts: int) -> _TargetParts:
+    """``graph``'s out-CSR as ``parts`` target ranges of about m / parts
+    entries each. A part keeps each column's targets in its range, ascending,
+    less the range's first target. One part is the out-CSR itself."""
+    n, m = graph.node_count, graph.edge_count
+    out_indptr, out_indices, degrees = graph.out_indptr, graph.out_indices, graph.out_degrees
+    if parts == 1:
+        indptr = out_indptr.astype(out_indices.dtype, copy=False)[None]
+        return _TargetParts((0, n), (0, m), indptr, out_indices)
+    ends = np.zeros(n, dtype=np.int64)
+    for a in range(0, m, _CHUNK_ROWS):  # in blocks: bincount would copy the indices to int64
+        np.add.at(ends, out_indices[a:a + _CHUNK_ROWS], 1)
+    ends = np.cumsum(ends, out=ends)  # entries with target <= t
+    cuts = np.searchsorted(ends, np.arange(1, parts) * m // parts, side="right")
+    bounds = (0, *cuts.tolist(), n)
+    starts = tuple(int(ends[b - 1]) if b else 0 for b in bounds)
+    del ends
+    part_of = np.repeat(np.arange(parts, dtype=np.int8), np.diff(bounds))
+    indptr = np.zeros((parts, n + 1), dtype=np.int32)
+    indices = np.empty(m, dtype=np.int32)
+    done = np.zeros(parts, dtype=np.int64)  # each part's entries in the columns before a
+    # blocks of whole columns, of about _CHUNK_ROWS entries each
+    rows = np.searchsorted(out_indptr, np.arange(0, m, _CHUNK_ROWS)).tolist()
+    for a, b in zip(rows, rows[1:] + [n]):
+        if a == b:
+            continue
+        targets = out_indices[out_indptr[a]:out_indptr[b]]
+        part = part_of.take(targets)
+        # each column's entries in each part, summed down the columns
+        key = np.repeat(np.arange(0, (b - a) * parts, parts), degrees[a:b])
+        key += part
+        counts = np.bincount(key, minlength=(b - a) * parts).reshape(b - a, parts)
+        np.cumsum(counts, axis=0, out=counts)
+        counts += done
+        indptr[:, a + 1:b + 1] = counts.T
+        grouped = targets.take(np.argsort(part, kind="stable"))  # by part, each in column order
+        edge = 0
+        for k in range(parts):
+            at, size = starts[k] + int(done[k]), int(counts[-1, k] - done[k])
+            np.subtract(grouped[edge:edge + size], bounds[k], out=indices[at:at + size])
+            edge += size
+        done = counts[-1]
+    return _TargetParts(bounds, starts, indptr, indices)
 
 
 def _transpose(graph: CitationGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ that alters an output on purpose records new ones, printed in this layout
 by ``PYTHONPATH=src:tests python tests/test_golden.py``.
 """
 import hashlib
+import importlib
 import io
 import json
 import sys
@@ -121,6 +122,13 @@ def _digests(root: Path, threads: int, capsys) -> dict[str, str]:
 @pytest.mark.parametrize("threads", [1, 7])
 def test_cli_outputs_match_recorded_digests(tmp_path, capsys, threads):
     assert _digests(tmp_path, threads, capsys) == GOLDEN
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+def test_cli_outputs_match_recorded_digests_at_part_count(tmp_path, capsys, monkeypatch, parts):
+    # both of PageRank's paths on any host: one part, and three run by threads
+    monkeypatch.setattr(importlib.import_module("patentflow.graph"), "_part_count", lambda graph: parts)
+    assert _digests(tmp_path, 1, capsys) == GOLDEN
 
 
 class _StderrCapture:

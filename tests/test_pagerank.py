@@ -1,10 +1,15 @@
 import importlib
+import os
+import sys
+import threading
+import tracemalloc
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csc_matrix
 
 from patentflow import (
     CitationGraph,
@@ -20,9 +25,15 @@ from dense_oracle import dense_pagerank, random_graph
 
 # the package's ``pagerank`` attribute is the function, not the module
 pagerank_module = importlib.import_module("patentflow.pagerank")
+graph_module = importlib.import_module("patentflow.graph")
 
 SWEEP = (0.01, 0.15, 0.50, 0.85, 0.99)
 TIGHT = dict(epsilon=1e-12, max_iterations=20000)
+
+
+def _parts(count):
+    """Patches the part count of every graph split while it is active."""
+    return mock.patch.object(graph_module, "_part_count", lambda graph: count)
 
 
 def test_damping_zero_is_exactly_uniform():
@@ -284,12 +295,15 @@ def test_matches_bincount_oracle_bitwise_at_real_block_size(mode):
     n = 7 * block // 2
     g = random_graph(n, 8 * n, seed=41)
     assert n % block and g.dangling_nodes.size
+    assert g.edge_count > graph_module._CHUNK_ROWS  # the split takes two blocks of columns
     for d in (0.15, 0.5, 0.85):
         params = PageRankParams(damping=d, epsilon=1e-12, dangling_mode=mode)
-        r = pagerank(g, params)
         scores, iterations, delta = bincount_pagerank(g, params)
-        assert (r.iterations, r.final_delta) == (iterations, delta)
-        assert np.array_equal(r.scores, scores)
+        for parts in (None, 3, 7):  # the default, one part here, and two splits
+            with _parts(parts) if parts else nullcontext():
+                r = pagerank(random_graph(n, 8 * n, seed=41), params)
+            assert (r.iterations, r.final_delta) == (iterations, delta)
+            assert np.array_equal(r.scores, scores)
 
 
 @pytest.mark.parametrize("mode", ["uniform-all", "uniform-others"])
@@ -323,21 +337,119 @@ def test_matches_bincount_oracle_bitwise_on_any_graph(mode, d, n, edges):
     assert np.array_equal(r.scores, scores)
 
 
-def test_push_matrix_shares_the_out_indices_and_no_in_csr_is_built(monkeypatch):
-    g = random_graph(300, 2400, seed=45)
-    built = []
+@pytest.mark.parametrize("parts", [1, 2, 3, 7])
+@pytest.mark.parametrize("mode", ["uniform-all", "uniform-others"])
+@pytest.mark.parametrize("d", [0.0, 0.5, 0.99])
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 24), edges=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=80),
+       chunk=st.sampled_from([1, 3, 1 << 16]))  # entries per block of the split's column loop
+@example(n=1, edges=[], chunk=1 << 16)  # one node
+@example(n=5, edges=[], chunk=1 << 16)  # no edges
+@example(n=4, edges=[(0, 0), (2, 2)], chunk=1 << 16)  # every node dangling once the self-loops go
+@example(n=5, edges=[(0, 3), (1, 3), (2, 3), (4, 3)], chunk=1)  # one target: every part but one empty
+def test_matches_bincount_oracle_bitwise_at_any_part_count(parts, mode, d, n, edges, chunk):
+    with _parts(parts), mock.patch.object(graph_module, "_CHUNK_ROWS", chunk):
+        g = build_graph([(u % n, v % n) for u, v in edges], n)
+        params = PageRankParams(damping=d, max_iterations=300, dangling_mode=mode)
+        r = pagerank(g, params)
+    scores, iterations, delta = bincount_pagerank(g, params)
+    assert (r.iterations, r.final_delta) == (iterations, delta)
+    assert np.array_equal(r.scores, scores)
 
-    def checked_csc_matrix(arg, **kwargs):
-        matrix = csc_matrix(arg, **kwargs)
-        assert np.shares_memory(matrix.indices, g.out_indices)
-        built.append(matrix)
-        return matrix
 
-    monkeypatch.setattr(pagerank_module, "csc_matrix", checked_csc_matrix)
-    for mode in ("uniform-all", "uniform-others"):
-        pagerank(g, PageRankParams(damping=0.85, dangling_mode=mode))
-    assert len(built) == 2
+@pytest.mark.parametrize("mode", ["uniform-all", "uniform-others"])
+def test_delta_history_ends_in_final_delta_at_every_part_count(mode):
+    histories = set()
+    for parts in (1, 2, 3, 7):
+        with _parts(parts):
+            for params in (PageRankParams(damping=0.85, epsilon=1e-10, dangling_mode=mode),
+                           PageRankParams(damping=0.99, max_iterations=4, dangling_mode=mode)):
+                r = pagerank(random_graph(400, 3000, seed=46), params)
+                assert len(r.delta_history) == r.iterations
+                assert r.delta_history[-1] == r.final_delta
+                histories.add((params.damping, r.delta_history))
+    assert len(histories) == 2  # one per params, whatever the part count
+    assert len(dict(histories)[0.99]) == 4
+
+
+def test_one_part_is_the_out_csr_and_a_graph_is_split_once(monkeypatch):
+    with _parts(1):
+        g = random_graph(300, 2400, seed=45)
+        pagerank(g, PageRankParams(damping=0.85))
+    assert np.shares_memory(g._target_parts.indices, g.out_indices)
+
+    splits = []
+    split = graph_module._split
+    monkeypatch.setattr(graph_module, "_split",
+                        lambda graph, parts: splits.append(parts) or split(graph, parts))
+    with _parts(3):
+        g = random_graph(300, 2400, seed=45)
+        for mode in ("uniform-all", "uniform-others"):
+            pagerank(g, PageRankParams(damping=0.85, dangling_mode=mode))
+    assert splits == [3]
     assert "_in_csr" not in vars(g)
+
+
+class _PartFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["main", "worker"])
+def test_a_failing_part_raises_and_leaves_no_thread(monkeypatch, where):
+    # three CPUs, so two worker threads run parts on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    product = pagerank_module._csc_matvec
+
+    def failing(*args):
+        if (threading.current_thread() is threading.main_thread()) == (where == "main"):
+            raise _PartFailed
+        product(*args)
+
+    monkeypatch.setattr(pagerank_module, "_csc_matvec", failing)
+    before = threading.active_count()
+    with _parts(3), pytest.raises(_PartFailed):
+        pagerank(random_graph(300, 2400, seed=45), PageRankParams(damping=0.85))
+    assert threading.active_count() == before
+
+
+def test_more_threads_than_cores_with_fast_switching_stay_bitwise(monkeypatch):
+    # seven parts on seven threads, switching every microsecond: each writes
+    # only its own targets' slice, so no update is lost
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(7)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for mode in ("uniform-all", "uniform-others"):
+            params = PageRankParams(damping=0.85, epsilon=1e-10, dangling_mode=mode)
+            with _parts(7):
+                r = pagerank(random_graph(3000, 30000, seed=49), params)
+            scores, iterations, delta = bincount_pagerank(random_graph(3000, 30000, seed=49), params)
+            assert (r.iterations, r.final_delta) == (iterations, delta)
+            assert np.array_equal(r.scores, scores)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# tracemalloc counts one pagerank call's peak, its split included, at 10.01
+# bytes per edge (uniform-all) and 10.24 (uniform-others) for the one-product
+# kernel that held 1 / out_degree per edge, and at 10.08-10.25 for one part or
+# four on this input: the 4-byte index copy and 4(n + 1)-byte row pointers
+# per part, the ones, three score vectors, or one part's weights and two.
+_PAGERANK_PEAK_BYTES_PER_EDGE = 10.75
+
+
+@pytest.mark.parametrize("parts", [None, 4], ids=["default", "4"])
+def test_pagerank_peak_memory_per_edge(parts):
+    with _parts(parts) if parts else nullcontext():
+        for mode in ("uniform-all", "uniform-others"):
+            g = random_graph(200_000, 2_000_000, seed=47)
+            tracemalloc.start()
+            try:
+                pagerank(g, PageRankParams(damping=0.85, dangling_mode=mode))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < _PAGERANK_PEAK_BYTES_PER_EDGE * g.edge_count
 
 
 def _graph_with_dangling(n, m, k, seed):
