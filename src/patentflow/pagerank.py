@@ -9,14 +9,16 @@ Each step's inflow is a scipy CSC product over the graph's out-CSR, where
 column ``s`` holds ``s``'s targets. The product walks the columns in
 ascending order and adds each term to its target from 0.0, so a node's
 inflow is summed left to right over its in-neighbors in ascending index
-order. A graph of ``graph._SPLIT_EDGES`` edges or more, on more than one
-CPU, is cut once into target ranges of about equal entry counts (see
-``graph._part_count``), kept while the graph lives: each part is a CSC matrix
-over every column, holding only the targets in its range, so each target's
-sum is unchanged. The parts' products run on threads, one per CPU in the
-process's affinity mask; their values are one shared buffer of ones, and
-each term is ``1.0 * ((1 / out_degree(s)) * cur[s])``. With one part the
-matrix is the out-CSR itself and its values are ``1 / out_degree(s)``.
+order. On its second call, a graph of ``graph._SPLIT_EDGES`` edges or
+more, on more than one CPU, is cut into target ranges of about equal entry
+counts (see ``CitationGraph._product_parts``), kept while the graph lives:
+each part is a CSC matrix over every column, holding only the targets in
+its range, so each target's sum is unchanged. The parts' products run on
+threads, one per CPU in the process's affinity mask; their values are one
+shared buffer of ones, and each term is
+``1.0 * ((1 / out_degree(s)) * cur[s])``. With one part, as on every
+graph's first call, the matrix is the out-CSR itself and its values are
+``1 / out_degree(s)``.
 At 1M nodes and 10M edges on two CPUs (four parts), the parts hold 5.6
 bytes per edge (an int32 copy of the indices and four sets of int32 row
 pointers), and a call adds 2 bytes per edge of ones and three score
@@ -36,7 +38,9 @@ from typing import Sequence
 
 import numpy as np
 # y += A @ x for a CSC matrix A, into the caller's y; the public ``A @ x``
-# returns a fresh vector, which would cost each step a copy into place
+# returns a fresh vector, which would cost each step a copy into place. This
+# private function checks dtypes but no bounds, and its signature may change
+# between releases, so pyproject.toml pins scipy to the minor version tested.
 from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
 
 from .atomic import atomic_write
@@ -126,13 +130,22 @@ def pagerank(graph: CitationGraph, params: PageRankParams) -> PageRankResult:
     # there is no "other" node to receive the mass.
     exclude_self = params.dangling_mode == DANGLING_UNIFORM_OTHERS and n > 1
     spread = n - 1.0 if exclude_self else n  # nodes that share the dangling mass
-    parts = graph._target_parts
+    # the result's vector comes before the call's temporaries, so that when
+    # they are freed no hole stays below it in the allocator's heap (after a
+    # 1M-node graph's first call, such a hole kept 4 MB resident)
+    scores = cur = np.empty(n)
+    parts = graph._product_parts()
     bounds, starts = parts.bounds, parts.starts
     degrees = graph.out_degrees
     if len(bounds) == 2:
-        # one part: each entry holds 1 / out_degree of its column, and the
-        # product reads the scores themselves
-        values, share = np.repeat(1.0 / np.maximum(degrees, 1), degrees), None
+        # one part: each entry holds 1 / out_degree of its column, formed
+        # in the scores' vector, and the product reads the scores themselves.
+        # The split's ones and share would give the same doubles for one
+        # more score vector: a call's tracemalloc peak at 200k nodes / 2M
+        # edges read 10.9-11.0 bytes per edge that way against 10.1-10.2
+        # this way.
+        np.divide(1.0, np.maximum(degrees, 1, out=scores), out=scores)
+        values, share = np.repeat(scores, degrees), None
         nxt = np.empty(n)
     else:
         # every part's values are a view of one buffer of ones, and the
@@ -142,7 +155,7 @@ def pagerank(graph: CitationGraph, params: PageRankParams) -> PageRankResult:
         width = max(b - a for a, b in zip(starts, starts[1:]))
         values, share, nxt = np.split(np.empty(width + 2 * n), [width, width + n])
         values.fill(1.0)
-    scores = cur = np.full(n, 1.0 / n)
+    scores.fill(1.0 / n)
 
     def products(group: range, x: np.ndarray) -> None:
         # nxt[lo:hi] += M_k @ x for each part k of the group, in scipy's

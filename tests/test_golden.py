@@ -126,7 +126,8 @@ def test_cli_outputs_match_recorded_digests(tmp_path, capsys, threads):
 
 @pytest.mark.parametrize("parts", [1, 3])
 def test_cli_outputs_match_recorded_digests_at_part_count(tmp_path, capsys, monkeypatch, parts):
-    # both of PageRank's paths on any host: one part, and three run by threads
+    # both of PageRank's paths on any host: one part, and, from each sweep's
+    # second damping on, three run by threads
     monkeypatch.setattr(importlib.import_module("patentflow.graph"), "_part_count", lambda graph: parts)
     assert _digests(tmp_path, 1, capsys) == GOLDEN
 

@@ -36,6 +36,12 @@ def _parts(count):
     return mock.patch.object(graph_module, "_part_count", lambda graph: count)
 
 
+def _ranked_twice(graph, params):
+    """``pagerank`` on a graph's first call, one part, and on its second, on
+    the target ranges built then."""
+    return pagerank(graph, params), pagerank(graph, params)
+
+
 def test_damping_zero_is_exactly_uniform():
     g = random_graph(37, 120, seed=0)
     r = pagerank(g, PageRankParams(damping=0.0))
@@ -301,9 +307,10 @@ def test_matches_bincount_oracle_bitwise_at_real_block_size(mode):
         scores, iterations, delta = bincount_pagerank(g, params)
         for parts in (None, 3, 7):  # the default, one part here, and two splits
             with _parts(parts) if parts else nullcontext():
-                r = pagerank(random_graph(n, 8 * n, seed=41), params)
-            assert (r.iterations, r.final_delta) == (iterations, delta)
-            assert np.array_equal(r.scores, scores)
+                results = _ranked_twice(random_graph(n, 8 * n, seed=41), params)
+            for r in results:
+                assert (r.iterations, r.final_delta) == (iterations, delta)
+                assert np.array_equal(r.scores, scores)
 
 
 @pytest.mark.parametrize("mode", ["uniform-all", "uniform-others"])
@@ -351,10 +358,47 @@ def test_matches_bincount_oracle_bitwise_at_any_part_count(parts, mode, d, n, ed
     with _parts(parts), mock.patch.object(graph_module, "_CHUNK_ROWS", chunk):
         g = build_graph([(u % n, v % n) for u, v in edges], n)
         params = PageRankParams(damping=d, max_iterations=300, dangling_mode=mode)
-        r = pagerank(g, params)
+        results = _ranked_twice(g, params)
+    assert len(g._target_parts.bounds) == parts + 1
     scores, iterations, delta = bincount_pagerank(g, params)
-    assert (r.iterations, r.final_delta) == (iterations, delta)
-    assert np.array_equal(r.scores, scores)
+    for r in results:
+        assert (r.iterations, r.final_delta) == (iterations, delta)
+        assert np.array_equal(r.scores, scores)
+
+
+@pytest.mark.parametrize("index", ["int32", "int64"])
+@pytest.mark.parametrize("parts", [1, 3, 300])
+def test_wide_offsets_and_many_parts_match_bincount_oracle_bitwise(monkeypatch, index, parts):
+    # int64 is what a part of more than 2**31 - 1 entries takes; 300 parts
+    # number their targets' parts in uint16
+    monkeypatch.setattr(graph_module, "_index_dtype", lambda entries: np.dtype(index).type)
+    g = random_graph(2000, 9000, seed=50)
+    for mode in ("uniform-all", "uniform-others"):
+        params = PageRankParams(damping=0.85, epsilon=1e-10, dangling_mode=mode)
+        with _parts(parts):
+            results = _ranked_twice(g, params)
+        assert g._target_parts.indices.dtype == g._target_parts.indptr.dtype == index
+        assert len(g._target_parts.bounds) == parts + 1
+        scores, iterations, delta = bincount_pagerank(g, params)
+        for r in results:
+            assert (r.iterations, r.final_delta) == (iterations, delta)
+            assert np.array_equal(r.scores, scores)
+
+
+def test_a_graph_with_far_fewer_edges_than_nodes_is_one_part(monkeypatch):
+    # sqrt(2m / n) rounds to 0 here; two CPUs and a low split threshold
+    # must still give one part, not none
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(graph_module, "_SPLIT_EDGES", 10)
+    g = random_graph(20_000, 2000, seed=51)
+    assert g.node_count > 8 * g.edge_count
+    assert graph_module._part_count(g) == 1
+    params = PageRankParams(damping=0.5)
+    scores, iterations, delta = bincount_pagerank(g, params)
+    for r in _ranked_twice(g, params):
+        assert (r.iterations, r.final_delta) == (iterations, delta)
+        assert np.array_equal(r.scores, scores)
+    assert len(g._target_parts.bounds) == 2
 
 
 @pytest.mark.parametrize("mode", ["uniform-all", "uniform-others"])
@@ -364,18 +408,19 @@ def test_delta_history_ends_in_final_delta_at_every_part_count(mode):
         with _parts(parts):
             for params in (PageRankParams(damping=0.85, epsilon=1e-10, dangling_mode=mode),
                            PageRankParams(damping=0.99, max_iterations=4, dangling_mode=mode)):
-                r = pagerank(random_graph(400, 3000, seed=46), params)
-                assert len(r.delta_history) == r.iterations
-                assert r.delta_history[-1] == r.final_delta
-                histories.add((params.damping, r.delta_history))
+                for r in _ranked_twice(random_graph(400, 3000, seed=46), params):
+                    assert len(r.delta_history) == r.iterations
+                    assert r.delta_history[-1] == r.final_delta
+                    histories.add((params.damping, r.delta_history))
     assert len(histories) == 2  # one per params, whatever the part count
     assert len(dict(histories)[0.99]) == 4
 
 
 def test_one_part_is_the_out_csr_and_a_graph_is_split_once(monkeypatch):
+    g = random_graph(300, 2400, seed=45)
+    assert np.shares_memory(graph_module._split(g, 1).indices, g.out_indices)
     with _parts(1):
-        g = random_graph(300, 2400, seed=45)
-        pagerank(g, PageRankParams(damping=0.85))
+        _ranked_twice(g, PageRankParams(damping=0.85))
     assert np.shares_memory(g._target_parts.indices, g.out_indices)
 
     splits = []
@@ -384,9 +429,11 @@ def test_one_part_is_the_out_csr_and_a_graph_is_split_once(monkeypatch):
                         lambda graph, parts: splits.append(parts) or split(graph, parts))
     with _parts(3):
         g = random_graph(300, 2400, seed=45)
+        pagerank(g, PageRankParams(damping=0.85))
+        assert "_target_parts" not in vars(g)  # a lone call is not split
         for mode in ("uniform-all", "uniform-others"):
             pagerank(g, PageRankParams(damping=0.85, dangling_mode=mode))
-    assert splits == [3]
+    assert splits == [1, 3]  # the first call's whole out-CSR, then one split
     assert "_in_csr" not in vars(g)
 
 
@@ -405,10 +452,13 @@ def test_a_failing_part_raises_and_leaves_no_thread(monkeypatch, where):
             raise _PartFailed
         product(*args)
 
-    monkeypatch.setattr(pagerank_module, "_csc_matvec", failing)
-    before = threading.active_count()
-    with _parts(3), pytest.raises(_PartFailed):
-        pagerank(random_graph(300, 2400, seed=45), PageRankParams(damping=0.85))
+    g = random_graph(300, 2400, seed=45)
+    with _parts(3):
+        pagerank(g, PageRankParams(damping=0.85))  # the next call is split
+        monkeypatch.setattr(pagerank_module, "_csc_matvec", failing)
+        before = threading.active_count()
+        with pytest.raises(_PartFailed):
+            pagerank(g, PageRankParams(damping=0.85))
     assert threading.active_count() == before
 
 
@@ -422,7 +472,7 @@ def test_more_threads_than_cores_with_fast_switching_stay_bitwise(monkeypatch):
         for mode in ("uniform-all", "uniform-others"):
             params = PageRankParams(damping=0.85, epsilon=1e-10, dangling_mode=mode)
             with _parts(7):
-                r = pagerank(random_graph(3000, 30000, seed=49), params)
+                _, r = _ranked_twice(random_graph(3000, 30000, seed=49), params)
             scores, iterations, delta = bincount_pagerank(random_graph(3000, 30000, seed=49), params)
             assert (r.iterations, r.final_delta) == (iterations, delta)
             assert np.array_equal(r.scores, scores)
@@ -443,6 +493,8 @@ def test_pagerank_peak_memory_per_edge(parts):
     with _parts(parts) if parts else nullcontext():
         for mode in ("uniform-all", "uniform-others"):
             g = random_graph(200_000, 2_000_000, seed=47)
+            if parts:  # the traced call is the graph's second, which splits it
+                pagerank(g, PageRankParams(damping=0.85, dangling_mode=mode))
             tracemalloc.start()
             try:
                 pagerank(g, PageRankParams(damping=0.85, dangling_mode=mode))
