@@ -2,19 +2,13 @@
 
 Nodes are dense integers in ``[0, node_count)``. Out-links are stored as
 CSR-style index arrays, and the in-links, their transpose, are built on
-first read, as are, on PageRank's second call, the out-CSR's target ranges
-its product runs on (see ``_product_parts``); degree queries are O(1) and neighbor iteration is
-a contiguous slice either way. Self-loops and duplicate edges are dropped and counted.
+first read; degree queries are O(1) and neighbor iteration is a contiguous
+slice either way. Self-loops and duplicate edges are dropped and counted.
 Node indices are int32 and edge offsets (``indptr``) int64, so node counts
-are limited to MAX_NODE_COUNT (2,147,483,647). Edge counts are not: past
-MAX_NODE_COUNT edges, PageRank's product takes int64 row pointers and an
-int64 copy of the indices (see ``_index_dtype``).
+are limited to MAX_NODE_COUNT (2,147,483,647); edge counts are not.
 """
 from __future__ import annotations
 
-import math
-import os
-import weakref
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -27,12 +21,6 @@ from .errors import MalformedEdgeError, PatentFlowError
 MAX_NODE_COUNT = 2**31 - 1
 # rows per block of the blocked loops, which keep their temporaries small
 _CHUNK_ROWS = 1 << 16
-# Edges below which PageRank's product is one part (see _part_count). A
-# five-damping sweep on a fresh citation-shaped graph with 10 edges per node,
-# split on two CPUs, was slower at 1M and 2M edges and faster at 4M.
-_SPLIT_EDGES = 4_000_000
-# graphs whose _product_parts were read: later reads take _target_parts
-_RANKED: weakref.WeakSet = weakref.WeakSet()
 
 
 @dataclass(frozen=True)
@@ -51,9 +39,8 @@ class CitationGraph:
 
     No attribute can be assigned or deleted and every array is read-only, so
     a graph can be shared across threads without locking: racing first reads
-    of the lazy in-CSR, target ranges or ``in_degrees`` publish identical
-    arrays (Python 3.11 builds each under a lock; 3.12 and later may build
-    twice).
+    of the lazy in-CSR or ``in_degrees`` publish identical arrays (Python
+    3.11 builds each under a lock; 3.12 and later may build twice).
     Neighbor lists are sorted ascending, which fixes the floating-point
     accumulation order of folds over them. Equality and hashing are by identity.
     """
@@ -82,22 +69,6 @@ class CitationGraph:
     @property
     def in_indices(self) -> np.ndarray:
         return self._in_csr[1]
-
-    @cached_property
-    def _target_parts(self) -> _TargetParts:
-        """The out-CSR cut into target ranges for PageRank's product."""
-        return _split(self, _part_count(self))
-
-    def _product_parts(self) -> _TargetParts:
-        """The out-CSR as one PageRank call's product reads it: whole on the
-        graph's first call, and from its second on as the target ranges of
-        ``_target_parts``. A lone call seldom earns the split back (one
-        d = 0.5 run on 10M edges took 956 ms split against 866 ms whole);
-        a sweep of five dampings does from ``_SPLIT_EDGES``."""
-        if self in _RANKED:
-            return self._target_parts
-        _RANKED.add(self)
-        return _split(self, 1)
 
     @cached_property
     def in_degrees(self) -> np.ndarray:
@@ -149,97 +120,6 @@ def _freeze_arrays(*values) -> tuple:
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
     return values
-
-
-def _part_count(graph: CitationGraph) -> int:
-    """How many target ranges ``graph``'s product is cut into.
-
-    One below ``_SPLIT_EDGES`` edges or on one CPU. Otherwise a multiple of
-    the CPUs in the process's affinity mask, the one nearest
-    P = sqrt(2m / n): the parts' row pointers take 4(n + 1) bytes each and
-    their shared ones 8m / P, a sum that is least there. A host with more
-    CPUs than that gets P parts, not one per CPU, and a graph with fewer
-    than about n / 2 edges gets one: a second part's row pointers would
-    cost more than the ones it saves.
-    """
-    threads = len(os.sched_getaffinity(0))
-    if threads == 1 or graph.edge_count < _SPLIT_EDGES:
-        return 1
-    best = math.sqrt(2 * graph.edge_count / graph.node_count)
-    return min(threads, max(1, round(best))) * max(1, round(best / threads))
-
-
-@dataclass(frozen=True, eq=False)
-class _TargetParts:
-    """The out-CSR cut into target ranges: part k is the CSC matrix of shape
-    ``(bounds[k + 1] - bounds[k], n)`` with row pointers ``indptr[k]`` and
-    row indices ``indices[starts[k]:starts[k + 1]]``."""
-
-    bounds: tuple[int, ...]
-    starts: tuple[int, ...]
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        _freeze_arrays(self.indptr, self.indices)
-
-
-def _split(graph: CitationGraph, parts: int) -> _TargetParts:
-    """``graph``'s out-CSR as ``parts`` target ranges of about m / parts
-    entries each. A part keeps each column's targets in its range, ascending,
-    less the range's first target. One part is the out-CSR itself."""
-    n, m = graph.node_count, graph.edge_count
-    out_indptr, out_indices, degrees = graph.out_indptr, graph.out_indices, graph.out_degrees
-    if parts == 1:
-        index = np.promote_types(out_indices.dtype, _index_dtype(m))
-        indptr = out_indptr.astype(index, copy=False)[None]
-        return _TargetParts((0, n), (0, m), indptr, out_indices.astype(index, copy=False))
-    # entries per bin of 2**shift targets, at most 4,096 bins, counted in
-    # blocks (bincount would copy all the indices to int64): the cuts fall
-    # between bins, so each part's entry count is exact and within a bin of
-    # m / parts
-    shift = max(0, n.bit_length() - 12)
-    ends = np.zeros(((n - 1) >> shift) + 1, dtype=np.int64)
-    for a in range(0, m, _CHUNK_ROWS):
-        ends += np.bincount(out_indices[a:a + _CHUNK_ROWS] >> shift, minlength=ends.size)
-    np.cumsum(ends, out=ends)  # entries with target bin <= t
-    cuts = np.searchsorted(ends, np.arange(1, parts) * m // parts, side="right").tolist()
-    bounds = (0, *(min(c << shift, n) for c in cuts), n)
-    starts = (0, *(int(ends[c - 1]) if c else 0 for c in cuts), m)
-    part_of = np.repeat(np.arange(parts, dtype=np.min_scalar_type(parts - 1)), np.diff(bounds))
-    index = _index_dtype(max(b - a for a, b in zip(starts, starts[1:])))
-    indptr = np.zeros((parts, n + 1), dtype=index)
-    indices = np.empty(m, dtype=index)
-    done = np.zeros(parts, dtype=np.int64)  # each part's entries in the columns before a
-    # blocks of whole columns, of about _CHUNK_ROWS entries each
-    rows = np.searchsorted(out_indptr, np.arange(0, m, _CHUNK_ROWS)).tolist()
-    for a, b in zip(rows, rows[1:] + [n]):
-        if a == b:
-            continue
-        targets = out_indices[out_indptr[a]:out_indptr[b]]
-        part = part_of.take(targets)
-        # each column's entries in each part, summed down the columns
-        key = np.repeat(np.arange(0, (b - a) * parts, parts), degrees[a:b])
-        key += part
-        counts = np.bincount(key, minlength=(b - a) * parts).reshape(b - a, parts)
-        np.cumsum(counts, axis=0, out=counts)
-        counts += done
-        indptr[:, a + 1:b + 1] = counts.T
-        grouped = targets.take(np.argsort(part, kind="stable"))  # by part, each in column order
-        edge = 0
-        for k in range(parts):
-            at, size = starts[k] + int(done[k]), int(counts[-1, k] - done[k])
-            np.subtract(grouped[edge:edge + size], bounds[k], out=indices[at:at + size])
-            edge += size
-        done = counts[-1]
-    return _TargetParts(bounds, starts, indptr, indices)
-
-
-def _index_dtype(entries: int) -> type:
-    """The dtype of a product's row pointers and indices for a part of
-    ``entries`` entries: scipy's CSC product takes both in one dtype, int32
-    while the offsets fit, int64 past MAX_NODE_COUNT."""
-    return np.int32 if entries <= MAX_NODE_COUNT else np.int64
 
 
 def _transpose(graph: CitationGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -9,13 +9,13 @@ Each step's inflow is a scipy CSC product over the graph's out-CSR, where
 column ``s`` holds ``s``'s targets. The product walks the columns in
 ascending order and adds each term to its target from 0.0, so a node's
 inflow is summed left to right over its in-neighbors in ascending index
-order. On its second call, a graph of ``graph._SPLIT_EDGES`` edges or
-more, on more than one CPU, is cut into target ranges of about equal entry
-counts (see ``CitationGraph._product_parts``), kept while the graph lives:
-each part is a CSC matrix over every column, holding only the targets in
-its range, so each target's sum is unchanged. The parts' products run on
-threads, one per CPU in the process's affinity mask; their values are one
-shared buffer of ones, and each term is
+order. On its second call, a graph of ``_SPLIT_EDGES`` edges or more, on
+more than one CPU, is cut into target ranges of about equal entry counts
+(see ``_product_parts``), kept while the graph lives: each part is a CSC
+matrix over every column, holding only the targets in its range, so each
+target's sum is unchanged. The parts' products run on threads, one per
+usable CPU, each adding into its own targets of one result vector; their
+values are one shared buffer of ones, and each term is
 ``1.0 * ((1 / out_degree(s)) * cur[s])``. With one part, as on every
 graph's first call, the matrix is the out-CSR itself and its values are
 ``1 / out_degree(s)``.
@@ -23,12 +23,16 @@ At 1M nodes and 10M edges on two CPUs (four parts), the parts hold 5.6
 bytes per edge (an int32 copy of the indices and four sets of int32 row
 pointers), and a call adds 2 bytes per edge of ones and three score
 vectors; one part holds 8 bytes per edge of values and two vectors while
-``pagerank`` runs. The dangling-mass scalar is reduced in fixed index
-order too, so a run is bitwise reproducible whatever the part count.
+``pagerank`` runs. Past MAX_NODE_COUNT entries in one part, its row
+pointers and indices are int64 (see ``_index_dtype``). The dangling-mass
+scalar is reduced in fixed index order too, so a run is bitwise
+reproducible whatever the part count.
 """
 from __future__ import annotations
 
+import math
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -45,7 +49,7 @@ from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
 
 from .atomic import atomic_write
 from .errors import PatentFlowError
-from .graph import CitationGraph, _freeze_arrays
+from .graph import _CHUNK_ROWS, MAX_NODE_COUNT, CitationGraph, _freeze_arrays
 
 DANGLING_UNIFORM_ALL = "uniform-all"
 DANGLING_UNIFORM_OTHERS = "uniform-others"
@@ -64,6 +68,15 @@ _DIGITS4 = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), np.uint32)
 # The score field of a row: "0.", three zeros and the first digit (fixed
 # notation), ".", 16 digits, "e-00" (exponent notation), then the newline.
 _SCORE_FIELD = np.frombuffer(b"0.0000." + b"0" * 16 + b"e-00\n", np.uint8)
+# Edges below which PageRank's product is one part (see _part_count). A
+# five-damping sweep on a fresh citation-shaped graph with 10 edges per node,
+# split on two CPUs, was slower at 1M and 2M edges and faster at 4M.
+_SPLIT_EDGES = 4_000_000
+# The graphs ranked so far. A graph absent has not been ranked, and its
+# first call runs whole; a present one maps to None until its second call
+# splits it, then to its parts (see _product_parts). The keys are weak and
+# no part refers to its graph, so a graph's parts die with it.
+_PARTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _is_real(value: object) -> bool:
@@ -134,10 +147,9 @@ def pagerank(graph: CitationGraph, params: PageRankParams) -> PageRankResult:
     # they are freed no hole stays below it in the allocator's heap (after a
     # 1M-node graph's first call, such a hole kept 4 MB resident)
     scores = cur = np.empty(n)
-    parts = graph._product_parts()
-    bounds, starts = parts.bounds, parts.starts
+    parts = _product_parts(graph)
     degrees = graph.out_degrees
-    if len(bounds) == 2:
+    if len(parts) == 1:
         # one part: each entry holds 1 / out_degree of its column, formed
         # in the scores' vector, and the product reads the scores themselves.
         # The split's ones and share would give the same doubles for one
@@ -152,20 +164,19 @@ def pagerank(graph: CitationGraph, params: PageRankParams) -> PageRankResult:
         # product reads share = (1 / out_degree) * scores. The ones, share and
         # the spare score vector are one block, returned whole when the call
         # ends, so no freed hole is left in the allocator's heap.
-        width = max(b - a for a, b in zip(starts, starts[1:]))
+        width = max(indices.size for _, indices in parts)
         values, share, nxt = np.split(np.empty(width + 2 * n), [width, width + n])
         values.fill(1.0)
     scores.fill(1.0 / n)
 
-    def products(group: range, x: np.ndarray) -> None:
-        # nxt[lo:hi] += M_k @ x for each part k of the group, in scipy's
-        # csc_matvec, which releases the GIL
-        for k in group:
-            lo, hi, a, b = bounds[k], bounds[k + 1], starts[k], starts[k + 1]
-            _csc_matvec(hi - lo, n, parts.indptr[k], parts.indices[a:b], values[:b - a], x, nxt[lo:hi])
+    def products(group: tuple, x: np.ndarray) -> None:
+        # nxt += M_k @ x for each part k of the group, in scipy's csc_matvec,
+        # which releases the GIL; a part adds only to its own targets
+        for indptr, indices in group:
+            _csc_matvec(n, n, indptr, indices, values[:indices.size], x, nxt)
 
-    threads = min(len(os.sched_getaffinity(0)), len(bounds) - 1)
-    groups = [range(t, len(bounds) - 1, threads) for t in range(threads)]
+    threads = min(_cpus(), len(parts))
+    groups = [parts[t::threads] for t in range(threads)]
     deltas = []
     converged = False
     with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
@@ -208,6 +219,108 @@ def pagerank(graph: CitationGraph, params: PageRankParams) -> PageRankResult:
         params=params,
         delta_history=tuple(deltas),
     )
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (macOS and Windows have none), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _product_parts(graph: CitationGraph) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The out-CSR as one PageRank call's product reads it: whole on the
+    graph's first call, and from its second on as the target ranges built
+    then and kept in ``_PARTS``. A lone call seldom earns the split back
+    (one d = 0.5 run that split a fresh graph took 0.53 s against 0.29 s
+    whole at 6M edges, medians of 9 on two CPUs); a sweep of five dampings
+    does from ``_SPLIT_EDGES``. Racing second calls may each build the
+    split, the same arrays, and each run on its own."""
+    if graph not in _PARTS:
+        _PARTS[graph] = None
+        return _split(graph, 1)
+    parts = _PARTS[graph]
+    if parts is None:
+        parts = _PARTS[graph] = _split(graph, _part_count(graph))
+    return parts
+
+
+def _part_count(graph: CitationGraph) -> int:
+    """How many target ranges ``graph``'s product is cut into.
+
+    One below ``_SPLIT_EDGES`` edges or on one CPU. Otherwise a multiple of
+    the usable CPUs, the one nearest P = sqrt(2m / n): the parts' row
+    pointers take 4(n + 1) bytes each and their shared ones 8m / P, a sum
+    that is least there. A host with more CPUs than that gets P parts, not
+    one per CPU, and a graph with fewer than 1.125 n edges (P below 1.5)
+    gets one: a second part's row pointers would cost more than the ones it
+    saves. On two CPUs, 1.13 n edges give 2 parts and 10 n give 4.
+    """
+    threads = _cpus()
+    if threads == 1 or graph.edge_count < _SPLIT_EDGES:
+        return 1
+    best = math.sqrt(2 * graph.edge_count / graph.node_count)
+    return min(threads, max(1, round(best))) * max(1, round(best / threads))
+
+
+def _split(graph: CitationGraph, parts: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``graph``'s out-CSR as ``parts`` CSC matrices of shape (n, n), each a
+    pair of row pointers and row indices of about m / parts entries: part k
+    keeps each column's targets in the k-th target range, ascending. One
+    part is the out-CSR itself."""
+    n, m = graph.node_count, graph.edge_count
+    out_indptr, out_indices, degrees = graph.out_indptr, graph.out_indices, graph.out_degrees
+    if parts == 1:
+        index = np.promote_types(out_indices.dtype, _index_dtype(m))
+        return (_freeze_arrays(out_indptr.astype(index, copy=False), out_indices.astype(index, copy=False)),)
+    # entries per bin of 2**shift targets, at most 4,096 bins, counted in
+    # blocks (bincount would copy all the indices to int64): the cuts fall
+    # between bins, so each part's entry count is exact and within a bin of
+    # m / parts
+    shift = max(0, n.bit_length() - 12)
+    ends = np.zeros(((n - 1) >> shift) + 1, dtype=np.int64)
+    for a in range(0, m, _CHUNK_ROWS):
+        ends += np.bincount(out_indices[a:a + _CHUNK_ROWS] >> shift, minlength=ends.size)
+    np.cumsum(ends, out=ends)  # entries with target bin <= t
+    cuts = np.searchsorted(ends, np.arange(1, parts) * m // parts, side="right").tolist()
+    bounds = (0, *(min(c << shift, n) for c in cuts), n)
+    starts = (0, *(int(ends[c - 1]) if c else 0 for c in cuts), m)
+    part_of = np.repeat(np.arange(parts, dtype=np.min_scalar_type(parts - 1)), np.diff(bounds))
+    index = _index_dtype(max(b - a for a, b in zip(starts, starts[1:])))
+    indptr = np.zeros((parts, n + 1), dtype=index)
+    indices = np.empty(m, dtype=index)
+    done = np.zeros(parts, dtype=np.int64)  # each part's entries in the columns before a
+    # blocks of whole columns, of about _CHUNK_ROWS entries each
+    rows = np.searchsorted(out_indptr, np.arange(0, m, _CHUNK_ROWS)).tolist()
+    for a, b in zip(rows, rows[1:] + [n]):
+        if a == b:
+            continue
+        targets = out_indices[out_indptr[a]:out_indptr[b]]
+        part = part_of.take(targets)
+        # each column's entries in each part, summed down the columns
+        key = np.repeat(np.arange(0, (b - a) * parts, parts), degrees[a:b])
+        key += part
+        counts = np.bincount(key, minlength=(b - a) * parts).reshape(b - a, parts)
+        np.cumsum(counts, axis=0, out=counts)
+        counts += done
+        indptr[:, a + 1:b + 1] = counts.T
+        grouped = targets.take(np.argsort(part, kind="stable"))  # by part, each in column order
+        edge = 0
+        for k in range(parts):
+            at, size = starts[k] + int(done[k]), int(counts[-1, k] - done[k])
+            indices[at:at + size] = grouped[edge:edge + size]
+            edge += size
+        done = counts[-1]
+    _freeze_arrays(indptr, indices)
+    return tuple((indptr[k], indices[a:b]) for k, (a, b) in enumerate(zip(starts, starts[1:])))
+
+
+def _index_dtype(entries: int) -> type:
+    """The dtype of a product's row pointers and indices for a part of
+    ``entries`` entries: scipy's CSC product takes both in one dtype, int32
+    while the offsets fit, int64 past MAX_NODE_COUNT."""
+    return np.int32 if entries <= MAX_NODE_COUNT else np.int64
 
 
 def _decimal(values: np.ndarray, width: int) -> np.ndarray:

@@ -1,9 +1,12 @@
+import gc
 import importlib
 import os
 import sys
 import threading
 import tracemalloc
+import weakref
 from contextlib import nullcontext
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -33,7 +36,13 @@ TIGHT = dict(epsilon=1e-12, max_iterations=20000)
 
 def _parts(count):
     """Patches the part count of every graph split while it is active."""
-    return mock.patch.object(graph_module, "_part_count", lambda graph: count)
+    return mock.patch.object(pagerank_module, "_part_count", lambda graph: count)
+
+
+def _split_of(graph):
+    """The parts kept for ``graph``: None after one call, then a (row
+    pointers, indices) pair per target range."""
+    return pagerank_module._PARTS[graph]
 
 
 def _ranked_twice(graph, params):
@@ -301,7 +310,7 @@ def test_matches_bincount_oracle_bitwise_at_real_block_size(mode):
     n = 7 * block // 2
     g = random_graph(n, 8 * n, seed=41)
     assert n % block and g.dangling_nodes.size
-    assert g.edge_count > graph_module._CHUNK_ROWS  # the split takes two blocks of columns
+    assert g.edge_count > pagerank_module._CHUNK_ROWS  # the split takes two blocks of columns
     for d in (0.15, 0.5, 0.85):
         params = PageRankParams(damping=d, epsilon=1e-12, dangling_mode=mode)
         scores, iterations, delta = bincount_pagerank(g, params)
@@ -355,11 +364,12 @@ def test_matches_bincount_oracle_bitwise_on_any_graph(mode, d, n, edges):
 @example(n=4, edges=[(0, 0), (2, 2)], chunk=1 << 16)  # every node dangling once the self-loops go
 @example(n=5, edges=[(0, 3), (1, 3), (2, 3), (4, 3)], chunk=1)  # one target: every part but one empty
 def test_matches_bincount_oracle_bitwise_at_any_part_count(parts, mode, d, n, edges, chunk):
-    with _parts(parts), mock.patch.object(graph_module, "_CHUNK_ROWS", chunk):
+    with _parts(parts), mock.patch.object(graph_module, "_CHUNK_ROWS", chunk), \
+            mock.patch.object(pagerank_module, "_CHUNK_ROWS", chunk):
         g = build_graph([(u % n, v % n) for u, v in edges], n)
         params = PageRankParams(damping=d, max_iterations=300, dangling_mode=mode)
         results = _ranked_twice(g, params)
-    assert len(g._target_parts.bounds) == parts + 1
+    assert len(_split_of(g)) == parts
     scores, iterations, delta = bincount_pagerank(g, params)
     for r in results:
         assert (r.iterations, r.final_delta) == (iterations, delta)
@@ -371,14 +381,14 @@ def test_matches_bincount_oracle_bitwise_at_any_part_count(parts, mode, d, n, ed
 def test_wide_offsets_and_many_parts_match_bincount_oracle_bitwise(monkeypatch, index, parts):
     # int64 is what a part of more than 2**31 - 1 entries takes; 300 parts
     # number their targets' parts in uint16
-    monkeypatch.setattr(graph_module, "_index_dtype", lambda entries: np.dtype(index).type)
+    monkeypatch.setattr(pagerank_module, "_index_dtype", lambda entries: np.dtype(index).type)
     g = random_graph(2000, 9000, seed=50)
     for mode in ("uniform-all", "uniform-others"):
         params = PageRankParams(damping=0.85, epsilon=1e-10, dangling_mode=mode)
         with _parts(parts):
             results = _ranked_twice(g, params)
-        assert g._target_parts.indices.dtype == g._target_parts.indptr.dtype == index
-        assert len(g._target_parts.bounds) == parts + 1
+        assert {a.dtype for part in _split_of(g) for a in part} == {np.dtype(index)}
+        assert len(_split_of(g)) == parts
         scores, iterations, delta = bincount_pagerank(g, params)
         for r in results:
             assert (r.iterations, r.final_delta) == (iterations, delta)
@@ -389,16 +399,16 @@ def test_a_graph_with_far_fewer_edges_than_nodes_is_one_part(monkeypatch):
     # sqrt(2m / n) rounds to 0 here; two CPUs and a low split threshold
     # must still give one part, not none
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(graph_module, "_SPLIT_EDGES", 10)
+    monkeypatch.setattr(pagerank_module, "_SPLIT_EDGES", 10)
     g = random_graph(20_000, 2000, seed=51)
     assert g.node_count > 8 * g.edge_count
-    assert graph_module._part_count(g) == 1
+    assert pagerank_module._part_count(g) == 1
     params = PageRankParams(damping=0.5)
     scores, iterations, delta = bincount_pagerank(g, params)
     for r in _ranked_twice(g, params):
         assert (r.iterations, r.final_delta) == (iterations, delta)
         assert np.array_equal(r.scores, scores)
-    assert len(g._target_parts.bounds) == 2
+    assert len(_split_of(g)) == 1
 
 
 @pytest.mark.parametrize("mode", ["uniform-all", "uniform-others"])
@@ -418,23 +428,105 @@ def test_delta_history_ends_in_final_delta_at_every_part_count(mode):
 
 def test_one_part_is_the_out_csr_and_a_graph_is_split_once(monkeypatch):
     g = random_graph(300, 2400, seed=45)
-    assert np.shares_memory(graph_module._split(g, 1).indices, g.out_indices)
+    (indptr, indices), = pagerank_module._split(g, 1)
+    assert indices is g.out_indices and np.array_equal(indptr, g.out_indptr)
     with _parts(1):
         _ranked_twice(g, PageRankParams(damping=0.85))
-    assert np.shares_memory(g._target_parts.indices, g.out_indices)
+    assert _split_of(g)[0][1] is g.out_indices
 
     splits = []
-    split = graph_module._split
-    monkeypatch.setattr(graph_module, "_split",
+    split = pagerank_module._split
+    monkeypatch.setattr(pagerank_module, "_split",
                         lambda graph, parts: splits.append(parts) or split(graph, parts))
     with _parts(3):
         g = random_graph(300, 2400, seed=45)
         pagerank(g, PageRankParams(damping=0.85))
-        assert "_target_parts" not in vars(g)  # a lone call is not split
+        assert _split_of(g) is None  # a lone call is not split
         for mode in ("uniform-all", "uniform-others"):
             pagerank(g, PageRankParams(damping=0.85, dangling_mode=mode))
     assert splits == [1, 3]  # the first call's whole out-CSR, then one split
     assert "_in_csr" not in vars(g)
+
+
+@pytest.mark.parametrize("cpus, parts", [(None, 1), (3, 3)])
+def test_without_an_affinity_mask_the_cpu_count_is_used(monkeypatch, cpus, parts):
+    # macOS and Windows have no os.sched_getaffinity; os.cpu_count() may be None
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(pagerank_module, "_SPLIT_EDGES", 10)
+    g = random_graph(3000, 30000, seed=52)  # sqrt(2m / n) is about 4.5
+    params = PageRankParams(damping=0.5)
+    scores, iterations, delta = bincount_pagerank(g, params)
+    for r in _ranked_twice(g, params):
+        assert (r.iterations, r.final_delta) == (iterations, delta)
+        assert np.array_equal(r.scores, scores)
+    assert len(_split_of(g)) == parts
+
+
+@pytest.mark.parametrize("cpus, nodes, edges, parts", [
+    (2, 1000, 100, 1),
+    (2, 1000, 1120, 1),  # sqrt(2m / n) = 1.497
+    (2, 1000, 1130, 2),  # 1.503
+    (2, 1000, 4490, 2),
+    (2, 1000, 10_000, 4),  # 4.47: two CPUs, twice
+    (2, 1000, 9, 1),  # below _SPLIT_EDGES
+    (1, 1000, 10_000, 1),
+    (8, 1000, 10_000, 4),  # more CPUs than P: P parts
+])
+def test_part_count_table(monkeypatch, cpus, nodes, edges, parts):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(pagerank_module, "_SPLIT_EDGES", 10)
+    assert pagerank_module._part_count(SimpleNamespace(node_count=nodes, edge_count=edges)) == parts
+
+
+def test_the_kept_parts_keep_no_graph_alive():
+    gc.collect()
+    kept = len(pagerank_module._PARTS)  # graphs other tests still hold
+    g = random_graph(300, 2400, seed=45)
+    with _parts(3):
+        _ranked_twice(g, PageRankParams(damping=0.85))
+    assert len(_split_of(g)) == 3
+    assert len(pagerank_module._PARTS) == kept + 1
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+    assert len(pagerank_module._PARTS) == kept
+
+
+def test_racing_calls_on_a_fresh_graph_stay_bitwise(monkeypatch):
+    # two threads on one graph's first call, then on its second, which
+    # both may split
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    g = random_graph(3000, 30000, seed=53)
+    params = PageRankParams(damping=0.85, epsilon=1e-10)
+    scores, iterations, delta = bincount_pagerank(g, params)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _parts(3):
+            for _ in range(2):
+                results, start = [], threading.Barrier(2)
+
+                def run():
+                    start.wait()
+                    results.append(pagerank(g, params))
+
+                racers = [threading.Thread(target=run) for _ in range(2)]
+                for racer in racers:
+                    racer.start()
+                for racer in racers:
+                    racer.join(timeout=60)
+                    assert not racer.is_alive()
+                assert len(results) == 2
+                for r in results:
+                    assert (r.iterations, r.final_delta) == (iterations, delta)
+                    assert np.array_equal(r.scores, scores)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(_split_of(g)) == 3
+    assert threading.active_count() == before
 
 
 class _PartFailed(Exception):
