@@ -5,32 +5,29 @@ vector) with the rank of dangling nodes redistributed evenly each step so
 total mass stays at 1. Iteration starts from the uniform vector and stops
 when the L1 change between consecutive vectors drops below epsilon.
 
-Each step's inflow is a scipy CSC product over the graph's out-CSR, where
-column ``s`` holds ``s``'s targets. The product walks the columns in
-ascending order and adds each term to its target from 0.0, so a node's
-inflow is summed left to right over its in-neighbors in ascending index
-order. On its second call, a graph of ``_SPLIT_EDGES`` edges or more, on
-more than one CPU, is cut into target ranges of about equal entry counts
-(see ``_product_parts``), kept while the graph lives: each part is a CSC
-matrix over every column, holding only the targets in its range, so each
-target's sum is unchanged. The parts' products run on threads, one per
-usable CPU, each adding into its own targets of one result vector; their
-values are one shared buffer of ones, and each term is
-``1.0 * ((1 / out_degree(s)) * cur[s])``. With one part, as on every
-graph's first call, the matrix is the out-CSR itself and its values are
-``1 / out_degree(s)``.
-At 1M nodes and 10M edges on two CPUs (four parts), the parts hold 5.6
-bytes per edge (an int32 copy of the indices and four sets of int32 row
-pointers), and a call adds 2 bytes per edge of ones and three score
-vectors; one part holds 8 bytes per edge of values and two vectors while
-``pagerank`` runs. Past MAX_NODE_COUNT entries in one part, its row
-pointers and indices are int64 (see ``_index_dtype``). The dangling-mass
-scalar is reduced in fixed index order too, so a run is bitwise
-reproducible whatever the part count.
+Each step's inflow is a run of scipy CSC products over the graph's
+out-CSR, where column ``s`` holds ``s``'s targets, cut into blocks of whole
+columns of at most ``_CHUNK_ROWS`` entries (or one larger column; see
+``_column_blocks``). Each block's product walks its columns in ascending
+order and adds each term to its target, and the blocks run in column
+order from a result of 0.0, so a node's inflow is summed left to right
+over its in-neighbors in ascending index order. On its second call, a
+graph of ``_SPLIT_EDGES`` edges or more, on more than one CPU, is cut into
+one target range per usable CPU, of about equal entry counts (see
+``_product_parts``), kept while the graph lives: each range keeps only its
+own targets of every block, so each target's sum is unchanged, and the
+ranges' blocks run on threads, each adding into its own targets of one
+result vector. Every block's values are one buffer of ones the size of the
+largest block, and each term is ``1.0 * ((1 / out_degree(s)) * cur[s])``.
+A call adds that buffer (0.5 MB at ``_CHUNK_ROWS``) and three score
+vectors, and a graph's first call its blocks' row pointers (4 bytes per
+node). At 1M nodes and 10M edges on two CPUs, the kept split holds 4.8
+bytes per edge (an int32 copy of the indices and two sets of int32 row
+pointers). The dangling-mass scalar is reduced in fixed index order too,
+so a run is bitwise reproducible whatever the part count.
 """
 from __future__ import annotations
 
-import math
 import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -49,7 +46,7 @@ from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
 
 from .atomic import atomic_write
 from .errors import PatentFlowError
-from .graph import _CHUNK_ROWS, MAX_NODE_COUNT, CitationGraph, _freeze_arrays
+from .graph import _CHUNK_ROWS, CitationGraph, _freeze_arrays
 
 DANGLING_UNIFORM_ALL = "uniform-all"
 DANGLING_UNIFORM_OTHERS = "uniform-others"
@@ -149,51 +146,39 @@ def pagerank(graph: CitationGraph, params: PageRankParams) -> PageRankResult:
     scores = cur = np.empty(n)
     parts = _product_parts(graph)
     degrees = graph.out_degrees
-    if len(parts) == 1:
-        # one part: each entry holds 1 / out_degree of its column, formed
-        # in the scores' vector, and the product reads the scores themselves.
-        # The split's ones and share would give the same doubles for one
-        # more score vector: a call's tracemalloc peak at 200k nodes / 2M
-        # edges read 10.9-11.0 bytes per edge that way against 10.1-10.2
-        # this way.
-        np.divide(1.0, np.maximum(degrees, 1, out=scores), out=scores)
-        values, share = np.repeat(scores, degrees), None
-        nxt = np.empty(n)
-    else:
-        # every part's values are a view of one buffer of ones, and the
-        # product reads share = (1 / out_degree) * scores. The ones, share and
-        # the spare score vector are one block, returned whole when the call
-        # ends, so no freed hole is left in the allocator's heap.
-        width = max(indices.size for _, indices in parts)
-        values, share, nxt = np.split(np.empty(width + 2 * n), [width, width + n])
-        values.fill(1.0)
+    # every block's values are a view of one buffer of ones, and the product
+    # reads share = (1 / out_degree) * scores. The ones, share and the spare
+    # score vector are one block, returned whole when the call ends, so no
+    # freed hole is left in the allocator's heap.
+    width = max(indices.size for part in parts for *_, indices in part)
+    ones, share, nxt = np.split(np.empty(width + 2 * n), [width, width + n])
+    ones.fill(1.0)
     scores.fill(1.0 / n)
 
-    def products(group: tuple, x: np.ndarray) -> None:
-        # nxt += M_k @ x for each part k of the group, in scipy's csc_matvec,
-        # which releases the GIL; a part adds only to its own targets
-        for indptr, indices in group:
-            _csc_matvec(n, n, indptr, indices, values[:indices.size], x, nxt)
+    def products(part: tuple) -> None:
+        # nxt += M @ share over the part's blocks in column order, in scipy's
+        # csc_matvec, which releases the GIL; a part adds only to its own
+        # targets
+        for a, b, indptr, indices in part:
+            _csc_matvec(n, b - a, indptr, indices, ones[:indices.size], share[a:b], nxt)
 
+    # the main thread runs the first part, and the pool's queue the others
     threads = min(_cpus(), len(parts))
-    groups = [parts[t::threads] for t in range(threads)]
     deltas = []
     converged = False
-    with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
+    with ThreadPoolExecutor(max(threads - 1, 1)) if len(parts) > 1 else nullcontext() as pool:
         for _ in range(params.max_iterations):
             dangling_mass = float(cur[dangling].sum())
             # nxt = base + d * (inflow + dangling_mass / spread); each term of a
-            # target's inflow is (1.0 / out_degree(s)) * cur[s], times 1.0 with
-            # several parts, and the terms are summed in column order from 0.0
-            x = cur
-            if share is not None:
-                # a dangling node's share is inf or nan; its column is empty
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    x = np.divide(1.0, degrees, out=share)
-                    x *= cur
+            # target's inflow is 1.0 * ((1.0 / out_degree(s)) * cur[s]), and the
+            # terms are summed in column order from 0.0. A dangling node's
+            # share is inf or nan; its column is empty.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(1.0, degrees, out=share)
+                share *= cur
             nxt.fill(0.0)
-            running = [pool.submit(products, group, x) for group in groups[1:]]
-            products(groups[0], x)
+            running = [pool.submit(products, part) for part in parts[1:]]
+            products(parts[0])
             for future in running:
                 future.result()
             nxt += dangling_mass / spread
@@ -229,7 +214,7 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _product_parts(graph: CitationGraph) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _product_parts(graph: CitationGraph) -> tuple[tuple[tuple, ...], ...]:
     """The out-CSR as one PageRank call's product reads it: whole on the
     graph's first call, and from its second on as the target ranges built
     then and kept in ``_PARTS``. A lone call seldom earns the split back
@@ -247,80 +232,78 @@ def _product_parts(graph: CitationGraph) -> tuple[tuple[np.ndarray, np.ndarray],
 
 
 def _part_count(graph: CitationGraph) -> int:
-    """How many target ranges ``graph``'s product is cut into.
+    """How many target ranges ``graph``'s product is cut into: one per
+    usable CPU.
 
-    One below ``_SPLIT_EDGES`` edges or on one CPU. Otherwise a multiple of
-    the usable CPUs, the one nearest P = sqrt(2m / n): the parts' row
-    pointers take 4(n + 1) bytes each and their shared ones 8m / P, a sum
-    that is least there. A host with more CPUs than that gets P parts, not
-    one per CPU, and a graph with fewer than 1.125 n edges (P below 1.5)
-    gets one: a second part's row pointers would cost more than the ones it
-    saves. On two CPUs, 1.13 n edges give 2 parts and 10 n give 4.
+    One on one CPU, below ``_SPLIT_EDGES`` edges, or with fewer than
+    1.125 n edges: each part walks every column and holds a row pointer
+    for each, which costs more than a range of under one entry per column
+    saves.
     """
     threads = _cpus()
-    if threads == 1 or graph.edge_count < _SPLIT_EDGES:
+    if threads == 1 or graph.edge_count < _SPLIT_EDGES or 8 * graph.edge_count < 9 * graph.node_count:
         return 1
-    best = math.sqrt(2 * graph.edge_count / graph.node_count)
-    return min(threads, max(1, round(best))) * max(1, round(best / threads))
+    return threads
 
 
-def _split(graph: CitationGraph, parts: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """``graph``'s out-CSR as ``parts`` CSC matrices of shape (n, n), each a
-    pair of row pointers and row indices of about m / parts entries: part k
-    keeps each column's targets in the k-th target range, ascending. One
-    part is the out-CSR itself."""
+def _column_blocks(indptr: np.ndarray) -> list[int]:
+    """The bounds of the column blocks of the CSR with row pointers
+    ``indptr``: each block takes as many whole columns as fit in
+    ``_CHUNK_ROWS`` entries, or one column larger than that (at most n - 1
+    entries), so its offsets from 0 fit in int32."""
+    bounds = [0]
+    while bounds[-1] < indptr.size - 1:
+        a = bounds[-1]
+        b = int(np.searchsorted(indptr, indptr[a] + _CHUNK_ROWS, side="right")) - 1
+        bounds.append(max(b, a + 1))
+    return bounds
+
+
+def _split(graph: CitationGraph, parts: int) -> tuple[tuple[tuple, ...], ...]:
+    """``graph``'s out-CSR as ``parts`` target ranges of about m / parts
+    entries each. A range is a tuple of blocks ``(a, b, indptr, indices)``,
+    one per column block of ``_column_blocks``: the CSC matrix of shape
+    (n, b - a) holding each of columns a to b - 1's targets in the range,
+    ascending, with row pointers from 0 in the indices' dtype. One part's
+    indices are views of the out-CSR's; more parts' are one copy."""
     n, m = graph.node_count, graph.edge_count
-    out_indptr, out_indices, degrees = graph.out_indptr, graph.out_indices, graph.out_degrees
+    out_indptr, degrees = graph.out_indptr, graph.out_degrees
+    # scipy's product takes int32 or int64 row pointers and indices, of one dtype
+    index = np.promote_types(graph.out_indices.dtype, np.int32)
+    out_indices = graph.out_indices.astype(index, copy=False)
+    bounds = _column_blocks(out_indptr)
+    blocks = [(a, b, int(out_indptr[a]), int(out_indptr[b])) for a, b in zip(bounds, bounds[1:])]
     if parts == 1:
-        index = np.promote_types(out_indices.dtype, _index_dtype(m))
-        return (_freeze_arrays(out_indptr.astype(index, copy=False), out_indices.astype(index, copy=False)),)
+        return (tuple((a, b, *_freeze_arrays((out_indptr[a:b + 1] - lo).astype(index), out_indices[lo:hi]))
+                      for a, b, lo, hi in blocks),)
     # entries per bin of 2**shift targets, at most 4,096 bins, counted in
     # blocks (bincount would copy all the indices to int64): the cuts fall
-    # between bins, so each part's entry count is exact and within a bin of
-    # m / parts
+    # between bins, so each part's entry count is within a bin of m / parts
     shift = max(0, n.bit_length() - 12)
     ends = np.zeros(((n - 1) >> shift) + 1, dtype=np.int64)
     for a in range(0, m, _CHUNK_ROWS):
         ends += np.bincount(out_indices[a:a + _CHUNK_ROWS] >> shift, minlength=ends.size)
     np.cumsum(ends, out=ends)  # entries with target bin <= t
     cuts = np.searchsorted(ends, np.arange(1, parts) * m // parts, side="right").tolist()
-    bounds = (0, *(min(c << shift, n) for c in cuts), n)
-    starts = (0, *(int(ends[c - 1]) if c else 0 for c in cuts), m)
-    part_of = np.repeat(np.arange(parts, dtype=np.min_scalar_type(parts - 1)), np.diff(bounds))
-    index = _index_dtype(max(b - a for a, b in zip(starts, starts[1:])))
-    indptr = np.zeros((parts, n + 1), dtype=index)
-    indices = np.empty(m, dtype=index)
-    done = np.zeros(parts, dtype=np.int64)  # each part's entries in the columns before a
-    # blocks of whole columns, of about _CHUNK_ROWS entries each
-    rows = np.searchsorted(out_indptr, np.arange(0, m, _CHUNK_ROWS)).tolist()
-    for a, b in zip(rows, rows[1:] + [n]):
-        if a == b:
-            continue
-        targets = out_indices[out_indptr[a]:out_indptr[b]]
+    ranges = (0, *(min(c << shift, n) for c in cuts), n)
+    part_of = np.repeat(np.arange(parts, dtype=np.min_scalar_type(parts - 1)), np.diff(ranges))
+    indices = np.empty(m, dtype=index)  # each block's entries, by part, each in column order
+    split = [[] for _ in range(parts)]
+    for a, b, lo, hi in blocks:
+        targets = out_indices[lo:hi]
         part = part_of.take(targets)
         # each column's entries in each part, summed down the columns
         key = np.repeat(np.arange(0, (b - a) * parts, parts), degrees[a:b])
         key += part
         counts = np.bincount(key, minlength=(b - a) * parts).reshape(b - a, parts)
         np.cumsum(counts, axis=0, out=counts)
-        counts += done
-        indptr[:, a + 1:b + 1] = counts.T
-        grouped = targets.take(np.argsort(part, kind="stable"))  # by part, each in column order
-        edge = 0
-        for k in range(parts):
-            at, size = starts[k] + int(done[k]), int(counts[-1, k] - done[k])
-            indices[at:at + size] = grouped[edge:edge + size]
-            edge += size
-        done = counts[-1]
-    _freeze_arrays(indptr, indices)
-    return tuple((indptr[k], indices[a:b]) for k, (a, b) in enumerate(zip(starts, starts[1:])))
-
-
-def _index_dtype(entries: int) -> type:
-    """The dtype of a product's row pointers and indices for a part of
-    ``entries`` entries: scipy's CSC product takes both in one dtype, int32
-    while the offsets fit, int64 past MAX_NODE_COUNT."""
-    return np.int32 if entries <= MAX_NODE_COUNT else np.int64
+        indptr = np.zeros((parts, b - a + 1), dtype=index)
+        indptr[:, 1:] = counts.T
+        indices[lo:hi] = targets.take(np.argsort(part, kind="stable"))
+        for k, size in enumerate(counts[-1].tolist()):
+            split[k].append((a, b, *_freeze_arrays(indptr[k], indices[lo:lo + size])))
+            lo += size
+    return tuple(map(tuple, split))
 
 
 def _decimal(values: np.ndarray, width: int) -> np.ndarray:

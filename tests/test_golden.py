@@ -124,10 +124,11 @@ def test_cli_outputs_match_recorded_digests(tmp_path, capsys, threads):
     assert _digests(tmp_path, threads, capsys) == GOLDEN
 
 
-@pytest.mark.parametrize("parts", [1, 3])
+@pytest.mark.parametrize("parts", [1, 2, 3])
 def test_cli_outputs_match_recorded_digests_at_part_count(tmp_path, capsys, monkeypatch, parts):
     # both of PageRank's paths on any host: one part, and, from each sweep's
-    # second damping on, three run by threads
+    # second damping on, two (one per CPU on a 2-CPU host) or three run by
+    # threads
     monkeypatch.setattr(importlib.import_module("patentflow.pagerank"), "_part_count", lambda graph: parts)
     assert _digests(tmp_path, 1, capsys) == GOLDEN
 

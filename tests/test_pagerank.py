@@ -40,9 +40,14 @@ def _parts(count):
 
 
 def _split_of(graph):
-    """The parts kept for ``graph``: None after one call, then a (row
-    pointers, indices) pair per target range."""
+    """The parts kept for ``graph``: None after one call, then one tuple
+    per target range of column blocks (a, b, row pointers, indices)."""
     return pagerank_module._PARTS[graph]
+
+
+def _assert_tiles_the_columns(part, n):
+    """``part``'s blocks (a, b, ...) cover columns 0 to n - 1 in order."""
+    assert [a for a, *_ in part] == [0, *(b for _, b, *_ in part[:-1])] and part[-1][1] == n
 
 
 def _ranked_twice(graph, params):
@@ -378,16 +383,17 @@ def test_matches_bincount_oracle_bitwise_at_any_part_count(parts, mode, d, n, ed
 
 @pytest.mark.parametrize("index", ["int32", "int64"])
 @pytest.mark.parametrize("parts", [1, 3, 300])
-def test_wide_offsets_and_many_parts_match_bincount_oracle_bitwise(monkeypatch, index, parts):
-    # int64 is what a part of more than 2**31 - 1 entries takes; 300 parts
-    # number their targets' parts in uint16
-    monkeypatch.setattr(pagerank_module, "_index_dtype", lambda entries: np.dtype(index).type)
-    g = random_graph(2000, 9000, seed=50)
+def test_wide_offsets_and_many_parts_match_bincount_oracle_bitwise(index, parts):
+    # a hand-built graph may hold int64 indices, which its blocks keep;
+    # 300 parts number their targets' parts in uint16
+    built = random_graph(2000, 9000, seed=50)
+    g = CitationGraph(2000, built.out_indptr, built.out_indices.astype(index), built.build_report)
     for mode in ("uniform-all", "uniform-others"):
         params = PageRankParams(damping=0.85, epsilon=1e-10, dangling_mode=mode)
         with _parts(parts):
             results = _ranked_twice(g, params)
-        assert {a.dtype for part in _split_of(g) for a in part} == {np.dtype(index)}
+        assert {a.dtype for part in _split_of(g) for *_, indptr, indices in part
+                for a in (indptr, indices)} == {np.dtype(index)}
         assert len(_split_of(g)) == parts
         scores, iterations, delta = bincount_pagerank(g, params)
         for r in results:
@@ -395,9 +401,35 @@ def test_wide_offsets_and_many_parts_match_bincount_oracle_bitwise(monkeypatch, 
             assert np.array_equal(r.scores, scores)
 
 
+@pytest.mark.parametrize("parts", [1, 3])
+def test_no_block_passes_the_chunk_size_unless_it_is_one_column(monkeypatch, parts):
+    # node 7 cites 50 others, past a block's 4 entries; the other nodes cite
+    # up to 5 each, so a cut that let a block of several columns run past 4
+    # entries (and, at full size, its int32 offsets wrap) would show
+    monkeypatch.setattr(pagerank_module, "_CHUNK_ROWS", 4)
+    rng = np.random.default_rng(54)
+    n = 60
+    edges = [(7, t) for t in range(8, 58)]
+    edges += [(s, t) for s in range(n) if s != 7 for t in rng.choice(n, rng.integers(0, 6), replace=False)]
+    for mode in ("uniform-all", "uniform-others"):
+        g = build_graph(edges, n)
+        assert g.out_degrees[7] == 50
+        params = PageRankParams(damping=0.85, epsilon=1e-12, dangling_mode=mode)
+        with _parts(parts):
+            results = _ranked_twice(g, params)
+        for part in (*pagerank_module._split(g, 1), *_split_of(g)):
+            _assert_tiles_the_columns(part, n)
+            assert all(indices.size <= 4 or b - a == 1 for a, b, _, indices in part)
+        assert (7, 8) in [(a, b) for a, b, *_ in _split_of(g)[0]]
+        scores, iterations, delta = bincount_pagerank(g, params)
+        for r in results:
+            assert (r.iterations, r.final_delta) == (iterations, delta)
+            assert np.array_equal(r.scores, scores)
+
+
 def test_a_graph_with_far_fewer_edges_than_nodes_is_one_part(monkeypatch):
-    # sqrt(2m / n) rounds to 0 here; two CPUs and a low split threshold
-    # must still give one part, not none
+    # fewer than 1.125 n edges: two CPUs and a low split threshold must
+    # still give one part
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(pagerank_module, "_SPLIT_EDGES", 10)
     g = random_graph(20_000, 2000, seed=51)
@@ -426,13 +458,27 @@ def test_delta_history_ends_in_final_delta_at_every_part_count(mode):
     assert len(dict(histories)[0.99]) == 4
 
 
+def _assert_views_of_the_out_csr(g, part):
+    """``part``'s blocks tile the columns and are views of ``g.out_indices``
+    that cover each entry once, with row pointers rebased to 0."""
+    _assert_tiles_the_columns(part, g.node_count)
+    item = g.out_indices.itemsize
+    for a, b, indptr, indices in part:
+        assert np.shares_memory(indices, g.out_indices)
+        offset = indices.__array_interface__["data"][0] - g.out_indices.__array_interface__["data"][0]
+        assert (offset // item, indices.size) == (g.out_indptr[a], g.out_indptr[b] - g.out_indptr[a])
+        assert np.array_equal(indptr, g.out_indptr[a:b + 1] - g.out_indptr[a])
+
+
 def test_one_part_is_the_out_csr_and_a_graph_is_split_once(monkeypatch):
+    monkeypatch.setattr(pagerank_module, "_CHUNK_ROWS", 100)
     g = random_graph(300, 2400, seed=45)
-    (indptr, indices), = pagerank_module._split(g, 1)
-    assert indices is g.out_indices and np.array_equal(indptr, g.out_indptr)
+    part, = pagerank_module._split(g, 1)
+    assert len(part) > 1  # several blocks
+    _assert_views_of_the_out_csr(g, part)
     with _parts(1):
         _ranked_twice(g, PageRankParams(damping=0.85))
-    assert _split_of(g)[0][1] is g.out_indices
+    _assert_views_of_the_out_csr(g, _split_of(g)[0])
 
     splits = []
     split = pagerank_module._split
@@ -454,7 +500,7 @@ def test_without_an_affinity_mask_the_cpu_count_is_used(monkeypatch, cpus, parts
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(pagerank_module, "_SPLIT_EDGES", 10)
-    g = random_graph(3000, 30000, seed=52)  # sqrt(2m / n) is about 4.5
+    g = random_graph(3000, 30000, seed=52)
     params = PageRankParams(damping=0.5)
     scores, iterations, delta = bincount_pagerank(g, params)
     for r in _ranked_twice(g, params):
@@ -465,13 +511,15 @@ def test_without_an_affinity_mask_the_cpu_count_is_used(monkeypatch, cpus, parts
 
 @pytest.mark.parametrize("cpus, nodes, edges, parts", [
     (2, 1000, 100, 1),
-    (2, 1000, 1120, 1),  # sqrt(2m / n) = 1.497
-    (2, 1000, 1130, 2),  # 1.503
+    (2, 1000, 1120, 1),
+    (2, 1000, 1124, 1),  # fewer than 1.125 n edges
+    (2, 1000, 1125, 2),
+    (2, 1000, 1130, 2),
     (2, 1000, 4490, 2),
-    (2, 1000, 10_000, 4),  # 4.47: two CPUs, twice
+    (2, 1000, 10_000, 2),  # one part per CPU
     (2, 1000, 9, 1),  # below _SPLIT_EDGES
     (1, 1000, 10_000, 1),
-    (8, 1000, 10_000, 4),  # more CPUs than P: P parts
+    (8, 1000, 10_000, 8),
 ])
 def test_part_count_table(monkeypatch, cpus, nodes, edges, parts):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -572,12 +620,14 @@ def test_more_threads_than_cores_with_fast_switching_stay_bitwise(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-# tracemalloc counts one pagerank call's peak, its split included, at 10.01
-# bytes per edge (uniform-all) and 10.24 (uniform-others) for the one-product
-# kernel that held 1 / out_degree per edge, and at 10.08-10.25 for one part or
-# four on this input: the 4-byte index copy and 4(n + 1)-byte row pointers
-# per part, the ones, three score vectors, or one part's weights and two.
-_PAGERANK_PEAK_BYTES_PER_EDGE = 10.75
+# tracemalloc counts one pagerank call's peak, its split included, on this
+# input (10 edges per node). One part read 3.15 bytes per edge (uniform-all)
+# and 3.31 (uniform-others): three score vectors, the blocks' 4-byte row
+# pointers per node and the ones of one block. The call that splits the graph
+# into four parts read 8.18 and 8.34: the 4-byte index copy and four sets of
+# row pointers on top, and the split's temporaries. The one-part kernel that
+# held 1 / out_degree per edge read 10.08-10.25.
+_PAGERANK_PEAK_BYTES_PER_EDGE = {None: 3.5, 4: 8.75}
 
 
 @pytest.mark.parametrize("parts", [None, 4], ids=["default", "4"])
@@ -593,7 +643,7 @@ def test_pagerank_peak_memory_per_edge(parts):
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < _PAGERANK_PEAK_BYTES_PER_EDGE * g.edge_count
+            assert peak < _PAGERANK_PEAK_BYTES_PER_EDGE[parts] * g.edge_count
 
 
 def _graph_with_dangling(n, m, k, seed):
