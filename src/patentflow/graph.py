@@ -43,6 +43,8 @@ class CitationGraph:
     3.11 builds each under a lock; 3.12 and later may build twice).
     Neighbor lists are sorted ascending, which fixes the floating-point
     accumulation order of folds over them. Equality and hashing are by identity.
+    PageRank reads the out-CSR unchecked, so a graph refuses one that is not
+    a CSR of ``node_count`` rows, or whose indices leave ``[0, node_count)``.
     """
 
     node_count: int
@@ -53,9 +55,16 @@ class CitationGraph:
     dangling_nodes: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "node_count", int(self.node_count))
-        object.__setattr__(self, "out_degrees", np.diff(self.out_indptr))
-        object.__setattr__(self, "dangling_nodes", np.flatnonzero(self.out_degrees == 0))
+        n = int(self.node_count)
+        indptr = _integer_indices(self.out_indptr, "out_indptr").astype(np.int64, copy=False)
+        indices = _integer_indices(self.out_indices, "out_indices")
+        if not (0 <= n <= MAX_NODE_COUNT and indptr.shape == (n + 1,) and indices.ndim == 1 and indptr[0] == 0
+                and indptr[-1] == indices.size and ((degrees := np.diff(indptr)) >= 0).all()):
+            raise PatentFlowError(f"not a CSR of {n} rows (0 to {MAX_NODE_COUNT}) and {indices.size} entries")
+        if indices.size and indices.view(f"u{indices.itemsize}").max() >= n:
+            raise MalformedEdgeError(f"out_indices holds a node index outside [0, {n})")
+        vars(self).update(node_count=n, out_indptr=indptr, out_indices=indices.astype(np.int32, copy=False),
+                          out_degrees=degrees, dangling_nodes=np.flatnonzero(degrees == 0))
         _freeze_arrays(*(getattr(self, f.name) for f in fields(self)))
 
     @cached_property

@@ -325,14 +325,8 @@ def _packed_fields(
         field_lo = np.stack(bounds[:-1], axis=1) + 1
         length = np.stack(bounds[1:], axis=1) - field_lo
         rest = np.flatnonzero(~simple)
-        if 8 * len(rest) > len(ends):
-            # one decode of the whole block is cheaper; a newline byte never
-            # sits inside a UTF-8 sequence, so the lines decode as one by one
-            decoded = data[lo:hi].decode("utf-8", "surrogateescape").split("\n")
-            texts = [decoded[n] for n in rest.tolist()]
-        else:
-            texts = [data[lo + a:lo + b].decode("utf-8", "surrogateescape")
-                     for a, b in zip(starts[rest].tolist(), ends[rest].tolist())]
+        texts = [data[lo + a:lo + b].decode("utf-8", "surrogateescape")
+                 for a, b in zip(starts[rest].tolist(), ends[rest].tolist())]
         numbers, tokens = [], []
         for number, fields in _accepted_fields(zip(rest.tolist(), texts), width, id_fields, counts):
             numbers.append(number)

@@ -31,7 +31,6 @@ from __future__ import annotations
 import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice
 from numbers import Integral, Real
@@ -162,11 +161,11 @@ def pagerank(graph: CitationGraph, params: PageRankParams) -> PageRankResult:
         for a, b, indptr, indices in part:
             _csc_matvec(n, b - a, indptr, indices, ones[:indices.size], share[a:b], nxt)
 
-    # the main thread runs the first part, and the pool's queue the others
-    threads = min(_cpus(), len(parts))
     deltas = []
     converged = False
-    with ThreadPoolExecutor(max(threads - 1, 1)) if len(parts) > 1 else nullcontext() as pool:
+    # the main thread runs the first part, and the pool's queue the others;
+    # a pool starts its threads on its first submit, so one part starts none
+    with ThreadPoolExecutor(max(min(_cpus(), len(parts)) - 1, 1)) as pool:
         for _ in range(params.max_iterations):
             dangling_mass = float(cur[dangling].sum())
             # nxt = base + d * (inflow + dangling_mass / spread); each term of a
@@ -217,11 +216,11 @@ def _cpus() -> int:
 def _product_parts(graph: CitationGraph) -> tuple[tuple[tuple, ...], ...]:
     """The out-CSR as one PageRank call's product reads it: whole on the
     graph's first call, and from its second on as the target ranges built
-    then and kept in ``_PARTS``. A lone call seldom earns the split back
-    (one d = 0.5 run that split a fresh graph took 0.53 s against 0.29 s
-    whole at 6M edges, medians of 9 on two CPUs); a sweep of five dampings
-    does from ``_SPLIT_EDGES``. Racing second calls may each build the
-    split, the same arrays, and each run on its own."""
+    then and kept in ``_PARTS``. A lone call earns the split back only on
+    large graphs (one d = 0.5 run that split a fresh graph, on two CPUs,
+    took 0.46 s against 0.34 s whole at 6M edges and 2.27 against 2.68 s
+    at 24M); a five-damping sweep does from ``_SPLIT_EDGES``. Racing second
+    calls may each build the split, the same arrays, and each run alone."""
     if graph not in _PARTS:
         _PARTS[graph] = None
         return _split(graph, 1)
@@ -236,9 +235,9 @@ def _part_count(graph: CitationGraph) -> int:
     usable CPU.
 
     One on one CPU, below ``_SPLIT_EDGES`` edges, or with fewer than
-    1.125 n edges: each part walks every column and holds a row pointer
-    for each, which costs more than a range of under one entry per column
-    saves.
+    1.125 n edges, which bounds the row pointers a split keeps, 4 bytes per
+    node per part on top of 4 per edge, to 3.6 bytes per edge per part (a
+    split ran no slower below it, as README says).
     """
     threads = _cpus()
     if threads == 1 or graph.edge_count < _SPLIT_EDGES or 8 * graph.edge_count < 9 * graph.node_count:
@@ -264,17 +263,14 @@ def _split(graph: CitationGraph, parts: int) -> tuple[tuple[tuple, ...], ...]:
     entries each. A range is a tuple of blocks ``(a, b, indptr, indices)``,
     one per column block of ``_column_blocks``: the CSC matrix of shape
     (n, b - a) holding each of columns a to b - 1's targets in the range,
-    ascending, with row pointers from 0 in the indices' dtype. One part's
-    indices are views of the out-CSR's; more parts' are one copy."""
+    ascending, with int32 row pointers from 0. One part's indices are views
+    of the out-CSR's; more parts' are one copy."""
     n, m = graph.node_count, graph.edge_count
-    out_indptr, degrees = graph.out_indptr, graph.out_degrees
-    # scipy's product takes int32 or int64 row pointers and indices, of one dtype
-    index = np.promote_types(graph.out_indices.dtype, np.int32)
-    out_indices = graph.out_indices.astype(index, copy=False)
+    out_indptr, out_indices, degrees = graph.out_indptr, graph.out_indices, graph.out_degrees
     bounds = _column_blocks(out_indptr)
     blocks = [(a, b, int(out_indptr[a]), int(out_indptr[b])) for a, b in zip(bounds, bounds[1:])]
     if parts == 1:
-        return (tuple((a, b, *_freeze_arrays((out_indptr[a:b + 1] - lo).astype(index), out_indices[lo:hi]))
+        return (tuple((a, b, *_freeze_arrays((out_indptr[a:b + 1] - lo).astype(np.int32), out_indices[lo:hi]))
                       for a, b, lo, hi in blocks),)
     # entries per bin of 2**shift targets, at most 4,096 bins, counted in
     # blocks (bincount would copy all the indices to int64): the cuts fall
@@ -287,7 +283,7 @@ def _split(graph: CitationGraph, parts: int) -> tuple[tuple[tuple, ...], ...]:
     cuts = np.searchsorted(ends, np.arange(1, parts) * m // parts, side="right").tolist()
     ranges = (0, *(min(c << shift, n) for c in cuts), n)
     part_of = np.repeat(np.arange(parts, dtype=np.min_scalar_type(parts - 1)), np.diff(ranges))
-    indices = np.empty(m, dtype=index)  # each block's entries, by part, each in column order
+    indices = np.empty(m, dtype=np.int32)  # each block's entries, by part, each in column order
     split = [[] for _ in range(parts)]
     for a, b, lo, hi in blocks:
         targets = out_indices[lo:hi]
@@ -297,7 +293,7 @@ def _split(graph: CitationGraph, parts: int) -> tuple[tuple[tuple, ...], ...]:
         key += part
         counts = np.bincount(key, minlength=(b - a) * parts).reshape(b - a, parts)
         np.cumsum(counts, axis=0, out=counts)
-        indptr = np.zeros((parts, b - a + 1), dtype=index)
+        indptr = np.zeros((parts, b - a + 1), dtype=np.int32)
         indptr[:, 1:] = counts.T
         indices[lo:hi] = targets.take(np.argsort(part, kind="stable"))
         for k, size in enumerate(counts[-1].tolist()):

@@ -16,7 +16,7 @@ from patentflow import (
     build_graph,
     induced_subgraph,
 )
-from patentflow.graph import edge_index_array
+from patentflow.graph import MAX_NODE_COUNT, GraphBuildReport, edge_index_array
 
 CSR = ("out_indptr", "out_indices", "in_indptr", "in_indices")
 
@@ -336,6 +336,44 @@ def test_node_indices_are_int32_and_edge_offsets_int64():
         assert g.edge_count
         assert g.out_indices.dtype == g.in_indices.dtype == g.edge_sources().dtype == np.int32
         assert g.out_indptr.dtype == g.in_indptr.dtype == np.int64
+    # a hand-built graph is stored in the same dtypes, copied only to get them
+    g = build_graph([(0, 1), (2, 1)], 3)
+    same = CitationGraph(3, g.out_indptr, g.out_indices, g.build_report)
+    assert same.out_indptr is g.out_indptr and same.out_indices is g.out_indices
+    cast = CitationGraph(3, g.out_indptr.astype(np.int32), g.out_indices.astype(np.int64), g.build_report)
+    assert cast.out_indptr.dtype == np.int64 and cast.out_indices.dtype == np.int32
+    assert np.array_equal(cast.out_indptr, g.out_indptr) and np.array_equal(cast.out_indices, g.out_indices)
+
+
+@pytest.mark.parametrize(
+    "node_count, indptr, indices, error",
+    [
+        (3, [0, 1, 1, 1], np.array([5], np.int32), MalformedEdgeError),  # past n
+        (3, [0, 1, 1, 1], np.array([100_000_000], np.int32), MalformedEdgeError),  # far past n
+        (3, [0, 1, 1, 1], np.array([-1], np.int32), MalformedEdgeError),  # negative
+        (3, [0, 1, 1, 1], np.array([2**32 + 1], np.int64), MalformedEdgeError),  # 1 once cut to int32
+        (-1, [0], [], PatentFlowError),  # negative node count
+        (MAX_NODE_COUNT + 1, [0], [], PatentFlowError),  # node count past int32
+        (3, [0, 1, 1], [1], PatentFlowError),  # a row pointer short
+        (3, [0, 1, 1, 1, 1], [1], PatentFlowError),  # a row pointer too many
+        (3, [-1, 0, 0, 1], [1], PatentFlowError),  # not from 0
+        (3, [0, 1, 1, 3], [1], PatentFlowError),  # past the indices' end
+        (3, [0, 1, 1, 1], [1, 2], PatentFlowError),  # short of the indices' end
+        (3, [0, 2, 1, 2], [1, 2], PatentFlowError),  # decreasing
+        (3, [0.0, 1.0, 1.0, 1.0], [1], PatentFlowError),  # float row pointers
+        (3, [0, 1, 1, 1], [1.0], PatentFlowError),  # float indices
+    ],
+    ids=["index-past-n", "index-far-past-n", "negative-index", "index-past-int32", "negative-node-count",
+         "node-count-past-int32", "short-indptr", "long-indptr", "indptr-not-from-0", "indptr-past-end",
+         "indptr-short-of-end", "decreasing-indptr", "float-indptr", "float-indices"],
+)
+def test_malformed_hand_built_graph_is_refused(node_count, indptr, indices, error):
+    # pagerank's scipy product reads these arrays with no bounds check; let
+    # through, an index out of range or a row pointer below 0 crashed the
+    # process, and the other forms ranked wrongly or failed in pagerank
+    with pytest.raises(error) as raised:
+        CitationGraph(node_count, np.asarray(indptr), np.asarray(indices), GraphBuildReport(1, 1, 0, 0))
+    assert (raised.type is MalformedEdgeError) == (error is MalformedEdgeError)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])

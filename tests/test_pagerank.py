@@ -384,8 +384,8 @@ def test_matches_bincount_oracle_bitwise_at_any_part_count(parts, mode, d, n, ed
 @pytest.mark.parametrize("index", ["int32", "int64"])
 @pytest.mark.parametrize("parts", [1, 3, 300])
 def test_wide_offsets_and_many_parts_match_bincount_oracle_bitwise(index, parts):
-    # a hand-built graph may hold int64 indices, which its blocks keep;
-    # 300 parts number their targets' parts in uint16
+    # a hand-built graph's int64 indices are stored as int32, so its blocks
+    # are int32 too; 300 parts number their targets' parts in uint16
     built = random_graph(2000, 9000, seed=50)
     g = CitationGraph(2000, built.out_indptr, built.out_indices.astype(index), built.build_report)
     for mode in ("uniform-all", "uniform-others"):
@@ -393,7 +393,7 @@ def test_wide_offsets_and_many_parts_match_bincount_oracle_bitwise(index, parts)
         with _parts(parts):
             results = _ranked_twice(g, params)
         assert {a.dtype for part in _split_of(g) for *_, indptr, indices in part
-                for a in (indptr, indices)} == {np.dtype(index)}
+                for a in (indptr, indices)} == {np.dtype(np.int32)}
         assert len(_split_of(g)) == parts
         scores, iterations, delta = bincount_pagerank(g, params)
         for r in results:
@@ -492,6 +492,17 @@ def test_one_part_is_the_out_csr_and_a_graph_is_split_once(monkeypatch):
             pagerank(g, PageRankParams(damping=0.85, dangling_mode=mode))
     assert splits == [1, 3]  # the first call's whole out-CSR, then one split
     assert "_in_csr" not in vars(g)
+
+
+def test_a_one_part_call_starts_no_thread(monkeypatch):
+    counts, matvec = [], pagerank_module._csc_matvec
+    monkeypatch.setattr(pagerank_module, "_csc_matvec",
+                        lambda *args: counts.append(threading.active_count()) or matvec(*args))
+    before = threading.active_count()
+    with _parts(1):
+        _ranked_twice(random_graph(300, 2400, seed=45), PageRankParams(damping=0.85))
+    assert counts and set(counts) == {before}
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("cpus, parts", [(None, 1), (3, 3)])
