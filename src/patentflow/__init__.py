@@ -10,13 +10,9 @@ from .ingest import (
     parse_citations,
     parse_metadata,
 )
-from .pagerank import (
-    PageRankParams,
-    PageRankResult,
-    pagerank,
-    write_scores_tsv,
-)
-from .reports import RankRow, RankTable, render_rank_table, top_table, write_rank_csv
+from .pagerank import PageRankParams, PageRankResult, pagerank
+from .reports import (RankRow, RankTable, render_rank_table, top_table, write_flow_csv,
+                      write_rank_csv, write_scores_tsv)
 from .testkit import (
     EdgeModel,
     PlantedCrossover,
@@ -33,7 +29,6 @@ from .trends import (
     class_ratio,
     crossover_year,
     patent_inflow_breakdown,
-    write_flow_csv,
 )
 
 __version__ = "0.1.0"

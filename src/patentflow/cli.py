@@ -30,9 +30,8 @@ from .pagerank import (
     DEFAULT_MAX_ITERATIONS,
     PageRankParams,
     pagerank,
-    write_scores_tsv,
 )
-from .reports import render_rank_table, top_table, write_rank_csv
+from .reports import render_rank_table, top_table, write_flow_csv, write_rank_csv, write_scores_tsv
 from .testkit import load_spec, synthetic_files
 from .trends import (
     METRIC_CITATION_COUNT,
@@ -42,7 +41,6 @@ from .trends import (
     class_inflow_series,
     patent_inflow_breakdown,
     require_name,
-    write_flow_csv,
 )
 
 ENV_PREFIX = "PATENTFLOW_"

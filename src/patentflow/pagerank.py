@@ -32,9 +32,7 @@ import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from numbers import Integral, Real
-from typing import Sequence
 
 import numpy as np
 # y += A @ x for a CSC matrix A, into the caller's y; the public ``A @ x``
@@ -43,7 +41,6 @@ import numpy as np
 # between releases, so pyproject.toml pins scipy to the minor version tested.
 from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
 
-from .atomic import atomic_write
 from .errors import PatentFlowError
 from .graph import _CHUNK_ROWS, CitationGraph, _freeze_arrays
 
@@ -54,16 +51,6 @@ _DANGLING_MODES = (DANGLING_UNIFORM_ALL, DANGLING_UNIFORM_OTHERS)
 DEFAULT_EPSILON = 1e-6
 DEFAULT_MAX_ITERATIONS = 1000
 
-# Rows per byte matrix of write_scores_tsv (the fastest of 4,096 to 65,536
-# at 210k and 3M rows), and the longest id (in UTF-8 bytes) that goes into
-# one; a chunk with a longer id is formatted row by row.
-_WRITE_ROWS = 16384
-_WRITE_ID_BYTES = 64
-_POW5 = 5 ** np.arange(28, dtype=np.uint64)  # 5**27 < 2**64
-_DIGITS4 = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), np.uint32)  # 0000 to 9999
-# The score field of a row: "0.", three zeros and the first digit (fixed
-# notation), ".", 16 digits, "e-00" (exponent notation), then the newline.
-_SCORE_FIELD = np.frombuffer(b"0.0000." + b"0" * 16 + b"e-00\n", np.uint8)
 # Edges below which PageRank's product is one part (see _part_count). A
 # five-damping sweep on a fresh citation-shaped graph with 10 edges per node,
 # split on two CPUs, was slower at 1M and 2M edges and faster at 4M.
@@ -111,15 +98,29 @@ class PageRankParams:
 
 @dataclass(frozen=True, eq=False)
 class PageRankResult:
+    """One run: its scores, its params and each step's L1 delta in order."""
+
     scores: np.ndarray
-    iterations: int
-    final_delta: float
-    converged: bool
     params: PageRankParams
-    delta_history: tuple[float, ...] = ()  # each step's L1 delta, final_delta last
+    delta_history: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not self.delta_history:
+            raise PatentFlowError("a PageRank result needs the delta of at least one step")
         _freeze_arrays(self.scores)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.delta_history)
+
+    @property
+    def final_delta(self) -> float:
+        return self.delta_history[-1]
+
+    @property
+    def converged(self) -> bool:
+        """Whether the last step's delta fell below epsilon, where ``pagerank`` stops."""
+        return self.final_delta < self.params.epsilon
 
 
 def pagerank(graph: CitationGraph, params: PageRankParams) -> PageRankResult:
@@ -162,7 +163,6 @@ def pagerank(graph: CitationGraph, params: PageRankParams) -> PageRankResult:
             _csc_matvec(n, b - a, indptr, indices, ones[:indices.size], share[a:b], nxt)
 
     deltas = []
-    converged = False
     # the main thread runs the first part, and the pool's queue the others;
     # a pool starts its threads on its first submit, so one part starts none
     with ThreadPoolExecutor(max(min(_cpus(), len(parts)) - 1, 1)) as pool:
@@ -190,19 +190,11 @@ def pagerank(graph: CitationGraph, params: PageRankParams) -> PageRankResult:
             deltas.append(float(np.abs(np.subtract(nxt, cur, out=cur), out=cur).sum()))
             cur, nxt = nxt, cur
             if deltas[-1] < params.epsilon:
-                converged = True
                 break
 
     if cur is not scores:  # the result keeps no view of the call's block
         scores[:] = cur
-    return PageRankResult(
-        scores=scores,
-        iterations=len(deltas),
-        final_delta=deltas[-1],
-        converged=converged,
-        params=params,
-        delta_history=tuple(deltas),
-    )
+    return PageRankResult(scores=scores, params=params, delta_history=tuple(deltas))
 
 
 def _cpus() -> int:
@@ -216,11 +208,14 @@ def _cpus() -> int:
 def _product_parts(graph: CitationGraph) -> tuple[tuple[tuple, ...], ...]:
     """The out-CSR as one PageRank call's product reads it: whole on the
     graph's first call, and from its second on as the target ranges built
-    then and kept in ``_PARTS``. A lone call earns the split back only on
-    large graphs (one d = 0.5 run that split a fresh graph, on two CPUs,
-    took 0.46 s against 0.34 s whole at 6M edges and 2.27 against 2.68 s
-    at 24M); a five-damping sweep does from ``_SPLIT_EDGES``. Racing second
-    calls may each build the split, the same arrays, and each run alone."""
+    then and kept in ``_PARTS``. A five-damping sweep earns the split back
+    from ``_SPLIT_EDGES``, a lone call only on large graphs: one d = 0.5
+    call on a fresh ``make_edges(m // 10, m, 3704)`` graph, on two CPUs,
+    took 0.43 s when it built the split against 0.31 s whole at 6M edges
+    (medians of 7, slower in 7 of 7 alternating pairs) and 0.76 against
+    0.60 s at 10M (medians of 9, slower in 8 of 9), but 2.27 against 2.68 s
+    at 24M (medians of 3, measured earlier). Racing second calls may each
+    build the split, the same arrays, and each run alone."""
     if graph not in _PARTS:
         _PARTS[graph] = None
         return _split(graph, 1)
@@ -300,108 +295,3 @@ def _split(graph: CitationGraph, parts: int) -> tuple[tuple[tuple, ...], ...]:
             split[k].append((a, b, *_freeze_arrays(indptr[k], indices[lo:lo + size])))
             lo += size
     return tuple(map(tuple, split))
-
-
-def _decimal(values: np.ndarray, width: int) -> np.ndarray:
-    """The ASCII digits of each value, zero-padded to ``width`` (a multiple
-    of 4) bytes, one row each."""
-    out = np.empty((values.size, width // 4), np.uint32)
-    for j in range(width // 4 - 1, -1, -1):
-        rest = values // 10000  # np.divmod has no fast path for a scalar divisor
-        out[:, j] = _DIGITS4[values - rest * 10000]
-        values = rest
-    return out.view(np.uint8)
-
-
-def _score_field(x: np.ndarray, out: np.ndarray, keep: np.ndarray) -> bool:
-    """Write ``'%.17g\\n' % v`` for each score v into the rows of ``out``,
-    as the columns of ``_SCORE_FIELD`` that ``keep`` marks.
-
-    A v in [1e-11, 1) is M * 2**e with M < 2**53. With X = floor(log10 v)
-    and k = 16 - X <= 27, its 17 digits are D = M * 5**k / 2**-(e + k),
-    rounded half to even: the product is formed exactly as a 128-bit pair of
-    uint64 words from 32-bit limbs. No D rounds up to 1e17: below each power
-    of ten in range, the nearest double is at least 4.5e-17 away, relative,
-    and a carry needs 5e-18. Returns False, having written nothing of use,
-    if some v is outside [1e-11, 1) or had its X misjudged by log10 (D before
-    rounding outside [1e16, 1e17)).
-    """
-    if not ((x >= 1e-11) & (x < 1.0)).all():
-        return False
-    mant, e = np.frexp(x)
-    exp10 = np.clip(np.floor(np.log10(x)), -11, -1).astype(np.int64)  # k <= 27 near 1e-11
-    # only uint64 arrays and Python ints: uint64 with int64 gives float64
-    m, p = (mant * 2.0**53).astype(np.uint64), _POW5[16 - exp10]
-    t0 = (m & 0xFFFFFFFF) * (p & 0xFFFFFFFF)
-    t1 = (m >> 32) * (p & 0xFFFFFFFF) + (t0 >> 32)
-    t2 = (m & 0xFFFFFFFF) * (p >> 32) + (t1 & 0xFFFFFFFF)
-    hi = (m >> 32) * (p >> 32) + (t1 >> 32) + (t2 >> 32)
-    lo = (t2 << 32) | (t0 & 0xFFFFFFFF)
-    shift = (37 + exp10 - e).astype(np.uint64)  # -(e - 53 + k)
-    digits = (hi << (64 - shift)) | (lo >> shift)
-    if not ((digits >= 10**16) & (digits < 10**17)).all():
-        return False
-    rest, half = lo & ((1 << shift) - 1), 1 << (shift - 1)
-    digits += (rest > half) | ((rest == half) & (digits & 1 == 1))
-
-    text = _decimal(digits, 20)  # "000" and the 17 digits
-    out[:] = _SCORE_FIELD
-    out[:, 2:6], out[:, 7:23] = text[:, :4], text[:, 4:]
-    out[:, 25:27] = _DIGITS4[-exp10].view(np.uint8).reshape(-1, 4)[:, 2:]
-    end = 20 - (text[:, :2:-1] != ord("0")).argmax(axis=1)  # after the last nonzero digit
-    expo = (exp10 < -4)[:, None]
-    keep[:, :5] = ~expo & (np.arange(-2, 3) < -1 - exp10[:, None])  # "0." and leading zeros
-    keep[:, 6] = expo[:, 0] & (end > 4)
-    keep[:, 7:23] = np.arange(4, 20) < end[:, None]
-    keep[:, 23:27] = expo
-    keep[:, [5, 27]] = True
-    return True
-
-
-def _score_rows(start: int, ids: list, x: np.ndarray) -> bytes:
-    """The UTF-8 bytes of rows ``start`` onwards (see ``write_scores_tsv``)."""
-    try:
-        id_bytes = np.frombuffer(("\t".join(ids) + "\t").encode(), np.uint8)
-    except TypeError:
-        id_bytes = np.zeros(0, np.uint8)
-    ends = np.flatnonzero(id_bytes == ord("\t"))
-    id_width = np.diff(ends, prepend=-1)  # each id and its tab
-    if ends.size == len(ids) and id_width.max() <= _WRITE_ID_BYTES + 1:
-        digits = len(str(start + len(ids) - 1))
-        width = digits + 1 + int(id_width.max())  # the index, a tab, the id and its tab
-        matrix = np.empty((len(ids), width + _SCORE_FIELD.size), np.uint8)
-        keep = np.ones(matrix.shape, bool)
-        if _score_field(x, matrix[:, width:], keep[:, width:]):
-            matrix[:, :digits] = _decimal(np.arange(start, start + len(ids)), 12)[:, -digits:]
-            for j in range(1, digits):  # an index below 10**j has no digit in column digits-1-j
-                keep[:max(0, 10**j - start), digits - 1 - j] = False
-            matrix[:, digits] = ord("\t")
-            marks = np.arange(width - digits - 1) < id_width[:, None]
-            matrix[:, digits + 1:width][marks] = id_bytes
-            keep[:, digits + 1:width] = marks
-            return matrix[keep]
-    rows = zip(range(start, start + len(ids)), ids, x.tolist())
-    return "".join(map("%d\t%s\t%.17g\n".__mod__, rows)).encode()
-
-
-def write_scores_tsv(
-    index_to_id: Sequence[str], scores: np.ndarray, path: str | os.PathLike
-) -> None:
-    """Export ``node_index<TAB>external_id<TAB>score`` rows.
-
-    Each score is written as Python's ``'%.17g' % score``. Rows are built
-    16,384 at a time as one byte matrix, with the 17 digits of each score in
-    [1e-11, 1) computed exactly in uint64 arithmetic (see ``_score_field``).
-    A chunk with any other score, or with an id that is not a str, holds a
-    tab or is longer than 64 UTF-8 bytes, is formatted by Python row by row.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1:
-        raise PatentFlowError(f"score vector must be one-dimensional, got shape {scores.shape}")
-    if len(index_to_id) != len(scores):
-        raise PatentFlowError("id list and score vector differ in length")
-    ids = iter(index_to_id)
-    with atomic_write(path) as f:
-        for start in range(0, scores.size, _WRITE_ROWS):
-            chunk = scores[start:start + _WRITE_ROWS]
-            f.buffer.write(_score_rows(start, list(islice(ids, chunk.size)), chunk))

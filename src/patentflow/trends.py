@@ -9,16 +9,13 @@ carry rank mass) but never enter these aggregations.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
-from .atomic import atomic_write
 from .errors import PatentFlowError
 from .graph import _freeze_arrays, induced_subgraph
 from .ingest import DatasetBuildReport, PatentDataset
@@ -263,18 +260,3 @@ def apply_exclusion(
         build_report=DatasetBuildReport.of(sub, record_count),
     )
     return reduced, remap
-
-
-def write_flow_csv(series_list, path: str | os.PathLike) -> None:
-    """Write one or more series as ``target_class,source_class,year,metric,value``.
-
-    Rows within a series are sorted by (source_class, year); count values
-    are written as integers and pagerank sums with 17 significant digits.
-    """
-    with atomic_write(path) as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["target_class", "source_class", "year", "metric", "value"])
-        for series in series_list:
-            for (cls, year), value in sorted(series.entries.items()):
-                text = str(value) if series.metric == METRIC_CITATION_COUNT else f"{value:.17g}"
-                writer.writerow([series.target_class, cls, year, series.metric, text])

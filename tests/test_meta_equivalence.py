@@ -49,10 +49,8 @@ CSR = ("out_indptr", "out_indices", "in_indptr", "in_indices", "dangling_nodes")
 def _result(scores) -> PageRankResult:
     return PageRankResult(
         scores=np.asarray(scores, dtype=np.float64),
-        iterations=1,
-        final_delta=0.0,
-        converged=True,
         params=PageRankParams(damping=0.5),
+        delta_history=(0.0,),
     )
 
 

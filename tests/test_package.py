@@ -55,6 +55,27 @@ def test_no_unused_imports():
         assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
 
 
+def test_only_reports_and_cli_write_files():
+    """Only ``reports.py`` and ``cli.py`` import ``atomic_write``, and the
+    PageRank kernel and the flow analysis import neither ``csv`` nor
+    ``atomic``, so no output-file writer moves back into them."""
+    writers = set()
+    for path in sorted(Path(patentflow.__file__).parent.glob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[-1] for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.update(a.name for a in node.names)
+                imported.add((node.module or "").split(".")[-1])
+        if "atomic_write" in imported:
+            writers.add(path.name)
+        if path.name in ("pagerank.py", "trends.py"):
+            writing = sorted(imported & {"csv", "atomic"})
+            assert not writing, f"{path.name} imports {writing}"
+    assert writers == {"cli.py", "reports.py"}
+
+
 def test_every_third_party_import_is_a_declared_dependency():
     """The modules the package imports, less the standard library and
     itself, are exactly the distributions ``pyproject.toml`` declares."""

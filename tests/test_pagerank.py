@@ -711,11 +711,22 @@ def test_scores_tsv_format(tmp_path):
 
 def test_hand_built_result_scores_are_read_only():
     scores = np.array([0.25, 0.75])
-    result = PageRankResult(scores, 1, 0.0, True, PageRankParams(damping=0.5))
+    result = PageRankResult(scores, PageRankParams(damping=0.5), (0.0,))
     assert result.scores is scores and not scores.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         result.scores[0] = 1.0
     assert not pagerank(build_graph([(0, 1)], 2), PageRankParams(damping=0.5)).scores.flags.writeable
+
+
+def test_result_reads_iterations_final_delta_and_converged_off_its_history():
+    params = PageRankParams(damping=0.5, epsilon=1e-3)
+    for history, converged in (((0.5, 2e-3), False), ((0.5, 1e-3), False), ((0.5, 5e-4), True)):
+        r = PageRankResult(np.array([0.5, 0.5]), params, history)
+        assert (r.iterations, r.final_delta, r.converged) == (2, history[-1], converged)
+        with pytest.raises(AttributeError):
+            r.converged = not converged
+    with pytest.raises(PatentFlowError, match="at least one step"):
+        PageRankResult(np.array([0.5, 0.5]), params, ())
 
 
 @pytest.mark.parametrize("ids, scores", [(["a"], np.zeros(2)), (["a", "b"], np.zeros(1))],

@@ -172,10 +172,8 @@ def _full_sort_top_table(dataset, results, n, principal_d):
 def _result(scores, damping):
     return PageRankResult(
         scores=np.asarray(scores, dtype=np.float64),
-        iterations=1,
-        final_delta=0.0,
-        converged=True,
         params=PageRankParams(damping=damping),
+        delta_history=(0.0,),
     )
 
 

@@ -4,7 +4,6 @@ Every case writes the same ids and scores with both writers and compares
 the files' bytes. Small chunk sizes put chunk seams, and index widths that
 cross a power of ten, inside a few hundred rows.
 """
-import importlib
 import os
 import tempfile
 import tracemalloc
@@ -15,12 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patentflow import PatentFlowError, write_scores_tsv
+from patentflow import PatentFlowError, reports, write_scores_tsv
 from scores_oracle import write_scores_tsv as oracle_write_scores_tsv
 
-# the package's ``pagerank`` attribute is the function, not the module
-pagerank_module = importlib.import_module("patentflow.pagerank")
-CHUNK = pagerank_module._WRITE_ROWS
+CHUNK = reports._WRITE_ROWS
 
 SPECIAL = [0.0, -0.0, 5e-324, 1.0, 2.5, -0.25, -3e-7, -1e300, np.inf, -np.inf, np.nan]
 POWERS = 10.0 ** -np.arange(13)
@@ -29,7 +26,7 @@ NEAR_POWERS = np.concatenate([np.nextafter(POWERS, 0.0), POWERS, np.nextafter(PO
 
 def assert_same_bytes(ids, scores, chunk=CHUNK):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pagerank_module, "_WRITE_ROWS", chunk)
+        mp.setattr(reports, "_WRITE_ROWS", chunk)
         new, old = os.path.join(tmp, "new.tsv"), os.path.join(tmp, "old.tsv")
         write_scores_tsv(ids, scores, new)
         oracle_write_scores_tsv(ids, scores, old)
