@@ -133,7 +133,7 @@ def _result_summary(result) -> dict:
 def _scores(args, params_list: list[PageRankParams]):
     """Load the dataset, run PageRank once per params and write each scores_d<d>.tsv."""
     dataset = _load(args)
-    results = [pagerank(dataset.graph, params) for params in params_list]
+    results = [pagerank(dataset.graph, params, cpus=args.threads) for params in params_list]
     out = _out_dir(args)
     for r in results:
         write_scores_tsv(dataset.index_to_id, r.scores, out / f"scores_d{r.params.damping:g}.tsv")
@@ -178,7 +178,7 @@ def _cmd_flow(args) -> int:
         dataset, _ = apply_exclusion(dataset, exclusion)
         summary["excluded_assignee"] = args.exclude_assignee
         summary["excluded_nodes"] = int(exclusion.excluded.size)
-    result = pagerank(dataset.graph, params)
+    result = pagerank(dataset.graph, params, cpus=args.threads)
     metrics = [args.metric] if args.metric else [METRIC_CITATION_COUNT, METRIC_PAGERANK_SUM]
     series_list = [class_inflow_series(dataset, result, target, m) for m in metrics]
     out = _out_dir(args)
@@ -201,7 +201,7 @@ def _cmd_patent(args) -> int:
     idx = dataset.index_of(args.patent_id)
     if idx is None:
         raise PatentFlowError(f"patent id {args.patent_id!r} not in dataset")
-    result = pagerank(dataset.graph, params)
+    result = pagerank(dataset.graph, params, cpus=args.threads)
     breakdown = patent_inflow_breakdown(dataset, result, idx)
     payload = {
         "patent_id": args.patent_id,
@@ -250,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     # one parent parser per flag group; each command lists the groups it takes
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; has no effect: results are the same "
-                             "for every value, and PageRank uses the process's CPUs")
+                        help="run PageRank on at most this many CPUs, at least 1 (default: every "
+                             "CPU the process may use); results are the same for every value")
     common.add_argument("--out", default=None, help="output directory (default .)")
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--citations", required=True, help="citations.tsv path")
@@ -310,6 +310,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        args.threads = _env_or(args.threads, "THREADS", int, None)
+        if args.threads is not None and args.threads < 1:
+            raise PatentFlowError(f"threads must be >= 1, got {args.threads}")
         code = args.func(args)
     except (PatentFlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

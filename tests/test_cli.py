@@ -1,8 +1,10 @@
+import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -282,6 +284,10 @@ def test_bad_damping_domain_error(data_dir, tmp_path, capsys):
     (["rank", "--epsilon", "inf"], {}),
     (["sweep", "--epsilon", "inf"], {}),
     (["sweep"], {"PATENTFLOW_EPSILON": "Infinity"}),
+    (["rank", "--threads", "0"], {}),
+    (["sweep"], {"PATENTFLOW_THREADS": "0"}),
+    (["flow", "--target-class", "347", "--threads", "-2"], {}),
+    (["patent", "7000001"], {"PATENTFLOW_THREADS": "two"}),
 ])
 def test_bad_settings_rejected_before_loading(data_dir, tmp_path, monkeypatch, capsys,
                                              argv, env):
@@ -293,6 +299,32 @@ def test_bad_settings_rejected_before_loading(data_dir, tmp_path, monkeypatch, c
     assert "error: " in err
     assert _no_build_report(err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threads, env, groups", [("1", None, 1), ("2", None, 2), (None, "2", 2)])
+def test_threads_cap_the_groups_of_a_second_call(data_dir, tmp_path, monkeypatch, threads, env, groups):
+    # a sweep's second damping on runs the graph's tiles, here 10 of 64
+    # targets, on three usable CPUs: --threads 1 runs them on the calling
+    # thread alone, and --threads 2, or PATENTFLOW_THREADS=2, on two
+    pagerank_module = importlib.import_module("patentflow.pagerank")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(pagerank_module, "_SPLIT_EDGES", 10)
+    monkeypatch.setattr(pagerank_module, "_TILE_NODES", 64)
+    if env:
+        monkeypatch.setenv("PATENTFLOW_THREADS", env)
+    runs, matvec = set(), pagerank_module._coo_matvec
+    monkeypatch.setattr(pagerank_module, "_coo_matvec", lambda *args: runs.add(
+        (threading.get_ident(), threading.active_count())) or matvec(*args))
+    before = threading.active_count()
+    out = tmp_path / "out"
+    argv = ["sweep", *_dataset_args(data_dir), "--damping-list", "0.5,0.85", "--out", str(out)]
+    assert main([*argv, *(["--threads", threads] if threads else [])]) == 0
+    assert len({ident for ident, _ in runs}) == groups
+    if groups == 1:
+        assert runs == {(threading.get_ident(), before)}  # no thread started
+    assert main([*argv[:-1], str(tmp_path / "one"), "--threads", "1"]) == 0
+    for name in ("scores_d0.5.tsv", "scores_d0.85.tsv", "sweep_summary.json"):
+        assert (out / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 def test_usage_errors_exit_2():

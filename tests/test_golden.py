@@ -126,10 +126,13 @@ def test_cli_outputs_match_recorded_digests(tmp_path, capsys, threads):
 
 @pytest.mark.parametrize("parts", [1, 2, 3])
 def test_cli_outputs_match_recorded_digests_at_part_count(tmp_path, capsys, monkeypatch, parts):
-    # both of PageRank's paths on any host: one part, and, from each sweep's
-    # second damping on, two (one per CPU on a 2-CPU host) or three run by
+    # both of PageRank's paths on any host: a graph's first call whole, and
+    # from each sweep's second damping on its tiles, of 256 targets so that
+    # the 5,000-node corpus has 20, as one group, or two or three run by
     # threads
-    monkeypatch.setattr(importlib.import_module("patentflow.pagerank"), "_part_count", lambda graph: parts)
+    pagerank_module = importlib.import_module("patentflow.pagerank")
+    monkeypatch.setattr(pagerank_module, "_part_count", lambda graph, cpus: parts)
+    monkeypatch.setattr(pagerank_module, "_TILE_NODES", 256)
     assert _digests(tmp_path, 1, capsys) == GOLDEN
 
 

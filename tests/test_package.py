@@ -34,8 +34,12 @@ def test_public_names():
         assert getattr(patentflow, name) is not None
 
 
-def test_pagerank_takes_graph_and_params_only():
-    assert list(inspect.signature(patentflow.pagerank).parameters) == ["graph", "params"]
+def test_pagerank_takes_graph_params_and_a_keyword_cpu_cap():
+    # the cap changes only how many threads run the product, never a result,
+    # so it is a keyword of the call and not a field of PageRankParams
+    parameters = inspect.signature(patentflow.pagerank).parameters
+    assert list(parameters) == ["graph", "params", "cpus"]
+    assert parameters["cpus"].kind is inspect.Parameter.KEYWORD_ONLY and parameters["cpus"].default is None
 
 
 def test_no_unused_imports():

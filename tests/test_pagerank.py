@@ -1,16 +1,19 @@
 import gc
 import importlib
 import os
+import re
 import sys
 import threading
 import tracemalloc
 import weakref
 from contextlib import nullcontext
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -35,24 +38,30 @@ TIGHT = dict(epsilon=1e-12, max_iterations=20000)
 
 
 def _parts(count):
-    """Patches the part count of every graph split while it is active."""
-    return mock.patch.object(pagerank_module, "_part_count", lambda graph: count)
+    """Patches the group count of every tiled call while it is active."""
+    return mock.patch.object(pagerank_module, "_part_count", lambda graph, cpus: count)
 
 
-def _split_of(graph):
-    """The parts kept for ``graph``: None after one call, then one tuple
-    per target range of column blocks (a, b, row pointers, indices)."""
+def _tile(nodes):
+    """Patches the tile size to ``nodes`` targets while it is active."""
+    return mock.patch.object(pagerank_module, "_TILE_NODES", nodes)
+
+
+def _tiles_of(graph):
+    """The tiles kept for ``graph``: None after one call, then its
+    ``(rows, cols, starts)``."""
     return pagerank_module._PARTS[graph]
 
 
-def _assert_tiles_the_columns(part, n):
-    """``part``'s blocks (a, b, ...) cover columns 0 to n - 1 in order."""
-    assert [a for a, *_ in part] == [0, *(b for _, b, *_ in part[:-1])] and part[-1][1] == n
+def _assert_tiles_the_columns(group, n):
+    """``group``'s blocks (kernel, entries, a, b, ...) cover columns 0 to
+    n - 1 in order."""
+    assert [a for _, _, a, *_ in group] == [0, *(b for _, _, _, b, *_ in group[:-1])] and group[-1][3] == n
 
 
 def _ranked_twice(graph, params):
-    """``pagerank`` on a graph's first call, one part, and on its second, on
-    the target ranges built then."""
+    """``pagerank`` on a graph's first call, whole, and on its second, on
+    the tiles built then."""
     return pagerank(graph, params), pagerank(graph, params)
 
 
@@ -191,6 +200,12 @@ def test_params_accept_numpy_floats():
     assert pagerank(random_graph(20, 60, seed=1), params).converged
 
 
+@pytest.mark.parametrize("cpus", [0, -1, True, 1.0, "2"])
+def test_cpus_must_be_a_positive_integer(cpus):
+    with pytest.raises(PatentFlowError, match="cpus must be an integer >= 1"):
+        pagerank(random_graph(10, 30, seed=1), PageRankParams(damping=0.5), cpus=cpus)
+
+
 def test_convergence_delta_examples():
     assert convergence_delta([0.5, 0.5], [0.5, 0.5]) == 0.0
     assert convergence_delta([0.5, 0.5], [0.6, 0.4]) == pytest.approx(0.2, abs=1e-15)
@@ -315,16 +330,45 @@ def test_matches_bincount_oracle_bitwise_at_real_block_size(mode):
     n = 7 * block // 2
     g = random_graph(n, 8 * n, seed=41)
     assert n % block and g.dangling_nodes.size
-    assert g.edge_count > pagerank_module._CHUNK_ROWS  # the split takes two blocks of columns
+    assert g.edge_count > pagerank_module._CHUNK_ROWS  # each layout takes two blocks or more
     for d in (0.15, 0.5, 0.85):
         params = PageRankParams(damping=d, epsilon=1e-12, dangling_mode=mode)
         scores, iterations, delta = bincount_pagerank(g, params)
-        for parts in (None, 3, 7):  # the default, one part here, and two splits
-            with _parts(parts) if parts else nullcontext():
+        for parts in (None, 3, 7):  # the default, one group here, and three and seven
+            with _parts(parts) if parts else nullcontext(), _tile(1000):  # 15 tiles
                 results = _ranked_twice(random_graph(n, 8 * n, seed=41), params)
             for r in results:
                 assert (r.iterations, r.final_delta) == (iterations, delta)
                 assert np.array_equal(r.scores, scores)
+
+
+def test_the_private_scipy_kernels_add_left_to_right_under_the_pin():
+    # pagerank calls scipy's private csc_matvec and coo_matvec, which check no
+    # bounds and may change between minor releases: the installed scipy must
+    # be one pyproject.toml allows, and both must add y[t] += a * x[s] in
+    # entry order, as a plain loop does
+    pin = re.search(r'"scipy>=(\d+)\.(\d+),<(\d+)\.(\d+)"',
+                    (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    low, high = tuple(map(int, pin.group(1, 2))), tuple(map(int, pin.group(3, 4)))
+    version = tuple(int(part) for part in scipy.__version__.split(".")[:2])
+    assert low <= version < high, (f"scipy {scipy.__version__} is outside pyproject.toml's pin "
+                                   f"{pin.group(0)}: check both kernels' signatures before moving it")
+    # four columns into three rows; row 0's terms cancel unless added in order
+    x = np.array([1e16, 1.0, -1e16, 3.0])
+    columns = [[(0, 1.0), (2, 0.5)], [(0, 1.0)], [(0, 1.0), (1, 0.1)], [(0, 0.7), (2, 3.0)]]
+    entries = [(t, s, a) for s, column in enumerate(columns) for t, a in column]
+    expected = [0.0] * 3
+    for t, s, a in entries:
+        expected[t] += a * x[s]
+    targets, sources, values = (np.array(v) for v in zip(*entries))
+    targets, sources = targets.astype(np.int32), sources.astype(np.int32)
+    indptr = np.cumsum([0, *map(len, columns)]).astype(np.int32)
+    csc, coo = np.zeros(3), np.zeros(3)
+    pagerank_module._csc_matvec(3, 4, indptr, targets, values, x, csc)
+    order = np.argsort(targets, kind="stable")  # the tiles' order: by target, then source
+    pagerank_module._coo_matvec(len(entries), targets[order], sources[order], values[order], x, coo)
+    assert expected[0] == 3 * 0.7  # the first three terms cancel exactly
+    assert csc.tolist() == coo.tolist() == expected
 
 
 @pytest.mark.parametrize("mode", ["uniform-all", "uniform-others"])
@@ -363,18 +407,25 @@ def test_matches_bincount_oracle_bitwise_on_any_graph(mode, d, n, edges):
 @pytest.mark.parametrize("d", [0.0, 0.5, 0.99])
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(1, 24), edges=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=80),
-       chunk=st.sampled_from([1, 3, 1 << 16]))  # entries per block of the split's column loop
-@example(n=1, edges=[], chunk=1 << 16)  # one node
-@example(n=5, edges=[], chunk=1 << 16)  # no edges
-@example(n=4, edges=[(0, 0), (2, 2)], chunk=1 << 16)  # every node dangling once the self-loops go
-@example(n=5, edges=[(0, 3), (1, 3), (2, 3), (4, 3)], chunk=1)  # one target: every part but one empty
-def test_matches_bincount_oracle_bitwise_at_any_part_count(parts, mode, d, n, edges, chunk):
-    with _parts(parts), mock.patch.object(graph_module, "_CHUNK_ROWS", chunk), \
+       chunk=st.sampled_from([1, 3, 7, 1 << 16]),  # entries per block of either layout
+       tile=st.sampled_from([1, 2, 3, 1 << 16]))  # targets per tile
+@example(n=1, edges=[], chunk=1 << 16, tile=1 << 16)  # one node
+@example(n=5, edges=[], chunk=1 << 16, tile=1)  # no edges
+@example(n=4, edges=[(0, 0), (2, 2)], chunk=1 << 16, tile=2)  # every node dangling once the self-loops go
+@example(n=5, edges=[(0, 3), (1, 3), (2, 3), (4, 3)], chunk=1, tile=1)  # one target: every group but one empty
+@example(n=9, edges=[(s, t) for s in range(9) for t in (3, 4, 5) if s != t], chunk=7, tile=3)  # every target in one tile
+@example(n=9, edges=[(s, t) for s in range(9) for t in (0, 2, 7, 8) if s != t], chunk=3, tile=3)  # tile 1 empty
+@example(n=6, edges=[(0, 5), (5, 0), (1, 2), (2, 4), (4, 1), (3, 0)], chunk=1, tile=3)  # n a multiple of the tile
+@example(n=7, edges=[(0, 6), (6, 0), (1, 2), (2, 4), (4, 1), (3, 6)], chunk=3, tile=3)  # n one more
+@example(n=12, edges=[(0, t) for t in range(1, 12)] + [(t, 0) for t in range(1, 12)], chunk=3, tile=2)  # a hub column
+def test_matches_bincount_oracle_bitwise_at_any_part_count(parts, mode, d, n, edges, chunk, tile):
+    with _parts(parts), _tile(tile), mock.patch.object(graph_module, "_CHUNK_ROWS", chunk), \
             mock.patch.object(pagerank_module, "_CHUNK_ROWS", chunk):
         g = build_graph([(u % n, v % n) for u, v in edges], n)
         params = PageRankParams(damping=d, max_iterations=300, dangling_mode=mode)
         results = _ranked_twice(g, params)
-    assert len(_split_of(g)) == parts
+        assert len(pagerank_module._product_parts(g, 1)) == parts
+    assert _tiles_of(g) is not None
     scores, iterations, delta = bincount_pagerank(g, params)
     for r in results:
         assert (r.iterations, r.final_delta) == (iterations, delta)
@@ -384,17 +435,18 @@ def test_matches_bincount_oracle_bitwise_at_any_part_count(parts, mode, d, n, ed
 @pytest.mark.parametrize("index", ["int32", "int64"])
 @pytest.mark.parametrize("parts", [1, 3, 300])
 def test_wide_offsets_and_many_parts_match_bincount_oracle_bitwise(index, parts):
-    # a hand-built graph's int64 indices are stored as int32, so its blocks
-    # are int32 too; 300 parts number their targets' parts in uint16
+    # a hand-built graph's int64 indices are stored as int32, so its tiles
+    # are int32 too; 400 tiles of 5 targets, whose keys sort as uint16, run
+    # as up to 300 groups
     built = random_graph(2000, 9000, seed=50)
     g = CitationGraph(2000, built.out_indptr, built.out_indices.astype(index), built.build_report)
     for mode in ("uniform-all", "uniform-others"):
         params = PageRankParams(damping=0.85, epsilon=1e-10, dangling_mode=mode)
-        with _parts(parts):
+        with _parts(parts), _tile(5):
             results = _ranked_twice(g, params)
-        assert {a.dtype for part in _split_of(g) for *_, indptr, indices in part
-                for a in (indptr, indices)} == {np.dtype(np.int32)}
-        assert len(_split_of(g)) == parts
+            assert len(pagerank_module._product_parts(g, 1)) == parts
+        rows, cols, starts = _tiles_of(g)
+        assert (rows.dtype, cols.dtype, starts.size) == (np.int32, np.int32, 401)
         scores, iterations, delta = bincount_pagerank(g, params)
         for r in results:
             assert (r.iterations, r.final_delta) == (iterations, delta)
@@ -405,8 +457,10 @@ def test_wide_offsets_and_many_parts_match_bincount_oracle_bitwise(index, parts)
 def test_no_block_passes_the_chunk_size_unless_it_is_one_column(monkeypatch, parts):
     # node 7 cites 50 others, past a block's 4 entries; the other nodes cite
     # up to 5 each, so a cut that let a block of several columns run past 4
-    # entries (and, at full size, its int32 offsets wrap) would show
+    # entries (and, at full size, its int32 offsets wrap) would show; the
+    # tiles' blocks are cut by entries, so none passes 4
     monkeypatch.setattr(pagerank_module, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(pagerank_module, "_TILE_NODES", 7)
     rng = np.random.default_rng(54)
     n = 60
     edges = [(7, t) for t in range(8, 58)]
@@ -417,37 +471,23 @@ def test_no_block_passes_the_chunk_size_unless_it_is_one_column(monkeypatch, par
         params = PageRankParams(damping=0.85, epsilon=1e-12, dangling_mode=mode)
         with _parts(parts):
             results = _ranked_twice(g, params)
-        for part in (*pagerank_module._split(g, 1), *_split_of(g)):
-            _assert_tiles_the_columns(part, n)
-            assert all(indices.size <= 4 or b - a == 1 for a, b, _, indices in part)
-        assert (7, 8) in [(a, b) for a, b, *_ in _split_of(g)[0]]
+            groups = pagerank_module._product_parts(g, 1)
+        first, = pagerank_module._product_parts(build_graph(edges, n), 1)  # a graph's first call
+        _assert_tiles_the_columns(first, n)
+        assert all(k <= 4 or b - a == 1 for _, k, a, b, *_ in first)
+        assert (7, 8) in [(a, b) for _, _, a, b, *_ in first]
+        assert len(groups) == parts and all(0 < k <= 4 for group in groups for _, k, *_ in group)
         scores, iterations, delta = bincount_pagerank(g, params)
         for r in results:
             assert (r.iterations, r.final_delta) == (iterations, delta)
             assert np.array_equal(r.scores, scores)
 
 
-def test_a_graph_with_far_fewer_edges_than_nodes_is_one_part(monkeypatch):
-    # fewer than 1.125 n edges: two CPUs and a low split threshold must
-    # still give one part
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(pagerank_module, "_SPLIT_EDGES", 10)
-    g = random_graph(20_000, 2000, seed=51)
-    assert g.node_count > 8 * g.edge_count
-    assert pagerank_module._part_count(g) == 1
-    params = PageRankParams(damping=0.5)
-    scores, iterations, delta = bincount_pagerank(g, params)
-    for r in _ranked_twice(g, params):
-        assert (r.iterations, r.final_delta) == (iterations, delta)
-        assert np.array_equal(r.scores, scores)
-    assert len(_split_of(g)) == 1
-
-
 @pytest.mark.parametrize("mode", ["uniform-all", "uniform-others"])
 def test_delta_history_ends_in_final_delta_at_every_part_count(mode):
     histories = set()
     for parts in (1, 2, 3, 7):
-        with _parts(parts):
+        with _parts(parts), _tile(16):  # 25 tiles
             for params in (PageRankParams(damping=0.85, epsilon=1e-10, dangling_mode=mode),
                            PageRankParams(damping=0.99, max_iterations=4, dangling_mode=mode)):
                 for r in _ranked_twice(random_graph(400, 3000, seed=46), params):
@@ -458,50 +498,76 @@ def test_delta_history_ends_in_final_delta_at_every_part_count(mode):
     assert len(dict(histories)[0.99]) == 4
 
 
-def _assert_views_of_the_out_csr(g, part):
-    """``part``'s blocks tile the columns and are views of ``g.out_indices``
-    that cover each entry once, with row pointers rebased to 0."""
-    _assert_tiles_the_columns(part, g.node_count)
-    item = g.out_indices.itemsize
-    for a, b, indptr, indices in part:
-        assert np.shares_memory(indices, g.out_indices)
-        offset = indices.__array_interface__["data"][0] - g.out_indices.__array_interface__["data"][0]
-        assert (offset // item, indices.size) == (g.out_indptr[a], g.out_indptr[b] - g.out_indptr[a])
-        assert np.array_equal(indptr, g.out_indptr[a:b + 1] - g.out_indptr[a])
-
-
 def test_one_part_is_the_out_csr_and_a_graph_is_split_once(monkeypatch):
+    # a graph's first call reads the out-CSR in place, as CSC column blocks
+    # with row pointers rebased to 0, and only its second builds the tiles
     monkeypatch.setattr(pagerank_module, "_CHUNK_ROWS", 100)
     g = random_graph(300, 2400, seed=45)
-    part, = pagerank_module._split(g, 1)
-    assert len(part) > 1  # several blocks
-    _assert_views_of_the_out_csr(g, part)
-    with _parts(1):
-        _ranked_twice(g, PageRankParams(damping=0.85))
-    _assert_views_of_the_out_csr(g, _split_of(g)[0])
+    group, = pagerank_module._product_parts(g, 1)
+    assert len(group) > 1  # several blocks
+    _assert_tiles_the_columns(group, g.node_count)
+    for kernel, k, a, b, rows, cols, indptr, indices in group:
+        assert kernel is pagerank_module._csc_matvec and (rows, cols) == (g.node_count, b - a)
+        assert np.shares_memory(indices, g.out_indices)
+        assert np.array_equal(indices, g.out_indices[g.out_indptr[a]:g.out_indptr[b]]) and indices.size == k
+        assert np.array_equal(indptr, g.out_indptr[a:b + 1] - g.out_indptr[a]) and indptr.dtype == np.int32
+    assert _tiles_of(g) is None
 
-    splits = []
-    split = pagerank_module._split
-    monkeypatch.setattr(pagerank_module, "_split",
-                        lambda graph, parts: splits.append(parts) or split(graph, parts))
-    with _parts(3):
-        g = random_graph(300, 2400, seed=45)
-        pagerank(g, PageRankParams(damping=0.85))
-        assert _split_of(g) is None  # a lone call is not split
-        for mode in ("uniform-all", "uniform-others"):
-            pagerank(g, PageRankParams(damping=0.85, dangling_mode=mode))
-    assert splits == [1, 3]  # the first call's whole out-CSR, then one split
+    built = []
+    tiles = pagerank_module._tiles
+    monkeypatch.setattr(pagerank_module, "_tiles", lambda graph: built.append(graph) or tiles(graph))
+    g = random_graph(300, 2400, seed=45)
+    pagerank(g, PageRankParams(damping=0.85))
+    assert _tiles_of(g) is None  # a lone call builds no tiles
+    for mode in ("uniform-all", "uniform-others"):
+        pagerank(g, PageRankParams(damping=0.85, dangling_mode=mode))
+    assert built == [g]  # built once, on the second call
     assert "_in_csr" not in vars(g)
 
 
+@pytest.mark.parametrize("tile", [1, 3, 64, 1 << 16])
+def test_tiles_hold_the_out_csr_in_tile_then_source_order(monkeypatch, tile):
+    # the tiles are the out-CSR's entries, each once, stably partitioned by
+    # target tile (so in source order within one), and each group, of any
+    # count, starts at a tile start and runs in blocks up to the next one's
+    monkeypatch.setattr(pagerank_module, "_CHUNK_ROWS", 50)
+    monkeypatch.setattr(pagerank_module, "_TILE_NODES", tile)
+    g = random_graph(300, 2400, seed=48)
+    _ranked_twice(g, PageRankParams(damping=0.5))
+    rows, cols, starts = _tiles_of(g)
+    sources = np.repeat(np.arange(g.node_count), g.out_degrees)
+    order = np.argsort(g.out_indices // tile, kind="stable")
+    assert np.array_equal(rows, g.out_indices[order]) and np.array_equal(cols, sources[order])
+    assert np.array_equal(starts, np.searchsorted(rows // tile, np.arange((g.node_count - 1) // tile + 2)))
+    assert not rows.flags.writeable and not cols.flags.writeable
+    for count in (1, 2, 3, 7):
+        with _parts(count):
+            groups = pagerank_module._product_parts(g, 1)
+        assert len(groups) == count
+        at = 0  # each group starts at a tile start, where the one before it ends
+        for group in groups:
+            assert at in starts
+            for kernel, k, a, b, entries, r, c in group:
+                assert (kernel, a, b, entries) == (pagerank_module._coo_matvec, 0, g.node_count, k)
+                assert 0 < k <= 50 and (_offset(r, rows), _offset(c, cols)) == (at, at) and r.size == c.size == k
+                at += k
+        assert at == g.edge_count
+
+
+def _offset(view, array):
+    """Where in ``array``'s entries its view ``view`` starts."""
+    return (view.__array_interface__["data"][0] - array.__array_interface__["data"][0]) // array.itemsize
+
+
 def test_a_one_part_call_starts_no_thread(monkeypatch):
-    counts, matvec = [], pagerank_module._csc_matvec
-    monkeypatch.setattr(pagerank_module, "_csc_matvec",
-                        lambda *args: counts.append(threading.active_count()) or matvec(*args))
+    counts = {}
+    for name in ("_csc_matvec", "_coo_matvec"):  # the first call's kernel, and the tiles'
+        monkeypatch.setattr(pagerank_module, name, lambda *args, matvec=getattr(pagerank_module, name), name=name:
+                            counts.setdefault(name, set()).add(threading.active_count()) or matvec(*args))
     before = threading.active_count()
-    with _parts(1):
+    with _parts(1), _tile(16):
         _ranked_twice(random_graph(300, 2400, seed=45), PageRankParams(damping=0.85))
-    assert counts and set(counts) == {before}
+    assert counts == {"_csc_matvec": {before}, "_coo_matvec": {before}}
     assert threading.active_count() == before
 
 
@@ -511,31 +577,34 @@ def test_without_an_affinity_mask_the_cpu_count_is_used(monkeypatch, cpus, parts
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(pagerank_module, "_SPLIT_EDGES", 10)
+    monkeypatch.setattr(pagerank_module, "_TILE_NODES", 100)
+    counts, part_count = [], pagerank_module._part_count
+    monkeypatch.setattr(pagerank_module, "_part_count",
+                        lambda graph, cpus: counts.append(part_count(graph, cpus)) or counts[-1])
     g = random_graph(3000, 30000, seed=52)
     params = PageRankParams(damping=0.5)
     scores, iterations, delta = bincount_pagerank(g, params)
     for r in _ranked_twice(g, params):
         assert (r.iterations, r.final_delta) == (iterations, delta)
         assert np.array_equal(r.scores, scores)
-    assert len(_split_of(g)) == parts
+    assert counts == [parts]  # the second call's groups
 
 
 @pytest.mark.parametrize("cpus, nodes, edges, parts", [
     (2, 1000, 100, 1),
     (2, 1000, 1120, 1),
-    (2, 1000, 1124, 1),  # fewer than 1.125 n edges
+    (2, 1000, 1124, 1),  # one below _SPLIT_EDGES
     (2, 1000, 1125, 2),
     (2, 1000, 1130, 2),
     (2, 1000, 4490, 2),
-    (2, 1000, 10_000, 2),  # one part per CPU
-    (2, 1000, 9, 1),  # below _SPLIT_EDGES
+    (2, 1000, 10_000, 2),  # one group per CPU
+    (2, 1000, 9, 1),
     (1, 1000, 10_000, 1),
     (8, 1000, 10_000, 8),
 ])
 def test_part_count_table(monkeypatch, cpus, nodes, edges, parts):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(pagerank_module, "_SPLIT_EDGES", 10)
-    assert pagerank_module._part_count(SimpleNamespace(node_count=nodes, edge_count=edges)) == parts
+    monkeypatch.setattr(pagerank_module, "_SPLIT_EDGES", 1125)
+    assert pagerank_module._part_count(SimpleNamespace(node_count=nodes, edge_count=edges), cpus) == parts
 
 
 def test_the_kept_parts_keep_no_graph_alive():
@@ -544,7 +613,7 @@ def test_the_kept_parts_keep_no_graph_alive():
     g = random_graph(300, 2400, seed=45)
     with _parts(3):
         _ranked_twice(g, PageRankParams(damping=0.85))
-    assert len(_split_of(g)) == 3
+    assert _tiles_of(g) is not None
     assert len(pagerank_module._PARTS) == kept + 1
     ref = weakref.ref(g)
     del g
@@ -555,8 +624,9 @@ def test_the_kept_parts_keep_no_graph_alive():
 
 def test_racing_calls_on_a_fresh_graph_stay_bitwise(monkeypatch):
     # two threads on one graph's first call, then on its second, which
-    # both may split
+    # both may tile
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(pagerank_module, "_TILE_NODES", 256)
     g = random_graph(3000, 30000, seed=53)
     params = PageRankParams(damping=0.85, epsilon=1e-10)
     scores, iterations, delta = bincount_pagerank(g, params)
@@ -584,7 +654,7 @@ def test_racing_calls_on_a_fresh_graph_stay_bitwise(monkeypatch):
                     assert np.array_equal(r.scores, scores)
     finally:
         sys.setswitchinterval(interval)
-    assert len(_split_of(g)) == 3
+    assert _tiles_of(g) is not None
     assert threading.active_count() == before
 
 
@@ -594,9 +664,10 @@ class _PartFailed(Exception):
 
 @pytest.mark.parametrize("where", ["main", "worker"])
 def test_a_failing_part_raises_and_leaves_no_thread(monkeypatch, where):
-    # three CPUs, so two worker threads run parts on any host
+    # three CPUs, so two worker threads run groups on any host
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    product = pagerank_module._csc_matvec
+    monkeypatch.setattr(pagerank_module, "_TILE_NODES", 16)
+    product = pagerank_module._coo_matvec
 
     def failing(*args):
         if (threading.current_thread() is threading.main_thread()) == (where == "main"):
@@ -605,8 +676,8 @@ def test_a_failing_part_raises_and_leaves_no_thread(monkeypatch, where):
 
     g = random_graph(300, 2400, seed=45)
     with _parts(3):
-        pagerank(g, PageRankParams(damping=0.85))  # the next call is split
-        monkeypatch.setattr(pagerank_module, "_csc_matvec", failing)
+        pagerank(g, PageRankParams(damping=0.85))  # the next call reads the tiles
+        monkeypatch.setattr(pagerank_module, "_coo_matvec", failing)
         before = threading.active_count()
         with pytest.raises(_PartFailed):
             pagerank(g, PageRankParams(damping=0.85))
@@ -614,9 +685,10 @@ def test_a_failing_part_raises_and_leaves_no_thread(monkeypatch, where):
 
 
 def test_more_threads_than_cores_with_fast_switching_stay_bitwise(monkeypatch):
-    # seven parts on seven threads, switching every microsecond: each writes
-    # only its own targets' slice, so no update is lost
+    # seven groups on seven threads, switching every microsecond: each writes
+    # only its own tiles' targets, so no update is lost
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(7)))
+    monkeypatch.setattr(pagerank_module, "_TILE_NODES", 64)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -631,14 +703,15 @@ def test_more_threads_than_cores_with_fast_switching_stay_bitwise(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-# tracemalloc counts one pagerank call's peak, its split included, on this
-# input (10 edges per node). One part read 3.15 bytes per edge (uniform-all)
-# and 3.31 (uniform-others): three score vectors, the blocks' 4-byte row
-# pointers per node and the ones of one block. The call that splits the graph
-# into four parts read 8.18 and 8.34: the 4-byte index copy and four sets of
-# row pointers on top, and the split's temporaries. The one-part kernel that
-# held 1 / out_degree per edge read 10.08-10.25.
-_PAGERANK_PEAK_BYTES_PER_EDGE = {None: 3.5, 4: 8.75}
+# tracemalloc counts one pagerank call's peak, its tiles included, on this
+# input (10 edges per node). A graph's first call read 3.15 bytes per edge
+# (uniform-all) and 3.31 (uniform-others): three score vectors, the blocks'
+# 4-byte row pointers per node and the ones of one block. The second call,
+# which builds the tiles and runs them as four groups, read 10.76 and 10.92:
+# the tiles' 8 bytes per edge (int32 targets and sources), three score
+# vectors (2.4 bytes per edge here) and the build's block temporaries. Each
+# bound is about 5 % above the larger of its two readings.
+_PAGERANK_PEAK_BYTES_PER_EDGE = {None: 3.5, 4: 11.5}
 
 
 @pytest.mark.parametrize("parts", [None, 4], ids=["default", "4"])
@@ -646,7 +719,7 @@ def test_pagerank_peak_memory_per_edge(parts):
     with _parts(parts) if parts else nullcontext():
         for mode in ("uniform-all", "uniform-others"):
             g = random_graph(200_000, 2_000_000, seed=47)
-            if parts:  # the traced call is the graph's second, which splits it
+            if parts:  # the traced call is the graph's second, which builds its tiles
                 pagerank(g, PageRankParams(damping=0.85, dangling_mode=mode))
             tracemalloc.start()
             try:
