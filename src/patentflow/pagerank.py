@@ -9,23 +9,32 @@ Each step's inflow is a run of scipy products over the graph's out-CSR
 that add each term ``1.0 * ((1 / out_degree(s)) * cur[s])`` to its target
 ``t``, from a result of 0.0, in ascending source order for every target, so
 a node's inflow is summed left to right over its in-neighbors in ascending
-index order. A graph's first call runs the out-CSR whole, as CSC column
-blocks (column ``s`` holds ``s``'s targets) of whole columns of at most
-``_CHUNK_ROWS`` entries, or one larger column (see ``_column_blocks``), in
-column order. Its second call builds the graph's tiles (see ``_tiles``),
-kept while the graph lives: every entry once as an int32 (target, source)
-pair, grouped by target tile ``t // _TILE_NODES`` and in source order
-within a tile, so a tile's terms land in 512 KB of the result, which stays
-in a core's cache. From then on each step runs the tiles through scipy's
-``coo_matvec`` in blocks of at most ``_CHUNK_ROWS`` entries, as one group
-of whole tiles per usable CPU from ``_SPLIT_EDGES`` edges (see
-``_product_parts``), each group on its own thread and adding into its own
-targets of one result vector. Every block's values are one buffer of ones
-the size of the largest block. A call adds that buffer (0.5 MB at
-``_CHUNK_ROWS``) and three score vectors, and a graph's first call its
-blocks' row pointers (4 bytes per node). The kept tiles hold 8 bytes per
-edge. The dangling-mass scalar is reduced in fixed index order too, so a
-run is bitwise reproducible whatever the group count.
+index order. The products run as segments, each a target range and the
+blocks that add only into it, in groups (see ``_product_parts``). The first
+call on a graph below ``_SPLIT_EDGES`` edges runs one segment, the out-CSR
+whole as CSC column blocks (column ``s`` holds ``s``'s targets) of whole
+columns of at most ``_CHUNK_ROWS`` entries, or one larger column (see
+``_column_blocks``). Its second call, or a larger graph's first, builds the
+graph's tiles (see ``_tiles``), kept while the graph lives: every entry
+once as an int32 (target, source) pair, grouped by target tile
+``t // _TILE_NODES`` and in source order within a tile, so a tile's terms
+land in 512 KB of the result, which stays in a core's cache. From then on
+each tile is a segment, run through scipy's ``coo_matvec`` in blocks of at
+most ``_CHUNK_ROWS`` entries, as one group of whole tiles per usable CPU
+from ``_SPLIT_EDGES`` edges.
+
+A step runs in two phases, each group on its own thread. First each group
+forms ``share = (1 / out_degree) * cur`` over an equal slice of the
+targets, since every group's products read all of it. Then each group
+finishes its segments one at a time while they are in cache: it clears the
+segment, runs its blocks, applies the update and the uniform-others
+correction, and writes ``|nxt - cur|`` over ``cur``. The main thread sums
+the dangling mass and the delta over whole vectors in numpy's fixed
+pairwise order, so a run is bitwise reproducible whatever the group count.
+Every block's values are one buffer of ones the size of the largest block. A
+call adds that buffer (0.5 MB at ``_CHUNK_ROWS``) and three score vectors, and
+a whole call its blocks' row pointers (4 bytes per node). The kept tiles hold 8
+bytes per edge.
 """
 from __future__ import annotations
 
@@ -55,16 +64,17 @@ DEFAULT_MAX_ITERATIONS = 1000
 
 # Targets per tile: a tile's 512 KB of the result fits a core's 2 MB L2.
 _TILE_NODES = 1 << 16
-# Edges below which a graph's tiles run as one group (see _part_count). A
-# five-damping sweep on a citation-shaped graph with 10 edges per node, as
-# two groups on two CPUs against one, took 0.415 against 0.419 s at 2M edges
-# (lower in 4 of 8 alternating pairs), 0.943 against 0.953 s at 4M (7 of 8)
-# and 1.24 against 1.77 s at 6M (6 of 6).
+# Edges below which a graph's first call runs whole (see _product_parts) and
+# its tiles run as one group (see _part_count). A five-damping sweep on a
+# citation-shaped graph with 10 edges per node, as two groups on two CPUs
+# against one, took 0.415 against 0.419 s at 2M edges (lower in 4 of 8
+# alternating pairs), 0.943 against 0.953 s at 4M (7 of 8) and 1.24 against
+# 1.77 s at 6M (6 of 6).
 _SPLIT_EDGES = 4_000_000
-# The graphs ranked so far. A graph absent has not been ranked, and its
-# first call runs whole; a present one maps to None until its second call
-# builds its tiles, then to them (see _product_parts). The keys are weak and
-# the tiles refer to no graph, so a graph's tiles die with it.
+# The graphs ranked so far, each mapped to its tiles (see _product_parts). A
+# graph below _SPLIT_EDGES edges maps to None from its first call, which runs
+# whole, until its second builds the tiles. The keys are weak and the tiles
+# refer to no graph, so a graph's tiles die with it.
 _PARTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -154,50 +164,59 @@ def pagerank(graph: CitationGraph, params: PageRankParams, *, cpus: int | None =
     # they are freed no hole stays below it in the allocator's heap (after a
     # 1M-node graph's first call, such a hole kept 4 MB resident)
     scores = cur = np.empty(n)
-    groups = _product_parts(graph, _cpus() if cpus is None else min(cpus, _cpus()))
+    parts = _product_parts(graph, _cpus() if cpus is None else min(cpus, _cpus()))
+    # a group: its equal slice of share, then its segments, each with its own dangling nodes
+    groups = [(i * n // len(parts), (i + 1) * n // len(parts),
+               [(lo, hi, blocks, dangling[slice(*np.searchsorted(dangling, (lo, hi)))]) for lo, hi, blocks in part])
+              for i, part in enumerate(parts)]
     degrees = graph.out_degrees
-    # every block's values are a view of one buffer of ones, and the product
-    # reads share = (1 / out_degree) * scores. The ones, share and the spare
-    # score vector are one block, returned whole when the call ends, so no
-    # freed hole is left in the allocator's heap.
-    width = max((k for group in groups for _, k, *_ in group), default=0)
+    # the blocks' ones, share and the spare score vector are one block,
+    # returned whole when the call ends, so no freed hole is left in the
+    # allocator's heap
+    width = max((k for part in parts for *_, blocks in part for _, k, *_ in blocks), default=0)
     ones, share, nxt = np.split(np.empty(width + 2 * n), [width, width + n])
     ones.fill(1.0)
     scores.fill(1.0 / n)
 
-    def products(group: tuple) -> None:
-        # nxt += M @ share over the group's blocks in order, in scipy's
-        # csc_matvec or coo_matvec, which release the GIL; a group adds only
-        # to its own targets
-        for kernel, k, a, b, *args in group:
-            kernel(*args, ones[:k], share[a:b], nxt)
+    def shares(group: tuple) -> None:
+        # a dangling node's share is inf or nan; it is the source of no
+        # entry. numpy's error state is per thread, so it is set here.
+        lo, hi, _ = group
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(1.0, degrees[lo:hi], out=share[lo:hi])
+            share[lo:hi] *= cur[lo:hi]
+
+    def finish(group: tuple) -> None:
+        # nxt = base + d * (inflow + dangling_mass / spread), one segment at a
+        # time while it is in cache; scipy's kernels release the GIL. cur's
+        # slice is not read again, so it takes |nxt - cur| for the delta.
+        for lo, hi, blocks, own in group[2]:
+            out = nxt[lo:hi]
+            out.fill(0.0)
+            for kernel, k, a, b, *args in blocks:
+                kernel(*args, ones[:k], share[a:b], nxt)
+            out += spread_mass
+            out *= d
+            out += base
+            if exclude_self:
+                nxt[own] -= d * (cur[own] / spread)
+            np.abs(np.subtract(out, cur[lo:hi], out=cur[lo:hi]), out=cur[lo:hi])
 
     deltas = []
     # the main thread runs the first group, and the pool's queue the others;
     # a pool starts its threads on its first submit, so one group starts none
     with ThreadPoolExecutor(max(len(groups) - 1, 1)) as pool:
-        for _ in range(params.max_iterations):
-            dangling_mass = float(cur[dangling].sum())
-            # nxt = base + d * (inflow + dangling_mass / spread); each term of a
-            # target's inflow is 1.0 * ((1.0 / out_degree(s)) * cur[s]), and the
-            # terms are summed in source order from 0.0. A dangling node's
-            # share is inf or nan; it is the source of no entry.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(1.0, degrees, out=share)
-                share *= cur
-            nxt.fill(0.0)
-            running = [pool.submit(products, group) for group in groups[1:]]
-            products(groups[0])
+        def run(phase) -> None:
+            running = [pool.submit(phase, group) for group in groups[1:]]
+            phase(groups[0])
             for future in running:
                 future.result()
-            nxt += dangling_mass / spread
-            nxt *= d
-            nxt += base
-            if exclude_self:
-                nxt[dangling] -= d * (cur[dangling] / spread)
-            # cur's buffer is not read again, so it holds |nxt - cur| for the
-            # delta, then takes the next step
-            deltas.append(float(np.abs(np.subtract(nxt, cur, out=cur), out=cur).sum()))
+
+        for _ in range(params.max_iterations):
+            spread_mass = float(cur[dangling].sum()) / spread
+            run(shares)  # every group's products read all of share
+            run(finish)
+            deltas.append(float(cur.sum()))  # whole, in numpy's pairwise order
             cur, nxt = nxt, cur
             if deltas[-1] < params.epsilon:
                 break
@@ -216,42 +235,43 @@ def _cpus() -> int:
 
 
 def _product_parts(graph: CitationGraph, cpus: int) -> tuple[tuple[tuple, ...], ...]:
-    """The groups of blocks ``(kernel, entries, a, b, *args)`` of one
-    PageRank call's product on ``graph``, each block run as
-    ``kernel(*args, ones[:entries], share[a:b], nxt)``: on the graph's first
-    call one group of the out-CSR's CSC column blocks, and from its second
-    on the tiles built then and kept in ``_PARTS``, cut into
-    ``_part_count(graph, cpus)`` runs of whole tiles, each at the tile start
-    nearest its share of the entries, in blocks of at most ``_CHUNK_ROWS``
-    entries. Racing second calls may each build the tiles, the same arrays,
-    and each run alone.
+    """The groups of segments ``(lo, hi, blocks)`` of one PageRank call's
+    product on ``graph``: each block ``(kernel, entries, a, b, *args)``, run
+    as ``kernel(*args, ones[:entries], share[a:b], nxt)``, adds only into
+    targets ``lo`` to ``hi - 1``. The first call on a graph below
+    ``_SPLIT_EDGES`` edges runs one group of one segment, every target and
+    the out-CSR's CSC column blocks. Later calls, and every call on a larger
+    graph, run the tiles kept in ``_PARTS``: each tile is a segment, in
+    blocks of at most ``_CHUNK_ROWS`` entries, and the tiles are cut into
+    ``_part_count(graph, cpus)`` runs, each at the tile start nearest its
+    share of the work, a tile's entries plus its targets; empty tiles and
+    runs are kept. Racing calls may each build the tiles, the same arrays.
 
-    A lone call stays whole because small graphs do not earn the build
+    A small graph's first call stays whole because it does not earn the build
     back: on a fresh ``make_edges(m // 10, m, 3704)`` graph on two CPUs, one
-    d = 0.5 call that built the tiles took 0.087 against 0.066 s whole at
-    2M edges (a 31 ms build; medians of 15) and 0.286 against 0.272 s at
-    6M, but 0.62 against 0.74 s at 10M (medians of 9) and 1.44 against
-    1.89 s at 24M (medians of 5). Two calls, the second tiled, took 0.68
-    and 0.63 s against 0.64 and 0.63 s both whole at 6M, and 1.28 against
-    1.34 and 1.41 s at 10M (medians of 9 in each of two processes), where
-    the target-range split the tiles replaced took 0.75 against 0.64 and
-    1.58 against 1.35 s."""
+    d = 0.5 call that built the tiles took 0.161 against 0.156 s whole at 2M
+    edges, but 0.343 against 0.423 s at 4M, 0.356 against 0.621 s at 6M, 0.630
+    against 1.399 s at 10M (medians of 9) and 2.06 against 5.24 s at 24M
+    (medians of 6; three alternating processes)."""
     n = graph.node_count
-    if graph not in _PARTS:
+    if graph not in _PARTS and graph.edge_count < _SPLIT_EDGES:
         _PARTS[graph] = None
         indptr, bounds = graph.out_indptr, _column_blocks(graph.out_indptr)
-        return (tuple((_csc_matvec, int(indptr[b] - indptr[a]), a, b, n, b - a,
-                       (indptr[a:b + 1] - indptr[a]).astype(np.int32), graph.out_indices[indptr[a]:indptr[b]])
-                      for a, b in zip(bounds, bounds[1:])),)
-    tiles = _PARTS[graph]
+        return (((0, n, tuple((_csc_matvec, int(indptr[b] - indptr[a]), a, b, n, b - a,
+                               (indptr[a:b + 1] - indptr[a]).astype(np.int32),
+                               graph.out_indices[indptr[a]:indptr[b]]) for a, b in zip(bounds, bounds[1:]))),),)
+    tiles = _PARTS.get(graph)
     if tiles is None:
         tiles = _PARTS[graph] = _tiles(graph)
-    rows, cols, starts = tiles
-    m, count = rows.size, _part_count(graph, cpus)
-    cuts = [0, *(int(starts[np.abs(starts - i * m // count).argmin()]) for i in range(1, count)), m]
-    ends = [[*range(lo, hi, _CHUNK_ROWS), hi] for lo, hi in zip(cuts, cuts[1:])]  # each group's blocks
-    return tuple(tuple((_coo_matvec, b - a, 0, n, b - a, rows[a:b], cols[a:b]) for a, b in zip(e, e[1:]))
-                 for e in ends)
+    (rows, cols, starts), count = tiles, _part_count(graph, cpus)
+    # a tile's work: its entries' products and its targets' update, one unit each
+    cost = starts + np.minimum(np.arange(starts.size) * _TILE_NODES, n)
+    cuts = [0, *(int(np.abs(cost - i * cost[-1] // count).argmin()) for i in range(1, count)), starts.size - 1]
+    ends = [[*range(lo, hi, _CHUNK_ROWS), hi] for lo, hi in zip(starts.tolist(), starts[1:].tolist())]
+    segments = [(t * _TILE_NODES, min(t * _TILE_NODES + _TILE_NODES, n),
+                 tuple((_coo_matvec, b - a, 0, n, b - a, rows[a:b], cols[a:b]) for a, b in zip(e, e[1:])))
+                for t, e in enumerate(ends)]
+    return tuple(tuple(segments[i:j]) for i, j in zip(cuts, cuts[1:]))
 
 
 def _part_count(graph: CitationGraph, cpus: int) -> int:

@@ -303,25 +303,28 @@ def test_bad_settings_rejected_before_loading(data_dir, tmp_path, monkeypatch, c
 
 @pytest.mark.parametrize("threads, env, groups", [("1", None, 1), ("2", None, 2), (None, "2", 2)])
 def test_threads_cap_the_groups_of_a_second_call(data_dir, tmp_path, monkeypatch, threads, env, groups):
-    # a sweep's second damping on runs the graph's tiles, here 10 of 64
-    # targets, on three usable CPUs: --threads 1 runs them on the calling
-    # thread alone, and --threads 2, or PATENTFLOW_THREADS=2, on two
+    # with _SPLIT_EDGES at 10 edges, each of a sweep's dampings runs the
+    # graph's tiles, here 10 of 64 targets, on three usable CPUs: --threads 1
+    # runs them on the calling thread alone, and --threads 2, or
+    # PATENTFLOW_THREADS=2, on two; each call has its own pool
     pagerank_module = importlib.import_module("patentflow.pagerank")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(pagerank_module, "_SPLIT_EDGES", 10)
     monkeypatch.setattr(pagerank_module, "_TILE_NODES", 64)
     if env:
         monkeypatch.setenv("PATENTFLOW_THREADS", env)
-    runs, matvec = set(), pagerank_module._coo_matvec
+    runs, calls, matvec, parts = set(), [], pagerank_module._coo_matvec, pagerank_module._product_parts
+    monkeypatch.setattr(pagerank_module, "_product_parts", lambda graph, cpus: calls.append(cpus) or parts(graph, cpus))
     monkeypatch.setattr(pagerank_module, "_coo_matvec", lambda *args: runs.add(
-        (threading.get_ident(), threading.active_count())) or matvec(*args))
+        (len(calls), threading.get_ident(), threading.active_count())) or matvec(*args))
     before = threading.active_count()
     out = tmp_path / "out"
     argv = ["sweep", *_dataset_args(data_dir), "--damping-list", "0.5,0.85", "--out", str(out)]
     assert main([*argv, *(["--threads", threads] if threads else [])]) == 0
-    assert len({ident for ident, _ in runs}) == groups
+    for call in (1, 2):  # the calls' threads, each call's own
+        assert len({ident for c, ident, _ in runs if c == call}) == groups
     if groups == 1:
-        assert runs == {(threading.get_ident(), before)}  # no thread started
+        assert {(ident, count) for _, ident, count in runs} == {(threading.get_ident(), before)}  # no thread started
     assert main([*argv[:-1], str(tmp_path / "one"), "--threads", "1"]) == 0
     for name in ("scores_d0.5.tsv", "scores_d0.85.tsv", "sweep_summary.json"):
         assert (out / name).read_bytes() == (tmp_path / "one" / name).read_bytes()

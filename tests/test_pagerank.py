@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 from types import SimpleNamespace
@@ -53,10 +54,18 @@ def _tiles_of(graph):
     return pagerank_module._PARTS[graph]
 
 
-def _assert_tiles_the_columns(group, n):
-    """``group``'s blocks (kernel, entries, a, b, ...) cover columns 0 to
-    n - 1 in order."""
-    assert [a for _, _, a, *_ in group] == [0, *(b for _, _, _, b, *_ in group[:-1])] and group[-1][3] == n
+def _assert_tiles_the_columns(blocks, n):
+    """``blocks`` (kernel, entries, a, b, ...) cover columns 0 to n - 1 in
+    order."""
+    assert [a for _, _, a, *_ in blocks] == [0, *(b for _, _, _, b, *_ in blocks[:-1])] and blocks[-1][3] == n
+
+
+def _first_call_blocks(graph):
+    """The blocks of ``graph``'s first call: one group of one segment, every
+    target."""
+    ((lo, hi, blocks),), = pagerank_module._product_parts(graph, 1)
+    assert (lo, hi) == (0, graph.node_count)
+    return blocks
 
 
 def _ranked_twice(graph, params):
@@ -418,6 +427,14 @@ def test_matches_bincount_oracle_bitwise_on_any_graph(mode, d, n, edges):
 @example(n=6, edges=[(0, 5), (5, 0), (1, 2), (2, 4), (4, 1), (3, 0)], chunk=1, tile=3)  # n a multiple of the tile
 @example(n=7, edges=[(0, 6), (6, 0), (1, 2), (2, 4), (4, 1), (3, 6)], chunk=3, tile=3)  # n one more
 @example(n=12, edges=[(0, t) for t in range(1, 12)] + [(t, 0) for t in range(1, 12)], chunk=3, tile=2)  # a hub column
+# nodes 1, 2, 5, 6 and 8 dangling: some in every tile of 2 or 3 targets
+@example(n=9, edges=[(0, 1), (0, 5), (0, 7), (3, 0), (3, 8), (4, 2), (4, 6), (7, 4), (7, 3)], chunk=3, tile=2)
+@example(n=9, edges=[(0, 1), (0, 5), (0, 7), (3, 0), (3, 8), (4, 2), (4, 6), (7, 4), (7, 3)], chunk=1, tile=3)
+@example(n=6, edges=[(1, 1), (4, 4)], chunk=1, tile=1)  # every node dangling, so every tile of 1 holds one
+# nodes 0, 7 and 8 dangling: tiles of 1, 2 or 3 targets from 2 to 5 hold none
+@example(n=9, edges=[(1, 0), (1, 5), (2, 8), (2, 6), (3, 7), (3, 4), (4, 1), (5, 2), (6, 3)], chunk=1, tile=1)
+@example(n=9, edges=[(1, 0), (1, 5), (2, 8), (2, 6), (3, 7), (3, 4), (4, 1), (5, 2), (6, 3)], chunk=7, tile=2)
+@example(n=9, edges=[(1, 0), (1, 5), (2, 8), (2, 6), (3, 7), (3, 4), (4, 1), (5, 2), (6, 3)], chunk=3, tile=3)
 def test_matches_bincount_oracle_bitwise_at_any_part_count(parts, mode, d, n, edges, chunk, tile):
     with _parts(parts), _tile(tile), mock.patch.object(graph_module, "_CHUNK_ROWS", chunk), \
             mock.patch.object(pagerank_module, "_CHUNK_ROWS", chunk):
@@ -472,11 +489,12 @@ def test_no_block_passes_the_chunk_size_unless_it_is_one_column(monkeypatch, par
         with _parts(parts):
             results = _ranked_twice(g, params)
             groups = pagerank_module._product_parts(g, 1)
-        first, = pagerank_module._product_parts(build_graph(edges, n), 1)  # a graph's first call
+        first = _first_call_blocks(build_graph(edges, n))
         _assert_tiles_the_columns(first, n)
         assert all(k <= 4 or b - a == 1 for _, k, a, b, *_ in first)
         assert (7, 8) in [(a, b) for _, _, a, b, *_ in first]
-        assert len(groups) == parts and all(0 < k <= 4 for group in groups for _, k, *_ in group)
+        assert len(groups) == parts
+        assert all(0 < k <= 4 for group in groups for *_, blocks in group for _, k, *_ in blocks)
         scores, iterations, delta = bincount_pagerank(g, params)
         for r in results:
             assert (r.iterations, r.final_delta) == (iterations, delta)
@@ -503,10 +521,10 @@ def test_one_part_is_the_out_csr_and_a_graph_is_split_once(monkeypatch):
     # with row pointers rebased to 0, and only its second builds the tiles
     monkeypatch.setattr(pagerank_module, "_CHUNK_ROWS", 100)
     g = random_graph(300, 2400, seed=45)
-    group, = pagerank_module._product_parts(g, 1)
-    assert len(group) > 1  # several blocks
-    _assert_tiles_the_columns(group, g.node_count)
-    for kernel, k, a, b, rows, cols, indptr, indices in group:
+    blocks = _first_call_blocks(g)
+    assert len(blocks) > 1  # several blocks
+    _assert_tiles_the_columns(blocks, g.node_count)
+    for kernel, k, a, b, rows, cols, indptr, indices in blocks:
         assert kernel is pagerank_module._csc_matvec and (rows, cols) == (g.node_count, b - a)
         assert np.shares_memory(indices, g.out_indices)
         assert np.array_equal(indices, g.out_indices[g.out_indptr[a]:g.out_indptr[b]]) and indices.size == k
@@ -524,12 +542,20 @@ def test_one_part_is_the_out_csr_and_a_graph_is_split_once(monkeypatch):
     assert built == [g]  # built once, on the second call
     assert "_in_csr" not in vars(g)
 
+    big = random_graph(300, 2400, seed=45)
+    monkeypatch.setattr(pagerank_module, "_SPLIT_EDGES", big.edge_count)
+    pagerank(big, PageRankParams(damping=0.85))  # from _SPLIT_EDGES edges, a lone call builds the tiles
+    assert built == [g, big] and _tiles_of(big) is not None
+    pagerank(big, PageRankParams(damping=0.85))
+    assert built == [g, big]
+
 
 @pytest.mark.parametrize("tile", [1, 3, 64, 1 << 16])
 def test_tiles_hold_the_out_csr_in_tile_then_source_order(monkeypatch, tile):
     # the tiles are the out-CSR's entries, each once, stably partitioned by
-    # target tile (so in source order within one), and each group, of any
-    # count, starts at a tile start and runs in blocks up to the next one's
+    # target tile (so in source order within one); each tile is a segment
+    # that runs its own entries in blocks, and the groups, of any count, are
+    # runs of whole segments
     monkeypatch.setattr(pagerank_module, "_CHUNK_ROWS", 50)
     monkeypatch.setattr(pagerank_module, "_TILE_NODES", tile)
     g = random_graph(300, 2400, seed=48)
@@ -540,17 +566,23 @@ def test_tiles_hold_the_out_csr_in_tile_then_source_order(monkeypatch, tile):
     assert np.array_equal(rows, g.out_indices[order]) and np.array_equal(cols, sources[order])
     assert np.array_equal(starts, np.searchsorted(rows // tile, np.arange((g.node_count - 1) // tile + 2)))
     assert not rows.flags.writeable and not cols.flags.writeable
+    n = g.node_count
     for count in (1, 2, 3, 7):
         with _parts(count):
             groups = pagerank_module._product_parts(g, 1)
-        assert len(groups) == count
-        at = 0  # each group starts at a tile start, where the one before it ends
-        for group in groups:
-            assert at in starts
-            for kernel, k, a, b, entries, r, c in group:
-                assert (kernel, a, b, entries) == (pagerank_module._coo_matvec, 0, g.node_count, k)
+        assert len(groups) == count  # empty groups are kept
+        segments = [segment for group in groups for segment in group]
+        # the segments are the tiles, empty ones too: they cover [0, n) once, in order
+        assert [(lo, hi) for lo, hi, _ in segments] == [(t, min(t + tile, n)) for t in range(0, n, tile)]
+        at = 0  # each block starts where the one before it ends, and each tile's first at its start
+        for (lo, hi, blocks), start, end in zip(segments, starts, starts[1:]):
+            assert at == start
+            for kernel, k, a, b, entries, r, c in blocks:
+                assert (kernel, a, b, entries) == (pagerank_module._coo_matvec, 0, n, k)
                 assert 0 < k <= 50 and (_offset(r, rows), _offset(c, cols)) == (at, at) and r.size == c.size == k
+                assert lo <= r.min() and r.max() < hi  # no block crosses its tile
                 at += k
+            assert at == end
         assert at == g.edge_count
 
 
@@ -587,7 +619,7 @@ def test_without_an_affinity_mask_the_cpu_count_is_used(monkeypatch, cpus, parts
     for r in _ranked_twice(g, params):
         assert (r.iterations, r.final_delta) == (iterations, delta)
         assert np.array_equal(r.scores, scores)
-    assert counts == [parts]  # the second call's groups
+    assert counts == [parts, parts]  # from _SPLIT_EDGES edges, the first call runs the tiles too
 
 
 @pytest.mark.parametrize("cpus, nodes, edges, parts", [
@@ -681,6 +713,42 @@ def test_a_failing_part_raises_and_leaves_no_thread(monkeypatch, where):
         before = threading.active_count()
         with pytest.raises(_PartFailed):
             pagerank(g, PageRankParams(damping=0.85))
+    assert threading.active_count() == before
+
+
+def test_a_worker_failing_on_a_later_step_raises_and_leaves_no_thread(monkeypatch):
+    # a worker's kernel fails on the third step, after that step's shares
+    # (phase 1) are formed: the call raises, every submitted future has run,
+    # and no thread is left
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(pagerank_module, "_TILE_NODES", 16)
+    product, futures, calls = pagerank_module._coo_matvec, [], []
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, *args):
+            futures.append(super().submit(*args))
+            return futures[-1]
+
+    g = random_graph(300, 2400, seed=45)
+    with _parts(3):
+        pagerank(g, PageRankParams(damping=0.85))  # the next call reads the tiles
+        workers = sum(len(blocks) for group in pagerank_module._product_parts(g, 1)[1:] for *_, blocks in group)
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                calls.append(None)  # the workers' blocks of one step run only after the last step's
+                if len(calls) > 2 * workers:
+                    raise _PartFailed
+            product(*args)
+
+        monkeypatch.setattr(pagerank_module, "_coo_matvec", failing)
+        monkeypatch.setattr(pagerank_module, "ThreadPoolExecutor", Pool)
+        before = threading.active_count()
+        with pytest.raises(_PartFailed):
+            pagerank(g, PageRankParams(damping=0.85))
+    assert len(calls) > 2 * workers  # the other worker may fail too
+    assert len(futures) == 3 * 2 * 2  # three steps of two phases, each on two workers
+    assert all(future.done() for future in futures)
     assert threading.active_count() == before
 
 
