@@ -5,36 +5,28 @@ vector) with the rank of dangling nodes redistributed evenly each step so
 total mass stays at 1. Iteration starts from the uniform vector and stops
 when the L1 change between consecutive vectors drops below epsilon.
 
-Each step's inflow is a run of scipy products over the graph's out-CSR
-that add each term ``1.0 * ((1 / out_degree(s)) * cur[s])`` to its target
-``t``, from a result of 0.0, in ascending source order for every target, so
-a node's inflow is summed left to right over its in-neighbors in ascending
-index order. The products run as segments, each a target range and the
-blocks that add only into it, in groups (see ``_product_parts``). The first
-call on a graph below ``_SPLIT_EDGES`` edges runs one segment, the out-CSR
-whole as CSC column blocks (column ``s`` holds ``s``'s targets) of whole
-columns of at most ``_CHUNK_ROWS`` entries, or one larger column (see
-``_column_blocks``). Its second call, or a larger graph's first, builds the
-graph's tiles (see ``_tiles``), kept while the graph lives: every entry
-once as an int32 (target, source) pair, grouped by target tile
-``t // _TILE_NODES`` and in source order within a tile, so a tile's terms
-land in 512 KB of the result, which stays in a core's cache. From then on
-each tile is a segment, run through scipy's ``coo_matvec`` in blocks of at
-most ``_CHUNK_ROWS`` entries, as one group of whole tiles per usable CPU
-from ``_SPLIT_EDGES`` edges.
+Each step's inflow is a run of scipy ``coo_matvec`` products over the
+graph's tiles (see ``_tiles``), built on its first call and kept while the
+graph lives: every out-CSR entry once as an int32 (target, source) pair,
+grouped by target tile ``t // _TILE_NODES`` and in source order within a
+tile. Each product adds its terms ``1.0 * ((1 / out_degree(s)) * cur[s])``
+to their targets ``t``, from a result of 0.0, so a node's inflow is summed
+left to right over its in-neighbors in ascending index order, and a tile's
+terms land in 512 KB of the result, which stays in a core's cache. The
+tiles run in blocks of at most ``_CHUNK_ROWS`` entries, as
+``min(cpus, tile count)`` groups of whole tiles (see ``_product_parts``).
 
 A step runs in two phases, each group on its own thread. First each group
 forms ``share = (1 / out_degree) * cur`` over an equal slice of the
 targets, since every group's products read all of it. Then each group
-finishes its segments one at a time while they are in cache: it clears the
-segment, runs its blocks, applies the update and the uniform-others
+finishes its tiles one at a time while they are in cache: it clears the
+tile, runs its blocks, applies the update and the uniform-others
 correction, and writes ``|nxt - cur|`` over ``cur``. The main thread sums
 the dangling mass and the delta over whole vectors in numpy's fixed
 pairwise order, so a run is bitwise reproducible whatever the group count.
 Every block's values are one buffer of ones the size of the largest block. A
-call adds that buffer (0.5 MB at ``_CHUNK_ROWS``) and three score vectors, and
-a whole call its blocks' row pointers (4 bytes per node). The kept tiles hold 8
-bytes per edge.
+call adds that buffer (0.5 MB at ``_CHUNK_ROWS``) and three score vectors;
+the kept tiles hold 8 bytes per edge.
 """
 from __future__ import annotations
 
@@ -45,12 +37,12 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
-# y += A @ x into the caller's y, for a CSC matrix A and for a COO one; the
-# public ``A @ x`` returns a fresh vector, which would cost each step a copy
-# into place. These private functions check dtypes but no bounds, so they
-# read only a graph's checked CSR, and their signatures may change between
-# releases, so pyproject.toml pins scipy to the minor version tested.
-from scipy.sparse._sparsetools import coo_matvec as _coo_matvec, csc_matvec as _csc_matvec
+# y += A @ x into the caller's y, for a COO matrix A; the public ``A @ x``
+# returns a fresh vector, which would cost each step a copy into place. This
+# private function checks dtypes but no bounds, so it reads only a graph's
+# checked CSR, and its signature may change between releases, so
+# pyproject.toml pins scipy to the minor version tested.
+from scipy.sparse._sparsetools import coo_matvec as _coo_matvec
 
 from .errors import PatentFlowError
 from .graph import _CHUNK_ROWS, CitationGraph, _freeze_arrays
@@ -64,17 +56,9 @@ DEFAULT_MAX_ITERATIONS = 1000
 
 # Targets per tile: a tile's 512 KB of the result fits a core's 2 MB L2.
 _TILE_NODES = 1 << 16
-# Edges below which a graph's first call runs whole (see _product_parts) and
-# its tiles run as one group (see _part_count). A five-damping sweep on a
-# citation-shaped graph with 10 edges per node, as two groups on two CPUs
-# against one, took 0.415 against 0.419 s at 2M edges (lower in 4 of 8
-# alternating pairs), 0.943 against 0.953 s at 4M (7 of 8) and 1.24 against
-# 1.77 s at 6M (6 of 6).
-_SPLIT_EDGES = 4_000_000
-# The graphs ranked so far, each mapped to its tiles (see _product_parts). A
-# graph below _SPLIT_EDGES edges maps to None from its first call, which runs
-# whole, until its second builds the tiles. The keys are weak and the tiles
-# refer to no graph, so a graph's tiles die with it.
+# The graphs ranked so far, each mapped to its tiles (see _product_parts).
+# The keys are weak and the tiles refer to no graph, so a graph's tiles die
+# with it.
 _PARTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -165,7 +149,7 @@ def pagerank(graph: CitationGraph, params: PageRankParams, *, cpus: int | None =
     # 1M-node graph's first call, such a hole kept 4 MB resident)
     scores = cur = np.empty(n)
     parts = _product_parts(graph, _cpus() if cpus is None else min(cpus, _cpus()))
-    # a group: its equal slice of share, then its segments, each with its own dangling nodes
+    # a group: its equal slice of share, then its tiles, each with its own dangling nodes
     groups = [(i * n // len(parts), (i + 1) * n // len(parts),
                [(lo, hi, blocks, dangling[slice(*np.searchsorted(dangling, (lo, hi)))]) for lo, hi, blocks in part])
               for i, part in enumerate(parts)]
@@ -173,7 +157,7 @@ def pagerank(graph: CitationGraph, params: PageRankParams, *, cpus: int | None =
     # the blocks' ones, share and the spare score vector are one block,
     # returned whole when the call ends, so no freed hole is left in the
     # allocator's heap
-    width = max((k for part in parts for *_, blocks in part for _, k, *_ in blocks), default=0)
+    width = max((rows.size for part in parts for *_, blocks in part for rows, _ in blocks), default=0)
     ones, share, nxt = np.split(np.empty(width + 2 * n), [width, width + n])
     ones.fill(1.0)
     scores.fill(1.0 / n)
@@ -187,14 +171,14 @@ def pagerank(graph: CitationGraph, params: PageRankParams, *, cpus: int | None =
             share[lo:hi] *= cur[lo:hi]
 
     def finish(group: tuple) -> None:
-        # nxt = base + d * (inflow + dangling_mass / spread), one segment at a
-        # time while it is in cache; scipy's kernels release the GIL. cur's
+        # nxt = base + d * (inflow + dangling_mass / spread), one tile at a
+        # time while it is in cache; scipy's kernel releases the GIL. cur's
         # slice is not read again, so it takes |nxt - cur| for the delta.
         for lo, hi, blocks, own in group[2]:
             out = nxt[lo:hi]
             out.fill(0.0)
-            for kernel, k, a, b, *args in blocks:
-                kernel(*args, ones[:k], share[a:b], nxt)
+            for rows, cols in blocks:
+                _coo_matvec(rows.size, rows, cols, ones[:rows.size], share, nxt)
             out += spread_mass
             out *= d
             out += base
@@ -236,55 +220,45 @@ def _cpus() -> int:
 
 def _product_parts(graph: CitationGraph, cpus: int) -> tuple[tuple[tuple, ...], ...]:
     """The groups of segments ``(lo, hi, blocks)`` of one PageRank call's
-    product on ``graph``: each block ``(kernel, entries, a, b, *args)``, run
-    as ``kernel(*args, ones[:entries], share[a:b], nxt)``, adds only into
-    targets ``lo`` to ``hi - 1``. The first call on a graph below
-    ``_SPLIT_EDGES`` edges runs one group of one segment, every target and
-    the out-CSR's CSC column blocks. Later calls, and every call on a larger
-    graph, run the tiles kept in ``_PARTS``: each tile is a segment, in
-    blocks of at most ``_CHUNK_ROWS`` entries, and the tiles are cut into
-    ``_part_count(graph, cpus)`` runs, each at the tile start nearest its
-    share of the work, a tile's entries plus its targets; empty tiles and
-    runs are kept. Racing calls may each build the tiles, the same arrays.
+    product on ``graph``, one segment per tile kept in ``_PARTS``, whose
+    blocks ``(rows, cols)`` of at most ``_CHUNK_ROWS`` entries each add only
+    into targets ``lo`` to ``hi - 1``. The tiles are cut into
+    ``min(cpus, tile count)`` runs, each at the tile start nearest its share
+    of the work, a tile's entries plus its targets; empty tiles and runs are
+    kept. A graph's first call builds its tiles; racing calls may each
+    build them, the same arrays.
 
-    A small graph's first call stays whole because it does not earn the build
-    back: on a fresh ``make_edges(m // 10, m, 3704)`` graph on two CPUs, one
-    d = 0.5 call that built the tiles took 0.161 against 0.156 s whole at 2M
-    edges, but 0.343 against 0.423 s at 4M, 0.356 against 0.621 s at 6M, 0.630
-    against 1.399 s at 10M (medians of 9) and 2.06 against 5.24 s at 24M
-    (medians of 6; three alternating processes)."""
+    A first call that builds the tiles is no slower than one over the
+    out-CSR in place as CSC column blocks, which it replaced: on a fresh
+    ``make_edges(200_000, 2_000_000, 3704)`` graph on two CPUs, a lone d =
+    0.5 call took 0.142 against 0.150 s (medians of 9 alternating processes,
+    lower in 7). Five-damping sweeps on kept tiles of such graphs (10 edges
+    per node), two groups against one: 0.655 against 0.873 s at 2M edges
+    (lower in 8 of 9) and 0.813 against 1.141 s at 3M (9 of 9), 0.366
+    against 0.374 s at 1M, two tiles (5 of 9), but 0.061 against 0.030 s at
+    100k, one tile, where the second group is empty (0 of 9), so there are
+    no more groups than tiles."""
     n = graph.node_count
-    if graph not in _PARTS and graph.edge_count < _SPLIT_EDGES:
-        _PARTS[graph] = None
-        indptr, bounds = graph.out_indptr, _column_blocks(graph.out_indptr)
-        return (((0, n, tuple((_csc_matvec, int(indptr[b] - indptr[a]), a, b, n, b - a,
-                               (indptr[a:b + 1] - indptr[a]).astype(np.int32),
-                               graph.out_indices[indptr[a]:indptr[b]]) for a, b in zip(bounds, bounds[1:]))),),)
     tiles = _PARTS.get(graph)
     if tiles is None:
         tiles = _PARTS[graph] = _tiles(graph)
-    (rows, cols, starts), count = tiles, _part_count(graph, cpus)
+    rows, cols, starts = tiles
+    count = min(cpus, starts.size - 1)
     # a tile's work: its entries' products and its targets' update, one unit each
     cost = starts + np.minimum(np.arange(starts.size) * _TILE_NODES, n)
     cuts = [0, *(int(np.abs(cost - i * cost[-1] // count).argmin()) for i in range(1, count)), starts.size - 1]
     ends = [[*range(lo, hi, _CHUNK_ROWS), hi] for lo, hi in zip(starts.tolist(), starts[1:].tolist())]
     segments = [(t * _TILE_NODES, min(t * _TILE_NODES + _TILE_NODES, n),
-                 tuple((_coo_matvec, b - a, 0, n, b - a, rows[a:b], cols[a:b]) for a, b in zip(e, e[1:])))
+                 tuple((rows[a:b], cols[a:b]) for a, b in zip(e, e[1:])))
                 for t, e in enumerate(ends)]
     return tuple(tuple(segments[i:j]) for i, j in zip(cuts, cuts[1:]))
-
-
-def _part_count(graph: CitationGraph, cpus: int) -> int:
-    """How many groups of whole tiles ``graph``'s product runs as: one per
-    CPU of ``cpus``, or one below ``_SPLIT_EDGES`` edges."""
-    return cpus if graph.edge_count >= _SPLIT_EDGES else 1
 
 
 def _column_blocks(indptr: np.ndarray) -> list[int]:
     """The bounds of the column blocks of the CSR with row pointers
     ``indptr``: each block takes as many whole columns as fit in
     ``_CHUNK_ROWS`` entries, or one column larger than that (at most n - 1
-    entries), so its offsets from 0 fit in int32."""
+    entries), so ``_tiles``' temporaries for one block stay small."""
     bounds = [0]
     while bounds[-1] < indptr.size - 1:
         a = bounds[-1]

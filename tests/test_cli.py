@@ -303,13 +303,12 @@ def test_bad_settings_rejected_before_loading(data_dir, tmp_path, monkeypatch, c
 
 @pytest.mark.parametrize("threads, env, groups", [("1", None, 1), ("2", None, 2), (None, "2", 2)])
 def test_threads_cap_the_groups_of_a_second_call(data_dir, tmp_path, monkeypatch, threads, env, groups):
-    # with _SPLIT_EDGES at 10 edges, each of a sweep's dampings runs the
-    # graph's tiles, here 10 of 64 targets, on three usable CPUs: --threads 1
-    # runs them on the calling thread alone, and --threads 2, or
-    # PATENTFLOW_THREADS=2, on two; each call has its own pool
+    # each of a sweep's dampings runs the graph's tiles, here 10 of 64
+    # targets, on three usable CPUs: --threads 1 runs them on the calling
+    # thread alone, and --threads 2, or PATENTFLOW_THREADS=2, on two; each
+    # call has its own pool
     pagerank_module = importlib.import_module("patentflow.pagerank")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(pagerank_module, "_SPLIT_EDGES", 10)
     monkeypatch.setattr(pagerank_module, "_TILE_NODES", 64)
     if env:
         monkeypatch.setenv("PATENTFLOW_THREADS", env)
@@ -328,6 +327,20 @@ def test_threads_cap_the_groups_of_a_second_call(data_dir, tmp_path, monkeypatch
     assert main([*argv[:-1], str(tmp_path / "one"), "--threads", "1"]) == 0
     for name in ("scores_d0.5.tsv", "scores_d0.85.tsv", "sweep_summary.json"):
         assert (out / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_threads_above_a_graphs_tile_count_start_no_thread(data_dir, tmp_path, monkeypatch):
+    # the corpus's graph is one tile of 65,536 targets, so --threads 7 on
+    # eight usable CPUs runs it as one group, on the calling thread
+    pagerank_module = importlib.import_module("patentflow.pagerank")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    runs, matvec = set(), pagerank_module._coo_matvec
+    monkeypatch.setattr(pagerank_module, "_coo_matvec", lambda *args: runs.add(
+        (threading.get_ident(), threading.active_count())) or matvec(*args))
+    before = threading.active_count()
+    argv = ["sweep", *_dataset_args(data_dir), "--damping-list", "0.5,0.85", "--threads", "7"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert runs == {(threading.get_ident(), before)}
 
 
 def test_usage_errors_exit_2():

@@ -18,6 +18,7 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -126,14 +127,13 @@ def test_cli_outputs_match_recorded_digests(tmp_path, capsys, threads):
 
 @pytest.mark.parametrize("parts", [1, 2, 3])
 def test_cli_outputs_match_recorded_digests_at_part_count(tmp_path, capsys, monkeypatch, parts):
-    # both of PageRank's paths on any host: a graph's first call whole, and
-    # from each sweep's second damping on its tiles, of 256 targets so that
-    # the 5,000-node corpus has 20, as one group, or two or three run by
-    # threads
+    # PageRank's tiles, of 256 targets so that the 5,000-node corpus has 20,
+    # as one group, or two or three run by threads on any host: seven usable
+    # CPUs, capped by --threads
     pagerank_module = importlib.import_module("patentflow.pagerank")
-    monkeypatch.setattr(pagerank_module, "_part_count", lambda graph, cpus: parts)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(7)), raising=False)
     monkeypatch.setattr(pagerank_module, "_TILE_NODES", 256)
-    assert _digests(tmp_path, 1, capsys) == GOLDEN
+    assert _digests(tmp_path, parts, capsys) == GOLDEN
 
 
 class _StderrCapture:

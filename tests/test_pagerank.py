@@ -9,7 +9,6 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -39,8 +38,9 @@ TIGHT = dict(epsilon=1e-12, max_iterations=20000)
 
 
 def _parts(count):
-    """Patches the group count of every tiled call while it is active."""
-    return mock.patch.object(pagerank_module, "_part_count", lambda graph, cpus: count)
+    """Patches the CPUs a call may use to ``count`` while it is active, so
+    that a graph of at least ``count`` tiles runs as ``count`` groups."""
+    return mock.patch.object(pagerank_module, "_cpus", lambda: count)
 
 
 def _tile(nodes):
@@ -49,28 +49,14 @@ def _tile(nodes):
 
 
 def _tiles_of(graph):
-    """The tiles kept for ``graph``: None after one call, then its
-    ``(rows, cols, starts)``."""
+    """The tiles kept for ``graph`` since its first call: its ``(rows, cols,
+    starts)``."""
     return pagerank_module._PARTS[graph]
 
 
-def _assert_tiles_the_columns(blocks, n):
-    """``blocks`` (kernel, entries, a, b, ...) cover columns 0 to n - 1 in
-    order."""
-    assert [a for _, _, a, *_ in blocks] == [0, *(b for _, _, _, b, *_ in blocks[:-1])] and blocks[-1][3] == n
-
-
-def _first_call_blocks(graph):
-    """The blocks of ``graph``'s first call: one group of one segment, every
-    target."""
-    ((lo, hi, blocks),), = pagerank_module._product_parts(graph, 1)
-    assert (lo, hi) == (0, graph.node_count)
-    return blocks
-
-
 def _ranked_twice(graph, params):
-    """``pagerank`` on a graph's first call, whole, and on its second, on
-    the tiles built then."""
+    """``pagerank`` on a graph's first call, which builds its tiles, and on
+    its second, which reads them."""
     return pagerank(graph, params), pagerank(graph, params)
 
 
@@ -343,7 +329,7 @@ def test_matches_bincount_oracle_bitwise_at_real_block_size(mode):
     for d in (0.15, 0.5, 0.85):
         params = PageRankParams(damping=d, epsilon=1e-12, dangling_mode=mode)
         scores, iterations, delta = bincount_pagerank(g, params)
-        for parts in (None, 3, 7):  # the default, one group here, and three and seven
+        for parts in (None, 3, 7):  # every usable CPU, and three and seven
             with _parts(parts) if parts else nullcontext(), _tile(1000):  # 15 tiles
                 results = _ranked_twice(random_graph(n, 8 * n, seed=41), params)
             for r in results:
@@ -352,16 +338,16 @@ def test_matches_bincount_oracle_bitwise_at_real_block_size(mode):
 
 
 def test_the_private_scipy_kernels_add_left_to_right_under_the_pin():
-    # pagerank calls scipy's private csc_matvec and coo_matvec, which check no
-    # bounds and may change between minor releases: the installed scipy must
-    # be one pyproject.toml allows, and both must add y[t] += a * x[s] in
-    # entry order, as a plain loop does
+    # pagerank calls scipy's private coo_matvec, which checks no bounds and
+    # may change between minor releases: the installed scipy must be one
+    # pyproject.toml allows, and it must add y[t] += a * x[s] in entry order,
+    # as a plain loop does
     pin = re.search(r'"scipy>=(\d+)\.(\d+),<(\d+)\.(\d+)"',
                     (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
     low, high = tuple(map(int, pin.group(1, 2))), tuple(map(int, pin.group(3, 4)))
     version = tuple(int(part) for part in scipy.__version__.split(".")[:2])
     assert low <= version < high, (f"scipy {scipy.__version__} is outside pyproject.toml's pin "
-                                   f"{pin.group(0)}: check both kernels' signatures before moving it")
+                                   f"{pin.group(0)}: check coo_matvec's signature before moving it")
     # four columns into three rows; row 0's terms cancel unless added in order
     x = np.array([1e16, 1.0, -1e16, 3.0])
     columns = [[(0, 1.0), (2, 0.5)], [(0, 1.0)], [(0, 1.0), (1, 0.1)], [(0, 0.7), (2, 3.0)]]
@@ -371,13 +357,11 @@ def test_the_private_scipy_kernels_add_left_to_right_under_the_pin():
         expected[t] += a * x[s]
     targets, sources, values = (np.array(v) for v in zip(*entries))
     targets, sources = targets.astype(np.int32), sources.astype(np.int32)
-    indptr = np.cumsum([0, *map(len, columns)]).astype(np.int32)
-    csc, coo = np.zeros(3), np.zeros(3)
-    pagerank_module._csc_matvec(3, 4, indptr, targets, values, x, csc)
+    coo = np.zeros(3)
     order = np.argsort(targets, kind="stable")  # the tiles' order: by target, then source
     pagerank_module._coo_matvec(len(entries), targets[order], sources[order], values[order], x, coo)
     assert expected[0] == 3 * 0.7  # the first three terms cancel exactly
-    assert csc.tolist() == coo.tolist() == expected
+    assert coo.tolist() == expected
 
 
 @pytest.mark.parametrize("mode", ["uniform-all", "uniform-others"])
@@ -416,7 +400,7 @@ def test_matches_bincount_oracle_bitwise_on_any_graph(mode, d, n, edges):
 @pytest.mark.parametrize("d", [0.0, 0.5, 0.99])
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(1, 24), edges=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=80),
-       chunk=st.sampled_from([1, 3, 7, 1 << 16]),  # entries per block of either layout
+       chunk=st.sampled_from([1, 3, 7, 1 << 16]),  # entries per block
        tile=st.sampled_from([1, 2, 3, 1 << 16]))  # targets per tile
 @example(n=1, edges=[], chunk=1 << 16, tile=1 << 16)  # one node
 @example(n=5, edges=[], chunk=1 << 16, tile=1)  # no edges
@@ -441,7 +425,7 @@ def test_matches_bincount_oracle_bitwise_at_any_part_count(parts, mode, d, n, ed
         g = build_graph([(u % n, v % n) for u, v in edges], n)
         params = PageRankParams(damping=d, max_iterations=300, dangling_mode=mode)
         results = _ranked_twice(g, params)
-        assert len(pagerank_module._product_parts(g, 1)) == parts
+        assert len(pagerank_module._product_parts(g, parts)) == min(parts, (n - 1) // tile + 1)  # tiles
     assert _tiles_of(g) is not None
     scores, iterations, delta = bincount_pagerank(g, params)
     for r in results:
@@ -461,7 +445,7 @@ def test_wide_offsets_and_many_parts_match_bincount_oracle_bitwise(index, parts)
         params = PageRankParams(damping=0.85, epsilon=1e-10, dangling_mode=mode)
         with _parts(parts), _tile(5):
             results = _ranked_twice(g, params)
-            assert len(pagerank_module._product_parts(g, 1)) == parts
+            assert len(pagerank_module._product_parts(g, parts)) == parts
         rows, cols, starts = _tiles_of(g)
         assert (rows.dtype, cols.dtype, starts.size) == (np.int32, np.int32, 401)
         scores, iterations, delta = bincount_pagerank(g, params)
@@ -473,9 +457,9 @@ def test_wide_offsets_and_many_parts_match_bincount_oracle_bitwise(index, parts)
 @pytest.mark.parametrize("parts", [1, 3])
 def test_no_block_passes_the_chunk_size_unless_it_is_one_column(monkeypatch, parts):
     # node 7 cites 50 others, past a block's 4 entries; the other nodes cite
-    # up to 5 each, so a cut that let a block of several columns run past 4
-    # entries (and, at full size, its int32 offsets wrap) would show; the
-    # tiles' blocks are cut by entries, so none passes 4
+    # up to 5 each, so a column block of the tiles' build that ran several
+    # columns past 4 entries would show; the tiles' product blocks are cut by
+    # entries, so none passes 4
     monkeypatch.setattr(pagerank_module, "_CHUNK_ROWS", 4)
     monkeypatch.setattr(pagerank_module, "_TILE_NODES", 7)
     rng = np.random.default_rng(54)
@@ -488,13 +472,13 @@ def test_no_block_passes_the_chunk_size_unless_it_is_one_column(monkeypatch, par
         params = PageRankParams(damping=0.85, epsilon=1e-12, dangling_mode=mode)
         with _parts(parts):
             results = _ranked_twice(g, params)
-            groups = pagerank_module._product_parts(g, 1)
-        first = _first_call_blocks(build_graph(edges, n))
-        _assert_tiles_the_columns(first, n)
-        assert all(k <= 4 or b - a == 1 for _, k, a, b, *_ in first)
-        assert (7, 8) in [(a, b) for _, _, a, b, *_ in first]
+        bounds = pagerank_module._column_blocks(g.out_indptr)
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert all(g.out_indptr[b] - g.out_indptr[a] <= 4 or b - a == 1 for a, b in zip(bounds, bounds[1:]))
+        assert 7 in bounds and 8 in bounds
+        groups = pagerank_module._product_parts(g, parts)
         assert len(groups) == parts
-        assert all(0 < k <= 4 for group in groups for *_, blocks in group for _, k, *_ in blocks)
+        assert all(0 < rows.size <= 4 for group in groups for *_, blocks in group for rows, _ in blocks)
         scores, iterations, delta = bincount_pagerank(g, params)
         for r in results:
             assert (r.iterations, r.final_delta) == (iterations, delta)
@@ -516,38 +500,19 @@ def test_delta_history_ends_in_final_delta_at_every_part_count(mode):
     assert len(dict(histories)[0.99]) == 4
 
 
-def test_one_part_is_the_out_csr_and_a_graph_is_split_once(monkeypatch):
-    # a graph's first call reads the out-CSR in place, as CSC column blocks
-    # with row pointers rebased to 0, and only its second builds the tiles
-    monkeypatch.setattr(pagerank_module, "_CHUNK_ROWS", 100)
-    g = random_graph(300, 2400, seed=45)
-    blocks = _first_call_blocks(g)
-    assert len(blocks) > 1  # several blocks
-    _assert_tiles_the_columns(blocks, g.node_count)
-    for kernel, k, a, b, rows, cols, indptr, indices in blocks:
-        assert kernel is pagerank_module._csc_matvec and (rows, cols) == (g.node_count, b - a)
-        assert np.shares_memory(indices, g.out_indices)
-        assert np.array_equal(indices, g.out_indices[g.out_indptr[a]:g.out_indptr[b]]) and indices.size == k
-        assert np.array_equal(indptr, g.out_indptr[a:b + 1] - g.out_indptr[a]) and indptr.dtype == np.int32
-    assert _tiles_of(g) is None
-
+def test_a_graph_is_tiled_once_on_its_first_call(monkeypatch):
+    # a graph's first call builds its tiles, and every later call reads them
     built = []
     tiles = pagerank_module._tiles
     monkeypatch.setattr(pagerank_module, "_tiles", lambda graph: built.append(graph) or tiles(graph))
     g = random_graph(300, 2400, seed=45)
+    assert g not in pagerank_module._PARTS
     pagerank(g, PageRankParams(damping=0.85))
-    assert _tiles_of(g) is None  # a lone call builds no tiles
+    assert built == [g] and _tiles_of(g) is not None
     for mode in ("uniform-all", "uniform-others"):
         pagerank(g, PageRankParams(damping=0.85, dangling_mode=mode))
-    assert built == [g]  # built once, on the second call
+    assert built == [g]
     assert "_in_csr" not in vars(g)
-
-    big = random_graph(300, 2400, seed=45)
-    monkeypatch.setattr(pagerank_module, "_SPLIT_EDGES", big.edge_count)
-    pagerank(big, PageRankParams(damping=0.85))  # from _SPLIT_EDGES edges, a lone call builds the tiles
-    assert built == [g, big] and _tiles_of(big) is not None
-    pagerank(big, PageRankParams(damping=0.85))
-    assert built == [g, big]
 
 
 @pytest.mark.parametrize("tile", [1, 3, 64, 1 << 16])
@@ -568,20 +533,18 @@ def test_tiles_hold_the_out_csr_in_tile_then_source_order(monkeypatch, tile):
     assert not rows.flags.writeable and not cols.flags.writeable
     n = g.node_count
     for count in (1, 2, 3, 7):
-        with _parts(count):
-            groups = pagerank_module._product_parts(g, 1)
-        assert len(groups) == count  # empty groups are kept
+        groups = pagerank_module._product_parts(g, count)
+        assert len(groups) == min(count, starts.size - 1)  # empty groups are kept
         segments = [segment for group in groups for segment in group]
         # the segments are the tiles, empty ones too: they cover [0, n) once, in order
         assert [(lo, hi) for lo, hi, _ in segments] == [(t, min(t + tile, n)) for t in range(0, n, tile)]
         at = 0  # each block starts where the one before it ends, and each tile's first at its start
         for (lo, hi, blocks), start, end in zip(segments, starts, starts[1:]):
             assert at == start
-            for kernel, k, a, b, entries, r, c in blocks:
-                assert (kernel, a, b, entries) == (pagerank_module._coo_matvec, 0, n, k)
-                assert 0 < k <= 50 and (_offset(r, rows), _offset(c, cols)) == (at, at) and r.size == c.size == k
+            for r, c in blocks:
+                assert 0 < r.size <= 50 and (_offset(r, rows), _offset(c, cols)) == (at, at) and c.size == r.size
                 assert lo <= r.min() and r.max() < hi  # no block crosses its tile
-                at += k
+                at += r.size
             assert at == end
         assert at == g.edge_count
 
@@ -592,15 +555,41 @@ def _offset(view, array):
 
 
 def test_a_one_part_call_starts_no_thread(monkeypatch):
-    counts = {}
-    for name in ("_csc_matvec", "_coo_matvec"):  # the first call's kernel, and the tiles'
-        monkeypatch.setattr(pagerank_module, name, lambda *args, matvec=getattr(pagerank_module, name), name=name:
-                            counts.setdefault(name, set()).add(threading.active_count()) or matvec(*args))
+    counts, matvec = set(), pagerank_module._coo_matvec
+    monkeypatch.setattr(pagerank_module, "_coo_matvec",
+                        lambda *args: counts.add(threading.active_count()) or matvec(*args))
     before = threading.active_count()
     with _parts(1), _tile(16):
         _ranked_twice(random_graph(300, 2400, seed=45), PageRankParams(damping=0.85))
-    assert counts == {"_csc_matvec": {before}, "_coo_matvec": {before}}
+    assert counts == {before}
     assert threading.active_count() == before
+
+
+def test_the_tile_count_caps_the_groups(monkeypatch):
+    # eight usable CPUs: a graph of one tile (at most 65,536 nodes) runs as
+    # one group on the calling thread and starts none, and one of three
+    # tiles runs as three groups
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    runs, groups, matvec, parts = set(), [], pagerank_module._coo_matvec, pagerank_module._product_parts
+    monkeypatch.setattr(pagerank_module, "_product_parts",
+                        lambda graph, cpus: groups.append(len(found := parts(graph, cpus))) or found)
+    monkeypatch.setattr(pagerank_module, "_coo_matvec", lambda *args: runs.add(
+        (threading.get_ident(), threading.active_count())) or matvec(*args))
+    before = threading.active_count()
+    g = random_graph(3000, 30000, seed=52)
+    params = PageRankParams(damping=0.5)
+    one = pagerank(g, params, cpus=8)
+    assert groups == [1] and runs == {(threading.get_ident(), before)}
+    monkeypatch.setattr(pagerank_module, "_TILE_NODES", 1000)
+    runs.clear()
+    three = pagerank(random_graph(3000, 30000, seed=52), params, cpus=7)
+    assert groups == [1, 3]
+    assert 1 < len({ident for ident, _ in runs}) <= 3  # the pool may reuse an idle worker
+    assert threading.active_count() == before
+    scores, iterations, delta = bincount_pagerank(g, params)
+    for r in (one, three):
+        assert (r.iterations, r.final_delta) == (iterations, delta)
+        assert np.array_equal(r.scores, scores)
 
 
 @pytest.mark.parametrize("cpus, parts", [(None, 1), (3, 3)])
@@ -608,35 +597,34 @@ def test_without_an_affinity_mask_the_cpu_count_is_used(monkeypatch, cpus, parts
     # macOS and Windows have no os.sched_getaffinity; os.cpu_count() may be None
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(pagerank_module, "_SPLIT_EDGES", 10)
-    monkeypatch.setattr(pagerank_module, "_TILE_NODES", 100)
-    counts, part_count = [], pagerank_module._part_count
-    monkeypatch.setattr(pagerank_module, "_part_count",
-                        lambda graph, cpus: counts.append(part_count(graph, cpus)) or counts[-1])
+    monkeypatch.setattr(pagerank_module, "_TILE_NODES", 100)  # 30 tiles
+    counts, product_parts = [], pagerank_module._product_parts
+    monkeypatch.setattr(pagerank_module, "_product_parts",
+                        lambda graph, cpus: counts.append(len(found := product_parts(graph, cpus))) or found)
     g = random_graph(3000, 30000, seed=52)
     params = PageRankParams(damping=0.5)
     scores, iterations, delta = bincount_pagerank(g, params)
     for r in _ranked_twice(g, params):
         assert (r.iterations, r.final_delta) == (iterations, delta)
         assert np.array_equal(r.scores, scores)
-    assert counts == [parts, parts]  # from _SPLIT_EDGES edges, the first call runs the tiles too
+    assert counts == [parts, parts]
 
 
-@pytest.mark.parametrize("cpus, nodes, edges, parts", [
-    (2, 1000, 100, 1),
-    (2, 1000, 1120, 1),
-    (2, 1000, 1124, 1),  # one below _SPLIT_EDGES
-    (2, 1000, 1125, 2),
-    (2, 1000, 1130, 2),
-    (2, 1000, 4490, 2),
-    (2, 1000, 10_000, 2),  # one group per CPU
-    (2, 1000, 9, 1),
-    (1, 1000, 10_000, 1),
-    (8, 1000, 10_000, 8),
+@pytest.mark.parametrize("cpus, nodes, parts", [
+    (1, 1, 1),
+    (8, 1, 1),
+    (8, 65_536, 1),  # one tile at eight CPUs
+    (1, 65_537, 1),
+    (2, 65_537, 2),
+    (7, 65_537, 2),  # two tiles at seven CPUs
+    (2, 196_608, 2),
+    (3, 196_608, 3),
+    (7, 196_609, 4),
+    (8, 1_000_000, 8),  # one group per CPU
 ])
-def test_part_count_table(monkeypatch, cpus, nodes, edges, parts):
-    monkeypatch.setattr(pagerank_module, "_SPLIT_EDGES", 1125)
-    assert pagerank_module._part_count(SimpleNamespace(node_count=nodes, edge_count=edges), cpus) == parts
+def test_part_count_table(cpus, nodes, parts):
+    # min(cpus, tiles) groups, whatever the edge count
+    assert len(pagerank_module._product_parts(build_graph([], nodes), cpus)) == parts
 
 
 def test_the_kept_parts_keep_no_graph_alive():
@@ -655,8 +643,8 @@ def test_the_kept_parts_keep_no_graph_alive():
 
 
 def test_racing_calls_on_a_fresh_graph_stay_bitwise(monkeypatch):
-    # two threads on one graph's first call, then on its second, which
-    # both may tile
+    # two threads on one graph's first call, which both may build its tiles,
+    # then on its second
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(pagerank_module, "_TILE_NODES", 256)
     g = random_graph(3000, 30000, seed=53)
@@ -666,24 +654,23 @@ def test_racing_calls_on_a_fresh_graph_stay_bitwise(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with _parts(3):
-            for _ in range(2):
-                results, start = [], threading.Barrier(2)
+        for _ in range(2):
+            results, start = [], threading.Barrier(2)
 
-                def run():
-                    start.wait()
-                    results.append(pagerank(g, params))
+            def run():
+                start.wait()
+                results.append(pagerank(g, params))
 
-                racers = [threading.Thread(target=run) for _ in range(2)]
-                for racer in racers:
-                    racer.start()
-                for racer in racers:
-                    racer.join(timeout=60)
-                    assert not racer.is_alive()
-                assert len(results) == 2
-                for r in results:
-                    assert (r.iterations, r.final_delta) == (iterations, delta)
-                    assert np.array_equal(r.scores, scores)
+            racers = [threading.Thread(target=run) for _ in range(2)]
+            for racer in racers:
+                racer.start()
+            for racer in racers:
+                racer.join(timeout=60)
+                assert not racer.is_alive()
+            assert len(results) == 2
+            for r in results:
+                assert (r.iterations, r.final_delta) == (iterations, delta)
+                assert np.array_equal(r.scores, scores)
     finally:
         sys.setswitchinterval(interval)
     assert _tiles_of(g) is not None
@@ -706,13 +693,10 @@ def test_a_failing_part_raises_and_leaves_no_thread(monkeypatch, where):
             raise _PartFailed
         product(*args)
 
-    g = random_graph(300, 2400, seed=45)
-    with _parts(3):
-        pagerank(g, PageRankParams(damping=0.85))  # the next call reads the tiles
-        monkeypatch.setattr(pagerank_module, "_coo_matvec", failing)
-        before = threading.active_count()
-        with pytest.raises(_PartFailed):
-            pagerank(g, PageRankParams(damping=0.85))
+    monkeypatch.setattr(pagerank_module, "_coo_matvec", failing)
+    before = threading.active_count()
+    with pytest.raises(_PartFailed):
+        pagerank(random_graph(300, 2400, seed=45), PageRankParams(damping=0.85))
     assert threading.active_count() == before
 
 
@@ -730,22 +714,20 @@ def test_a_worker_failing_on_a_later_step_raises_and_leaves_no_thread(monkeypatc
             return futures[-1]
 
     g = random_graph(300, 2400, seed=45)
-    with _parts(3):
-        pagerank(g, PageRankParams(damping=0.85))  # the next call reads the tiles
-        workers = sum(len(blocks) for group in pagerank_module._product_parts(g, 1)[1:] for *_, blocks in group)
+    workers = sum(len(blocks) for group in pagerank_module._product_parts(g, 3)[1:] for *_, blocks in group)
 
-        def failing(*args):
-            if threading.current_thread() is not threading.main_thread():
-                calls.append(None)  # the workers' blocks of one step run only after the last step's
-                if len(calls) > 2 * workers:
-                    raise _PartFailed
-            product(*args)
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            calls.append(None)  # the workers' blocks of one step run only after the last step's
+            if len(calls) > 2 * workers:
+                raise _PartFailed
+        product(*args)
 
-        monkeypatch.setattr(pagerank_module, "_coo_matvec", failing)
-        monkeypatch.setattr(pagerank_module, "ThreadPoolExecutor", Pool)
-        before = threading.active_count()
-        with pytest.raises(_PartFailed):
-            pagerank(g, PageRankParams(damping=0.85))
+    monkeypatch.setattr(pagerank_module, "_coo_matvec", failing)
+    monkeypatch.setattr(pagerank_module, "ThreadPoolExecutor", Pool)
+    before = threading.active_count()
+    with pytest.raises(_PartFailed):
+        pagerank(g, PageRankParams(damping=0.85))
     assert len(calls) > 2 * workers  # the other worker may fail too
     assert len(futures) == 3 * 2 * 2  # three steps of two phases, each on two workers
     assert all(future.done() for future in futures)
@@ -762,8 +744,7 @@ def test_more_threads_than_cores_with_fast_switching_stay_bitwise(monkeypatch):
     try:
         for mode in ("uniform-all", "uniform-others"):
             params = PageRankParams(damping=0.85, epsilon=1e-10, dangling_mode=mode)
-            with _parts(7):
-                _, r = _ranked_twice(random_graph(3000, 30000, seed=49), params)
+            _, r = _ranked_twice(random_graph(3000, 30000, seed=49), params)
             scores, iterations, delta = bincount_pagerank(random_graph(3000, 30000, seed=49), params)
             assert (r.iterations, r.final_delta) == (iterations, delta)
             assert np.array_equal(r.scores, scores)
@@ -772,30 +753,28 @@ def test_more_threads_than_cores_with_fast_switching_stay_bitwise(monkeypatch):
 
 
 # tracemalloc counts one pagerank call's peak, its tiles included, on this
-# input (10 edges per node). A graph's first call read 3.15 bytes per edge
-# (uniform-all) and 3.31 (uniform-others): three score vectors, the blocks'
-# 4-byte row pointers per node and the ones of one block. The second call,
-# which builds the tiles and runs them as four groups, read 10.76 and 10.92:
-# the tiles' 8 bytes per edge (int32 targets and sources), three score
-# vectors (2.4 bytes per edge here) and the build's block temporaries. Each
-# bound is about 5 % above the larger of its two readings.
-_PAGERANK_PEAK_BYTES_PER_EDGE = {None: 3.5, 4: 11.5}
+# input (10 edges per node), in either dangling mode, as the default groups
+# or four. A graph's first call, which builds its tiles, read 10.75 to 10.84
+# bytes per edge: the tiles' 8 bytes per edge (int32 targets and sources),
+# three score vectors (2.4 bytes per edge here) and the build's block
+# temporaries. A later call read 2.75 to 2.80: three score vectors and the
+# ones of one block.
+_PAGERANK_PEAK_BYTES_PER_EDGE = {"first": 11.5, "later": 3.5}
 
 
 @pytest.mark.parametrize("parts", [None, 4], ids=["default", "4"])
 def test_pagerank_peak_memory_per_edge(parts):
     with _parts(parts) if parts else nullcontext():
         for mode in ("uniform-all", "uniform-others"):
-            g = random_graph(200_000, 2_000_000, seed=47)
-            if parts:  # the traced call is the graph's second, which builds its tiles
-                pagerank(g, PageRankParams(damping=0.85, dangling_mode=mode))
-            tracemalloc.start()
-            try:
-                pagerank(g, PageRankParams(damping=0.85, dangling_mode=mode))
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < _PAGERANK_PEAK_BYTES_PER_EDGE[parts] * g.edge_count
+            g = random_graph(200_000, 2_000_000, seed=47)  # four tiles
+            for call in ("first", "later"):
+                tracemalloc.start()
+                try:
+                    pagerank(g, PageRankParams(damping=0.85, dangling_mode=mode))
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < _PAGERANK_PEAK_BYTES_PER_EDGE[call] * g.edge_count
 
 
 def _graph_with_dangling(n, m, k, seed):
